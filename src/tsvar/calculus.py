@@ -41,7 +41,11 @@ from .scales import (
 EXACT_QUOTIENT = "exact-quotient"
 NUMERIC_LIMIT = "numeric-limit"
 
-SMOOTHNESS_HINTS = ("none", "rd-continuous", "c1rd", "c1")
+# Evaluation modes of an iterated integrand: at a right-scattered point
+# the forward jump applies; at a quadrature node of a dense piece the
+# integrand is read as its continuous restriction.
+SCATTER = "scatter"
+DENSE = "dense"
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,22 @@ class ScaleFn:
     reject evaluation off the table.
     """
 
-    __slots__ = ("scale", "func", "deriv", "table", "hint", "domain")
+    __slots__ = ("scale", "func", "deriv", "table", "domain")
 
-    def __init__(self, scale, func=None, deriv=None, table=None, hint="none", domain=None):
-        if hint not in SMOOTHNESS_HINTS:
-            raise ValueError(f"unknown smoothness hint {hint!r}")
+    def __init__(self, scale, func=None, deriv=None, table=None, domain=None):
         self.scale = scale
         self.func = func
         self.deriv = deriv
         self.table = table
-        self.hint = hint
         self.domain = domain if domain is not None else scale
 
     @classmethod
-    def from_callable(cls, scale: TimeScale, func: Callable, deriv: Optional[Callable] = None,
-                      hint: str = "none") -> "ScaleFn":
-        return cls(scale, func=func, deriv=deriv, hint=hint)
+    def from_callable(cls, scale: TimeScale, func: Callable,
+                      deriv: Optional[Callable] = None) -> "ScaleFn":
+        return cls(scale, func=func, deriv=deriv)
 
     @classmethod
-    def from_table(cls, scale: TimeScale, values, hint: str = "none") -> "ScaleFn":
+    def from_table(cls, scale: TimeScale, values) -> "ScaleFn":
         """Tabulate ``values`` (a mapping point -> value) on a discrete scale."""
         if not scale.is_discrete:
             raise UnsupportedScaleError("tabulated functions require a purely discrete scale")
@@ -88,7 +89,7 @@ class ScaleFn:
         for k, v in dict(values).items():
             table[scale.require(k)] = as_scalar(v, scale.mode)
         domain = TimeScale.discrete(sorted(table), scale.mode, scale.eps)
-        return cls(scale, table=table, hint=hint, domain=domain)
+        return cls(scale, table=table, domain=domain)
 
     @property
     def is_tabulated(self) -> bool:
@@ -165,11 +166,6 @@ def tabulated_from_json(obj) -> ScaleFn:
     return ScaleFn.from_table(scale, values)
 
 
-def _containing_piece(scale: TimeScale, t):
-    i, t = scale._locate(t)
-    return scale.pieces[i]
-
-
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     """Classical derivative of ``fn`` at ``t`` inside a dense piece, as float.
 
@@ -188,12 +184,7 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     def value(s):
         return float(fn(s))
 
-    if room_l <= 0.0:
-        sample = lambda h: (value(x + h) - value(x)) / h
-        return richardson_limit(sample, room_r / 2.0, order=1, tol=tol, max_steps=LIMIT_MAX_STEPS)
-    if room_r <= 0.0:
-        sample = lambda h: (value(x) - value(x - h)) / h
-        return richardson_limit(sample, room_l / 2.0, order=1, tol=tol, max_steps=LIMIT_MAX_STEPS)
+    # Near (or at) a piece end, a one-sided quotient into the wider side.
     if min(room_l, room_r) < width / 64.0:
         if room_l >= room_r:
             sample = lambda h: (value(x) - value(x - h)) / h
@@ -207,13 +198,47 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
                             max_steps=LIMIT_MAX_STEPS)
 
 
+def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
+              d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL):
+    """Delta derivative of ``fn`` at ``t`` as ``(value, error_estimate)``.
+
+    Every delta derivative in the package goes through here.  A
+    right-scattered point gives the exact jump quotient.  A right-dense
+    point gives the classical slope: ``d_analytic(t)`` when supplied
+    (returned unconverted), else a Richardson limit inside the piece.
+    ``dense`` forces the classical slope at a quadrature node of a dense
+    piece, where ``fn`` is read as its continuous restriction and ``t``
+    is used as given.
+    """
+    if not dense:
+        t = scale.require(t)
+        st = scale.sigma(t)
+        if st > t:
+            return (fn(st) - fn(t)) / (st - t), zero_of(scale)
+        if t == scale.max and scale.rho(t) < t:
+            raise DomainError(
+                f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
+            )
+    if d_analytic is not None:
+        return d_analytic(t), 0.0
+    hit = scale._locate(t)
+    if hit is None:
+        raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
+    i, t = hit
+    lo, hi = scale.pieces[i]
+    if lo == hi:
+        raise DomainError(
+            f"no dense neighborhood at {fmt_scalar(t)} for a classical slope"
+        )
+    return _classical_slope(scale, fn, t, (lo, hi), tol)
+
+
 def delta_quotient(scale: TimeScale, fn, t) -> Num:
     """Exact jump quotient (f(sigma(t)) - f(t)) / mu(t) at a right-scattered t."""
     t = scale.require(t)
-    st = scale.sigma(t)
-    if st == t:
+    if scale.sigma(t) == t:
         raise DomainError(f"{fmt_scalar(t)} is right-dense, no jump quotient")
-    return (fn(st) - fn(t)) / (st - t)
+    return _delta_at(scale, fn, t)[0]
 
 
 def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
@@ -224,17 +249,8 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     Undefined at a left-scattered maximum.
     """
     t = scale.require(t)
-    if t not in scale.truncate_k():
-        raise DomainError(
-            f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
-        )
-    st = scale.sigma(t)
-    if st > t:
-        value = (fn(st) - fn(t)) / (st - t)
-        return DerivResult(value, EXACT_QUOTIENT, zero_of(scale))
-    piece = _containing_piece(scale, t)
-    value, est = _classical_slope(scale, fn, t, piece, tol)
-    return DerivResult(value, NUMERIC_LIMIT, est)
+    value, est = _delta_at(scale, fn, t, tol=tol)
+    return DerivResult(value, EXACT_QUOTIENT if scale.sigma(t) > t else NUMERIC_LIMIT, est)
 
 
 def simple_useful_check(scale: TimeScale, fn, t) -> Num:
@@ -272,11 +288,10 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
 
 
 def _decompose(scale: TimeScale, a, b):
-    """Split [a, b] into ('gap', t) and ('dense', (c, d, lo, hi)) parts, in order.
+    """Split [a, b] into ('gap', t) and ('dense', (c, d)) parts, in order.
 
     Gap entries are right-scattered points t in [a, b) contributing
-    mu(t) f(t) exactly.  Dense entries carry the clipped bounds (c, d)
-    and the owning piece (lo, hi) for derivative room.
+    mu(t) f(t) exactly.  Dense entries carry the clipped bounds (c, d).
     """
     for lo, hi in scale.pieces:
         if lo > b:
@@ -286,17 +301,17 @@ def _decompose(scale: TimeScale, a, b):
         if c > d:
             continue
         if c < d:
-            yield ("dense", (c, d, lo, hi))
+            yield ("dense", (c, d))
         if d < b and d == hi:
             yield ("gap", d)
 
 
-def _integrate(scale: TimeScale, a, b, point_value, dense_factory, tol: float):
+def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float):
     """Delta integral driver shared by every integral in the package.
 
     ``point_value(t)`` is the exact integrand at a right-scattered t.
-    ``dense_factory(lo, hi)`` returns a float-valued integrand for the
-    continuous restriction to the piece (lo, hi)."""
+    ``dense_value(x)`` is the float-valued continuous restriction of the
+    integrand at a quadrature node x of a dense piece."""
     a = scale.require(a)
     b = scale.require(b)
     if a > b:
@@ -311,9 +326,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_factory, tol: float):
             t = payload
             exact = exact + scale.mu(t) * point_value(t)
         else:
-            c, d, lo, hi = payload
-            integrand = dense_factory(lo, hi)
-            value, _ = adaptive_simpson(integrand, float(c), float(d), tol)
+            c, d = payload
+            value, _ = adaptive_simpson(dense_value, float(c), float(d), tol)
             dense_total += value
             used_dense = True
     if used_dense:
@@ -326,7 +340,7 @@ def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     return _integrate(
         scale, a, b,
         point_value=fn,
-        dense_factory=lambda lo, hi: (lambda x: float(fn(x))),
+        dense_value=lambda x: float(fn(x)),
         tol=tol,
     )
 
@@ -351,19 +365,27 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
     return total
 
 
-def _delta_of(scale: TimeScale, fn, tol: float):
-    """Point and dense evaluators for the delta derivative of ``fn``."""
+def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
+    """Iterated delta integral over [a1, b1] x [a2, b2], second axis innermost.
 
-    def at_gap(t):
-        return delta_quotient(scale, fn, t)
+    ``G(t1, t2, m1, m2)`` is the integrand, told per axis whether it is
+    evaluated at a right-scattered point (SCATTER) or at a quadrature
+    node of a dense piece (DENSE)."""
 
-    def dense(lo, hi):
-        def slope(x):
-            return _classical_slope(scale, fn, x, (lo, hi), tol)[0]
+    def inner(t1, m1):
+        return _integrate(
+            ax2, a2, b2,
+            point_value=lambda t2: G(t1, t2, m1, SCATTER),
+            dense_value=lambda x: float(G(t1, x, m1, DENSE)),
+            tol=tol,
+        )
 
-        return slope
-
-    return at_gap, dense
+    return _integrate(
+        ax1, a1, b1,
+        point_value=lambda t1: inner(t1, SCATTER),
+        dense_value=lambda x: float(inner(x, DENSE)),
+        tol=tol,
+    )
 
 
 def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_TOL) -> Num:
@@ -377,46 +399,23 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
         raise ValueError("form must be 1 or 2")
     a = scale.require(a)
     b = scale.require(b)
-    fg_b = f(b) * g(b)
-    fg_a = f(a) * g(a)
-    boundary = fg_b - fg_a
-    f_gap, f_dense = _delta_of(scale, f, LIMIT_TOL)
-    g_gap, g_dense = _delta_of(scale, g, LIMIT_TOL)
-
-    if form == 1:
-        lhs = _integrate(
-            scale, a, b,
-            point_value=lambda t: f(scale.sigma(t)) * g_gap(t),
-            dense_factory=lambda lo, hi: (
-                lambda x, d=g_dense(lo, hi): float(f(x)) * d(x)
-            ),
-            tol=tol,
-        )
-        rest = _integrate(
-            scale, a, b,
-            point_value=lambda t: f_gap(t) * g(t),
-            dense_factory=lambda lo, hi: (
-                lambda x, d=f_dense(lo, hi): d(x) * float(g(x))
-            ),
-            tol=tol,
-        )
-    else:
-        lhs = _integrate(
-            scale, a, b,
-            point_value=lambda t: f(t) * g_gap(t),
-            dense_factory=lambda lo, hi: (
-                lambda x, d=g_dense(lo, hi): float(f(x)) * d(x)
-            ),
-            tol=tol,
-        )
-        rest = _integrate(
-            scale, a, b,
-            point_value=lambda t: f_gap(t) * g(scale.sigma(t)),
-            dense_factory=lambda lo, hi: (
-                lambda x, d=f_dense(lo, hi): d(x) * float(g(x))
-            ),
-            tol=tol,
-        )
+    boundary = f(b) * g(b) - f(a) * g(a)
+    # The forms differ only in which factor takes sigma at gap points;
+    # on dense pieces sigma(t) = t and both read the same.
+    f_at = scale.sigma if form == 1 else (lambda t: t)
+    g_at = (lambda t: t) if form == 1 else scale.sigma
+    lhs = _integrate(
+        scale, a, b,
+        point_value=lambda t: f(f_at(t)) * _delta_at(scale, g, t)[0],
+        dense_value=lambda x: float(f(x)) * _delta_at(scale, g, x, True)[0],
+        tol=tol,
+    )
+    rest = _integrate(
+        scale, a, b,
+        point_value=lambda t: _delta_at(scale, f, t)[0] * g(g_at(t)),
+        dense_value=lambda x: _delta_at(scale, f, x, True)[0] * float(g(x)),
+        tol=tol,
+    )
     return abs(lhs - (boundary - rest))
 
 
@@ -437,7 +436,7 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
         if scale.sigma(hi) == hi or scale.sigma(hi) > b:
             continue
         slope, _ = _classical_slope(scale, fn, hi, (max(lo, a), hi), LIMIT_TOL)
-        quot = delta_quotient(scale, fn, hi)
+        quot = _delta_at(scale, fn, hi)[0]
         if abs(slope - float(quot)) > tol:
             findings.append(
                 f"derivative jump at t={fmt_scalar(hi)}: dense-side slope "

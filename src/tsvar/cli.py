@@ -87,7 +87,7 @@ def _fn_from_arg(scale: TimeScale, text: str) -> ScaleFn:
             raise CLIError("tabulated function scale does not match the problem scale")
         return fn
     poly = Poly.parse(text, ("t",))
-    return ScaleFn.from_callable(scale, poly, deriv=poly.diff("t"), hint="c1")
+    return ScaleFn.from_callable(scale, poly, deriv=poly.diff("t"))
 
 
 def _surface_from_arg(ps: ProductScale, text: str) -> SurfaceFn:

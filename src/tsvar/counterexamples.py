@@ -138,7 +138,7 @@ def cx_eta_not_c1(scale: TimeScale = None, u1=0.25, t0=1.0) -> Verdict:
             return (t - lo_edge) ** 2 * (hi_edge - t) ** 2
         return 0.0
 
-    fn = ScaleFn.from_callable(scale, eta, hint="rd-continuous")
+    fn = ScaleFn.from_callable(scale, eta)
     dres = delta_deriv(scale, fn, t0)
 
     # Square rule per factor, then the product rule, evaluated at t0.

@@ -18,25 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import _classical_slope, _integrate, delta_integral
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PreconditionError,
-    UnsupportedScaleError,
-)
+from .calculus import DENSE, SCATTER, _delta_at, _iterated
+from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
-from .quadrature import LIMIT_TOL, QUAD_TOL
-from .scales import (
-    RATIONAL,
-    Num,
-    TimeScale,
-    as_scalar,
-    fmt_scalar,
-    scalar_from_json,
-    zero_of,
-)
-from .variational import FD_STEP
+from .quadrature import QUAD_TOL
+from .scales import Num, TimeScale, as_scalar, fmt_scalar, scalar_from_json, zero_of
+from .variational import _coordinate_newton, _fd_partial, _parse_lagrangian
 
 _POLY2_VARS = ("t1", "t2", "y0", "y1", "y2")
 
@@ -45,9 +32,6 @@ BUILTIN_LAGRANGIANS_2D = {
     "mass": "y0^2",
     "grad2+mass": "y1^2+y2^2+y0^2",
 }
-
-SCATTER = "scatter"
-DENSE = "dense"
 
 
 @dataclass(frozen=True)
@@ -70,27 +54,24 @@ class ProductScale:
 class SurfaceFn:
     """Real-valued function on a product scale, closure-backed or tabulated."""
 
-    __slots__ = ("scale1", "scale2", "func", "d1fn", "d2fn", "table", "hint")
+    __slots__ = ("scale1", "scale2", "func", "d1fn", "d2fn", "table")
 
-    def __init__(self, scale1, scale2, func=None, d1fn=None, d2fn=None,
-                 table=None, hint="none"):
+    def __init__(self, scale1, scale2, func=None, d1fn=None, d2fn=None, table=None):
         self.scale1 = scale1
         self.scale2 = scale2
         self.func = func
         self.d1fn = d1fn
         self.d2fn = d2fn
         self.table = table
-        self.hint = hint
 
     @classmethod
     def from_callable(cls, scale1: TimeScale, scale2: TimeScale, func: Callable,
-                      d1: Optional[Callable] = None, d2: Optional[Callable] = None,
-                      hint: str = "none") -> "SurfaceFn":
-        return cls(scale1, scale2, func=func, d1fn=d1, d2fn=d2, hint=hint)
+                      d1: Optional[Callable] = None,
+                      d2: Optional[Callable] = None) -> "SurfaceFn":
+        return cls(scale1, scale2, func=func, d1fn=d1, d2fn=d2)
 
     @classmethod
-    def from_table(cls, scale1: TimeScale, scale2: TimeScale, values,
-                   hint: str = "none") -> "SurfaceFn":
+    def from_table(cls, scale1: TimeScale, scale2: TimeScale, values) -> "SurfaceFn":
         """Tabulate on discrete axes.
 
         ``values`` is either a dict keyed by (t1, t2) or a list of rows,
@@ -119,7 +100,7 @@ class SurfaceFn:
         missing = [(t1, t2) for t1 in pts1 for t2 in pts2 if (t1, t2) not in table]
         if missing:
             raise DomainError(f"table misses {len(missing)} grid points, first {missing[0]}")
-        return cls(scale1, scale2, table=table, hint=hint)
+        return cls(scale1, scale2, table=table)
 
     def val(self, t1, t2) -> Num:
         t1 = self.scale1.require(t1)
@@ -137,13 +118,13 @@ class SurfaceFn:
         """Axis-1 delta derivative holding t2 fixed."""
         t2 = self.scale2.require(t2)
         dan = (lambda s: self.d1fn(s, t2)) if self.d1fn is not None else None
-        return _axis_delta(self.scale1, lambda s: self.val(s, t2), t1, False, dan)
+        return _delta_at(self.scale1, lambda s: self.val(s, t2), t1, d_analytic=dan)[0]
 
     def d2(self, t1, t2) -> Num:
         """Axis-2 delta derivative holding t1 fixed."""
         t1 = self.scale1.require(t1)
         dan = (lambda s: self.d2fn(t1, s)) if self.d2fn is not None else None
-        return _axis_delta(self.scale2, lambda s: self.val(t1, s), t2, False, dan)
+        return _delta_at(self.scale2, lambda s: self.val(t1, s), t2, d_analytic=dan)[0]
 
 
 def surface_from_json(obj) -> SurfaceFn:
@@ -160,35 +141,6 @@ def surface_from_json(obj) -> SurfaceFn:
         raise DomainError("'values' must be a list of rows")
     parsed = [[scalar_from_json(v, scale1.mode) for v in row] for row in rows]
     return SurfaceFn.from_table(scale1, scale2, parsed)
-
-
-def _axis_delta(ax: TimeScale, value_at: Callable, t, dense: bool,
-                d_analytic: Optional[Callable]):
-    """Delta derivative of a single-variable slice along one axis.
-
-    ``dense`` forces classical semantics (used at quadrature nodes of a
-    dense piece, where the slice must be read as its continuous
-    restriction).  Otherwise right-scattered points use the exact jump
-    quotient and right-dense points the classical limit."""
-    t = ax.require(t)
-    if not dense:
-        st = ax.sigma(t)
-        if st > t:
-            return (value_at(st) - value_at(t)) / (st - t)
-        if t == ax.max and ax.rho(t) < t:
-            raise DomainError(
-                f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
-            )
-    if d_analytic is not None:
-        return d_analytic(t)
-    i, t = ax._locate(t)
-    lo, hi = ax.pieces[i]
-    if lo == hi:
-        raise DomainError(
-            f"no dense neighborhood at {fmt_scalar(t)} for a classical slope"
-        )
-    slope, _ = _classical_slope(ax, value_at, t, (lo, hi), LIMIT_TOL)
-    return slope
 
 
 def sigma_diff_audit(ax1: TimeScale, ax2: TimeScale) -> list:
@@ -208,19 +160,6 @@ def sigma_diff_audit(ax1: TimeScale, ax2: TimeScale) -> list:
     return findings
 
 
-def _fd_partial5(L: Callable, index: int) -> Callable:
-    def partial(*args):
-        args = [float(a) for a in args]
-        h = FD_STEP * max(1.0, abs(args[index]))
-        hi = list(args)
-        lo = list(args)
-        hi[index] += h
-        lo[index] -= h
-        return (L(*hi) - L(*lo)) / (2.0 * h)
-
-    return partial
-
-
 @dataclass(frozen=True)
 class DoubleProblem:
     """Minimize the double delta integral of
@@ -237,7 +176,6 @@ class DoubleProblem:
     d_y1: Optional[Callable] = None
     d_y2: Optional[Callable] = None
     boundary: Optional[Callable] = None
-    describe: str = ""
     ax1: TimeScale = field(init=False, repr=False)
     ax2: TimeScale = field(init=False, repr=False)
     audit_findings: tuple = field(init=False, repr=False)
@@ -256,7 +194,7 @@ class DoubleProblem:
 
     @classmethod
     def from_poly2(cls, ps: ProductScale, a1, b1, a2, b2, poly: Poly,
-                   boundary: Optional[Callable] = None, describe: str = "") -> "DoubleProblem":
+                   boundary: Optional[Callable] = None) -> "DoubleProblem":
         if poly.variables != _POLY2_VARS:
             raise ValueError(f"expected a polynomial in {_POLY2_VARS}")
         return cls(
@@ -266,7 +204,6 @@ class DoubleProblem:
             d_y1=poly.diff("y1"),
             d_y2=poly.diff("y2"),
             boundary=boundary,
-            describe=describe,
         )
 
     @classmethod
@@ -290,80 +227,42 @@ class DoubleProblem:
         b1 = corner("b1", scale1.max)
         a2 = corner("a2", scale2.min)
         b2 = corner("b2", scale2.max)
-        spec = obj["lagrangian"]
-        if not isinstance(spec, str):
-            raise ValueError("lagrangian spec must be a string")
-        if spec.startswith("builtin:"):
-            name = spec[len("builtin:"):]
-            try:
-                poly = Poly.parse(BUILTIN_LAGRANGIANS_2D[name], _POLY2_VARS)
-            except KeyError:
-                known = ", ".join(sorted(BUILTIN_LAGRANGIANS_2D))
-                raise ValueError(f"unknown builtin Lagrangian {name!r}; known: {known}") from None
-        elif spec.startswith("poly:"):
-            poly = Poly.parse(spec[len("poly:"):], _POLY2_VARS)
-        else:
-            raise ValueError(
-                f"lagrangian spec must start with 'builtin:' or 'poly:', got {spec!r}"
-            )
+        poly = _parse_lagrangian(obj["lagrangian"], BUILTIN_LAGRANGIANS_2D, _POLY2_VARS)
         boundary = None
         if "boundary" in obj:
-            bpoly = Poly.parse(str(obj["boundary"]), ("t1", "t2"))
-            boundary = bpoly
-        return cls.from_poly2(ps, a1, b1, a2, b2, poly, boundary, describe=spec)
+            boundary = Poly.parse(str(obj["boundary"]), ("t1", "t2"))
+        return cls.from_poly2(ps, a1, b1, a2, b2, poly, boundary)
 
     def partial_y0(self, *args):
-        f = self.d_y0 if self.d_y0 is not None else _fd_partial5(self.lagrangian, 2)
+        f = self.d_y0 if self.d_y0 is not None else _fd_partial(self.lagrangian, 2)
         return f(*args)
 
     def partial_y1(self, *args):
-        f = self.d_y1 if self.d_y1 is not None else _fd_partial5(self.lagrangian, 3)
+        f = self.d_y1 if self.d_y1 is not None else _fd_partial(self.lagrangian, 3)
         return f(*args)
 
     def partial_y2(self, *args):
-        f = self.d_y2 if self.d_y2 is not None else _fd_partial5(self.lagrangian, 4)
+        f = self.d_y2 if self.d_y2 is not None else _fd_partial(self.lagrangian, 4)
         return f(*args)
 
 
 # -- double integrals -------------------------------------------------------
 
 
-def _iterated(ps: ProductScale, f: SurfaceFn, rect, inner_axis: int, tol: float):
-    a1, b1, a2, b2 = rect
-    if inner_axis == 2:
-        def inner(t1):
-            return delta_integral(ps.scale2, lambda t2: f.val(t1, t2), a2, b2, tol)
-
-        return _integrate(
-            ps.scale1, a1, b1,
-            point_value=inner,
-            dense_factory=lambda lo, hi: (lambda x: float(inner(x))),
-            tol=tol,
-        )
-
-    def inner1(t2):
-        return delta_integral(ps.scale1, lambda t1: f.val(t1, t2), a1, b1, tol)
-
-    return _integrate(
-        ps.scale2, a2, b2,
-        point_value=inner1,
-        dense_factory=lambda lo, hi: (lambda x: float(inner1(x))),
-        tol=tol,
-    )
-
-
 def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
     """Iterated double delta integral over the rectangle, t2 axis first."""
-    rect = ps.rect(*rect)
-    return _iterated(ps, f, rect, inner_axis=2, tol=tol)
+    a1, b1, a2, b2 = ps.rect(*rect)
+    return _iterated(ps.scale1, ps.scale2, a1, b1, a2, b2,
+                     lambda t1, t2, m1, m2: f.val(t1, t2), tol)
 
 
 def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
     """|iterated t2-first minus iterated t1-first|; exactly 0 on discrete
     rational scales."""
-    rect = ps.rect(*rect)
-    one = _iterated(ps, f, rect, inner_axis=2, tol=tol)
-    two = _iterated(ps, f, rect, inner_axis=1, tol=tol)
+    a1, b1, a2, b2 = ps.rect(*rect)
+    one = double_integral(ps, f, rect, tol)
+    two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1,
+                    lambda t2, t1, m2, m1: f.val(t1, t2), tol)
     return abs(one - two)
 
 
@@ -380,9 +279,9 @@ def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, m1: str, m2: str) -> tup
     s2 = _shift(dp.ax2, t2, m2)
     u_ss = u.val(s1, s2)
     dan1 = (lambda s: u.d1fn(s, s2)) if u.d1fn is not None else None
-    u_d1 = _axis_delta(dp.ax1, lambda s: u.val(s, s2), t1, m1 == DENSE, dan1)
+    u_d1 = _delta_at(dp.ax1, lambda s: u.val(s, s2), t1, m1 == DENSE, dan1)[0]
     dan2 = (lambda s: u.d2fn(s1, s)) if u.d2fn is not None else None
-    u_d2 = _axis_delta(dp.ax2, lambda s: u.val(s1, s), t2, m2 == DENSE, dan2)
+    u_d2 = _delta_at(dp.ax2, lambda s: u.val(s1, s), t2, m2 == DENSE, dan2)[0]
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
@@ -409,32 +308,13 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn, samples: in
         )
 
 
-def _iter_integral2(dp: DoubleProblem, a1, b1, a2, b2, G, tol: float):
-    """Iterated integral of a mode-aware integrand G(t1, t2, m1, m2)."""
-
-    def inner(t1, m1):
-        return _integrate(
-            dp.ax2, a2, b2,
-            point_value=lambda t2: G(t1, t2, m1, SCATTER),
-            dense_factory=lambda lo, hi: (lambda x: float(G(t1, x, m1, DENSE))),
-            tol=tol,
-        )
-
-    return _integrate(
-        dp.ax1, a1, b1,
-        point_value=lambda t1: inner(t1, SCATTER),
-        dense_factory=lambda lo, hi: (lambda x: float(inner(x, DENSE))),
-        tol=tol,
-    )
-
-
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:
     """The double delta integral of the composed integrand over the rectangle."""
 
     def G(t1, t2, m1, m2):
         return dp.lagrangian(*_traj_args(dp, u, t1, t2, m1, m2))
 
-    return _iter_integral2(dp, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
+    return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
 
 
 def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
@@ -448,20 +328,14 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
 
     def G(t1, t2, m1, m2):
         args = _traj_args(dp, u_tilde, t1, t2, m1, m2)
-        s1 = _shift(dp.ax1, t1, m1)
-        s2 = _shift(dp.ax2, t2, m2)
-        e_ss = eta.val(s1, s2)
-        dan1 = (lambda s: eta.d1fn(s, s2)) if eta.d1fn is not None else None
-        e_d1 = _axis_delta(dp.ax1, lambda s: eta.val(s, s2), t1, m1 == DENSE, dan1)
-        dan2 = (lambda s: eta.d2fn(s1, s)) if eta.d2fn is not None else None
-        e_d2 = _axis_delta(dp.ax2, lambda s: eta.val(s1, s), t2, m2 == DENSE, dan2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, m1, m2)
         return (
             dp.partial_y0(*args) * e_ss
             + dp.partial_y1(*args) * e_d1
             + dp.partial_y2(*args) * e_d2
         )
 
-    return _iter_integral2(dp, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
+    return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
 
 
 # -- stationarity kernel ----------------------------------------------------
@@ -492,8 +366,8 @@ def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2,
     def F2(s):
         return dp.partial_y2(*_traj_args(dp, u, t1, s, m1, m2))
 
-    d1 = _axis_delta(dp.ax1, F1, t1, m1 == DENSE, None)
-    d2 = _axis_delta(dp.ax2, F2, t2, m2 == DENSE, None)
+    d1 = _delta_at(dp.ax1, F1, t1, m1 == DENSE)[0]
+    d2 = _delta_at(dp.ax2, F2, t2, m2 == DENSE)[0]
     return term0 - d1 - d2
 
 
@@ -541,7 +415,7 @@ def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float)
         r = _el_kernel_at(dp, u, t1, t2, m1, m2)
         return r * eta.val(_shift(dp.ax1, t1, m1), _shift(dp.ax2, t2, m2))
 
-    return _iter_integral2(dp, dp.a1, rb1, dp.a2, rb2, G, tol)
+    return _iterated(dp.ax1, dp.ax2, dp.a1, rb1, dp.a2, rb2, G, tol)
 
 
 def derivation_chain_check(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
@@ -565,6 +439,20 @@ def derivation_chain_check(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn
     return [ChainStep("first-variation-vs-kernel-form", abs(lhs - rhs))]
 
 
+def _wsum(zero, points, *factors) -> Num:
+    """Sum over ``points`` of the product of ``factor(t)`` for each factor.
+
+    Products are formed left to right, so on float scales every step
+    keeps the rounding of its written grouping."""
+    total = zero
+    for t in points:
+        term = factors[0](t)
+        for f in factors[1:]:
+            term = term * f(t)
+        total = total + term
+    return total
+
+
 def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
     ax1, ax2 = dp.ax1, dp.ax2
     a1, b1, a2, b2 = dp.a1, dp.b1, dp.a2, dp.b2
@@ -582,151 +470,106 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
     P2_full = half_open(ax2, a2, b2)
     P2_core = half_open(ax2, a2, rb2)
 
-    def args(t1, t2):
-        return _traj_args(dp, u, t1, t2, SCATTER, SCATTER)
+    # Every step reads the trajectory partials inside P1_full x P2_full only.
+    partials = {}
+    for t1 in P1_full:
+        for t2 in P2_full:
+            args = _traj_args(dp, u, t1, t2, SCATTER, SCATTER)
+            partials[t1, t2] = (dp.partial_y0(*args), dp.partial_y1(*args), dp.partial_y2(*args))
 
-    def Ly0(t1, t2):
-        return dp.partial_y0(*args(t1, t2))
+    def partial(k):
+        return lambda t1, t2: partials[t1, t2][k]
 
-    def Ly1(t1, t2):
-        return dp.partial_y1(*args(t1, t2))
+    Ly0, Ly1, Ly2 = partial(0), partial(1), partial(2)
 
-    def Ly2(t1, t2):
-        return dp.partial_y2(*args(t1, t2))
+    e = eta.val
 
-    def e(x1, x2):
-        return eta.val(x1, x2)
+    def d1(F, t1, x2):
+        return _delta_at(ax1, lambda s: F(s, x2), t1)[0]
 
-    def e_d1(t1, x2):
-        return (e(sg1(t1), x2) - e(t1, x2)) / mu1(t1)
-
-    def e_d2(x1, t2):
-        return (e(x1, sg2(t2)) - e(x1, t2)) / mu2(t2)
-
-    def Ly1_d1(t1, t2):
-        return (Ly1(sg1(t1), t2) - Ly1(t1, t2)) / mu1(t1)
-
-    def Ly2_d2(t1, t2):
-        return (Ly2(t1, sg2(t2)) - Ly2(t1, t2)) / mu2(t2)
+    def d2(F, x1, t2):
+        return _delta_at(ax2, lambda s: F(x1, s), t2)[0]
 
     def G(t1, t2):
         return (
             Ly0(t1, t2) * e(sg1(t1), sg2(t2))
-            + Ly1(t1, t2) * e_d1(t1, sg2(t2))
-            + Ly2(t1, t2) * e_d2(sg1(t1), t2)
+            + Ly1(t1, t2) * d1(e, t1, sg2(t2))
+            + Ly2(t1, t2) * d2(e, sg1(t1), t2)
         )
 
-    def sum_t1_outer(pts1, pts2, fn):
-        total = zero
-        for t1 in pts1:
-            inner = zero
-            for t2 in pts2:
-                inner = inner + mu2(t2) * fn(t1, t2)
-            total = total + mu1(t1) * inner
-        return total
+    def kernel_term(t1, t2):
+        return (Ly0(t1, t2) - d1(Ly1, t1, t2) - d2(Ly2, t1, t2)) * e(sg1(t1), sg2(t2))
+
+    def double_sum(pts1, pts2, fn):
+        return _wsum(zero, pts1, mu1, lambda t1: _wsum(zero, pts2, mu2, lambda t2: fn(t1, t2)))
 
     steps = []
 
-    full_sum = sum_t1_outer(P1_full, P2_full, G)
+    full_sum = double_sum(P1_full, P2_full, G)
 
     # The rectangle splits into the core, the last t1 cell against the
     # t2 core, and the last t2 cell against all of t1.
     strip1 = half_open(ax1, rb1, b1)
     strip2 = half_open(ax2, rb2, b2)
-    A = sum_t1_outer(P1_core, P2_core, G)
-    B = sum_t1_outer(strip1, P2_core, G)
-    C = sum_t1_outer(P1_full, strip2, G)
+    A = double_sum(P1_core, P2_core, G)
+    B = double_sum(strip1, P2_core, G)
+    C = double_sum(P1_full, strip2, G)
     steps.append(ChainStep("region-split", abs(full_sum - (A + B + C))))
 
     # Core rewritten by parts per axis: brackets at the far core edges,
     # derivative weight moved onto the trajectory partials.
-    A1 = sum_t1_outer(
-        P1_core, P2_core,
-        lambda t1, t2: (Ly0(t1, t2) - Ly1_d1(t1, t2) - Ly2_d2(t1, t2))
-        * e(sg1(t1), sg2(t2)),
-    )
-    A2 = zero
-    for t2 in P2_core:
-        A2 = A2 + mu2(t2) * Ly1(rb1, t2) * e(rb1, sg2(t2))
-    A3 = zero
-    for t1 in P1_core:
-        A3 = A3 + mu1(t1) * Ly2(t1, rb2) * e(sg1(t1), rb2)
+    A1 = double_sum(P1_core, P2_core, kernel_term)
+    A2 = _wsum(zero, P2_core, mu2, lambda t2: Ly1(rb1, t2), lambda t2: e(rb1, sg2(t2)))
+    A3 = _wsum(zero, P1_core, mu1, lambda t1: Ly2(t1, rb2), lambda t1: e(sg1(t1), rb2))
     steps.append(ChainStep("core-by-parts", abs(A - (A1 + A2 + A3))))
 
     # Last t1 cell: the strip is the single graininess-weighted column
     # at rho1(b1), and the state term dies because eta(b1, .) = 0.
-    strip1_sum = zero
-    for t2 in P2_core:
-        strip1_sum = strip1_sum + mu2(t2) * mu1(rb1) * (
-            Ly1(rb1, t2) * e_d1(rb1, sg2(t2))
-            + Ly2(rb1, t2) * e_d2(sg1(rb1), t2)
-        )
+    mu1_rb1 = mu1(rb1)
+    strip1_sum = _wsum(
+        zero, P2_core, mu2, lambda t2: mu1_rb1,
+        lambda t2: Ly1(rb1, t2) * d1(e, rb1, sg2(t2)) + Ly2(rb1, t2) * d2(e, sg1(rb1), t2),
+    )
     steps.append(ChainStep("t1-strip-single-cell", abs(B - strip1_sum)))
 
     # Pointwise: mu1(rho1(b1)) eta_delta1(rho1(b1), sigma2(t2)) folds to
     # -eta(rho1(b1), sigma2(t2)) since eta vanishes at t1 = b1.
-    collapse = zero
-    for t2 in P2_core:
-        resid = abs(mu1(rb1) * e_d1(rb1, sg2(t2)) + e(rb1, sg2(t2)))
-        if resid > collapse:
-            collapse = resid
+    collapse = max([zero] + [abs(mu1_rb1 * d1(e, rb1, sg2(t2)) + e(rb1, sg2(t2)))
+                             for t2 in P2_core])
     steps.append(ChainStep("strip-collapse-identity", collapse))
 
-    strip1_subst = zero
-    for t2 in P2_core:
-        strip1_subst = strip1_subst + mu2(t2) * (
-            -Ly1(rb1, t2) * e(rb1, sg2(t2))
-            + mu1(rb1) * Ly2(rb1, t2) * e_d2(sg1(rb1), t2)
-        )
+    strip1_subst = _wsum(
+        zero, P2_core, mu2,
+        lambda t2: -Ly1(rb1, t2) * e(rb1, sg2(t2)) + mu1_rb1 * Ly2(rb1, t2) * d2(e, sg1(rb1), t2),
+    )
     steps.append(ChainStep("t1-strip-substitute", abs(strip1_sum - strip1_subst)))
 
     # The leftover axis-2 term integrates by parts to zero: bracket and
     # shifted integral both live on the t1 = b1 edge where eta is 0.
-    I1 = zero
-    I2 = zero
-    for t2 in P2_core:
-        I1 = I1 + mu2(t2) * Ly2(rb1, t2) * e_d2(sg1(rb1), t2)
-        I2 = I2 + mu2(t2) * Ly2_d2(rb1, t2) * e(sg1(rb1), sg2(t2))
+    I1 = _wsum(zero, P2_core, mu2, lambda t2: Ly2(rb1, t2), lambda t2: d2(e, sg1(rb1), t2))
+    I2 = _wsum(zero, P2_core, mu2, lambda t2: d2(Ly2, rb1, t2), lambda t2: e(sg1(rb1), sg2(t2)))
     bracket = Ly2(rb1, rb2) * e(sg1(rb1), rb2) - Ly2(rb1, a2) * e(sg1(rb1), a2)
-    strip1_reduced = zero
-    for t2 in P2_core:
-        strip1_reduced = strip1_reduced + mu2(t2) * (-Ly1(rb1, t2) * e(rb1, sg2(t2)))
+    strip1_reduced = _wsum(zero, P2_core, mu2, lambda t2: -Ly1(rb1, t2) * e(rb1, sg2(t2)))
     drop = max(abs(I1 - (bracket - I2)), abs(I1), abs(strip1_subst - strip1_reduced))
     steps.append(ChainStep("t1-strip-drop-d2", drop))
 
     # Last t2 cell: collapse, kill the eta_delta1 term on the top edge,
     # then fold the axis-2 quotient exactly as in the other strip.
-    C1 = zero
-    for t1 in P1_full:
-        C1 = C1 + mu1(t1) * mu2(rb2) * (
-            Ly1(t1, rb2) * e_d1(t1, sg2(rb2))
-            + Ly2(t1, rb2) * e_d2(sg1(t1), rb2)
-        )
-    C2 = zero
-    for t1 in P1_core:
-        C2 = C2 + mu1(t1) * mu2(rb2) * (
-            Ly1(t1, rb2) * e_d1(t1, sg2(rb2))
-            + Ly2(t1, rb2) * e_d2(sg1(t1), rb2)
-        )
-    C2 = C2 + mu1(rb1) * mu2(rb2) * (
-        Ly1(rb1, rb2) * e_d1(rb1, sg2(rb2))
-        + Ly2(rb1, rb2) * e_d2(sg1(rb1), rb2)
-    )
-    C3 = zero
-    for t1 in P1_core:
-        C3 = C3 + mu1(t1) * (-Ly2(t1, rb2) * e(sg1(t1), rb2))
+    mu2_rb2 = mu2(rb2)
+
+    def strip2_cell(t1):
+        return Ly1(t1, rb2) * d1(e, t1, sg2(rb2)) + Ly2(t1, rb2) * d2(e, sg1(t1), rb2)
+
+    C1 = _wsum(zero, P1_full, mu1, lambda t1: mu2_rb2, strip2_cell)
+    C2 = _wsum(zero, P1_core + [rb1], mu1, lambda t1: mu2_rb2, strip2_cell)
+    C3 = _wsum(zero, P1_core, mu1, lambda t1: -Ly2(t1, rb2) * e(sg1(t1), rb2))
     reduce_resid = max(abs(C - C1), abs(C1 - C2), abs(C2 - C3))
     steps.append(ChainStep("t2-strip-reduce", reduce_resid))
 
     # Everything recombines into the kernel paired with the shifted
-    # variation over the core; the generic first variation agrees too.
-    kernel_core_sum = sum_t1_outer(
-        P1_core, P2_core,
-        lambda t1, t2: (Ly0(t1, t2) - Ly1_d1(t1, t2) - Ly2_d2(t1, t2))
-        * e(sg1(t1), sg2(t2)),
-    )
+    # variation over the core (A1); the generic first variation agrees too.
     fv = first_variation(dp, u, eta)
-    steps.append(ChainStep("combine", max(abs(full_sum - kernel_core_sum), abs(fv - kernel_core_sum))))
+    steps.append(ChainStep("combine", max(abs(full_sum - A1), abs(fv - A1))))
     return steps
 
 
@@ -755,18 +598,20 @@ def brute_force_minimizer_2d(dp: DoubleProblem, tol: float = 1e-12,
     f2 = [float(t) for t in pts2]
     m1 = [f1[i + 1] - f1[i] for i in range(n1 - 1)]
     m2 = [f2[j + 1] - f2[j] for j in range(n2 - 1)]
-    u = [[float(dp.boundary(t1, t2)) for t2 in pts2] for t1 in pts1]
+    u = {(i, j): float(dp.boundary(t1, t2))
+         for i, t1 in enumerate(pts1) for j, t2 in enumerate(pts2)}
 
     def cell_args(i, j):
-        y0 = u[i + 1][j + 1]
-        y1 = (u[i + 1][j + 1] - u[i][j + 1]) / m1[i]
-        y2 = (u[i + 1][j + 1] - u[i + 1][j]) / m2[j]
+        y0 = u[i + 1, j + 1]
+        y1 = (u[i + 1, j + 1] - u[i, j + 1]) / m1[i]
+        y2 = (u[i + 1, j + 1] - u[i + 1, j]) / m2[j]
         return (f1[i], f2[j], y0, y1, y2)
 
-    def grad(i, j):
-        # Cells whose integrand reads u[i][j]: (i-1, j-1) through the
+    def grad(key):
+        # Cells whose integrand reads u[i, j]: (i-1, j-1) through the
         # state and both quotients, (i, j-1) through the axis-1
         # quotient, (i-1, j) through the axis-2 quotient.
+        i, j = key
         c00 = cell_args(i - 1, j - 1)
         g = m1[i - 1] * m2[j - 1] * float(dp.partial_y0(*c00))
         g += m2[j - 1] * float(dp.partial_y1(*c00))
@@ -777,38 +622,9 @@ def brute_force_minimizer_2d(dp: DoubleProblem, tol: float = 1e-12,
         g -= m1[i - 1] * float(dp.partial_y2(*c01))
         return g
 
-    interior = [(i, j) for i in range(1, n1 - 1) for j in range(1, n2 - 1)]
-
-    def as_surface(values):
-        table = {(pts1[i], pts2[j]): values[i][j] for i in range(n1) for j in range(n2)}
+    def finish(values):
+        table = {(pts1[i], pts2[j]): v for (i, j), v in values.items()}
         return SurfaceFn.from_table(dp.ax1, dp.ax2, table)
 
-    if not interior:
-        return as_surface(u)
-
-    best = (float("inf"), [row[:] for row in u])
-    for _ in range(max_sweeps):
-        for i, j in interior:
-            g = grad(i, j)
-            h = FD_STEP * max(1.0, abs(u[i][j]))
-            saved = u[i][j]
-            u[i][j] = saved + h
-            g_hi = grad(i, j)
-            u[i][j] = saved - h
-            g_lo = grad(i, j)
-            u[i][j] = saved
-            curvature = (g_hi - g_lo) / (2.0 * h)
-            if curvature > 1e-12:
-                u[i][j] -= g / curvature
-            else:
-                u[i][j] -= g
-        gmax = max(abs(grad(i, j)) for i, j in interior)
-        if gmax < best[0]:
-            best = (gmax, [row[:] for row in u])
-        if gmax <= tol:
-            return as_surface(u)
-    raise ConvergenceError(
-        f"coordinate descent stalled at max |gradient| = {best[0]:.3e}",
-        estimate=as_surface(best[1]),
-        error=best[0],
-    )
+    interior = [(i, j) for i in range(1, n1 - 1) for j in range(1, n2 - 1)]
+    return _coordinate_newton(u, interior, grad, finish, tol, max_sweeps)

@@ -12,6 +12,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+# Size limits on expanded polynomials.  They bound the time and memory a
+# short expression such as "(t+1)^2000" can cost; the largest input in
+# the tests, the README and the bench is "(t+1)^100".
+POLY_MAX_DEGREE = 200
+POLY_MAX_TERM_PAIRS = 20_000
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+/\d+|\d+\.\d*|\.\d+|\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -89,7 +95,18 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-other)
 
+    def degree(self) -> int:
+        """Total degree; 0 for constants, including the zero polynomial."""
+        return max((sum(expo) for expo in self.terms), default=0)
+
     def __mul__(self, other) -> "Poly":
+        pairs = len(self.terms) * len(other.terms)
+        degree = self.degree() + other.degree()
+        if pairs > POLY_MAX_TERM_PAIRS or degree > POLY_MAX_DEGREE:
+            raise ValueError(
+                f"polynomial product too large: {pairs} term pairs (limit "
+                f"{POLY_MAX_TERM_PAIRS}), degree {degree} (limit {POLY_MAX_DEGREE})"
+            )
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -100,10 +117,12 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative exponents are not polynomial")
-        result = Poly.constant(self.variables, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n > POLY_MAX_DEGREE:
+            raise ValueError(f"exponent {n} is above the limit {POLY_MAX_DEGREE}")
+        if n <= 1:
+            return self if n else Poly.constant(self.variables, 1)
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def diff(self, name: str) -> "Poly":
         i = self.variables.index(name)

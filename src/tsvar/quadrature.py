@@ -38,7 +38,12 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
 
 def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
                      max_depth: int = QUAD_MAX_DEPTH):
-    """Integrate ``f`` over [a, b], returning ``(value, error_estimate)``."""
+    """Integrate ``f`` over [a, b], returning ``(value, error_estimate)``.
+
+    Raises ``ConvergenceError`` carrying both when the estimate misses
+    ``tol``.  Leaf tolerances sum to ``tol``, so only leaves cut off by
+    ``max_depth`` can make it miss.
+    """
     a = float(a)
     b = float(b)
     if a == b:
@@ -48,7 +53,15 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    value, err = _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    if err > tol:
+        raise ConvergenceError(
+            f"adaptive Simpson hit depth {max_depth} with error estimate {err:.3e} "
+            f"above tolerance {tol:.3e} (best estimate {value!r})",
+            estimate=value,
+            error=err,
+        )
+    return value, err
 
 
 def richardson_limit(sample, h0: float, order: int, tol: float = LIMIT_TOL,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import ScaleFn, _classical_slope, _integrate
+from .calculus import ScaleFn, _delta_at, _integrate
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
-from .quadrature import LIMIT_TOL, QUAD_TOL
+from .quadrature import QUAD_TOL
 from .scales import Num, TimeScale, fmt_scalar, scalar_from_json, zero_of
 
 FD_STEP = 1e-6
@@ -32,10 +32,10 @@ _POLY_VARS = ("t", "y", "v")
 
 
 def _fd_partial(L: Callable, index: int) -> Callable:
-    """Central finite-difference partial of L(t, y, v) in one slot."""
+    """Central finite-difference partial of L(*args) in one slot."""
 
-    def partial(t, y, v):
-        args = [float(t), float(y), float(v)]
+    def partial(*args):
+        args = [float(a) for a in args]
         h = FD_STEP * max(1.0, abs(args[index]))
         hi = list(args)
         lo = list(args)
@@ -46,24 +46,29 @@ def _fd_partial(L: Callable, index: int) -> Callable:
     return partial
 
 
+def _parse_lagrangian(spec, builtins: dict, variables: tuple) -> Poly:
+    """Resolve ``builtin:<name>`` or ``poly:<expression>`` over ``variables``."""
+    if not isinstance(spec, str):
+        raise ValueError(f"lagrangian spec must be a string, got {spec!r}")
+    if spec.startswith("builtin:"):
+        name = spec[len("builtin:"):]
+        try:
+            return Poly.parse(builtins[name], variables)
+        except KeyError:
+            known = ", ".join(sorted(builtins))
+            raise ValueError(f"unknown builtin Lagrangian {name!r}; known: {known}") from None
+    if spec.startswith("poly:"):
+        return Poly.parse(spec[len("poly:"):], variables)
+    raise ValueError(f"lagrangian spec must start with 'builtin:' or 'poly:', got {spec!r}")
+
+
 def lagrangian_from_spec(spec) -> Poly:
     """Resolve a Lagrangian definition string to a polynomial in (t, y, v).
 
     Accepts ``builtin:<name>`` for the registered shapes and
     ``poly:<expression>`` for inline polynomial text.
     """
-    if not isinstance(spec, str):
-        raise ValueError(f"lagrangian spec must be a string, got {spec!r}")
-    if spec.startswith("builtin:"):
-        name = spec[len("builtin:"):]
-        try:
-            return Poly.parse(BUILTIN_LAGRANGIANS[name], _POLY_VARS)
-        except KeyError:
-            known = ", ".join(sorted(BUILTIN_LAGRANGIANS))
-            raise ValueError(f"unknown builtin Lagrangian {name!r}; known: {known}") from None
-    if spec.startswith("poly:"):
-        return Poly.parse(spec[len("poly:"):], _POLY_VARS)
-    raise ValueError(f"lagrangian spec must start with 'builtin:' or 'poly:', got {spec!r}")
+    return _parse_lagrangian(spec, BUILTIN_LAGRANGIANS, _POLY_VARS)
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,6 @@ class VariationalProblem:
     d_v: Optional[Callable] = None
     ya: Optional[Num] = None
     yb: Optional[Num] = None
-    describe: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "a", self.scale.require(self.a))
@@ -88,8 +92,8 @@ class VariationalProblem:
             raise PreconditionError("need a < b")
 
     @classmethod
-    def from_poly(cls, scale: TimeScale, a, b, poly: Poly, ya=None, yb=None,
-                  describe: str = "") -> "VariationalProblem":
+    def from_poly(cls, scale: TimeScale, a, b, poly: Poly,
+                  ya=None, yb=None) -> "VariationalProblem":
         if poly.variables != _POLY_VARS:
             raise ValueError(f"expected a polynomial in {_POLY_VARS}")
         return cls(
@@ -98,7 +102,6 @@ class VariationalProblem:
             d_y=poly.diff("y"),
             d_v=poly.diff("v"),
             ya=ya, yb=yb,
-            describe=describe,
         )
 
     @classmethod
@@ -115,7 +118,7 @@ class VariationalProblem:
         boundary = obj.get("boundary") or {}
         ya = scalar_from_json(boundary["ya"], scale.mode) if "ya" in boundary else None
         yb = scalar_from_json(boundary["yb"], scale.mode) if "yb" in boundary else None
-        return cls.from_poly(scale, a, b, poly, ya, yb, describe=str(obj["lagrangian"]))
+        return cls.from_poly(scale, a, b, poly, ya, yb)
 
     def partial_y(self, t, y, v):
         if self.d_y is not None:
@@ -158,21 +161,6 @@ def definedness_audit(p: VariationalProblem) -> list:
     return ["no gap"]
 
 
-def _trajectory(world: TimeScale, y_hat):
-    """Evaluator returning (y(sigma(t)), y_delta(t)) along the scale."""
-
-    def traj(t):
-        st = world.sigma(t)
-        if st > t:
-            ys = y_hat(st)
-            return ys, (ys - y_hat(t)) / (st - t)
-        piece = world.pieces[world._locate(t)[0]]
-        slope, _ = _classical_slope(world, y_hat, t, piece, LIMIT_TOL)
-        return y_hat(t), slope
-
-    return traj
-
-
 def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 tol: float = QUAD_TOL) -> ELReport:
     """Residual r(t) = L_v(t) - integral of L_y from a to t - c_hat.
@@ -181,18 +169,16 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     the least-squares constant (the mean of the raw residuals)."""
     world = p.scale.restrict(p.a, p.b)
     rb = world.rho(p.b)
-    traj = _trajectory(world, y_hat)
+
+    def traj(t, dense=False):
+        """(t, y(sigma(t)), y_delta(t)); sigma(t) = t at dense nodes."""
+        return t, y_hat(t if dense else world.sigma(t)), _delta_at(world, y_hat, t, dense)[0]
 
     def ly_point(tau):
-        ys, yd = traj(tau)
-        return p.partial_y(tau, ys, yd)
+        return p.partial_y(*traj(tau))
 
-    def ly_dense(lo, hi):
-        def f(x):
-            ys, yd = traj(x)
-            return float(p.partial_y(x, ys, yd))
-
-        return f
+    def ly_dense(x):
+        return float(p.partial_y(*traj(x, True)))
 
     pts = world.restrict(p.a, rb).grid(dense_refinement)
     raw = []
@@ -202,8 +188,7 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
         if t != prev:
             acc = acc + _integrate(world, prev, t, ly_point, ly_dense, tol)
             prev = t
-        ys, yd = traj(t)
-        raw.append((t, p.partial_v(t, ys, yd) - acc))
+        raw.append((t, p.partial_v(*traj(t)) - acc))
 
     c_hat = sum(r for _, r in raw) / len(raw)
     residuals = tuple((t, r - c_hat) for t, r in raw)
@@ -321,6 +306,44 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
     )
 
 
+def _coordinate_newton(state: dict, keys: list, grad: Callable, finish: Callable,
+                       tol: float, max_sweeps: int):
+    """Move ``state[k]`` for each interior key in turn by a Newton step.
+
+    ``grad(k)`` reads the current ``state``; the curvature comes from a
+    central difference of ``grad``.  Stops once every |gradient| is at
+    most ``tol`` and returns ``finish(state)``; otherwise raises
+    ``ConvergenceError`` with ``finish`` of the best state seen."""
+    if not keys:
+        return finish(state)
+    best = (float("inf"), dict(state))
+    for _ in range(max_sweeps):
+        for k in keys:
+            g = grad(k)
+            h = FD_STEP * max(1.0, abs(state[k]))
+            saved = state[k]
+            state[k] = saved + h
+            g_hi = grad(k)
+            state[k] = saved - h
+            g_lo = grad(k)
+            state[k] = saved
+            curvature = (g_hi - g_lo) / (2.0 * h)
+            if curvature > 1e-12:
+                state[k] -= g / curvature
+            else:
+                state[k] -= g
+        gmax = max(abs(grad(k)) for k in keys)
+        if gmax < best[0]:
+            best = (gmax, dict(state))
+        if gmax <= tol:
+            return finish(state)
+    raise ConvergenceError(
+        f"coordinate descent stalled at max |gradient| = {best[0]:.3e}",
+        estimate=finish(best[1]),
+        error=best[0],
+    )
+
+
 def brute_force_minimizer(p: VariationalProblem, tol: float = 1e-12,
                           max_sweeps: int = 2000) -> ScaleFn:
     """Minimize the discrete action by coordinate descent with Newton steps.
@@ -342,8 +365,8 @@ def brute_force_minimizer(p: VariationalProblem, tol: float = 1e-12,
     fl = [float(t) for t in pts]
     mu = [fl[i + 1] - fl[i] for i in range(n - 1)]
     ya, yb = float(p.ya), float(p.yb)
-    y = [ya + (yb - ya) * (fl[i] - fl[0]) / (fl[-1] - fl[0]) for i in range(n)]
-    y[0], y[-1] = ya, yb
+    y = {i: ya + (yb - ya) * (fl[i] - fl[0]) / (fl[-1] - fl[0]) for i in range(n)}
+    y[0], y[n - 1] = ya, yb
 
     def grad(i):
         # Cells touching y[i]: the cell at rho (via the state and the
@@ -355,33 +378,7 @@ def brute_force_minimizer(p: VariationalProblem, tol: float = 1e-12,
         g -= float(p.partial_v(fl[i], y[i + 1], q_here))
         return g
 
-    interior = range(1, n - 1)
-    if not len(list(interior)):
-        return ScaleFn.from_table(p.scale, dict(zip(pts, y)))
+    def finish(values):
+        return ScaleFn.from_table(p.scale, {t: values[i] for i, t in enumerate(pts)})
 
-    best = (float("inf"), list(y))
-    for _ in range(max_sweeps):
-        for i in interior:
-            g = grad(i)
-            h = FD_STEP * max(1.0, abs(y[i]))
-            saved = y[i]
-            y[i] = saved + h
-            g_hi = grad(i)
-            y[i] = saved - h
-            g_lo = grad(i)
-            y[i] = saved
-            curvature = (g_hi - g_lo) / (2.0 * h)
-            if curvature > 1e-12:
-                y[i] -= g / curvature
-            else:
-                y[i] -= g
-        gmax = max(abs(grad(i)) for i in interior)
-        if gmax < best[0]:
-            best = (gmax, list(y))
-        if gmax <= tol:
-            return ScaleFn.from_table(p.scale, dict(zip(pts, y)))
-    raise ConvergenceError(
-        f"coordinate descent stalled at max |gradient| = {best[0]:.3e}",
-        estimate=ScaleFn.from_table(p.scale, dict(zip(pts, best[1]))),
-        error=best[0],
-    )
+    return _coordinate_newton(y, list(range(1, n - 1)), grad, finish, tol, max_sweeps)

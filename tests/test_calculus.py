@@ -30,7 +30,7 @@ HYBRID = TimeScale(((0.0, 2.0), (3.0, 3.0)), mode=FLOAT)
 
 
 def poly_fn(scale, poly):
-    return ScaleFn.from_callable(scale, poly, deriv=poly.diff("t"), hint="c1")
+    return ScaleFn.from_callable(scale, poly, deriv=poly.diff("t"))
 
 
 class TestDeltaDerivative:
@@ -78,7 +78,7 @@ class TestDeltaDerivative:
         assert exc_info.value.estimate is not None
 
     def test_analytic_derivative_bypasses_sampling(self):
-        fn = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos, hint="c1")
+        fn = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos)
         res = delta_deriv(HYBRID, fn, 0.5)
         assert res.value == math.cos(0.5)
         assert res.est_error == 0
@@ -98,8 +98,8 @@ class TestScaleFn:
             ScaleFn.from_table(TimeScale.interval(0, 1), {0: 1})
 
     def test_combinators_track_derivatives(self):
-        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos, hint="c1")
-        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t, hint="c1")
+        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos)
+        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t)
         h = f * g + 2.0 * f
         t = 0.7
         assert h(t) == pytest.approx(math.sin(t) * t * t + 2 * math.sin(t))
@@ -129,7 +129,7 @@ class TestDeltaIntegral:
 
     def test_hybrid_oracle_value(self):
         s = TimeScale(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(2))))
-        fn = ScaleFn.from_callable(s, lambda t: t, deriv=lambda t: 1, hint="c1")
+        fn = ScaleFn.from_callable(s, lambda t: t, deriv=lambda t: 1)
         v = delta_integral(s, fn, 0, 2)
         # 1/2 from the interval plus 1 * f(1) across the gap
         assert abs(v - 1.5) <= 1e-10
@@ -218,14 +218,14 @@ class TestIdentities:
         assert ibp_residual(s, f, g, a, b, form=2) == 0
 
     def test_integration_by_parts_numeric_on_hybrid(self):
-        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos, hint="c1")
-        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t, hint="c1")
+        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos)
+        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t)
         assert abs(ibp_residual(HYBRID, f, g, 0.0, 3.0, form=1)) <= 1e-9
         assert abs(ibp_residual(HYBRID, f, g, 0.0, 3.0, form=2)) <= 1e-9
 
     def test_product_rule_numeric_on_dense_point(self):
-        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos, hint="c1")
-        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t, hint="c1")
+        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos)
+        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t)
         r1, r2 = product_rule_residual(HYBRID, f, g, 0.5)
         assert abs(r1) <= 1e-9 and abs(r2) <= 1e-9
 
@@ -238,5 +238,5 @@ class TestJunctionAudit:
         assert "t=2.0" in findings[0]
 
     def test_silent_when_slopes_agree(self):
-        fn = ScaleFn.from_callable(HYBRID, lambda t: 2.0 * t, deriv=lambda t: 2.0, hint="c1")
+        fn = ScaleFn.from_callable(HYBRID, lambda t: 2.0 * t, deriv=lambda t: 2.0)
         assert junction_audit(HYBRID, fn) == []

@@ -60,6 +60,26 @@ class TestAlgebra:
         assert p(Fraction(2)) == Fraction(1) and isinstance(p(Fraction(2)), Fraction)
         assert isinstance(p(2.0), float)
 
+    def test_pow_matches_repeated_multiplication(self):
+        p = Poly.parse("2*t - 1/3", ("t",))
+        naive = Poly.constant(("t",), 1)
+        for n in range(13):
+            assert p ** n == naive
+            naive = naive * p
+
+    @pytest.mark.parametrize("text, variables", [
+        ("(t+1)^2000", ("t",)),
+        ("t^201", ("t",)),
+        ("(t+1)^150*(t+1)^60", ("t",)),
+        ("(t1+t2+y0+y1+y2)^40", ("t1", "t2", "y0", "y1", "y2")),
+    ])
+    def test_size_limits(self, text, variables):
+        with pytest.raises(ValueError, match="limit"):
+            Poly.parse(text, variables)
+
+    def test_largest_documented_input_parses(self):
+        assert Poly.parse("(t+1)^100", ("t",))(Fraction(1)) == 2 ** 100
+
     def test_pow_and_ops_compose(self):
         t = Poly.var(("t",), "t")
         p = (t + Poly.constant(("t",), 1)) ** 2 - t * t

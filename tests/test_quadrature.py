@@ -21,6 +21,14 @@ class TestAdaptiveSimpson:
         exact = 2.0 / 1e-2 * math.atan(1.0 / 1e-2)
         assert abs(value - exact) <= 1e-6 * exact
 
+    def test_depth_limit_miss_raises(self):
+        # The singularity of x^(-1/2) at 0 exhausts the depth before the
+        # tolerance is met; the best estimate travels with the error.
+        with pytest.raises(ConvergenceError) as exc_info:
+            adaptive_simpson(lambda x: x ** -0.5 if x > 0 else 0.0, 0.0, 1.0, 1e-10, 40)
+        assert abs(exc_info.value.estimate - 2.0) < 1e-5
+        assert exc_info.value.error > 1e-10
+
     def test_empty_range(self):
         value, err = adaptive_simpson(math.sin, 1.0, 1.0, 1e-10, 40)
         assert value == 0.0 and err == 0.0

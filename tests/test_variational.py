@@ -112,9 +112,20 @@ class TestELResidual:
         p = VariationalProblem.from_json(
             {"scale": s.to_json(), "a": 0.0, "b": 2.0, "lagrangian": "builtin:v2"}
         )
-        y = ScaleFn.from_callable(s, lambda t: t, deriv=lambda t: 1.0, hint="c1")
+        y = ScaleFn.from_callable(s, lambda t: t, deriv=lambda t: 1.0)
         rep = el_residual(p, y)
         assert rep.max_abs_residual <= 1e-9
+
+    def test_dense_nodes_read_the_continuous_restriction(self):
+        # At t = 1, the right end of the interval, quadrature must see
+        # y(1) and the classical slope, not y(sigma(1)) and a jump quotient.
+        s = TimeScale(((0, 1), 2))
+        p = VariationalProblem.from_json(
+            {"scale": s.to_json(), "a": 0, "b": 2, "lagrangian": "builtin:v2+y2"}
+        )
+        y = ScaleFn.from_callable(s, lambda t: t, deriv=lambda t: 1)
+        rep = el_residual(p, y, dense_refinement=0)
+        assert rep.residuals == ((0, 0.5), (1, -0.5))
 
     def test_findings_travel_with_report(self):
         rep = el_residual(v2_problem(), ScaleFn.from_callable(Z6, lambda t: t))
