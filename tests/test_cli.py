@@ -129,19 +129,16 @@ class TestExitCodes:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("command", [
-        ("deriv", "--scale", Z6, "--fn", "(t+1)^2000", "--t", "1"),
-        ("double-el", "--problem", "{problem}", "--u", "t1"),
-    ])
-    def test_oversized_polynomial_exits_2_quickly(self, command, tmp_path):
+    def test_oversized_polynomials_exit_2_quickly(self, tmp_path):
         problem = json.loads((FIX / "dprob_grad2.json").read_text())
         problem["lagrangian"] = "poly:(t1+t2+y0+y1+y2)^40"
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        start = time.perf_counter()
-        code, text = invoke(*(str(path) if a == "{problem}" else a for a in command))
-        assert (code, text) == (2, "")
-        assert time.perf_counter() - start < 1.0
+        for argv in (("deriv", "--scale", Z6, "--fn", "(t+1)^2000", "--t", "1"),
+                     ("double-el", "--problem", str(path), "--u", "t1")):
+            start = time.perf_counter()
+            assert invoke(*argv) == (2, "")
+            assert time.perf_counter() - start < 1.0
 
     def test_env_tolerance(self, monkeypatch):
         args = ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3")
