@@ -292,8 +292,11 @@ def _decompose(scale: TimeScale, a, b):
 
     Gap entries are right-scattered points t in [a, b) contributing
     mu(t) f(t) exactly.  Dense entries carry the clipped bounds (c, d).
+    ``a`` must be a point of the scale; the walk starts at its piece.
     """
-    for lo, hi in scale.pieces:
+    pieces = scale.pieces
+    for i in range(scale._locate(a)[0], len(pieces)):
+        lo, hi = pieces[i]
         if lo > b:
             break
         c = max(lo, a)
@@ -431,7 +434,8 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
     b = scale.require(b) if b is not None else scale.max
     findings = []
     for lo, hi in scale.pieces:
-        if lo == hi or hi < a or hi > b:
+        # hi <= a: no dense side of the junction lies inside [a, b].
+        if lo == hi or hi <= a or hi > b:
             continue
         if scale.sigma(hi) == hi or scale.sigma(hi) > b:
             continue

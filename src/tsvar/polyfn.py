@@ -13,10 +13,11 @@ import re
 from fractions import Fraction
 
 # Size limits on expanded polynomials.  They bound the time and memory a
-# short expression such as "(t+1)^2000" can cost; the largest input in
-# the tests, the README and the bench is "(t+1)^100".
+# short expression such as "(t+1)^2000" or "((2^200)^200)^200" can cost;
+# the largest input in the tests, the README and the bench is "(t+1)^100".
 POLY_MAX_DEGREE = 200
 POLY_MAX_TERM_PAIRS = 20_000
+POLY_MAX_COEFF_BITS = 4096
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+/\d+|\d+\.\d*|\.\d+|\d+)"
@@ -58,6 +59,12 @@ class Poly:
         for expo, c in (terms or {}).items():
             c = Fraction(c)
             if c:
+                bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+                if bits > POLY_MAX_COEFF_BITS:
+                    raise ValueError(
+                        f"polynomial coefficient too large: {bits} bits "
+                        f"(limit {POLY_MAX_COEFF_BITS})"
+                    )
                 expo = tuple(int(e) for e in expo)
                 clean[expo] = clean.get(expo, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -33,6 +33,8 @@ FLOAT = "float"
 def as_scalar(x, mode: str) -> Num:
     """Coerce ``x`` into the numeric mode, rejecting non-finite values."""
     if mode == RATIONAL:
+        if type(x) is Fraction:
+            return x
         if isinstance(x, bool):
             raise DomainError("booleans are not scalars")
         try:
@@ -178,6 +180,10 @@ class TimeScale:
     pieces: tuple
     mode: str = RATIONAL
     eps: float = 0.0
+    # Lookup index, built once from the canonical pieces: the piece lows
+    # for bisection and a hash from each isolated point to its piece.
+    _lows: tuple = field(init=False, repr=False, compare=False)
+    _isolated: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (RATIONAL, FLOAT):
@@ -186,7 +192,12 @@ class TimeScale:
             raise ValueError("eps must be nonnegative")
         if self.eps and self.mode == RATIONAL:
             raise ValueError("eps-based membership applies to float mode only")
-        object.__setattr__(self, "pieces", _canonical_pieces(self.pieces, self.mode))
+        pieces = _canonical_pieces(self.pieces, self.mode)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_lows", tuple(lo for lo, _ in pieces))
+        object.__setattr__(
+            self, "_isolated", {lo: i for i, (lo, hi) in enumerate(pieces) if lo == hi}
+        )
 
     @classmethod
     def discrete(cls, points: Iterable, mode: str = RATIONAL, eps: float = 0.0) -> "TimeScale":
@@ -208,18 +219,20 @@ class TimeScale:
 
     @property
     def is_discrete(self) -> bool:
-        return all(lo == hi for lo, hi in self.pieces)
+        return len(self._isolated) == len(self.pieces)
 
     def points(self) -> list:
         """All points of a purely discrete scale, ascending."""
         if not self.is_discrete:
             raise UnsupportedScaleError("scale has interval pieces, not purely discrete")
-        return [lo for lo, _ in self.pieces]
+        return list(self._lows)
 
     def _locate(self, t):
         """Piece index containing ``t`` (after eps snapping), or None."""
-        lows = [lo for lo, _ in self.pieces]
-        i = bisect_right(lows, t) - 1
+        i = self._isolated.get(t)
+        if i is not None:
+            return i, t
+        i = bisect_right(self._lows, t) - 1
         if i >= 0:
             lo, hi = self.pieces[i]
             if lo <= t <= hi:
@@ -231,6 +244,14 @@ class TimeScale:
                     return j, snapped
         return None
 
+    def _find(self, t):
+        """Coerce and locate ``t``: ``(piece index, snapped scalar)``."""
+        t = as_scalar(t, self.mode)
+        hit = self._locate(t)
+        if hit is None:
+            raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
+        return hit
+
     def __contains__(self, t) -> bool:
         try:
             t = as_scalar(t, self.mode)
@@ -240,51 +261,47 @@ class TimeScale:
 
     def require(self, t) -> Num:
         """Coerce and membership-check ``t``, returning the snapped scalar."""
-        t = as_scalar(t, self.mode)
-        hit = self._locate(t)
-        if hit is None:
-            raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
-        return hit[1]
+        return self._find(t)[1]
 
     # -- jump operators ---------------------------------------------------
 
-    def sigma(self, t) -> Num:
-        """Forward jump: inf of the scale points above ``t``, or ``t`` at the max."""
-        t = self.require(t)
-        i, t = self._locate(t)
-        lo, hi = self.pieces[i]
-        if t < hi:
+    def _sigma_at(self, i, t) -> Num:
+        if t < self.pieces[i][1]:
             return t
         if i + 1 < len(self.pieces):
             return self.pieces[i + 1][0]
         return t
 
-    def rho(self, t) -> Num:
-        """Backward jump: sup of the scale points below ``t``, or ``t`` at the min."""
-        t = self.require(t)
-        i, t = self._locate(t)
-        lo, hi = self.pieces[i]
-        if t > lo:
+    def _rho_at(self, i, t) -> Num:
+        if t > self.pieces[i][0]:
             return t
         if i > 0:
             return self.pieces[i - 1][1]
         return t
 
+    def sigma(self, t) -> Num:
+        """Forward jump: inf of the scale points above ``t``, or ``t`` at the max."""
+        return self._sigma_at(*self._find(t))
+
+    def rho(self, t) -> Num:
+        """Backward jump: sup of the scale points below ``t``, or ``t`` at the min."""
+        return self._rho_at(*self._find(t))
+
     def mu(self, t) -> Num:
         """Forward graininess sigma(t) - t."""
-        t = self.require(t)
-        return self.sigma(t) - t
+        i, t = self._find(t)
+        return self._sigma_at(i, t) - t
 
     def nu(self, t) -> Num:
         """Backward graininess t - rho(t)."""
-        t = self.require(t)
-        return t - self.rho(t)
+        i, t = self._find(t)
+        return t - self._rho_at(i, t)
 
     def classify(self, t) -> PointClass:
-        t = self.require(t)
+        i, t = self._find(t)
         return PointClass(
-            left_dense=self.rho(t) == t,
-            right_dense=self.sigma(t) == t,
+            left_dense=self._rho_at(i, t) == t,
+            right_dense=self._sigma_at(i, t) == t,
             is_min=t == self.min,
             is_max=t == self.max,
         )

@@ -219,33 +219,48 @@ class KernelReport:
 def _nullspace_support(rows, ncols: int):
     """Rank and nullspace support of an exact rational matrix.
 
+    Each row is a mapping from column index to entry; zero entries may
+    be left out.  Gauss-Jordan elimination runs on these sparse rows,
+    with an index from each column to the rows that are nonzero there.
     The support is the set of coordinates where some kernel vector is
     nonzero; its complement is the set of coordinates every kernel
     vector kills."""
-    m = [list(r) for r in rows if any(r)]
-    pivots = []
-    r = 0
+    m = [{c: x for c, x in row.items() if x != 0} for row in rows]
+    where = {}
+    for i, row in enumerate(m):
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    pivot_rows = {}
+    used = set()
     for c in range(ncols):
-        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if p is None:
+        holders = where.get(c, set())
+        candidates = holders - used
+        if not candidates:
             continue
-        m[r], m[p] = m[p], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in set(pivots)]
+        p = min(candidates)
+        used.add(p)
+        inv = Fraction(1) / m[p][c]
+        prow = m[p] = {k: x * inv for k, x in m[p].items()}
+        for i in list(holders):
+            if i == p:
+                continue
+            row = m[i]
+            f = row[c]
+            for k, x in prow.items():
+                v = row.get(k, 0) - f * x
+                if v != 0:
+                    row[k] = v
+                    where.setdefault(k, set()).add(i)
+                else:
+                    del row[k]
+                    where[k].discard(i)
+        pivot_rows[c] = p
+    free = set(range(ncols)) - pivot_rows.keys()
     support = set(free)
-    for j, c in enumerate(pivots):
-        if any(m[j][f] != 0 for f in free):
+    for c, p in pivot_rows.items():
+        if any(k in free for k in m[p]):
             support.add(c)
-    return r, support
+    return len(pivot_rows), support
 
 
 def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
@@ -279,15 +294,15 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
 
     col_index = {t: i for i, t in enumerate(cols)}
     row_index = {s: i for i, s in enumerate(interior)}
-    rows = [[Fraction(0)] * len(cols) for _ in interior]
+    rows = [{} for _ in interior]
     for t in cols:
         if variant == "delta":
             st = sub.sigma(t)
             if st in row_index:
-                rows[row_index[st]][col_index[t]] += Fraction(sub.mu(t))
+                rows[row_index[st]][col_index[t]] = sub.mu(t)
         else:
             if t > a and t in row_index:
-                rows[row_index[t]][col_index[t]] += Fraction(sub.nu(t))
+                rows[row_index[t]][col_index[t]] = sub.nu(t)
 
     rank, support = _nullspace_support(rows, len(cols))
     unconstrained = tuple(t for t in cols if col_index[t] in support)

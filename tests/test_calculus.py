@@ -240,3 +240,10 @@ class TestJunctionAudit:
     def test_silent_when_slopes_agree(self):
         fn = ScaleFn.from_callable(HYBRID, lambda t: 2.0 * t, deriv=lambda t: 2.0)
         assert junction_audit(HYBRID, fn) == []
+
+    def test_skips_junction_without_dense_side_in_range(self):
+        # a = 1 leaves [1, 1] of the interval: nothing dense to take a slope on.
+        s = TimeScale(((0, 1), 2))
+        fn = ScaleFn.from_callable(s, lambda t: t * t)
+        assert junction_audit(s, fn, a=1) == []
+        assert len(junction_audit(s, fn, a=0)) == 1

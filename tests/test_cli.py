@@ -135,7 +135,9 @@ class TestExitCodes:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         for argv in (("deriv", "--scale", Z6, "--fn", "(t+1)^2000", "--t", "1"),
-                     ("double-el", "--problem", str(path), "--u", "t1")):
+                     ("double-el", "--problem", str(path), "--u", "t1"),
+                     ("integrate", "--scale", Z6, "--fn", "(((2^200)^200)^200)^200",
+                      "--a", "0", "--b", "3")):
             start = time.perf_counter()
             assert invoke(*argv) == (2, "")
             assert time.perf_counter() - start < 1.0

@@ -72,6 +72,9 @@ class TestAlgebra:
         ("t^201", ("t",)),
         ("(t+1)^150*(t+1)^60", ("t",)),
         ("(t1+t2+y0+y1+y2)^40", ("t1", "t2", "y0", "y1", "y2")),
+        ("(((2^200)^200)^200)^200", ("t",)),
+        ("((2^200)^200)^200", ("t",)),
+        ("((1/3)^200)^13 * t", ("t",)),
     ])
     def test_size_limits(self, text, variables):
         with pytest.raises(ValueError, match="limit"):
@@ -79,6 +82,11 @@ class TestAlgebra:
 
     def test_largest_documented_input_parses(self):
         assert Poly.parse("(t+1)^100", ("t",))(Fraction(1)) == 2 ** 100
+
+    def test_coefficient_bit_limit(self):
+        assert Poly.parse("(2^200)^20 * t", ("t",)).terms == {(1,): Fraction(2) ** 4000}
+        with pytest.raises(ValueError, match="coefficient too large"):
+            Poly.parse("(2^200)^20 * 2^200 * t", ("t",))
 
     def test_pow_and_ops_compose(self):
         t = Poly.var(("t",), "t")

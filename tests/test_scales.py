@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_discrete_scale
-from tsvar import FLOAT, RATIONAL, DomainError, TimeScale, UnsupportedScaleError
+from tsvar import FLOAT, RATIONAL, DomainError, PointClass, TimeScale, UnsupportedScaleError
 
 
 class TestCanonicalization:
@@ -189,3 +189,100 @@ def test_jump_operator_properties(seed, npts):
             assert s.rho(s.sigma(t)) == t
         if s.rho(t) < t:
             assert s.sigma(s.rho(t)) == t
+
+
+# -- the lookup index against a linear scan --------------------------------
+
+
+def _scan_locate(pieces, eps, t):
+    """Reference membership: first piece holding t, else first within eps."""
+    for j, (lo, hi) in enumerate(pieces):
+        if lo <= t <= hi:
+            return j, t
+    if eps:
+        for j, (lo, hi) in enumerate(pieces):
+            if lo - eps <= t <= hi + eps:
+                return j, min(max(t, lo), hi)
+    return None
+
+
+def _scan_sigma(pieces, t):
+    """inf of the points above t, or t when there are none."""
+    above = [max(lo, t) for lo, hi in pieces if hi > t]
+    return min(above) if above else t
+
+
+def _scan_rho(pieces, t):
+    """sup of the points below t, or t when there are none."""
+    below = [min(hi, t) for lo, hi in pieces if lo < t]
+    return max(below) if below else t
+
+
+def _check_against_scan(s, queries):
+    pieces = s.pieces
+    kind = Fraction if s.mode == RATIONAL else float
+    for q in queries:
+        assert s._locate(q) == _scan_locate(pieces, s.eps, q)
+        hit = _scan_locate(pieces, s.eps, kind(q))
+        assert (q in s) == (hit is not None)
+        if hit is None:
+            for op in (s.require, s.sigma, s.rho, s.mu, s.nu, s.classify):
+                with pytest.raises(DomainError):
+                    op(q)
+            continue
+        t = hit[1]
+        sig, rho = _scan_sigma(pieces, t), _scan_rho(pieces, t)
+        got = s.require(q)
+        assert got == t and type(got) is kind
+        assert s.sigma(q) == sig and s.rho(q) == rho
+        assert s.mu(q) == sig - t and s.nu(q) == t - rho
+        assert s.classify(q) == PointClass(
+            left_dense=rho == t,
+            right_dense=sig == t,
+            is_min=t == pieces[0][0],
+            is_max=t == pieces[-1][1],
+        )
+
+
+def _near_pieces(pieces, deltas):
+    """Both ends and the middle of each piece, and points just outside."""
+    out = []
+    for lo, hi in pieces:
+        out += [lo, hi, (lo + hi) / 2]
+        for d in deltas:
+            out += [lo - d, hi + d]
+    return out
+
+
+_raw_pieces = st.lists(
+    st.one_of(st.integers(-30, 30), st.tuples(st.integers(-30, 30), st.integers(0, 8))),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _build_pieces(raw, scalar):
+    return tuple(
+        (scalar(p[0]), scalar(p[0] + p[1])) if isinstance(p, tuple) else scalar(p)
+        for p in raw
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=_raw_pieces, den=st.integers(1, 4), extra=st.lists(st.integers(-130, 130)))
+def test_rational_index_matches_linear_scan(raw, den, extra):
+    s = TimeScale(_build_pieces(raw, lambda k: Fraction(k, den)))
+    near = _near_pieces(s.pieces, (Fraction(1, 10**6), Fraction(1, 2 * den)))
+    queries = near + [Fraction(k, 4) for k in extra]
+    # Float queries, as the dense quadrature nodes reach _locate.
+    queries += [float(q) for q in queries]
+    _check_against_scan(s, queries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=_raw_pieces, den=st.sampled_from((1, 3, 4)),
+       eps=st.sampled_from((0.0, 1e-9, 0.3)), extra=st.lists(st.integers(-130, 130)))
+def test_float_index_matches_linear_scan(raw, den, eps, extra):
+    s = TimeScale(_build_pieces(raw, lambda k: k / den), mode=FLOAT, eps=eps)
+    near = _near_pieces(s.pieces, (1e-12, 1e-6, 0.5))
+    _check_against_scan(s, near + [k / 4 for k in extra])

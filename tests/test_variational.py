@@ -20,6 +20,7 @@ from tsvar import (
     fl_kernel,
     lagrangian_from_spec,
 )
+from tsvar.variational import _nullspace_support
 
 Z6 = TimeScale.discrete(range(6))
 
@@ -178,6 +179,60 @@ class TestKernel:
         pts = s.points()
         assert rep.unconstrained == (pts[-2],)
         assert rep.claim_holds
+
+
+def dense_nullspace_support(rows, ncols):
+    """Reference: Gauss-Jordan on dense rows, then the kernel support."""
+    m = [list(r) for r in rows if any(r)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    support = set(free)
+    for j, c in enumerate(pivots):
+        if any(m[j][f] != 0 for f in free):
+            support.add(c)
+    return len(pivots), support
+
+
+class TestSparseElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_dense_reference(self, seed):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        density = rng.random()
+        rows = [[rand_fraction(rng, -3, 3, 3) if rng.random() < density else Fraction(0)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rows:
+            rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+            dead = rng.randrange(ncols)
+            for row in rows:
+                row[dead] = Fraction(0)
+        sparse = [dict(enumerate(row)) for row in rows]
+        assert _nullspace_support(sparse, ncols) == dense_nullspace_support(rows, ncols)
+
+    def test_structural_kernel_sets_on_2000_points(self):
+        s = rand_discrete_scale(random.Random(7), 2000)
+        pts = s.points()
+        delta = fl_kernel(s, "delta")
+        assert delta.constrained == tuple(pts[:-2])
+        assert delta.unconstrained == (pts[-2],)
+        assert delta.rank == 1998 and delta.claim_holds
+        nabla = fl_kernel(s, "nabla")
+        assert nabla.constrained == tuple(pts[1:-1])
+        assert nabla.unconstrained == (pts[0], pts[-1])
+        assert nabla.rank == 1998 and not nabla.claim_holds
 
 
 class TestMinimizer:
