@@ -17,7 +17,6 @@ so dense evaluation substitutes sigma(t) = t and the classical slope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DomainError, UnsupportedScaleError
@@ -29,11 +28,11 @@ from .quadrature import (
     richardson_limit,
 )
 from .scales import (
-    RATIONAL,
     Num,
     TimeScale,
     as_scalar,
     fmt_scalar,
+    json_object,
     scalar_from_json,
     zero_of,
 )
@@ -147,22 +146,13 @@ def tabulated_from_json(obj) -> ScaleFn:
 
     Keys are strings naming scale points; values follow the scale's
     numeric mode."""
-    if not isinstance(obj, dict):
-        raise DomainError("tabulated function JSON must be an object")
-    for key in ("scale", "values"):
-        if key not in obj:
-            raise DomainError(f"tabulated function JSON missing {key!r}")
+    json_object(obj, "tabulated function", ("scale", "values"))
     scale = TimeScale.from_json(obj["scale"])
     raw = obj["values"]
     if not isinstance(raw, dict):
         raise DomainError("'values' must be an object keyed by scale points")
-    values = {}
-    for k, v in raw.items():
-        try:
-            key = Fraction(k) if scale.mode == RATIONAL else float(k)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"bad table key {k!r}") from None
-        values[key] = scalar_from_json(v, scale.mode)
+    # from_table reads each key as a point of the scale.
+    values = {k: scalar_from_json(v, scale.mode) for k, v in raw.items()}
     return ScaleFn.from_table(scale, values)
 
 

@@ -33,15 +33,10 @@ from .double import (
     fubini_residual,
     surface_from_json,
 )
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PreconditionError,
-    UnsupportedScaleError,
-)
+from .errors import ConvergenceError, DomainError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
-from .scales import RATIONAL, TimeScale, fmt_scalar, json_loads_strict
+from .scales import FLOAT, TimeScale, as_scalar, fmt_scalar, json_loads_strict
 from .variational import VariationalProblem, el_residual, fl_kernel
 
 PASS_TOL_DEFAULT = 1e-9
@@ -71,19 +66,15 @@ def _load_scale(path: str) -> TimeScale:
     return TimeScale.from_json(_read_json(path))
 
 
-def _parse_point(scale: TimeScale, text: str):
-    try:
-        if scale.mode == RATIONAL:
-            return scale.require(Fraction(text))
-        return scale.require(float(text))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+def _parse_point(scale: TimeScale, text, default=None):
+    """The point of ``scale`` named by ``text``, or ``default`` when absent."""
+    return default if text is None else scale.require(text)
 
 
 def _fn_from_arg(scale: TimeScale, text: str) -> ScaleFn:
     if text.endswith(".json"):
         fn = tabulated_from_json(_read_json(text))
-        if fn.scale.pieces != scale.pieces or fn.scale.mode != scale.mode:
+        if fn.scale != scale:
             raise CLIError("tabulated function scale does not match the problem scale")
         return fn
     poly = Poly.parse(text, ("t",))
@@ -93,12 +84,7 @@ def _fn_from_arg(scale: TimeScale, text: str) -> ScaleFn:
 def _surface_from_arg(ps: ProductScale, text: str) -> SurfaceFn:
     if text.endswith(".json"):
         sf = surface_from_json(_read_json(text))
-        same = (
-            sf.scale1.pieces == ps.scale1.pieces
-            and sf.scale2.pieces == ps.scale2.pieces
-            and sf.scale1.mode == ps.scale1.mode
-        )
-        if not same:
+        if (sf.scale1, sf.scale2) != (ps.scale1, ps.scale2):
             raise CLIError("2-D table scales do not match the problem scales")
         return sf
     poly = Poly.parse(text, ("t1", "t2"))
@@ -107,25 +93,19 @@ def _surface_from_arg(ps: ProductScale, text: str) -> SurfaceFn:
     )
 
 
-def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _report(command: str, inputs: dict, results, findings, status: str) -> dict:
-    inputs = dict(inputs)
-    inputs["digest"] = _digest({"command": command, "inputs": inputs})
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "findings": list(findings),
-        "status": status,
-    }
-
-
-def _emit(report: dict, lines: list, ns, out) -> None:
+def _emit(ns, out, inputs: dict, results, findings, ok: bool, lines: list) -> int:
+    """Render one command's outcome to ``out`` (and ``--out``); the exit code."""
     if ns.format == "json":
+        signed = {"command": ns.command, "inputs": inputs}
+        blob = json.dumps(signed, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        digest = hashlib.sha256(blob).hexdigest()
+        report = {
+            "command": ns.command,
+            "inputs": dict(inputs, digest=digest),
+            "results": results,
+            "findings": list(findings),
+            "status": "ok" if ok else "fail",
+        }
         rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         rendered = "\n".join(lines) + "\n"
@@ -133,9 +113,11 @@ def _emit(report: dict, lines: list, ns, out) -> None:
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
+    return 0 if ok else 1
 
 
 # -- command handlers -------------------------------------------------------
+# Each returns (inputs, results, findings, ok, lines) for _emit.
 
 
 def _cmd_classify(ns):
@@ -150,15 +132,13 @@ def _cmd_classify(ns):
         "nu": fmt_scalar(scale.nu(t)),
         "breaks_sigma_continuity": c.breaks_sigma_continuity,
     }
-    report = _report(
-        "classify", {"scale": scale.to_json(), "t": fmt_scalar(t)}, results, [], "ok"
-    )
     lines = [
         f"t = {fmt_scalar(t)}: {c.label()}",
         f"sigma = {results['sigma']}, rho = {results['rho']}, "
         f"mu = {results['mu']}, nu = {results['nu']}",
     ]
-    return report, lines, 0
+    inputs = {"scale": scale.to_json(), "t": fmt_scalar(t)}
+    return inputs, results, [], True, lines
 
 
 def _cmd_deriv(ns):
@@ -172,8 +152,7 @@ def _cmd_deriv(ns):
         "est_error": fmt_scalar(res.est_error),
     }
     inputs = {"scale": scale.to_json(), "fn": ns.fn, "t": fmt_scalar(t)}
-    report = _report("deriv", inputs, results, [], "ok")
-    return report, [results["value"]], 0
+    return inputs, results, [], True, [results["value"]]
 
 
 def _cmd_integrate(ns):
@@ -192,8 +171,7 @@ def _cmd_integrate(ns):
         "a": fmt_scalar(a),
         "b": fmt_scalar(b),
     }
-    report = _report("integrate", inputs, results, [], "ok")
-    return report, [results["value"]], 0
+    return inputs, results, [], True, [results["value"]]
 
 
 def _cmd_ibp_check(ns):
@@ -218,17 +196,15 @@ def _cmd_ibp_check(ns):
         "b": fmt_scalar(b),
         "form": ns.form,
     }
-    report = _report(
-        "ibp-check", inputs, {"residuals": residuals, "max_abs": repr(worst)},
-        [], "ok" if ok else "fail",
-    )
+    results = {"residuals": residuals, "max_abs": repr(worst)}
     lines = [f"form {form}: residual = {residuals[f'form{form}']}" for form in forms]
     lines.append(f"max |residual| = {worst!r} ({'ok' if ok else 'fail'})")
-    return report, lines, 0 if ok else 1
+    return inputs, results, [], ok, lines
 
 
 def _cmd_el_residual(ns):
-    p = VariationalProblem.from_json(_read_json(ns.problem))
+    problem = _read_json(ns.problem)
+    p = VariationalProblem.from_json(problem)
     y = _fn_from_arg(p.scale, ns.y)
     rep = el_residual(p, y, dense_refinement=ns.refine, tol=ns.tol)
     ok = float(rep.max_abs_residual) <= ns.pass_tol
@@ -237,25 +213,19 @@ def _cmd_el_residual(ns):
         "max_abs_residual": fmt_scalar(rep.max_abs_residual),
         "residuals": [[fmt_scalar(t), fmt_scalar(r)] for t, r in rep.residuals],
     }
-    inputs = {"problem": _read_json(ns.problem), "y": ns.y}
-    report = _report(
-        "el-residual", inputs, results, rep.definedness_findings,
-        "ok" if ok else "fail",
-    )
     lines = [
         f"c_hat = {results['c_hat']}",
         f"max |residual| = {results['max_abs_residual']} ({'ok' if ok else 'fail'})",
         f"evaluated at {len(rep.residuals)} points",
     ]
     lines.extend(f"finding: {f}" for f in rep.definedness_findings)
-    return report, lines, 0 if ok else 1
+    inputs = {"problem": problem, "y": ns.y}
+    return inputs, results, rep.definedness_findings, ok, lines
 
 
 def _cmd_flcv_kernel(ns):
     scale = _load_scale(ns.scale)
-    a = _parse_point(scale, ns.a) if ns.a is not None else None
-    b = _parse_point(scale, ns.b) if ns.b is not None else None
-    rep = fl_kernel(scale, ns.variant, a, b)
+    rep = fl_kernel(scale, ns.variant, _parse_point(scale, ns.a), _parse_point(scale, ns.b))
     results = {
         "variant": rep.variant,
         "a": fmt_scalar(rep.a),
@@ -266,8 +236,6 @@ def _cmd_flcv_kernel(ns):
         "claim_holds": rep.claim_holds,
         "rank": rep.rank,
     }
-    inputs = {"scale": scale.to_json(), "variant": ns.variant}
-    report = _report("flcv-kernel", inputs, results, [], "ok")
     lines = [
         f"variant = {rep.variant} on [{results['a']}, {results['b']}]",
         "constrained   = {" + ", ".join(results["constrained"]) + "}",
@@ -275,11 +243,13 @@ def _cmd_flcv_kernel(ns):
         f"rank = {rep.rank}",
         f"claimed domain fully constrained: {rep.claim_holds}",
     ]
-    return report, lines, 0
+    inputs = {"scale": scale.to_json(), "variant": ns.variant}
+    return inputs, results, [], True, lines
 
 
 def _cmd_double_el(ns):
-    dp = DoubleProblem.from_json(_read_json(ns.problem))
+    problem = _read_json(ns.problem)
+    dp = DoubleProblem.from_json(problem)
     u = _surface_from_arg(dp.ps, ns.u)
     rep = double_el_residual(dp, u, dense_refinement=ns.refine)
     ok = float(rep.max_abs_residual) <= ns.pass_tol
@@ -296,26 +266,22 @@ def _cmd_double_el(ns):
     }
     findings = [f"undefined at ({fmt_scalar(t1)}, {fmt_scalar(t2)}): {reason}"
                 for (t1, t2), reason in rep.gaps]
-    inputs = {"problem": _read_json(ns.problem), "u": ns.u}
-    report = _report("double-el", inputs, results, findings, "ok" if ok else "fail")
     lines = [
         f"max |residual| = {results['max_abs_residual']} ({'ok' if ok else 'fail'})",
         f"evaluated at {len(rep.residuals)} points, {len(rep.gaps)} undefined",
     ]
-    return report, lines, 0 if ok else 1
+    return {"problem": problem, "u": ns.u}, results, findings, ok, lines
 
 
 def _cmd_fubini_check(ns):
     scale1 = _load_scale(ns.scale1)
     scale2 = _load_scale(ns.scale2)
     ps = ProductScale(scale1, scale2)
-    if ns.fn is None:
-        raise CLIError("fubini-check needs --fn (expression in t1, t2 or a 2-D table)")
     f = _surface_from_arg(ps, ns.fn)
-    a1 = _parse_point(scale1, ns.a1) if ns.a1 is not None else scale1.min
-    b1 = _parse_point(scale1, ns.b1) if ns.b1 is not None else scale1.max
-    a2 = _parse_point(scale2, ns.a2) if ns.a2 is not None else scale2.min
-    b2 = _parse_point(scale2, ns.b2) if ns.b2 is not None else scale2.max
+    a1 = _parse_point(scale1, ns.a1, scale1.min)
+    b1 = _parse_point(scale1, ns.b1, scale1.max)
+    a2 = _parse_point(scale2, ns.a2, scale2.min)
+    b2 = _parse_point(scale2, ns.b2, scale2.max)
     r = fubini_residual(ps, f, (a1, b1, a2, b2), tol=ns.tol)
     ok = abs(float(r)) <= ns.pass_tol
     results = {"residual": fmt_scalar(r)}
@@ -325,13 +291,13 @@ def _cmd_fubini_check(ns):
         "fn": ns.fn,
         "rect": [fmt_scalar(a1), fmt_scalar(b1), fmt_scalar(a2), fmt_scalar(b2)],
     }
-    report = _report("fubini-check", inputs, results, [], "ok" if ok else "fail")
     lines = [f"|order swap residual| = {results['residual']} ({'ok' if ok else 'fail'})"]
-    return report, lines, 0 if ok else 1
+    return inputs, results, [], ok, lines
 
 
 def _cmd_derivation_check(ns):
-    dp = DoubleProblem.from_json(_read_json(ns.problem))
+    problem = _read_json(ns.problem)
+    dp = DoubleProblem.from_json(problem)
     u = _surface_from_arg(dp.ps, ns.u)
     eta = _surface_from_arg(dp.ps, ns.eta)
     steps = derivation_chain_check(dp, u, eta, tol=ns.tol)
@@ -345,54 +311,38 @@ def _cmd_derivation_check(ns):
         "max_abs_residual": repr(worst),
         "pass_threshold": repr(allowed),
     }
-    inputs = {"problem": _read_json(ns.problem), "u": ns.u, "eta": ns.eta}
-    report = _report(
-        "derivation-check", inputs, results, [], "ok" if ok else "fail"
-    )
     lines = [f"{s.label}: residual = {fmt_scalar(s.residual)}" for s in steps]
     lines.append(f"max |residual| = {worst!r} ({'ok' if ok else 'fail'})")
-    return report, lines, 0 if ok else 1
+    inputs = {"problem": problem, "u": ns.u, "eta": ns.eta}
+    return inputs, results, [], ok, lines
+
+
+# The flags each counterexample builder accepts.  Point flags (the text
+# ones) are read in the mode of --scale, else in float mode like the
+# builders' default scale.
+_CX_FLAGS = {
+    "nabla-endpoints": ("origin",),
+    "eta-not-c1": ("scale", "u1", "t0"),
+    "sigma-discontinuity": ("scale", "t"),
+}
 
 
 def _cmd_counterexample(ns):
-    builder = ALL_COUNTEREXAMPLES[ns.name]
     scale = _load_scale(ns.scale) if ns.scale else None
-
-    def point(text):
-        if text is None:
-            return None
-        if scale is not None and scale.mode == RATIONAL:
-            return Fraction(text)
-        return float(text)
-
+    mode = scale.mode if scale is not None else FLOAT
     kwargs = {}
-    if ns.name == "nabla-endpoints":
-        if ns.origin is not None:
-            kwargs["origin"] = ns.origin
-    elif ns.name == "eta-not-c1":
-        if scale is not None:
-            kwargs["scale"] = scale
-        if ns.u1 is not None:
-            kwargs["u1"] = point(ns.u1)
-        if ns.t0 is not None:
-            kwargs["t0"] = point(ns.t0)
-    elif ns.name == "sigma-discontinuity":
-        if scale is not None:
-            kwargs["scale"] = scale
-        if ns.t is not None:
-            kwargs["t"] = point(ns.t)
-    verdict = builder(**kwargs)
-    results = verdict.to_json()
-    inputs = {"name": ns.name}
-    report = _report(
-        "counterexample", inputs, results, [],
-        "ok" if verdict.confirmed else "fail",
-    )
+    for flag in _CX_FLAGS.get(ns.name, ()):
+        value = scale if flag == "scale" else getattr(ns, flag)
+        if isinstance(value, str):
+            value = as_scalar(value, mode)
+        if value is not None:
+            kwargs[flag] = value
+    verdict = ALL_COUNTEREXAMPLES[ns.name](**kwargs)
     lines = [f"claim: {verdict.claim}"]
     lines.extend(f"witness {k}: {v}" for k, v in sorted(verdict.witness.items()))
     lines.extend(f"{name}: {value}" for name, value in verdict.details)
     lines.append(f"confirmed: {str(verdict.confirmed).lower()}")
-    return report, lines, 0 if verdict.confirmed else 1
+    return {"name": ns.name}, verdict.to_json(), [], verdict.confirmed, lines
 
 
 _DISPATCH = {
@@ -416,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *required):
+        """Add the options every command takes, then ``required`` flags."""
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--tol", type=float, default=None,
                         help="numeric tolerance (default: TSVAR_TOL or 1e-10)")
@@ -424,30 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
                         default=PASS_TOL_DEFAULT,
                         help="threshold separating exit 0 from exit 1")
         sp.add_argument("--out", default=None, help="also write the output to a file")
+        for flag in required:
+            sp.add_argument(flag, required=True)
         return sp
 
-    sp = common(sub.add_parser("classify", help="point class and jump data"))
-    sp.add_argument("--scale", required=True)
-    sp.add_argument("--t", required=True)
+    common(sub.add_parser("classify", help="point class and jump data"), "--scale", "--t")
 
-    sp = common(sub.add_parser("deriv", help="delta derivative at a point"))
-    sp.add_argument("--scale", required=True)
+    sp = common(sub.add_parser("deriv", help="delta derivative at a point"), "--scale")
     sp.add_argument("--fn", required=True,
                     help="polynomial in t, or a tabulated-function JSON path")
     sp.add_argument("--t", required=True)
 
-    sp = common(sub.add_parser("integrate", help="delta integral over [a, b]"))
-    sp.add_argument("--scale", required=True)
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
+    common(sub.add_parser("integrate", help="delta integral over [a, b]"),
+           "--scale", "--fn", "--a", "--b")
 
-    sp = common(sub.add_parser("ibp-check", help="integration-by-parts residual"))
-    sp.add_argument("--scale", required=True)
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--g", required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
+    sp = common(sub.add_parser("ibp-check", help="integration-by-parts residual"),
+                "--scale", "--f", "--g", "--a", "--b")
     sp.add_argument("--form", choices=("1", "2", "both"), default="both")
 
     sp = common(sub.add_parser("el-residual", help="stationarity residual of a trajectory"))
@@ -457,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refine", type=int, default=32,
                     help="interior samples per dense piece")
 
-    sp = common(sub.add_parser("flcv-kernel", help="which points zero pairings constrain"))
-    sp.add_argument("--scale", required=True)
+    sp = common(sub.add_parser("flcv-kernel", help="which points zero pairings constrain"),
+                "--scale")
     sp.add_argument("--variant", choices=("delta", "nabla"), required=True)
     sp.add_argument("--a", default=None)
     sp.add_argument("--b", default=None)
@@ -469,30 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="candidate surface: polynomial in t1, t2 or 2-D table JSON")
     sp.add_argument("--refine", type=int, default=8)
 
-    sp = common(sub.add_parser("fubini-check", help="iterated-integral order swap"))
-    sp.add_argument("--scale1", required=True)
-    sp.add_argument("--scale2", required=True)
+    sp = common(sub.add_parser("fubini-check", help="iterated-integral order swap"),
+                "--scale1", "--scale2")
     sp.add_argument("--fn", required=True,
                     help="polynomial in t1, t2 or 2-D table JSON")
-    sp.add_argument("--a1", default=None)
-    sp.add_argument("--b1", default=None)
-    sp.add_argument("--a2", default=None)
-    sp.add_argument("--b2", default=None)
+    for flag in ("--a1", "--b1", "--a2", "--b2"):
+        sp.add_argument(flag, default=None)
 
-    sp = common(sub.add_parser(
+    common(sub.add_parser(
         "derivation-check",
         help="verify each step from the first variation to the kernel form",
-    ))
-    sp.add_argument("--problem", required=True)
-    sp.add_argument("--u", required=True)
-    sp.add_argument("--eta", required=True)
+    ), "--problem", "--u", "--eta")
 
     sp = common(sub.add_parser("counterexample", help="re-check a stored refutation"))
     sp.add_argument("name", choices=sorted(ALL_COUNTEREXAMPLES))
-    sp.add_argument("--scale", default=None)
-    sp.add_argument("--u1", default=None)
-    sp.add_argument("--t0", default=None)
-    sp.add_argument("--t", default=None)
+    for flag in ("--scale", "--u1", "--t0", "--t"):
+        sp.add_argument(flag, default=None)
     sp.add_argument("--origin", type=int, default=None)
 
     return p
@@ -507,34 +442,24 @@ def run(argv, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if ns.tol is None:
-            raw = os.environ.get("TSVAR_TOL")
-            if raw is not None:
-                try:
-                    ns.tol = float(raw)
-                except ValueError:
-                    raise CLIError(f"TSVAR_TOL is not a number: {raw!r}") from None
-            else:
-                ns.tol = QUAD_TOL
+            raw = os.environ.get("TSVAR_TOL", repr(QUAD_TOL))
+            try:
+                ns.tol = float(raw)
+            except ValueError:
+                raise CLIError(f"TSVAR_TOL is not a number: {raw!r}") from None
         if not ns.tol > 0:
             raise CLIError("tolerance must be positive")
-        report, lines, code = _DISPATCH[ns.command](ns)
-    except CLIError as exc:
-        print(f"tsvar: {exc}", file=sys.stderr)
-        return 2
+        outcome = _DISPATCH[ns.command](ns)
     except ConvergenceError as exc:
         print(f"tsvar: did not converge: {exc}", file=sys.stderr)
         return 1
     except UnsupportedScaleError as exc:
         print(f"tsvar: unsupported: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PreconditionError) as exc:
+    except (CLIError, ValueError, OSError) as exc:
         print(f"tsvar: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"tsvar: {exc}", file=sys.stderr)
-        return 2
-    _emit(report, lines, ns, out)
-    return code
+    return _emit(ns, out, *outcome)
 
 
 def main() -> None:

@@ -22,7 +22,8 @@ from .calculus import DENSE, SCATTER, _delta_at, _iterated
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
-from .scales import Num, TimeScale, as_scalar, fmt_scalar, scalar_from_json, zero_of
+from .scales import (Num, TimeScale, as_scalar, fmt_scalar, json_object,
+                     scalar_from_json, zero_of)
 from .variational import _coordinate_newton, _fd_partial, _parse_lagrangian
 
 _POLY2_VARS = ("t1", "t2", "y0", "y1", "y2")
@@ -129,11 +130,7 @@ class SurfaceFn:
 
 def surface_from_json(obj) -> SurfaceFn:
     """Load a 2-D table: {"scale1":…, "scale2":…, "values":[[…],…]} row-major by t1."""
-    if not isinstance(obj, dict):
-        raise DomainError("2-D table JSON must be an object")
-    for key in ("scale1", "scale2", "values"):
-        if key not in obj:
-            raise DomainError(f"2-D table JSON missing {key!r}")
+    json_object(obj, "2-D table", ("scale1", "scale2", "values"))
     scale1 = TimeScale.from_json(obj["scale1"])
     scale2 = TimeScale.from_json(obj["scale2"])
     rows = obj["values"]
@@ -208,11 +205,8 @@ class DoubleProblem:
 
     @classmethod
     def from_json(cls, obj) -> "DoubleProblem":
-        if not isinstance(obj, dict):
-            raise ValueError("problem JSON must be an object")
-        for key in ("scale1", "scale2", "lagrangian"):
-            if key not in obj:
-                raise ValueError(f"double problem JSON missing {key!r}")
+        json_object(json_object(obj, "problem"), "double problem",
+                    ("scale1", "scale2", "lagrangian"))
         scale1 = TimeScale.from_json(obj["scale1"])
         scale2 = TimeScale.from_json(obj["scale2"])
         ps = ProductScale(scale1, scale2)

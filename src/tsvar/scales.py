@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DomainError, UnsupportedScaleError
 
@@ -39,7 +39,7 @@ def as_scalar(x, mode: str) -> Num:
             raise DomainError("booleans are not scalars")
         try:
             return Fraction(x)
-        except (ValueError, OverflowError, TypeError) as exc:
+        except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot interpret {x!r} as a rational scalar") from exc
     if mode == FLOAT:
         if isinstance(x, bool):
@@ -61,6 +61,16 @@ def _reject_constant(name: str):
 def json_loads_strict(text: str):
     """``json.loads`` that refuses NaN and infinity literals."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+def json_object(obj, what: str, keys=()) -> dict:
+    """``obj`` itself, once it is a JSON object holding every one of ``keys``."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in obj:
+            raise DomainError(f"{what} JSON missing {key!r}")
+    return obj
 
 
 def scalar_from_json(v, mode: str) -> Num:
@@ -228,21 +238,24 @@ class TimeScale:
         return list(self._lows)
 
     def _locate(self, t):
-        """Piece index containing ``t`` (after eps snapping), or None."""
+        """``(piece index, t)`` for the piece holding ``t``; else ``t``
+        snapped onto the nearest piece within eps (the lower one on a
+        tie); else None."""
         i = self._isolated.get(t)
         if i is not None:
             return i, t
         i = bisect_right(self._lows, t) - 1
-        if i >= 0:
-            lo, hi = self.pieces[i]
-            if lo <= t <= hi:
-                return i, t
-        if self.eps:
-            for j, (lo, hi) in enumerate(self.pieces):
-                if lo - self.eps <= t <= hi + self.eps:
-                    snapped = min(max(t, lo), hi)
-                    return j, snapped
-        return None
+        if i >= 0 and t <= self.pieces[i][1]:
+            return i, t
+        if not self.eps:
+            return None
+        # t lies in the gap between piece i and piece i + 1.
+        hits = []
+        if i >= 0 and t <= self.pieces[i][1] + self.eps:
+            hits.append((t - self.pieces[i][1], i, self.pieces[i][1]))
+        if i + 1 < len(self.pieces) and self._lows[i + 1] - self.eps <= t:
+            hits.append((self._lows[i + 1] - t, i + 1, self._lows[i + 1]))
+        return min(hits)[1:] if hits else None
 
     def _find(self, t):
         """Coerce and locate ``t``: ``(piece index, snapped scalar)``."""
@@ -324,6 +337,8 @@ class TimeScale:
         b = self.require(b)
         if a > b:
             raise DomainError("restriction endpoints out of order")
+        if a == self.min and b == self.max:
+            return self
         out = []
         for lo, hi in self.pieces:
             c = max(lo, a)
@@ -367,9 +382,7 @@ class TimeScale:
 
     @classmethod
     def from_json(cls, obj) -> "TimeScale":
-        if not isinstance(obj, dict):
-            raise DomainError("scale JSON must be an object")
-        mode = obj.get("mode")
+        mode = json_object(obj, "scale").get("mode")
         if mode not in (RATIONAL, FLOAT):
             raise DomainError(f"scale mode must be 'rational' or 'float', got {mode!r}")
         raw = obj.get("pieces")

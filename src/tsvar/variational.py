@@ -10,7 +10,7 @@ as the oracle in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -18,7 +18,7 @@ from .calculus import ScaleFn, _delta_at, _integrate
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
-from .scales import Num, TimeScale, fmt_scalar, scalar_from_json, zero_of
+from .scales import Num, TimeScale, fmt_scalar, json_object, scalar_from_json, zero_of
 
 FD_STEP = 1e-6
 
@@ -84,12 +84,15 @@ class VariationalProblem:
     d_v: Optional[Callable] = None
     ya: Optional[Num] = None
     yb: Optional[Num] = None
+    # The scale restricted to [a, b], built once.
+    world: TimeScale = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", self.scale.require(self.a))
         object.__setattr__(self, "b", self.scale.require(self.b))
         if not self.a < self.b:
             raise PreconditionError("need a < b")
+        object.__setattr__(self, "world", self.scale.restrict(self.a, self.b))
 
     @classmethod
     def from_poly(cls, scale: TimeScale, a, b, poly: Poly,
@@ -106,11 +109,7 @@ class VariationalProblem:
 
     @classmethod
     def from_json(cls, obj) -> "VariationalProblem":
-        if not isinstance(obj, dict):
-            raise ValueError("problem JSON must be an object")
-        for key in ("scale", "a", "b", "lagrangian"):
-            if key not in obj:
-                raise ValueError(f"problem JSON missing {key!r}")
+        json_object(obj, "problem", ("scale", "a", "b", "lagrangian"))
         scale = TimeScale.from_json(obj["scale"])
         a = scalar_from_json(obj["a"], scale.mode)
         b = scalar_from_json(obj["b"], scale.mode)
@@ -147,9 +146,8 @@ class ELReport:
 
 def definedness_audit(p: VariationalProblem) -> list:
     """Report whether the stationarity condition reaches the right endpoint."""
-    world = p.scale.restrict(p.a, p.b)
-    if world.classify(p.b).left_scattered:
-        rb = world.rho(p.b)
+    if p.world.classify(p.b).left_scattered:
+        rb = p.world.rho(p.b)
         return [
             f"b={fmt_scalar(p.b)} is left-scattered: the velocity partial there "
             f"needs the delta derivative of y at b, which is undefined at a "
@@ -167,7 +165,7 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
 
     Evaluated on [a, rho(b)], with dense pieces grid-sampled; c_hat is
     the least-squares constant (the mean of the raw residuals)."""
-    world = p.scale.restrict(p.a, p.b)
+    world = p.world
     rb = world.rho(p.b)
 
     def traj(t, dense=False):
@@ -367,10 +365,9 @@ def brute_force_minimizer(p: VariationalProblem, tol: float = 1e-12,
     [a, b).  Interior values move one at a time; boundary values stay
     fixed.  Converges to max |gradient| <= tol, intended for convex L.
     """
-    world = p.scale.restrict(p.a, p.b)
-    if not world.is_discrete:
+    if not p.world.is_discrete:
         raise UnsupportedScaleError("brute-force minimization requires a discrete range")
-    pts = world.points()
+    pts = p.world.points()
     n = len(pts)
     if n > 12:
         raise PreconditionError(f"brute force capped at 12 points, got {n}")

@@ -44,6 +44,15 @@ class TestScalarCommands:
         code, _ = invoke("deriv", "--scale", Z5, "--fn", TABLE_TSQ, "--t", "3")
         assert code == 2
 
+    def test_surface_table_axis_mode_mismatch(self, tmp_path):
+        # Same points on both axes, but axis 2 of the table is in float mode.
+        table = json.loads((FIX / "table2_sum.json").read_text())
+        table["scale2"] = {"mode": "float", "pieces": [{"point": k} for k in range(5)]}
+        table["values"] = [[int(v) for v in row] for row in table["values"]]
+        path = tmp_path / "table2_float_axis2.json"
+        path.write_text(json.dumps(table))
+        assert invoke("double-el", "--problem", DPROB, "--u", str(path)) == (2, "")
+
     def test_classify_text(self):
         code, text = invoke("classify", "--scale", Z6, "--t", "2")
         assert code == 0
@@ -121,6 +130,13 @@ class TestExitCodes:
     def test_point_not_on_scale(self):
         code, _ = invoke("classify", "--scale", Z6, "--t", "99")
         assert code == 2
+
+    def test_zero_denominator_point_exits_2(self, capsys):
+        for argv in (("classify", "--scale", Z6, "--t", "1/0"),
+                     ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "1/0"),
+                     ("flcv-kernel", "--scale", Z6, "--variant", "delta", "--a", "0/0")):
+            assert invoke(*argv) == (2, "")
+            assert "cannot interpret" in capsys.readouterr().err
 
     def test_nonpositive_tolerance(self):
         code, _ = invoke(

@@ -144,6 +144,19 @@ class TestMembership:
         s = TimeScale.discrete([0, 1])
         assert "pear" not in s
 
+    def test_zero_denominator_text_is_not_a_point(self):
+        s = TimeScale.discrete([0, 1])
+        for text in ("1/0", "0/0"):
+            assert text not in s
+            with pytest.raises(DomainError):
+                s.require(text)
+
+    def test_eps_snaps_to_the_nearest_piece(self):
+        s = TimeScale.discrete([0.0, 1.0], mode=FLOAT, eps=0.6)
+        assert s.require(0.55) == 1.0
+        assert s.require(0.45) == 0.0
+        assert s.require(0.5) == 0.0  # a tie goes to the lower piece
+
 
 class TestSerialization:
     def test_round_trip_rational(self):
@@ -195,14 +208,16 @@ def test_jump_operator_properties(seed, npts):
 
 
 def _scan_locate(pieces, eps, t):
-    """Reference membership: first piece holding t, else first within eps."""
+    """Reference membership: first piece holding t, else the nearest piece
+    within eps (the lower one on a tie), with t snapped onto it."""
     for j, (lo, hi) in enumerate(pieces):
         if lo <= t <= hi:
             return j, t
     if eps:
-        for j, (lo, hi) in enumerate(pieces):
-            if lo - eps <= t <= hi + eps:
-                return j, min(max(t, lo), hi)
+        near = [(max(lo - t, t - hi), j, min(max(t, lo), hi))
+                for j, (lo, hi) in enumerate(pieces) if lo - eps <= t <= hi + eps]
+        if near:
+            return min(near)[1:]
     return None
 
 
@@ -281,7 +296,7 @@ def test_rational_index_matches_linear_scan(raw, den, extra):
 
 @settings(max_examples=80, deadline=None)
 @given(raw=_raw_pieces, den=st.sampled_from((1, 3, 4)),
-       eps=st.sampled_from((0.0, 1e-9, 0.3)), extra=st.lists(st.integers(-130, 130)))
+       eps=st.sampled_from((0.0, 1e-9, 0.3, 0.6)), extra=st.lists(st.integers(-130, 130)))
 def test_float_index_matches_linear_scan(raw, den, eps, extra):
     s = TimeScale(_build_pieces(raw, lambda k: k / den), mode=FLOAT, eps=eps)
     near = _near_pieces(s.pieces, (1e-12, 1e-6, 0.5))
