@@ -34,7 +34,7 @@ def _used(tree):
             try:
                 names |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
                           if isinstance(n, ast.Name)}
-            except SyntaxError:
+            except (SyntaxError, ValueError):
                 pass
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
