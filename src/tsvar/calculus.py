@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, UnsupportedScaleError
+from .polyfn import Poly
 from .quadrature import (
     LIMIT_MAX_STEPS,
     LIMIT_TOL,
@@ -77,6 +78,10 @@ class ScaleFn:
     @classmethod
     def from_callable(cls, scale: TimeScale, func: Callable,
                       deriv: Optional[Callable] = None) -> "ScaleFn":
+        """Wrap ``func``; a one-variable ``Poly`` supplies its own
+        derivative unless ``deriv`` is given."""
+        if deriv is None and isinstance(func, Poly) and len(func.variables) == 1:
+            deriv = func.diff(func.variables[0])
         return cls(scale, func=func, deriv=deriv)
 
     @classmethod
@@ -194,32 +199,34 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
 
     Every delta derivative in the package goes through here.  A
     right-scattered point gives the exact jump quotient.  A right-dense
-    point gives the classical slope: ``d_analytic(t)`` when supplied
-    (returned unconverted), else a Richardson limit inside the piece.
+    point inside an interval piece gives the classical slope:
+    ``d_analytic(t)`` when supplied (returned unconverted), else a
+    Richardson limit inside the piece.
     ``dense`` forces the classical slope at a quadrature node of a dense
     piece, where ``fn`` is read as its continuous restriction and ``t``
     is used as given.
     """
-    if not dense:
-        t = scale.require(t)
-        st = scale.sigma(t)
+    if dense:
+        hit = scale._locate(t)
+        if hit is None:
+            raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
+        i, t = hit
+    else:
+        i, t = scale._find(t)
+        st = scale._sigma_at(i, t)
         if st > t:
             return (fn(st) - fn(t)) / (st - t), zero_of(scale)
-        if t == scale.max and scale.rho(t) < t:
+        if t == scale.max and scale._rho_at(i, t) < t:
             raise DomainError(
                 f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
             )
-    if d_analytic is not None:
-        return d_analytic(t), 0.0
-    hit = scale._locate(t)
-    if hit is None:
-        raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
-    i, t = hit
     lo, hi = scale.pieces[i]
     if lo == hi:
         raise DomainError(
             f"no dense neighborhood at {fmt_scalar(t)} for a classical slope"
         )
+    if d_analytic is not None:
+        return d_analytic(t), 0.0
     return _classical_slope(scale, fn, t, (lo, hi), tol)
 
 

@@ -77,8 +77,7 @@ def _fn_from_arg(scale: TimeScale, text: str) -> ScaleFn:
         if fn.scale != scale:
             raise CLIError("tabulated function scale does not match the problem scale")
         return fn
-    poly = Poly.parse(text, ("t",))
-    return ScaleFn.from_callable(scale, poly, deriv=poly.diff("t"))
+    return ScaleFn.from_callable(scale, Poly.parse(text, ("t",)))
 
 
 def _surface_from_arg(ps: ProductScale, text: str) -> SurfaceFn:
@@ -87,10 +86,7 @@ def _surface_from_arg(ps: ProductScale, text: str) -> SurfaceFn:
         if (sf.scale1, sf.scale2) != (ps.scale1, ps.scale2):
             raise CLIError("2-D table scales do not match the problem scales")
         return sf
-    poly = Poly.parse(text, ("t1", "t2"))
-    return SurfaceFn.from_callable(
-        ps.scale1, ps.scale2, poly, d1=poly.diff("t1"), d2=poly.diff("t2")
-    )
+    return SurfaceFn.from_callable(ps.scale1, ps.scale2, Poly.parse(text, ("t1", "t2")))
 
 
 def _emit(ns, out, inputs: dict, results, findings, ok: bool, lines: list) -> int:
@@ -109,10 +105,13 @@ def _emit(ns, out, inputs: dict, results, findings, ok: bool, lines: list) -> in
         rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         rendered = "\n".join(lines) + "\n"
-    out.write(rendered)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise CLIError(f"cannot write {ns.out}: {exc}") from None
+    out.write(rendered)
     return 0 if ok else 1
 
 
@@ -449,7 +448,7 @@ def run(argv, out=None) -> int:
                 raise CLIError(f"TSVAR_TOL is not a number: {raw!r}") from None
         if not ns.tol > 0:
             raise CLIError("tolerance must be positive")
-        outcome = _DISPATCH[ns.command](ns)
+        return _emit(ns, out, *_DISPATCH[ns.command](ns))
     except ConvergenceError as exc:
         print(f"tsvar: did not converge: {exc}", file=sys.stderr)
         return 1
@@ -459,7 +458,6 @@ def run(argv, out=None) -> int:
     except (CLIError, ValueError, OSError) as exc:
         print(f"tsvar: {exc}", file=sys.stderr)
         return 2
-    return _emit(ns, out, *outcome)
 
 
 def main() -> None:

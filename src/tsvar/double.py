@@ -69,6 +69,12 @@ class SurfaceFn:
     def from_callable(cls, scale1: TimeScale, scale2: TimeScale, func: Callable,
                       d1: Optional[Callable] = None,
                       d2: Optional[Callable] = None) -> "SurfaceFn":
+        """Wrap ``func``; a two-variable ``Poly`` supplies the partial
+        derivative on each axis that is not given."""
+        if isinstance(func, Poly) and len(func.variables) == 2:
+            x1, x2 = func.variables
+            d1 = func.diff(x1) if d1 is None else d1
+            d2 = func.diff(x2) if d2 is None else d2
         return cls(scale1, scale2, func=func, d1fn=d1, d2fn=d2)
 
     @classmethod

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .errors import DomainError, UnsupportedScaleError
 
@@ -192,8 +192,12 @@ class TimeScale:
     eps: float = 0.0
     # Lookup index, built once from the canonical pieces: the piece lows
     # for bisection and a hash from each isolated point to its piece.
+    # Rational scales with an interval piece also keep the lows as floats
+    # (``_keys``, else None), so that quadrature nodes bisect without
+    # Fraction arithmetic; discrete scales find their points in the hash.
     _lows: tuple = field(init=False, repr=False, compare=False)
     _isolated: dict = field(init=False, repr=False, compare=False)
+    _keys: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (RATIONAL, FLOAT):
@@ -208,6 +212,13 @@ class TimeScale:
         object.__setattr__(
             self, "_isolated", {lo: i for i, (lo, hi) in enumerate(pieces) if lo == hi}
         )
+        keys = None
+        if self.mode == RATIONAL and len(self._isolated) < len(pieces):
+            try:
+                keys = tuple(float(lo) for lo in self._lows)
+            except OverflowError:
+                pass
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
     def discrete(cls, points: Iterable, mode: str = RATIONAL, eps: float = 0.0) -> "TimeScale":
@@ -244,7 +255,10 @@ class TimeScale:
         i = self._isolated.get(t)
         if i is not None:
             return i, t
-        i = bisect_right(self._lows, t) - 1
+        if self._keys is None:
+            i = bisect_right(self._lows, t) - 1
+        else:
+            i = self._key_bisect(t)
         if i >= 0 and t <= self.pieces[i][1]:
             return i, t
         if not self.eps:
@@ -256,6 +270,22 @@ class TimeScale:
         if i + 1 < len(self.pieces) and self._lows[i + 1] - self.eps <= t:
             hits.append((self._lows[i + 1] - t, i + 1, self._lows[i + 1]))
         return min(hits)[1:] if hits else None
+
+    def _key_bisect(self, t) -> int:
+        """Index of the last piece whose low is at most ``t``, or -1,
+        found by bisecting the float keys."""
+        try:
+            x = float(t)
+        except OverflowError:
+            return bisect_right(self._lows, t) - 1
+        # Rounding to float is monotone, so a low whose key differs from x
+        # lies on the same side of t as its key does of x; only lows that
+        # round to x itself need an exact compare.
+        keys = self._keys
+        j = bisect_right(keys, x)
+        while j and keys[j - 1] == x and self._lows[j - 1] > t:
+            j -= 1
+        return j - 1
 
     def _find(self, t):
         """Coerce and locate ``t``: ``(piece index, snapped scalar)``."""

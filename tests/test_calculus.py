@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_discrete_scale, rand_fraction, rand_poly1, rand_tabulation
+import tsvar.calculus
 from tsvar import (
     ConvergenceError,
     DomainError,
     EXACT_QUOTIENT,
     FLOAT,
     NUMERIC_LIMIT,
+    Poly,
     ScaleFn,
     TimeScale,
     UnsupportedScaleError,
+    VariationalProblem,
     delta_deriv,
     delta_integral,
+    el_residual,
     ibp_residual,
     junction_audit,
     nabla_integral_discrete,
@@ -27,10 +31,11 @@ from tsvar import (
 )
 
 HYBRID = TimeScale(((0.0, 2.0), (3.0, 3.0)), mode=FLOAT)
-
-
-def poly_fn(scale, poly):
-    return ScaleFn.from_callable(scale, poly, deriv=poly.diff("t"))
+# Rational, with interval ends that are not binary floats.  Each end
+# rounds into its piece, so every quadrature node is a point of the scale.
+RAT_HYBRID = TimeScale(
+    ((Fraction(1, 10), Fraction(2, 3)), 1, (Fraction(5, 4), Fraction(11, 6)), Fraction(5, 2))
+)
 
 
 class TestDeltaDerivative:
@@ -117,6 +122,37 @@ class TestScaleFn:
             tabulated_from_json({"scale": s.to_json(), "values": {"oops": 1}})
         with pytest.raises(DomainError):
             tabulated_from_json({"scale": s.to_json()})
+
+
+class TestPolyData:
+    """A Poly handed to from_callable brings its own derivative."""
+
+    def test_poly_carries_its_derivative(self):
+        poly = Poly.parse("t^3 - 2*t", ("t",))
+        assert ScaleFn.from_callable(RAT_HYBRID, poly).deriv == poly.diff("t")
+        mine = lambda t: 0
+        assert ScaleFn.from_callable(RAT_HYBRID, poly, deriv=mine).deriv is mine
+
+    def test_dense_slope_is_exact(self):
+        fn = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("t^3 - 2*t", ("t",)))
+        res = delta_deriv(RAT_HYBRID, fn, Fraction(1, 3))
+        assert res.value == float(3 * Fraction(1, 9) - 2)
+        assert (res.method, res.est_error) == (NUMERIC_LIMIT, 0)
+
+    def test_no_richardson_limit_on_poly_data(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("richardson_limit called on polynomial data")
+
+        monkeypatch.setattr(tsvar.calculus, "richardson_limit", refuse)
+        f = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("t^2 - 1/3", ("t",)))
+        g = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("2*t^3 + t", ("t",)))
+        for form in (1, 2):
+            assert ibp_residual(RAT_HYBRID, f, g, RAT_HYBRID.min, RAT_HYBRID.max, form) <= 1e-9
+        p = VariationalProblem.from_json({
+            "scale": RAT_HYBRID.to_json(), "a": "1/10", "b": "5/2", "lagrangian": "builtin:v2",
+        })
+        line = ScaleFn.from_callable(p.scale, Poly.parse("3*t - 1/7", ("t",)))
+        assert el_residual(p, line, dense_refinement=8).max_abs_residual <= 1e-9
 
 
 class TestDeltaIntegral:

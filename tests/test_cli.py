@@ -138,6 +138,12 @@ class TestExitCodes:
             assert invoke(*argv) == (2, "")
             assert "cannot interpret" in capsys.readouterr().err
 
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        code, text = invoke("deriv", "--scale", Z6, "--fn", "t", "--t", "3", "--out", str(target))
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith(f"tsvar: cannot write {target}: ")
+
     def test_nonpositive_tolerance(self):
         code, _ = invoke(
             "integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3",

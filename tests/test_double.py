@@ -90,6 +90,27 @@ class TestSurfaceFn:
         assert sf.d1(1, 2) == (4 - 1) * 2  # ((2^2 - 1^2) / 1) * 2
         assert sf.d2(2, 1) == 4
 
+    def test_poly_carries_its_partials(self):
+        poly = Poly.parse("t1^2*t2 + 3*t2", ("t1", "t2"))
+        sf = SurfaceFn.from_callable(AX4, AX4, poly)
+        assert (sf.d1fn, sf.d2fn) == (poly.diff("t1"), poly.diff("t2"))
+        mine = lambda a, b: 0
+        sf = SurfaceFn.from_callable(AX4, AX4, poly, d1=mine)
+        assert (sf.d1fn, sf.d2fn) == (mine, poly.diff("t2"))
+
+    def test_one_point_axis_has_no_classical_slope(self):
+        # The single point is right-dense only as the maximum: there is no
+        # interval to take a slope along, analytic derivative or not.
+        one = TimeScale.discrete([1])
+        surfaces = [
+            SurfaceFn.from_callable(one, AX4, lambda a, b: a * b),
+            SurfaceFn.from_callable(one, AX4, lambda a, b: a * b, d1=lambda a, b: b),
+            SurfaceFn.from_callable(one, AX4, Poly.parse("t1*t2", ("t1", "t2"))),
+        ]
+        for sf in surfaces:
+            with pytest.raises(DomainError, match="no dense neighborhood"):
+                sf.d1(1, 0)
+
     def test_from_json_round_trip(self):
         obj = {
             "scale1": AX4.to_json(),

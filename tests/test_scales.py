@@ -301,3 +301,28 @@ def test_float_index_matches_linear_scan(raw, den, eps, extra):
     s = TimeScale(_build_pieces(raw, lambda k: k / den), mode=FLOAT, eps=eps)
     near = _near_pieces(s.pieces, (1e-12, 1e-6, 0.5))
     _check_against_scan(s, near + [k / 4 for k in extra])
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=_raw_pieces, num=st.integers(-5, 5), den=st.sampled_from((3, 7, 10)),
+       extra=st.lists(st.integers(-200, 200)))
+def test_rational_float_keys_settle_ties(raw, num, den, extra):
+    # Lows 1e-30 apart round to one float (unless num is 0), so float
+    # queries and their exact neighbours land on runs of equal keys.
+    base, tiny = Fraction(num, den), Fraction(1, 10**30)
+    s = TimeScale(_build_pieces(raw, lambda k: base + k * tiny) + ((base + 40 * tiny, base + 1),))
+    assert s._keys == tuple(float(lo) for lo in s._lows)
+    near = _near_pieces(s.pieces, (tiny, tiny / 2))
+    queries = near + [float(q) for q in near] + [base + k * tiny / 4 for k in extra]
+    _check_against_scan(s, queries + [10**400, -(10**400), Fraction(10**400, 3)])
+
+
+def test_float_keys_only_on_rational_scales_with_intervals():
+    assert TimeScale.discrete([0, Fraction(1, 3), 1])._keys is None
+    assert TimeScale(((0.0, 1.0), 2.0), mode=FLOAT)._keys is None
+    assert TimeScale(((0, Fraction(1, 3)), 1))._keys == (0.0, 1.0)
+    # A low beyond float range: every lookup bisects the exact lows.
+    s = TimeScale(((0, 1), 10**400))
+    assert s._keys is None
+    assert s.sigma(1) == 10**400 and s.require(10**400) == 10**400
+    assert Fraction(1, 2) in s and 10**401 not in s
