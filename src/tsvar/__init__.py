@@ -7,73 +7,19 @@ elsewhere), evaluates stationarity residuals for one- and two-variable
 variational problems, reports which points zero pairings actually
 constrain, and re-verifies a set of counterexamples about what
 classical arguments break on general time scales.
+
+``import tsvar`` loads no submodule: each public name below is imported
+from its submodule on first access (PEP 562) and then cached here, so a
+caller pays only for the layers it uses.
 """
 
-from .calculus import (
-    DerivResult,
-    EXACT_QUOTIENT,
-    NUMERIC_LIMIT,
-    ScaleFn,
-    delta_deriv,
-    delta_integral,
-    delta_quotient,
-    ibp_residual,
-    junction_audit,
-    nabla_integral_discrete,
-    product_rule_residual,
-    simple_useful_check,
-    tabulated_from_json,
-)
-from .counterexamples import (
-    ALL_COUNTEREXAMPLES,
-    Verdict,
-    cx_eta_not_c1,
-    cx_nabla_endpoints,
-    cx_omega_degenerate,
-    cx_sigma_discontinuity,
-)
-from .double import (
-    BUILTIN_LAGRANGIANS_2D,
-    ChainStep,
-    DoubleELReport,
-    DoubleProblem,
-    ProductScale,
-    SurfaceFn,
-    action,
-    brute_force_minimizer_2d,
-    derivation_chain_check,
-    double_el_residual,
-    double_integral,
-    first_variation,
-    fubini_residual,
-    sigma_diff_audit,
-    surface_from_json,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PreconditionError,
-    UnsupportedScaleError,
-)
-from .polyfn import Poly
-from .quadrature import adaptive_simpson, richardson_limit
-from .scales import FLOAT, RATIONAL, PointClass, TimeScale, fmt_scalar
-from .variational import (
-    BUILTIN_LAGRANGIANS,
-    ELReport,
-    KernelReport,
-    VariationalProblem,
-    brute_force_minimizer,
-    definedness_audit,
-    el_residual,
-    fl_kernel,
-    lagrangian_from_spec,
-)
+import importlib
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_COUNTEREXAMPLES",
+    "ANALYTIC",
     "BUILTIN_LAGRANGIANS",
     "BUILTIN_LAGRANGIANS_2D",
     "ChainStep",
@@ -87,8 +33,8 @@ __all__ = [
     "FLOAT",
     "KernelReport",
     "NUMERIC_LIMIT",
-    "Poly",
     "PointClass",
+    "Poly",
     "PreconditionError",
     "ProductScale",
     "RATIONAL",
@@ -130,3 +76,77 @@ __all__ = [
     "tabulated_from_json",
     "__version__",
 ]
+
+# The submodule that defines each public name.
+_SUBMODULE = {
+    "ALL_COUNTEREXAMPLES": "counterexamples",
+    "ANALYTIC": "calculus",
+    "BUILTIN_LAGRANGIANS": "variational",
+    "BUILTIN_LAGRANGIANS_2D": "double",
+    "ChainStep": "double",
+    "ConvergenceError": "errors",
+    "DerivResult": "calculus",
+    "DomainError": "errors",
+    "DoubleELReport": "double",
+    "DoubleProblem": "double",
+    "ELReport": "variational",
+    "EXACT_QUOTIENT": "calculus",
+    "FLOAT": "scales",
+    "KernelReport": "variational",
+    "NUMERIC_LIMIT": "calculus",
+    "PointClass": "scales",
+    "Poly": "polyfn",
+    "PreconditionError": "errors",
+    "ProductScale": "double",
+    "RATIONAL": "scales",
+    "ScaleFn": "calculus",
+    "SurfaceFn": "double",
+    "TimeScale": "scales",
+    "UnsupportedScaleError": "errors",
+    "VariationalProblem": "variational",
+    "Verdict": "counterexamples",
+    "action": "double",
+    "adaptive_simpson": "quadrature",
+    "brute_force_minimizer": "variational",
+    "brute_force_minimizer_2d": "double",
+    "cx_eta_not_c1": "counterexamples",
+    "cx_nabla_endpoints": "counterexamples",
+    "cx_omega_degenerate": "counterexamples",
+    "cx_sigma_discontinuity": "counterexamples",
+    "definedness_audit": "variational",
+    "delta_deriv": "calculus",
+    "delta_integral": "calculus",
+    "delta_quotient": "calculus",
+    "derivation_chain_check": "double",
+    "double_el_residual": "double",
+    "double_integral": "double",
+    "el_residual": "variational",
+    "first_variation": "double",
+    "fl_kernel": "variational",
+    "fmt_scalar": "scales",
+    "fubini_residual": "double",
+    "ibp_residual": "calculus",
+    "junction_audit": "calculus",
+    "lagrangian_from_spec": "variational",
+    "nabla_integral_discrete": "calculus",
+    "product_rule_residual": "calculus",
+    "richardson_limit": "quadrature",
+    "sigma_diff_audit": "double",
+    "simple_useful_check": "calculus",
+    "surface_from_json": "double",
+    "tabulated_from_json": "calculus",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE))

@@ -38,7 +38,11 @@ from .scales import (
     zero_of,
 )
 
+# How a delta derivative was obtained: the jump quotient at a
+# right-scattered point, or at a right-dense point the analytic
+# derivative of the data or a Richardson limit.
 EXACT_QUOTIENT = "exact-quotient"
+ANALYTIC = "analytic"
 NUMERIC_LIMIT = "numeric-limit"
 
 # Evaluation modes of an iterated integrand: at a right-scattered point
@@ -162,13 +166,14 @@ def tabulated_from_json(obj) -> ScaleFn:
 
 
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
-    """Classical derivative of ``fn`` at ``t`` inside a dense piece, as float.
+    """Classical derivative of ``fn`` at ``t`` inside a dense piece, as
+    ``(float value, error_estimate, method)``.
 
     ``fn`` must be evaluable throughout the piece.  Uses the analytic
-    derivative when the ScaleFn carries one.
+    derivative when the ScaleFn carries one, else a Richardson limit.
     """
     if isinstance(fn, ScaleFn) and fn.deriv is not None:
-        return float(fn.deriv(t)), 0.0
+        return float(fn.deriv(t)), 0.0, ANALYTIC
     lo, hi = piece
     x = float(t)
     flo, fhi = float(lo), float(hi)
@@ -187,21 +192,25 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
         else:
             sample = lambda h: (value(x + h) - value(x)) / h
             h0 = room_r / 2.0
-        return richardson_limit(sample, h0, order=1, tol=tol, max_steps=LIMIT_MAX_STEPS)
-    sample = lambda h: (value(x + h) - value(x - h)) / (2.0 * h)
-    return richardson_limit(sample, min(room_l, room_r) / 2.0, order=2, tol=tol,
-                            max_steps=LIMIT_MAX_STEPS)
+        order = 1
+    else:
+        sample = lambda h: (value(x + h) - value(x - h)) / (2.0 * h)
+        h0 = min(room_l, room_r) / 2.0
+        order = 2
+    slope, est = richardson_limit(sample, h0, order=order, tol=tol, max_steps=LIMIT_MAX_STEPS)
+    return slope, est, NUMERIC_LIMIT
 
 
 def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
               d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL):
-    """Delta derivative of ``fn`` at ``t`` as ``(value, error_estimate)``.
+    """Delta derivative of ``fn`` at ``t`` as ``(value, error_estimate, method)``.
 
     Every delta derivative in the package goes through here.  A
     right-scattered point gives the exact jump quotient.  A right-dense
     point inside an interval piece gives the classical slope:
     ``d_analytic(t)`` when supplied (returned unconverted), else a
-    Richardson limit inside the piece.
+    Richardson limit inside the piece.  ``method`` names the branch
+    taken: ``EXACT_QUOTIENT``, ``ANALYTIC`` or ``NUMERIC_LIMIT``.
     ``dense`` forces the classical slope at a quadrature node of a dense
     piece, where ``fn`` is read as its continuous restriction and ``t``
     is used as given.
@@ -215,7 +224,7 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
         i, t = scale._find(t)
         st = scale._sigma_at(i, t)
         if st > t:
-            return (fn(st) - fn(t)) / (st - t), zero_of(scale)
+            return (fn(st) - fn(t)) / (st - t), zero_of(scale), EXACT_QUOTIENT
         if t == scale.max and scale._rho_at(i, t) < t:
             raise DomainError(
                 f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
@@ -226,7 +235,7 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
             f"no dense neighborhood at {fmt_scalar(t)} for a classical slope"
         )
     if d_analytic is not None:
-        return d_analytic(t), 0.0
+        return d_analytic(t), 0.0, ANALYTIC
     return _classical_slope(scale, fn, t, (lo, hi), tol)
 
 
@@ -241,13 +250,13 @@ def delta_quotient(scale: TimeScale, fn, t) -> Num:
 def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     """Delta derivative of ``fn`` at ``t``.
 
-    Exact quotient at right-scattered points; Richardson extrapolated
-    limit of difference quotients along the scale at right-dense points.
+    Exact quotient at right-scattered points.  At right-dense points the
+    analytic derivative a ``ScaleFn`` carries, else a Richardson
+    extrapolated limit of difference quotients along the scale.
     Undefined at a left-scattered maximum.
     """
-    t = scale.require(t)
-    value, est = _delta_at(scale, fn, t, tol=tol)
-    return DerivResult(value, EXACT_QUOTIENT if scale.sigma(t) > t else NUMERIC_LIMIT, est)
+    value, est, method = _delta_at(scale, fn, scale.require(t), tol=tol)
+    return DerivResult(value, method, est)
 
 
 def simple_useful_check(scale: TimeScale, fn, t) -> Num:
@@ -436,7 +445,7 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
             continue
         if scale.sigma(hi) == hi or scale.sigma(hi) > b:
             continue
-        slope, _ = _classical_slope(scale, fn, hi, (max(lo, a), hi), LIMIT_TOL)
+        slope = _classical_slope(scale, fn, hi, (max(lo, a), hi), LIMIT_TOL)[0]
         quot = _delta_at(scale, fn, hi)[0]
         if abs(slope - float(quot)) > tol:
             findings.append(

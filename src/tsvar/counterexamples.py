@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import ScaleFn, delta_deriv, nabla_integral_discrete
-from .double import ProductScale, SurfaceFn, double_integral
 from .errors import PreconditionError
 from .quadrature import LIMIT_TOL, richardson_limit
 from .scales import FLOAT, RATIONAL, TimeScale, fmt_scalar
@@ -197,6 +196,8 @@ def cx_omega_degenerate() -> Verdict:
     point.  Pairing any test function against its shifted values gives
     exactly zero, so the pairing says nothing about the test function
     at (1,1)."""
+    from .double import ProductScale, SurfaceFn, double_integral
+
     axis = TimeScale.discrete(range(6), mode=RATIONAL)
     ps = ProductScale(axis, axis)
     x0, y0 = Fraction(1), Fraction(1)

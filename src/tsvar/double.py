@@ -22,7 +22,7 @@ from .calculus import DENSE, SCATTER, _delta_at, _iterated
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
-from .scales import (Num, TimeScale, as_scalar, fmt_scalar, json_object,
+from .scales import (Num, TimeScale, as_scalar, check_grid_size, fmt_scalar, json_object,
                      scalar_from_json, zero_of)
 from .variational import _coordinate_newton, _fd_partial, _parse_lagrangian
 
@@ -377,11 +377,15 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
 
     Points whose kernel needs trajectory data past an axis maximum (the
     same definedness gap the single-variable audit reports) are listed
-    in ``gaps`` instead of carrying a value."""
+    in ``gaps`` instead of carrying a value.  A map above
+    ``GRID_MAX_POINTS`` points raises ``PreconditionError``."""
     rb1 = dp.ax1.rho(dp.b1)
     rb2 = dp.ax2.rho(dp.b2)
-    pts1 = dp.ax1.restrict(dp.a1, rb1).grid(dense_refinement)
-    pts2 = dp.ax2.restrict(dp.a2, rb2).grid(dense_refinement)
+    span1 = dp.ax1.restrict(dp.a1, rb1)
+    span2 = dp.ax2.restrict(dp.a2, rb2)
+    check_grid_size(dense_refinement, span1, span2)
+    pts1 = span1.grid(dense_refinement)
+    pts2 = span2.grid(dense_refinement)
     residuals = []
     gaps = []
     for t1 in pts1:

@@ -22,12 +22,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DomainError, UnsupportedScaleError
+from .errors import DomainError, PreconditionError, UnsupportedScaleError
 
 Num = Union[Fraction, float]
 
 RATIONAL = "rational"
 FLOAT = "float"
+
+# Residual maps refuse to sample more grid points than this; a
+# two-variable map counts the product of its two axis grids.
+GRID_MAX_POINTS = 100_000
+
+# Error messages echo at most this many characters of a rejected value.
+ECHO_MAX_CHARS = 40
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= ECHO_MAX_CHARS else text[:ECHO_MAX_CHARS] + "..."
 
 
 def as_scalar(x, mode: str) -> Num:
@@ -40,16 +51,16 @@ def as_scalar(x, mode: str) -> Num:
         try:
             return Fraction(x)
         except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot interpret {x!r} as a rational scalar") from exc
+            raise DomainError(f"cannot interpret {_clip(repr(x))} as a rational scalar") from exc
     if mode == FLOAT:
         if isinstance(x, bool):
             raise DomainError("booleans are not scalars")
         try:
             value = float(x)
         except (ValueError, OverflowError, TypeError) as exc:
-            raise DomainError(f"cannot interpret {x!r} as a float scalar") from exc
+            raise DomainError(f"cannot interpret {_clip(repr(x))} as a float scalar") from exc
         if not math.isfinite(value):
-            raise DomainError(f"non-finite scalar {x!r} rejected")
+            raise DomainError(f"non-finite scalar {_clip(repr(x))} rejected")
         return value
     raise ValueError(f"unknown numeric mode {mode!r}")
 
@@ -292,7 +303,7 @@ class TimeScale:
         t = as_scalar(t, self.mode)
         hit = self._locate(t)
         if hit is None:
-            raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
+            raise DomainError(f"{_clip(fmt_scalar(t))} is not a point of the scale")
         return hit
 
     def __contains__(self, t) -> bool:
@@ -453,3 +464,19 @@ class TimeScale:
 def zero_of(scale: TimeScale) -> Num:
     """Additive zero in the scale's numeric mode."""
     return Fraction(0) if scale.mode == RATIONAL else 0.0
+
+
+def check_grid_size(refinement: int, *scales: TimeScale) -> None:
+    """Refuse a product of ``grid(refinement)`` over ``scales`` with more
+    than ``GRID_MAX_POINTS`` points, counted without building any grid.
+
+    A negative refinement is left for ``grid`` to refuse."""
+    points = 1
+    for scale in scales:
+        dense = sum(1 for lo, hi in scale.pieces if lo != hi)
+        points *= len(scale.pieces) + dense * (max(refinement, 0) + 1)
+    if points > GRID_MAX_POINTS:
+        raise PreconditionError(
+            f"a grid of {points} points at refinement {refinement} is above "
+            f"the limit {GRID_MAX_POINTS}"
+        )

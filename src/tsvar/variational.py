@@ -18,7 +18,8 @@ from .calculus import ScaleFn, _delta_at, _integrate
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
-from .scales import Num, TimeScale, fmt_scalar, json_object, scalar_from_json, zero_of
+from .scales import (Num, TimeScale, check_grid_size, fmt_scalar, json_object,
+                     scalar_from_json, zero_of)
 
 FD_STEP = 1e-6
 
@@ -164,7 +165,8 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     """Residual r(t) = L_v(t) - integral of L_y from a to t - c_hat.
 
     Evaluated on [a, rho(b)], with dense pieces grid-sampled; c_hat is
-    the least-squares constant (the mean of the raw residuals)."""
+    the least-squares constant (the mean of the raw residuals).  A grid
+    above ``GRID_MAX_POINTS`` points raises ``PreconditionError``."""
     world = p.world
     rb = world.rho(p.b)
 
@@ -178,7 +180,9 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     def ly_dense(x):
         return float(p.partial_y(*traj(x, True)))
 
-    pts = world.restrict(p.a, rb).grid(dense_refinement)
+    span = world.restrict(p.a, rb)
+    check_grid_size(dense_refinement, span)
+    pts = span.grid(dense_refinement)
     raw = []
     acc = zero_of(world)
     prev = pts[0]

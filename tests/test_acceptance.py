@@ -7,12 +7,14 @@ use ``==`` on rational values, never a tolerance.
 
 import io
 import json
+import math
 import pathlib
 import random
 import time
 from fractions import Fraction
 
 from conftest import rand_discrete_scale, rand_fraction, rand_poly1, rand_quadratic2
+import tsvar.calculus
 from tsvar import (
     FLOAT,
     DoubleProblem,
@@ -38,6 +40,7 @@ from tsvar import (
     ibp_residual,
     nabla_integral_discrete,
     product_rule_residual,
+    richardson_limit,
     simple_useful_check,
 )
 from tsvar.cli import run
@@ -312,34 +315,57 @@ def test_criterion_08_fubini():
     )
 
 
-def test_criterion_09_numeric_derivative_branch_accuracy():
+def test_criterion_09_numeric_derivative_branch_accuracy(monkeypatch):
     t0 = time.monotonic()
     scale = TimeScale.interval(0.0, 1.0, mode=FLOAT)
-    polys = [
-        Poly.parse(src, ("t",))
-        for src in ("t^2", "t^3", "t^4 - t", "3*t^3 - 2*t^2 + 5*t - 1")
+    limits = []
+
+    def counted_limit(*args, **kwargs):
+        limits.append(1)
+        return richardson_limit(*args, **kwargs)
+
+    monkeypatch.setattr(tsvar.calculus, "richardson_limit", counted_limit)
+    # Closed forms carry no derivative, so every slope is a Richardson limit.
+    closed_forms = [
+        (math.sin, math.cos),
+        (math.exp, math.exp),
+        (lambda t: 1.0 / (1.0 + t * t), lambda t: -2.0 * t / (1.0 + t * t) ** 2),
+        (lambda t: math.sqrt(1.0 + t), lambda t: 0.5 / math.sqrt(1.0 + t)),
     ]
     rng = random.Random(909)
     ok = True
     sampled = 0
     worst = 0.0
-    for poly in polys:
-        dpoly = poly.diff("t")
-        fn = ScaleFn.from_callable(scale, poly)
+    for f, df in closed_forms:
+        fn = ScaleFn.from_callable(scale, f)
         for _ in range(25):
             t = rng.uniform(0.0, 0.99)
             res = delta_deriv(scale, fn, t)
-            err = abs(res.value - dpoly(t))
+            err = abs(res.value - df(t))
             worst = max(worst, err)
             ok = ok and res.method == "numeric-limit"
             ok = ok and err <= max(1e-8, res.est_error)
             sampled += 1
+    numeric_limits = len(limits)
+    # Polynomial data brings its own derivative: no limit, exact slope.
+    analytic = 0
+    for src in ("t^2", "t^3", "t^4 - t", "3*t^3 - 2*t^2 + 5*t - 1"):
+        poly = Poly.parse(src, ("t",))
+        fn = ScaleFn.from_callable(scale, poly)
+        for _ in range(5):
+            t = rng.uniform(0.0, 0.99)
+            res = delta_deriv(scale, fn, t)
+            ok = ok and (res.method, res.est_error) == ("analytic", 0.0)
+            ok = ok and res.value == float(poly.diff("t")(t))
+            analytic += 1
     elapsed = time.monotonic() - t0
     verdict(
         9,
-        ok and sampled == 100,
-        f"numeric limit matches the analytic derivative at {sampled} right-dense "
-        f"points, worst error {worst:.2e} within max(1e-8, reported estimate)",
+        ok and sampled == 100 and numeric_limits >= sampled and len(limits) == numeric_limits,
+        f"numeric limit matches the closed-form derivative at {sampled} right-dense "
+        f"points ({numeric_limits} Richardson limits), worst error {worst:.2e} within "
+        f"max(1e-8, reported estimate); polynomial data reports the analytic slope "
+        f"at {analytic} points with no limit",
         elapsed, budget=10.0,
     )
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_discrete_scale, rand_fraction, rand_poly1, rand_tabulation
 import tsvar.calculus
 from tsvar import (
+    ANALYTIC,
     ConvergenceError,
     DomainError,
     EXACT_QUOTIENT,
@@ -137,7 +138,7 @@ class TestPolyData:
         fn = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("t^3 - 2*t", ("t",)))
         res = delta_deriv(RAT_HYBRID, fn, Fraction(1, 3))
         assert res.value == float(3 * Fraction(1, 9) - 2)
-        assert (res.method, res.est_error) == (NUMERIC_LIMIT, 0)
+        assert (res.method, res.est_error) == (ANALYTIC, 0)
 
     def test_no_richardson_limit_on_poly_data(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -164,6 +164,31 @@ class TestExitCodes:
             assert invoke(*argv) == (2, "")
             assert time.perf_counter() - start < 1.0
 
+    def test_refine_above_grid_cap_exits_2_quickly(self, tmp_path, capsys):
+        # el-residual samples [0, 1] of [0, 1] u {2}: --refine + 2 points.
+        problem = {"scale": {"mode": "rational",
+                             "pieces": [{"interval": [0, 1]}, {"point": 2}]},
+                   "a": 0, "b": 2, "lagrangian": "builtin:v2"}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        for argv in (("el-residual", "--problem", str(path), "--y", "t",
+                      "--refine", "100000000"),
+                     # 402 points on each axis; only their product is above the cap.
+                     ("double-el", "--problem", DPROB_BAD, "--u", "t1 + t2",
+                      "--refine", "400")):
+            start = time.perf_counter()
+            assert invoke(*argv) == (2, "")
+            assert time.perf_counter() - start < 1.0
+            assert "above the limit" in capsys.readouterr().err
+
+    def test_long_point_literal_is_clipped(self, capsys):
+        digits = "1" * 4000
+        # Not a point, not finite, not a number.
+        for scale, text in ((Z6, digits), (HYBRID, digits), (Z6, "x" + digits)):
+            assert invoke("classify", "--scale", scale, "--t", text) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith("tsvar: ") and len(err.rstrip("\n")) < 200
+
     def test_env_tolerance(self, monkeypatch):
         args = ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3")
         monkeypatch.setenv("TSVAR_TOL", "1e-8")

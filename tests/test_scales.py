@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_discrete_scale
-from tsvar import FLOAT, RATIONAL, DomainError, PointClass, TimeScale, UnsupportedScaleError
+from tsvar import (FLOAT, RATIONAL, DomainError, PointClass, PreconditionError, TimeScale,
+                   UnsupportedScaleError)
+from tsvar.scales import GRID_MAX_POINTS, check_grid_size
 
 
 class TestCanonicalization:
@@ -126,6 +128,20 @@ class TestDerivedScales:
         g = s.grid(3)
         assert g == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, 2]
         assert all(x in s for x in g)
+
+    def test_grid_size_cap(self):
+        # Two intervals and a point: grid(r) holds 2 * (r + 2) + 1 points.
+        s = TimeScale(((0, 1), 2, (3, 5)))
+        assert [len(s.grid(r)) for r in (0, 1, 7)] == [5, 7, 19]
+        largest = (GRID_MAX_POINTS - 5) // 2
+        check_grid_size(largest, s)
+        with pytest.raises(PreconditionError):
+            check_grid_size(largest + 1, s)
+        # A product counts both axes: 200 * 500 points is exactly the cap.
+        line = TimeScale.interval(0, 1)
+        check_grid_size(198, line, TimeScale.discrete(range(500)))
+        with pytest.raises(PreconditionError):
+            check_grid_size(198, line, TimeScale.discrete(range(501)))
 
 
 class TestMembership:
