@@ -24,7 +24,7 @@ from .polyfn import Poly
 from .quadrature import QUAD_TOL
 from .scales import (Num, TimeScale, as_scalar, check_grid_size, fmt_scalar, json_object,
                      scalar_from_json, zero_of)
-from .variational import _coordinate_newton, _fd_partial, _parse_lagrangian
+from .variational import _coordinate_newton, _lagrangian_partials, _parse_lagrangian
 
 _POLY2_VARS = ("t1", "t2", "y0", "y1", "y2")
 
@@ -174,16 +174,17 @@ class DoubleProblem:
     b1: Num
     a2: Num
     b2: Num
-    lagrangian: Callable
-    d_y0: Optional[Callable] = None
-    d_y1: Optional[Callable] = None
-    d_y2: Optional[Callable] = None
+    lagrangian: Poly
     boundary: Optional[Callable] = None
     ax1: TimeScale = field(init=False, repr=False)
     ax2: TimeScale = field(init=False, repr=False)
     audit_findings: tuple = field(init=False, repr=False)
+    # (L_y0, L_y1, L_y2), worked out once.
+    partials: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "partials", _lagrangian_partials(
+            self.lagrangian, _POLY2_VARS, ("y0", "y1", "y2")))
         a1, b1, a2, b2 = self.ps.rect(self.a1, self.b1, self.a2, self.b2)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "b1", b1)
@@ -193,20 +194,6 @@ class DoubleProblem:
         object.__setattr__(self, "ax2", self.ps.scale2.restrict(a2, b2))
         object.__setattr__(
             self, "audit_findings", tuple(sigma_diff_audit(self.ax1, self.ax2))
-        )
-
-    @classmethod
-    def from_poly2(cls, ps: ProductScale, a1, b1, a2, b2, poly: Poly,
-                   boundary: Optional[Callable] = None) -> "DoubleProblem":
-        if poly.variables != _POLY2_VARS:
-            raise ValueError(f"expected a polynomial in {_POLY2_VARS}")
-        return cls(
-            ps, a1, b1, a2, b2,
-            lagrangian=poly,
-            d_y0=poly.diff("y0"),
-            d_y1=poly.diff("y1"),
-            d_y2=poly.diff("y2"),
-            boundary=boundary,
         )
 
     @classmethod
@@ -231,19 +218,16 @@ class DoubleProblem:
         boundary = None
         if "boundary" in obj:
             boundary = Poly.parse(str(obj["boundary"]), ("t1", "t2"))
-        return cls.from_poly2(ps, a1, b1, a2, b2, poly, boundary)
+        return cls(ps, a1, b1, a2, b2, poly, boundary)
 
     def partial_y0(self, *args):
-        f = self.d_y0 if self.d_y0 is not None else _fd_partial(self.lagrangian, 2)
-        return f(*args)
+        return self.partials[0](*args)
 
     def partial_y1(self, *args):
-        f = self.d_y1 if self.d_y1 is not None else _fd_partial(self.lagrangian, 3)
-        return f(*args)
+        return self.partials[1](*args)
 
     def partial_y2(self, *args):
-        f = self.d_y2 if self.d_y2 is not None else _fd_partial(self.lagrangian, 4)
-        return f(*args)
+        return self.partials[2](*args)
 
 
 # -- double integrals -------------------------------------------------------

@@ -36,9 +36,25 @@ GRID_MAX_POINTS = 100_000
 # Error messages echo at most this many characters of a rejected value.
 ECHO_MAX_CHARS = 40
 
+# Rational point text in exponent form, such as "1e10000000", is refused
+# when its decimal exponent is larger than this in magnitude: Fraction
+# expands the power of ten in full, which takes seconds at that size.
+RATIONAL_MAX_EXPONENT = 1000
+
 
 def _clip(text: str) -> str:
     return text if len(text) <= ECHO_MAX_CHARS else text[:ECHO_MAX_CHARS] + "..."
+
+
+def _echo_scalar(x) -> str:
+    """``fmt_scalar(x)`` clipped for an error message.  ``str`` refuses an
+    integer longer than the interpreter's digit limit, so such a rational
+    is shown by its order of magnitude instead."""
+    try:
+        return _clip(fmt_scalar(x))
+    except ValueError:
+        e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        return f"a rational near {'-' if x < 0 else ''}10^{e:.6g}"
 
 
 def as_scalar(x, mode: str) -> Num:
@@ -48,6 +64,14 @@ def as_scalar(x, mode: str) -> Num:
             return x
         if isinstance(x, bool):
             raise DomainError("booleans are not scalars")
+        if isinstance(x, str):
+            # The exponent's digits, as Fraction reads them: after a sign,
+            # with underscores and surrounding blanks allowed.
+            exp = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+            if exp.isdecimal() and (len(exp) > len(str(RATIONAL_MAX_EXPONENT))
+                                    or int(exp) > RATIONAL_MAX_EXPONENT):
+                raise DomainError(f"{_clip(repr(x))}: decimal exponent above "
+                                  f"{RATIONAL_MAX_EXPONENT} refused")
         try:
             return Fraction(x)
         except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
@@ -86,22 +110,14 @@ def json_object(obj, what: str, keys=()) -> dict:
 
 def scalar_from_json(v, mode: str) -> Num:
     """Parse one scalar from its JSON form for the given mode."""
-    if isinstance(v, bool):
-        raise DomainError("booleans are not scalars")
     if mode == RATIONAL:
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str):
-            try:
-                return Fraction(v)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"bad rational literal {v!r}") from exc
-        raise DomainError(
-            f"rational-mode scalars must be integers or 'p/q' strings, got {v!r}"
-        )
-    if isinstance(v, (int, float)):
-        return as_scalar(v, FLOAT)
-    raise DomainError(f"float-mode scalars must be JSON numbers, got {v!r}")
+        if not isinstance(v, (int, str)):
+            raise DomainError(
+                f"rational-mode scalars must be integers or 'p/q' strings, got {_clip(repr(v))}"
+            )
+    elif not isinstance(v, (int, float)):
+        raise DomainError(f"float-mode scalars must be JSON numbers, got {_clip(repr(v))}")
+    return as_scalar(v, mode)
 
 
 def scalar_to_json(x: Num):
@@ -303,7 +319,7 @@ class TimeScale:
         t = as_scalar(t, self.mode)
         hit = self._locate(t)
         if hit is None:
-            raise DomainError(f"{_clip(fmt_scalar(t))} is not a point of the scale")
+            raise DomainError(f"{_echo_scalar(t)} is not a point of the scale")
         return hit
 
     def __contains__(self, t) -> bool:

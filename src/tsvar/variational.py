@@ -32,19 +32,12 @@ BUILTIN_LAGRANGIANS = {
 _POLY_VARS = ("t", "y", "v")
 
 
-def _fd_partial(L: Callable, index: int) -> Callable:
-    """Central finite-difference partial of L(*args) in one slot."""
-
-    def partial(*args):
-        args = [float(a) for a in args]
-        h = FD_STEP * max(1.0, abs(args[index]))
-        hi = list(args)
-        lo = list(args)
-        hi[index] += h
-        lo[index] -= h
-        return (L(*hi) - L(*lo)) / (2.0 * h)
-
-    return partial
+def _lagrangian_partials(poly, variables: tuple, wrt: tuple) -> tuple:
+    """The partials of ``poly`` in each of ``wrt``, once ``poly`` is a
+    ``Poly`` over exactly ``variables``; anything else is refused."""
+    if not (isinstance(poly, Poly) and poly.variables == variables):
+        raise PreconditionError(f"the Lagrangian must be a Poly in ({', '.join(variables)})")
+    return tuple(poly.diff(x) for x in wrt)
 
 
 def _parse_lagrangian(spec, builtins: dict, variables: tuple) -> Poly:
@@ -80,15 +73,17 @@ class VariationalProblem:
     scale: TimeScale
     a: Num
     b: Num
-    lagrangian: Callable
-    d_y: Optional[Callable] = None
-    d_v: Optional[Callable] = None
+    lagrangian: Poly
     ya: Optional[Num] = None
     yb: Optional[Num] = None
     # The scale restricted to [a, b], built once.
     world: TimeScale = field(init=False, repr=False, compare=False)
+    # (L_y, L_v), worked out once.
+    partials: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "partials",
+                           _lagrangian_partials(self.lagrangian, _POLY_VARS, ("y", "v")))
         object.__setattr__(self, "a", self.scale.require(self.a))
         object.__setattr__(self, "b", self.scale.require(self.b))
         if not self.a < self.b:
@@ -98,15 +93,8 @@ class VariationalProblem:
     @classmethod
     def from_poly(cls, scale: TimeScale, a, b, poly: Poly,
                   ya=None, yb=None) -> "VariationalProblem":
-        if poly.variables != _POLY_VARS:
-            raise ValueError(f"expected a polynomial in {_POLY_VARS}")
-        return cls(
-            scale, a, b,
-            lagrangian=poly,
-            d_y=poly.diff("y"),
-            d_v=poly.diff("v"),
-            ya=ya, yb=yb,
-        )
+        """The constructor under its older name."""
+        return cls(scale, a, b, poly, ya, yb)
 
     @classmethod
     def from_json(cls, obj) -> "VariationalProblem":
@@ -118,17 +106,13 @@ class VariationalProblem:
         boundary = obj.get("boundary") or {}
         ya = scalar_from_json(boundary["ya"], scale.mode) if "ya" in boundary else None
         yb = scalar_from_json(boundary["yb"], scale.mode) if "yb" in boundary else None
-        return cls.from_poly(scale, a, b, poly, ya, yb)
+        return cls(scale, a, b, poly, ya, yb)
 
     def partial_y(self, t, y, v):
-        if self.d_y is not None:
-            return self.d_y(t, y, v)
-        return _fd_partial(self.lagrangian, 1)(t, y, v)
+        return self.partials[0](t, y, v)
 
     def partial_v(self, t, y, v):
-        if self.d_v is not None:
-            return self.d_v(t, y, v)
-        return _fd_partial(self.lagrangian, 2)(t, y, v)
+        return self.partials[1](t, y, v)
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,7 @@ def test_criterion_05_derivation_chain_exact_on_random_problems():
     for poly in jobs:
         s1 = rand_discrete_scale(rng, rng.randint(4, 6))
         s2 = rand_discrete_scale(rng, rng.randint(4, 6))
-        dp = DoubleProblem.from_poly2(
-            ProductScale(s1, s2), s1.min, s1.max, s2.min, s2.max, poly
-        )
+        dp = DoubleProblem(ProductScale(s1, s2), s1.min, s1.max, s2.min, s2.max, poly)
         u, eta = random_surface_tables(rng, s1, s2)
         steps = derivation_chain_check(dp, u, eta)
         ok = ok and [s.label for s in steps] == CHAIN_LABELS
@@ -250,7 +248,7 @@ def test_criterion_07_minimizers_are_stationary():
             f"{rng.randint(1, 3)}*v^2 + {rng.randint(0, 3)}*y^2 "
             f"+ ({rng.randint(-3, 3)})*t*y + ({rng.randint(-3, 3)})*y"
         )
-        p = VariationalProblem.from_poly(
+        p = VariationalProblem(
             scale, scale.min, scale.max, Poly.parse(spec, ("t", "y", "v")),
             ya=rand_fraction(rng), yb=rand_fraction(rng),
         )

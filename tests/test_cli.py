@@ -189,6 +189,22 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("tsvar: ") and len(err.rstrip("\n")) < 200
 
+    def test_huge_exponent_literal_exits_2_quickly(self, tmp_path, capsys):
+        # Fraction would expand 10^10000000 in full; 10^5000 is past the
+        # interpreter's integer-to-text limit.
+        scale = tmp_path / "scale.json"
+        scale.write_text(json.dumps({"mode": "rational",
+                                     "pieces": [{"point": 0}, {"point": "1e10000000"}]}))
+        for argv in (("classify", "--scale", Z6, "--t", "1e10000000"),
+                     ("classify", "--scale", Z6, "--t", "1e5000"),
+                     ("classify", "--scale", str(scale), "--t", "0")):
+            start = time.perf_counter()
+            assert invoke(*argv) == (2, "")
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith("tsvar: ") and len(err.rstrip("\n")) < 200
+            assert "set_int_max_str_digits" not in err
+
     def test_env_tolerance(self, monkeypatch):
         args = ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3")
         monkeypatch.setenv("TSVAR_TOL", "1e-8")

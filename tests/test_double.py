@@ -208,7 +208,7 @@ class TestFirstVariation:
     def test_matches_symmetric_difference_of_action(self):
         poly = Poly.parse("y1^2 + y2^2 + y0^2 + t2*y0", VARS2)
         ps = ProductScale(AX5, AX5)
-        dp = DoubleProblem.from_poly2(ps, 0, 4, 0, 4, poly)
+        dp = DoubleProblem(ps, 0, 4, 0, 4, poly)
         u = SurfaceFn.from_callable(AX5, AX5, lambda a, b: a * a + b)
         eta = boundary_bump(AX5, AX5)
         fv = first_variation(dp, u, eta)
@@ -270,7 +270,7 @@ class TestDerivationChain:
         ax2 = TimeScale.discrete([Fraction(0), Fraction(1, 2), Fraction(2), Fraction(3)])
         ps = ProductScale(AX5, ax2)
         poly = Poly.parse("y1^2 + y2^2 + y0^2 + t1*y0 + t2*y1", VARS2)
-        dp = DoubleProblem.from_poly2(ps, 0, 4, 0, 3, poly)
+        dp = DoubleProblem(ps, 0, 4, 0, 3, poly)
         u = SurfaceFn.from_callable(AX5, ax2, lambda a, b: a * a + a * b - 3 * b)
         eta = boundary_bump(AX5, ax2)
         steps = derivation_chain_check(dp, u, eta)
@@ -285,9 +285,7 @@ class TestDerivationChain:
         s1 = rand_discrete_scale(rng, rng.randint(4, 6))
         s2 = rand_discrete_scale(rng, rng.randint(4, 6))
         ps = ProductScale(s1, s2)
-        dp = DoubleProblem.from_poly2(
-            ps, s1.min, s1.max, s2.min, s2.max, rand_quadratic2(rng)
-        )
+        dp = DoubleProblem(ps, s1.min, s1.max, s2.min, s2.max, rand_quadratic2(rng))
         u_table = {
             (t1, t2): rand_fraction(rng)
             for t1 in s1.points()
@@ -310,7 +308,7 @@ class TestDerivationChain:
         ax2 = TimeScale.discrete([0.0, 1.0, 2.0], mode=FLOAT)
         ps = ProductScale(ax1, ax2)
         poly = Poly.parse("y1^2 + y2^2 + y0^2", VARS2)
-        dp = DoubleProblem.from_poly2(ps, 0, 2, 0, 2, poly)
+        dp = DoubleProblem(ps, 0, 2, 0, 2, poly)
         u = SurfaceFn.from_callable(
             ax1, ax2, lambda a, b: a * a + a * b,
             d1=lambda a, b: 2 * a + b, d2=lambda a, b: a,
@@ -328,7 +326,7 @@ class TestDerivationChain:
         bad = TimeScale(((0.0, 1.0), (1.5, 1.5)), mode=FLOAT)
         ps = ProductScale(bad, TimeScale.discrete([0.0, 1.0, 1.5], mode=FLOAT))
         poly = Poly.parse("y1^2 + y2^2", VARS2)
-        dp = DoubleProblem.from_poly2(ps, 0.0, 1.5, 0.0, 1.5, poly)
+        dp = DoubleProblem(ps, 0.0, 1.5, 0.0, 1.5, poly)
         u = SurfaceFn.from_callable(*ps_axes(ps), lambda a, b: a + b)
         eta = boundary_bump(dp.ax1, dp.ax2)
         with pytest.raises(UnsupportedScaleError) as exc_info:
@@ -388,7 +386,7 @@ class TestAction:
         ax = TimeScale.discrete([0, 2])
         ps = ProductScale(ax, ax)
         poly = Poly.parse("y0 + y1 + y2", VARS2)
-        dp = DoubleProblem.from_poly2(ps, 0, 2, 0, 2, poly)
+        dp = DoubleProblem(ps, 0, 2, 0, 2, poly)
         u = SurfaceFn.from_callable(ax, ax, lambda a, b: a * b)
         # one cell: mu1*mu2 * (u(2,2) + quotient1(0, 2) + quotient2(2, 0))
         expect = 4 * (Fraction(4) + Fraction(4 - 0, 2) + Fraction(4 - 0, 2))

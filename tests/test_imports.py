@@ -1,9 +1,11 @@
 """Import hygiene of the package.
 
-Every name a module under src/tsvar imports is used in that module.  A
-name counts as used when the module reads it anywhere (annotations
-included, quoted ones too) or lists it in ``__all__``.  ``__future__``
-imports are directives, not names, and are skipped.
+The runtime is stdlib-only: every absolute import under src/tsvar names a
+standard-library module.  Every name a module under src/tsvar imports is
+used in that module.  A name counts as used when the module reads it
+anywhere (annotations included, quoted ones too) or lists it in
+``__all__``.  ``__future__`` imports are directives, not names, and are
+skipped.
 
 The import boundary: ``import tsvar`` loads no submodule, and a CLI
 command loads only the layers it runs.
@@ -22,14 +24,19 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tsvar"
 
 
 def _imported(tree):
-    """(name, line) for every name bound by an import statement."""
+    """(name, module, line) for every name bound by an import statement.
+
+    ``module`` is the top-level module the name comes from, or None for a
+    relative import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0], node.lineno
+                top = alias.name.split(".")[0]
+                yield alias.asname or top, top, node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = node.module.split(".")[0] if node.level == 0 else None
             for alias in node.names:
-                yield alias.asname or alias.name, node.lineno
+                yield alias.asname or alias.name, module, node.lineno
 
 
 def _used(tree):
@@ -55,8 +62,16 @@ def _used(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
-    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    unused = [f"{name} (line {line})" for name, _, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = [f"{module} (line {line})" for _, module, line in _imported(tree)
+               if module is not None and module not in sys.stdlib_module_names]
+    assert not foreign, f"{path.name} imports outside the standard library: {foreign}"
 
 
 # -- the import boundary: a command loads only the layers it runs ------------

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import rand_discrete_scale
 from tsvar import (FLOAT, RATIONAL, DomainError, PointClass, PreconditionError, TimeScale,
                    UnsupportedScaleError)
-from tsvar.scales import GRID_MAX_POINTS, check_grid_size
+from tsvar.scales import (GRID_MAX_POINTS, RATIONAL_MAX_EXPONENT, as_scalar, check_grid_size,
+                          scalar_from_json)
 
 
 class TestCanonicalization:
@@ -172,6 +173,22 @@ class TestMembership:
         assert s.require(0.55) == 1.0
         assert s.require(0.45) == 0.0
         assert s.require(0.5) == 0.0  # a tie goes to the lower piece
+
+    def test_huge_point_named_in_rejection(self):
+        # str() of 10**5000 exceeds the interpreter's digit limit.
+        with pytest.raises(DomainError) as exc_info:
+            TimeScale.discrete(range(6)).require(Fraction(10**5000))
+        text = str(exc_info.value)
+        assert text == "a rational near 10^5000 is not a point of the scale"
+
+    def test_exponent_literal_bounded(self):
+        assert as_scalar(f"1e{RATIONAL_MAX_EXPONENT}", RATIONAL) == 10**RATIONAL_MAX_EXPONENT
+        for text in (f"1e{RATIONAL_MAX_EXPONENT + 1}", f"-2.5E-{RATIONAL_MAX_EXPONENT + 1}",
+                     "1e1_000_000", "1e" + "9" * 5000):
+            with pytest.raises(DomainError, match="exponent"):
+                as_scalar(text, RATIONAL)
+        with pytest.raises(DomainError, match="exponent"):
+            scalar_from_json("1e10000000", RATIONAL)
 
 
 class TestSerialization:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from conftest import rand_discrete_scale, rand_fraction
 from tsvar import (
     FLOAT,
+    DoubleProblem,
     Poly,
     PreconditionError,
+    ProductScale,
     ScaleFn,
     TimeScale,
     UnsupportedScaleError,
@@ -71,10 +73,25 @@ class TestProblemConstruction:
         poly = lagrangian_from_spec("poly:v^2 + t*y")
         assert poly(1, 2, 3) == 11
 
-    def test_fd_partials_when_no_analytic_form(self):
-        p = VariationalProblem(Z6, 0, 5, lagrangian=lambda t, y, v: v * v)
-        assert p.partial_v(0.0, 0.0, 3.0) == pytest.approx(6.0, rel=1e-6)
-        assert p.partial_y(0.0, 1.0, 3.0) == pytest.approx(0.0, abs=1e-6)
+    def test_lagrangian_must_be_a_poly(self):
+        # A callable has no exact partials, and a finite difference would
+        # break the exactness of residuals on rational scales.
+        with pytest.raises(PreconditionError, match=r"Poly in \(t, y, v\)"):
+            VariationalProblem(Z6, 0, 5, lambda t, y, v: v * v)
+        with pytest.raises(PreconditionError):
+            VariationalProblem(Z6, 0, 5, Poly.parse("v^2", ("t", "v", "y")))
+        ps = ProductScale(Z6, Z6)
+        with pytest.raises(PreconditionError, match=r"Poly in \(t1, t2, y0, y1, y2\)"):
+            DoubleProblem(ps, 0, 5, 0, 5, lambda t1, t2, y0, y1, y2: y1 * y1)
+        with pytest.raises(PreconditionError):
+            DoubleProblem(ps, 0, 5, 0, 5, Poly.parse("v^2", ("t", "y", "v")))
+
+    def test_partials_worked_out_once(self):
+        poly = Poly.parse("v^2 + t*y", ("t", "y", "v"))
+        p = VariationalProblem(Z6, 0, 5, poly)
+        assert p.partials == (poly.diff("y"), poly.diff("v"))
+        assert p.partial_y(2, 1, 3) == 2 and p.partial_v(2, 1, 3) == 6
+        assert VariationalProblem.from_poly(Z6, 0, 5, poly) == p
 
 
 class TestDefinednessAudit:
@@ -93,6 +110,15 @@ class TestDefinednessAudit:
 
 
 class TestELResidual:
+    def test_residual_exact_for_cubic_state_term(self):
+        # L = v^2 + y^3 along y = t: L_v = 2 is constant while the
+        # accumulated L_y = 3 sigma(t)^2 is not, so the residual is real
+        # and, on a rational scale, exact.
+        p = VariationalProblem(Z6, 0, 5, Poly.parse("v*v + y*y*y", ("t", "y", "v")))
+        rep = el_residual(p, ScaleFn.from_callable(Z6, lambda t: t))
+        assert type(rep.max_abs_residual) is Fraction
+        assert rep.max_abs_residual == Fraction(60)
+
     def test_linear_trajectory_is_stationary(self):
         rep = el_residual(v2_problem(), ScaleFn.from_callable(Z6, lambda t: t))
         assert rep.c_hat == 2
@@ -270,7 +296,7 @@ class TestMinimizer:
         rng = random.Random(7)
         s = TimeScale.discrete(range(5))
         poly = Poly.parse("v^2 + y^2 + t*y", ("t", "y", "v"))
-        p = VariationalProblem.from_poly(s, 0, 4, poly, ya=Fraction(0), yb=Fraction(2))
+        p = VariationalProblem(s, 0, 4, poly, ya=Fraction(0), yb=Fraction(2))
         y = brute_force_minimizer(p)
         base = discrete_action(p, lambda t: Fraction(y(t)))
         pts = s.points()
