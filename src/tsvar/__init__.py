@@ -55,7 +55,6 @@ __all__ = [
     "definedness_audit",
     "delta_deriv",
     "delta_integral",
-    "delta_quotient",
     "derivation_chain_check",
     "double_el_residual",
     "double_integral",
@@ -116,7 +115,6 @@ _SUBMODULE = {
     "definedness_audit": "variational",
     "delta_deriv": "calculus",
     "delta_integral": "calculus",
-    "delta_quotient": "calculus",
     "derivation_chain_check": "double",
     "double_el_residual": "double",
     "double_integral": "double",

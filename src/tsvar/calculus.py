@@ -21,13 +21,7 @@ from typing import Callable, Optional
 
 from .errors import DomainError, UnsupportedScaleError
 from .polyfn import Poly
-from .quadrature import (
-    LIMIT_MAX_STEPS,
-    LIMIT_TOL,
-    QUAD_TOL,
-    adaptive_simpson,
-    richardson_limit,
-)
+from .quadrature import LIMIT_TOL, QUAD_TOL, adaptive_simpson, richardson_limit
 from .scales import (
     Num,
     TimeScale,
@@ -44,12 +38,6 @@ from .scales import (
 EXACT_QUOTIENT = "exact-quotient"
 ANALYTIC = "analytic"
 NUMERIC_LIMIT = "numeric-limit"
-
-# Evaluation modes of an iterated integrand: at a right-scattered point
-# the forward jump applies; at a quadrature node of a dense piece the
-# integrand is read as its continuous restriction.
-SCATTER = "scatter"
-DENSE = "dense"
 
 
 @dataclass(frozen=True)
@@ -70,14 +58,13 @@ class ScaleFn:
     reject evaluation off the table.
     """
 
-    __slots__ = ("scale", "func", "deriv", "table", "domain")
+    __slots__ = ("scale", "func", "deriv", "table")
 
-    def __init__(self, scale, func=None, deriv=None, table=None, domain=None):
+    def __init__(self, scale, func=None, deriv=None, table=None):
         self.scale = scale
         self.func = func
         self.deriv = deriv
         self.table = table
-        self.domain = domain if domain is not None else scale
 
     @classmethod
     def from_callable(cls, scale: TimeScale, func: Callable,
@@ -96,12 +83,7 @@ class ScaleFn:
         table = {}
         for k, v in dict(values).items():
             table[scale.require(k)] = as_scalar(v, scale.mode)
-        domain = TimeScale.discrete(sorted(table), scale.mode, scale.eps)
-        return cls(scale, table=table, domain=domain)
-
-    @property
-    def is_tabulated(self) -> bool:
-        return self.table is not None
+        return cls(scale, table=table)
 
     def __call__(self, t) -> Num:
         t = self.scale.require(t)
@@ -111,43 +93,6 @@ class ScaleFn:
             except KeyError:
                 raise DomainError(f"{fmt_scalar(t)} is not tabulated") from None
         return self.func(t)
-
-    def _binary(self, other, op, dop):
-        if isinstance(other, ScaleFn):
-            if self.table is not None or other.table is not None:
-                base = self if self.table is not None else other
-                keys = [t for t in base.domain.points() if t in other.domain or other.table is None]
-                return ScaleFn.from_table(self.scale, {t: op(self(t), other(t)) for t in keys})
-            deriv = None
-            if self.deriv is not None and other.deriv is not None:
-                deriv = dop(self, other)
-            return ScaleFn(self.scale, func=lambda t: op(self.func(t), other.func(t)), deriv=deriv)
-        const = other
-        if self.table is not None:
-            return ScaleFn.from_table(self.scale, {t: op(v, const) for t, v in self.table.items()})
-        deriv = None
-        if self.deriv is not None:
-            deriv = dop(self, None)
-        return ScaleFn(self.scale, func=lambda t: op(self.func(t), const), deriv=deriv)
-
-    def __add__(self, other):
-        return self._binary(
-            other,
-            lambda a, b: a + b,
-            lambda f, g: (lambda t: f.deriv(t) + g.deriv(t)) if g is not None else f.deriv,
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        def dprod(f, g):
-            if g is None:
-                return lambda t: f.deriv(t) * other
-            return lambda t: f.deriv(t) * g.func(t) + f.func(t) * g.deriv(t)
-
-        return self._binary(other, lambda a, b: a * b, dprod)
-
-    __rmul__ = __mul__
 
 
 def tabulated_from_json(obj) -> ScaleFn:
@@ -197,7 +142,7 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
         sample = lambda h: (value(x + h) - value(x - h)) / (2.0 * h)
         h0 = min(room_l, room_r) / 2.0
         order = 2
-    slope, est = richardson_limit(sample, h0, order=order, tol=tol, max_steps=LIMIT_MAX_STEPS)
+    slope, est = richardson_limit(sample, h0, order=order, tol=tol)
     return slope, est, NUMERIC_LIMIT
 
 
@@ -239,14 +184,6 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
     return _classical_slope(scale, fn, t, (lo, hi), tol)
 
 
-def delta_quotient(scale: TimeScale, fn, t) -> Num:
-    """Exact jump quotient (f(sigma(t)) - f(t)) / mu(t) at a right-scattered t."""
-    t = scale.require(t)
-    if scale.sigma(t) == t:
-        raise DomainError(f"{fmt_scalar(t)} is right-dense, no jump quotient")
-    return _delta_at(scale, fn, t)[0]
-
-
 def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     """Delta derivative of ``fn`` at ``t``.
 
@@ -284,7 +221,11 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
         f = ScaleFn.from_callable(scale, f)
     if not isinstance(g, ScaleFn):
         g = ScaleFn.from_callable(scale, g)
-    dfg = delta_deriv(scale, f * g, t, tol).value
+    d = None
+    if f.deriv is not None and g.deriv is not None:
+        d = lambda x: f.deriv(x) * g.func(x) + f.func(x) * g.deriv(x)
+    fg = ScaleFn(scale, func=lambda x: f(x) * g(x), deriv=d)
+    dfg = delta_deriv(scale, fg, t, tol).value
     df = delta_deriv(scale, f, t, tol).value
     dg = delta_deriv(scale, g, t, tol).value
     st = scale.sigma(t)
@@ -377,22 +318,22 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     """Iterated delta integral over [a1, b1] x [a2, b2], second axis innermost.
 
-    ``G(t1, t2, m1, m2)`` is the integrand, told per axis whether it is
-    evaluated at a right-scattered point (SCATTER) or at a quadrature
-    node of a dense piece (DENSE)."""
+    ``G(t1, t2, dense1, dense2)`` is the integrand, told per axis whether
+    it is evaluated at a quadrature node of a dense piece (True) or at a
+    right-scattered point (False)."""
 
-    def inner(t1, m1):
+    def inner(t1, dense1):
         return _integrate(
             ax2, a2, b2,
-            point_value=lambda t2: G(t1, t2, m1, SCATTER),
-            dense_value=lambda x: float(G(t1, x, m1, DENSE)),
+            point_value=lambda t2: G(t1, t2, dense1, False),
+            dense_value=lambda x: float(G(t1, x, dense1, True)),
             tol=tol,
         )
 
     return _integrate(
         ax1, a1, b1,
-        point_value=lambda t1: inner(t1, SCATTER),
-        dense_value=lambda x: float(inner(x, DENSE)),
+        point_value=lambda t1: inner(t1, False),
+        dense_value=lambda x: float(inner(x, True)),
         tol=tol,
     )
 

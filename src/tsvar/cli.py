@@ -48,6 +48,11 @@ def _read_json(path: str):
         ) from None
     except DomainError as exc:
         raise CLIError(f"{path}: {exc}") from None
+    except ValueError:
+        # json refuses an integer literal above the interpreter's digit limit.
+        raise CLIError(
+            f"{path}: integer literal above {sys.get_int_max_str_digits()} digits refused"
+        ) from None
 
 
 def _load_scale(path: str) -> TimeScale:

@@ -46,6 +46,23 @@ def _default_hybrid_scale() -> TimeScale:
     return TimeScale(((0.0, 1.0), (1.5, 1.5)), mode=FLOAT)
 
 
+def _sigma_jump_point(scale, t, name: str):
+    """``(scale, t, float distance from t down to its piece's low end,
+    scale witness)`` for a point ``t`` that must be left-dense and
+    right-scattered; ``scale`` defaults to [0, 1] union {1.5}."""
+    default = _default_hybrid_scale()
+    if scale is None:
+        scale = default
+    i, t = scale._find(t)
+    cls = scale.classify(t)
+    if not cls.breaks_sigma_continuity:
+        raise PreconditionError(
+            f"{name} = {fmt_scalar(t)} must be left-dense and right-scattered; it is {cls.label()}"
+        )
+    witness = "[0, 1] union {1.5}" if scale.pieces == default.pieces else "custom"
+    return scale, t, float(t - scale.pieces[i][0]), witness
+
+
 def cx_nabla_endpoints(origin: int = 1, f_override: dict = None) -> Verdict:
     """Endpoint values are invisible to the nabla pairing.
 
@@ -118,15 +135,8 @@ def cx_eta_not_c1(scale: TimeScale = None, u1=0.25, t0=1.0) -> Verdict:
     its delta derivative (the forward jump quotient) differs from the
     left limit of its classical slope, so the derivative is
     discontinuous there."""
-    if scale is None:
-        scale = _default_hybrid_scale()
-    t0 = scale.require(t0)
+    scale, t0, room, scale_witness = _sigma_jump_point(scale, t0, "t0")
     u1 = scale.require(u1)
-    cls = scale.classify(t0)
-    if not cls.breaks_sigma_continuity:
-        raise PreconditionError(
-            f"t0 = {fmt_scalar(t0)} must be left-dense and right-scattered; it is {cls.label()}"
-        )
     lo_edge = scale.sigma(u1)
     hi_edge = scale.sigma(t0)
     if not lo_edge < t0:
@@ -146,9 +156,6 @@ def cx_eta_not_c1(scale: TimeScale = None, u1=0.25, t0=1.0) -> Verdict:
     ) ** 2 * (t0 + hi_edge - 2 * hi_edge)
 
     # Left limit of the classical slope, from eta values only.
-    lo_piece = next(lo for lo, hi in scale.pieces if lo <= t0 <= hi)
-    room = float(t0 - lo_piece)
-
     def back_slope(h):
         return (eta(t0) - eta(t0 - h)) / h
 
@@ -178,8 +185,7 @@ def cx_eta_not_c1(scale: TimeScale = None, u1=0.25, t0=1.0) -> Verdict:
             "derivative jumps at a left-dense right-scattered point"
         ),
         witness={
-            "scale": "[0, 1] union {1.5}" if scale.pieces == _default_hybrid_scale().pieces
-            else "custom",
+            "scale": scale_witness,
             "t0": fmt_scalar(t0),
             "bump support": f"[{fmt_scalar(lo_edge)}, {fmt_scalar(hi_edge)}]",
         },
@@ -262,16 +268,7 @@ def cx_sigma_discontinuity(scale: TimeScale = None, t=1.0) -> Verdict:
 
     Approaching t through the dense part gives sigma -> t, while
     sigma(t) sits a positive gap above t."""
-    if scale is None:
-        scale = _default_hybrid_scale()
-    t = scale.require(t)
-    cls = scale.classify(t)
-    if not cls.breaks_sigma_continuity:
-        raise PreconditionError(
-            f"t = {fmt_scalar(t)} must be left-dense and right-scattered; it is {cls.label()}"
-        )
-    lo_piece = next(lo for lo, hi in scale.pieces if lo <= t <= hi)
-    d = float(t - lo_piece)
+    scale, t, d, scale_witness = _sigma_jump_point(scale, t, "t")
 
     approach = []
     for n in range(1, 41):
@@ -294,8 +291,7 @@ def cx_sigma_discontinuity(scale: TimeScale = None, t=1.0) -> Verdict:
             "right-scattered point: its left limit is t but sigma(t) > t"
         ),
         witness={
-            "scale": "[0, 1] union {1.5}" if scale.pieces == _default_hybrid_scale().pieces
-            else "custom",
+            "scale": scale_witness,
             "t": fmt_scalar(t),
         },
         confirmed=confirmed,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import DENSE, SCATTER, _delta_at, _iterated
+from .calculus import _delta_at, _iterated
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -237,7 +237,7 @@ def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
     """Iterated double delta integral over the rectangle, t2 axis first."""
     a1, b1, a2, b2 = ps.rect(*rect)
     return _iterated(ps.scale1, ps.scale2, a1, b1, a2, b2,
-                     lambda t1, t2, m1, m2: f.val(t1, t2), tol)
+                     lambda t1, t2, dense1, dense2: f.val(t1, t2), tol)
 
 
 def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
@@ -246,30 +246,27 @@ def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
     a1, b1, a2, b2 = ps.rect(*rect)
     one = double_integral(ps, f, rect, tol)
     two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1,
-                    lambda t2, t1, m2, m1: f.val(t1, t2), tol)
+                    lambda t2, t1, dense2, dense1: f.val(t1, t2), tol)
     return abs(one - two)
 
 
 # -- trajectory plumbing ----------------------------------------------------
 
 
-def _shift(ax: TimeScale, t, mode: str):
-    return ax.sigma(t) if mode == SCATTER else t
-
-
-def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, m1: str, m2: str) -> tuple:
-    """The argument tuple (t1, t2, u(s1,s2), u_delta1(t1,s2), u_delta2(s1,t2))."""
-    s1 = _shift(dp.ax1, t1, m1)
-    s2 = _shift(dp.ax2, t2, m2)
+def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, dense1: bool, dense2: bool) -> tuple:
+    """The argument tuple (t1, t2, u(s1,s2), u_delta1(t1,s2), u_delta2(s1,t2)),
+    with s the forward jump of t, or t itself at a dense quadrature node."""
+    s1 = t1 if dense1 else dp.ax1.sigma(t1)
+    s2 = t2 if dense2 else dp.ax2.sigma(t2)
     u_ss = u.val(s1, s2)
     dan1 = (lambda s: u.d1fn(s, s2)) if u.d1fn is not None else None
-    u_d1 = _delta_at(dp.ax1, lambda s: u.val(s, s2), t1, m1 == DENSE, dan1)[0]
+    u_d1 = _delta_at(dp.ax1, lambda s: u.val(s, s2), t1, dense1, dan1)[0]
     dan2 = (lambda s: u.d2fn(s1, s)) if u.d2fn is not None else None
-    u_d2 = _delta_at(dp.ax2, lambda s: u.val(s1, s), t2, m2 == DENSE, dan2)[0]
+    u_d2 = _delta_at(dp.ax2, lambda s: u.val(s1, s), t2, dense2, dan2)[0]
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
-def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn, samples: int = 8):
+def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
     bad = []
 
     def check(t1, t2):
@@ -278,10 +275,10 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn, samples: in
         if nonzero:
             bad.append((t1, t2))
 
-    for t2 in dp.ax2.grid(samples):
+    for t2 in dp.ax2.grid(8):
         check(dp.a1, t2)
         check(dp.b1, t2)
-    for t1 in dp.ax1.grid(samples):
+    for t1 in dp.ax1.grid(8):
         check(t1, dp.a2)
         check(t1, dp.b2)
     if bad:
@@ -295,8 +292,8 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn, samples: in
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:
     """The double delta integral of the composed integrand over the rectangle."""
 
-    def G(t1, t2, m1, m2):
-        return dp.lagrangian(*_traj_args(dp, u, t1, t2, m1, m2))
+    def G(t1, t2, dense1, dense2):
+        return dp.lagrangian(*_traj_args(dp, u, t1, t2, dense1, dense2))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
 
@@ -310,9 +307,9 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
     vanish on the boundary."""
     _require_vanishes_on_boundary(dp, eta)
 
-    def G(t1, t2, m1, m2):
-        args = _traj_args(dp, u_tilde, t1, t2, m1, m2)
-        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, m1, m2)
+    def G(t1, t2, dense1, dense2):
+        args = _traj_args(dp, u_tilde, t1, t2, dense1, dense2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, dense1, dense2)
         return (
             dp.partial_y0(*args) * e_ss
             + dp.partial_y1(*args) * e_d1
@@ -333,25 +330,21 @@ class DoubleELReport:
     gaps: tuple
     max_abs_residual: Num
 
-    @property
-    def residual_fn(self) -> dict:
-        return dict(self.residuals)
-
 
 def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2,
-                  m1: str = SCATTER, m2: str = SCATTER) -> Num:
+                  dense1: bool = False, dense2: bool = False) -> Num:
     """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2."""
-    args = _traj_args(dp, u, t1, t2, m1, m2)
+    args = _traj_args(dp, u, t1, t2, dense1, dense2)
     term0 = dp.partial_y0(*args)
 
     def F1(s):
-        return dp.partial_y1(*_traj_args(dp, u, s, t2, m1, m2))
+        return dp.partial_y1(*_traj_args(dp, u, s, t2, dense1, dense2))
 
     def F2(s):
-        return dp.partial_y2(*_traj_args(dp, u, t1, s, m1, m2))
+        return dp.partial_y2(*_traj_args(dp, u, t1, s, dense1, dense2))
 
-    d1 = _delta_at(dp.ax1, F1, t1, m1 == DENSE)[0]
-    d2 = _delta_at(dp.ax2, F2, t2, m2 == DENSE)[0]
+    d1 = _delta_at(dp.ax1, F1, t1, dense1)[0]
+    d2 = _delta_at(dp.ax2, F2, t2, dense2)[0]
     return term0 - d1 - d2
 
 
@@ -399,9 +392,10 @@ def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float)
     rb1 = dp.ax1.rho(dp.b1)
     rb2 = dp.ax2.rho(dp.b2)
 
-    def G(t1, t2, m1, m2):
-        r = _el_kernel_at(dp, u, t1, t2, m1, m2)
-        return r * eta.val(_shift(dp.ax1, t1, m1), _shift(dp.ax2, t2, m2))
+    def G(t1, t2, dense1, dense2):
+        r = _el_kernel_at(dp, u, t1, t2, dense1, dense2)
+        return r * eta.val(t1 if dense1 else dp.ax1.sigma(t1),
+                           t2 if dense2 else dp.ax2.sigma(t2))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, rb1, dp.a2, rb2, G, tol)
 
@@ -462,7 +456,7 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
     partials = {}
     for t1 in P1_full:
         for t2 in P2_full:
-            args = _traj_args(dp, u, t1, t2, SCATTER, SCATTER)
+            args = _traj_args(dp, u, t1, t2, False, False)
             partials[t1, t2] = (dp.partial_y0(*args), dp.partial_y1(*args), dp.partial_y2(*args))
 
     def partial(k):

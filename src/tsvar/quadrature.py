@@ -16,7 +16,7 @@ LIMIT_TOL = 1e-10
 LIMIT_MAX_STEPS = 20
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -25,8 +25,8 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     err = (left + right - whole) / 15.0
     if depth <= 0 or abs(err) <= tol:
         # Richardson correction: one extrapolation order beyond Simpson.
@@ -52,7 +52,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
     fb = f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
+    whole = _simpson(a, fa, b, fb, fm)
     value, err = _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
     if err > tol:
         raise ConvergenceError(

@@ -41,6 +41,12 @@ ECHO_MAX_CHARS = 40
 # expands the power of ten in full, which takes seconds at that size.
 RATIONAL_MAX_EXPONENT = 1000
 
+# A parsed rational point whose numerator or denominator needs more bits
+# than this is refused.  4,096 bits is about 1,233 decimal digits, so a
+# point and its gap to a neighbour both stay below the interpreter's
+# 4,300-digit limit on integer-to-text conversion and always print.
+RATIONAL_MAX_BITS = 4096
+
 
 def _clip(text: str) -> str:
     return text if len(text) <= ECHO_MAX_CHARS else text[:ECHO_MAX_CHARS] + "..."
@@ -73,9 +79,13 @@ def as_scalar(x, mode: str) -> Num:
                 raise DomainError(f"{_clip(repr(x))}: decimal exponent above "
                                   f"{RATIONAL_MAX_EXPONENT} refused")
         try:
-            return Fraction(x)
+            value = Fraction(x)
         except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot interpret {_clip(repr(x))} as a rational scalar") from exc
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) > RATIONAL_MAX_BITS:
+            raise DomainError(f"{_echo_scalar(value)}: numerator or denominator above "
+                              f"{RATIONAL_MAX_BITS} bits refused")
+        return value
     if mode == FLOAT:
         if isinstance(x, bool):
             raise DomainError("booleans are not scalars")
@@ -470,11 +480,6 @@ class TimeScale:
     @classmethod
     def loads(cls, text: str) -> "TimeScale":
         return cls.from_json(json_loads_strict(text))
-
-    @classmethod
-    def load(cls, path) -> "TimeScale":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
 
 
 def zero_of(scale: TimeScale) -> Num:

@@ -194,7 +194,6 @@ class KernelReport:
     variant: str
     a: Num
     b: Num
-    evaluation_points: tuple
     constrained: tuple
     unconstrained: tuple
     claimed_domain: tuple
@@ -298,7 +297,6 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
         variant=variant,
         a=a,
         b=b,
-        evaluation_points=tuple(cols),
         constrained=constrained,
         unconstrained=unconstrained,
         claimed_domain=tuple(claimed),

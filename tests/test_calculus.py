@@ -103,16 +103,6 @@ class TestScaleFn:
         with pytest.raises(UnsupportedScaleError):
             ScaleFn.from_table(TimeScale.interval(0, 1), {0: 1})
 
-    def test_combinators_track_derivatives(self):
-        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos)
-        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t)
-        h = f * g + 2.0 * f
-        t = 0.7
-        assert h(t) == pytest.approx(math.sin(t) * t * t + 2 * math.sin(t))
-        res = delta_deriv(HYBRID, h, t)
-        expect = math.cos(t) * t * t + math.sin(t) * 2 * t + 2 * math.cos(t)
-        assert res.value == pytest.approx(expect, abs=1e-12)
-
     def test_tabulated_from_json(self):
         s = TimeScale.discrete(range(3))
         fn = tabulated_from_json(
@@ -149,6 +139,7 @@ class TestPolyData:
         g = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("2*t^3 + t", ("t",)))
         for form in (1, 2):
             assert ibp_residual(RAT_HYBRID, f, g, RAT_HYBRID.min, RAT_HYBRID.max, form) <= 1e-9
+        assert max(product_rule_residual(RAT_HYBRID, f, g, Fraction(1, 3))) <= 1e-9
         p = VariationalProblem.from_json({
             "scale": RAT_HYBRID.to_json(), "a": "1/10", "b": "5/2", "lagrangian": "builtin:v2",
         })

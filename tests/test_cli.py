@@ -205,6 +205,23 @@ class TestExitCodes:
             assert err.startswith("tsvar: ") and len(err.rstrip("\n")) < 200
             assert "set_int_max_str_digits" not in err
 
+    def test_oversized_rational_point_exits_2_quickly(self, tmp_path, capsys):
+        # A 5,000-digit point: from a short exponent literal, which parses,
+        # and from a JSON integer literal, which json refuses to convert.
+        mantissa = tmp_path / "mantissa.json"
+        mantissa.write_text(json.dumps({"mode": "rational", "pieces": [
+            {"point": 0}, {"point": "1" * 4000 + "e1000"}]}))
+        literal = tmp_path / "literal.json"
+        literal.write_text('{"mode": "rational", "pieces": [{"point": 0}, {"point": '
+                           + "7" * 5000 + "}]}")
+        for path in (mantissa, literal):
+            start = time.perf_counter()
+            assert invoke("classify", "--scale", str(path), "--t", "0") == (2, "")
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith("tsvar: ") and len(err.rstrip("\n")) < 200
+            assert "set_int_max_str_digits" not in err
+
     def test_env_tolerance(self, monkeypatch):
         args = ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3")
         monkeypatch.setenv("TSVAR_TOL", "1e-8")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import rand_discrete_scale
 from tsvar import (FLOAT, RATIONAL, DomainError, PointClass, PreconditionError, TimeScale,
                    UnsupportedScaleError)
-from tsvar.scales import (GRID_MAX_POINTS, RATIONAL_MAX_EXPONENT, as_scalar, check_grid_size,
-                          scalar_from_json)
+from tsvar.scales import (GRID_MAX_POINTS, RATIONAL_MAX_BITS, RATIONAL_MAX_EXPONENT, as_scalar,
+                          check_grid_size, scalar_from_json)
 
 
 class TestCanonicalization:
@@ -189,6 +189,16 @@ class TestMembership:
                 as_scalar(text, RATIONAL)
         with pytest.raises(DomainError, match="exponent"):
             scalar_from_json("1e10000000", RATIONAL)
+
+    def test_parsed_rational_size_bounded(self):
+        top = 2**RATIONAL_MAX_BITS - 1
+        assert as_scalar(top, RATIONAL) == top
+        assert as_scalar(f"1/{top}", RATIONAL) == Fraction(1, top)
+        for x in (top + 1, f"-1/{top + 1}", "1" * 4000 + "e1000"):
+            with pytest.raises(DomainError, match=f"above {RATIONAL_MAX_BITS} bits"):
+                as_scalar(x, RATIONAL)
+        # A Fraction is taken as it is.
+        assert as_scalar(Fraction(top + 1), RATIONAL) == top + 1
 
 
 class TestSerialization:
