@@ -206,7 +206,7 @@ def _cmd_el_residual(ns):
     p = VariationalProblem.from_json(problem)
     y = _fn_from_arg(p.scale, ns.y)
     rep = el_residual(p, y, dense_refinement=ns.refine, tol=ns.tol)
-    ok = float(rep.max_abs_residual) <= ns.pass_tol
+    ok = rep.max_abs_residual <= ns.pass_tol
     results = {
         "c_hat": fmt_scalar(rep.c_hat),
         "max_abs_residual": fmt_scalar(rep.max_abs_residual),
@@ -255,7 +255,7 @@ def _cmd_double_el(ns):
     dp = DoubleProblem.from_json(problem)
     u = _surface_from_arg(dp.ps, ns.u)
     rep = double_el_residual(dp, u, dense_refinement=ns.refine)
-    ok = float(rep.max_abs_residual) <= ns.pass_tol
+    ok = rep.max_abs_residual <= ns.pass_tol
     results = {
         "max_abs_residual": fmt_scalar(rep.max_abs_residual),
         "residuals": [
@@ -288,7 +288,7 @@ def _cmd_fubini_check(ns):
     a2 = _parse_point(scale2, ns.a2, scale2.min)
     b2 = _parse_point(scale2, ns.b2, scale2.max)
     r = fubini_residual(ps, f, (a1, b1, a2, b2), tol=ns.tol)
-    ok = abs(float(r)) <= ns.pass_tol
+    ok = abs(r) <= ns.pass_tol
     results = {"residual": fmt_scalar(r)}
     inputs = {
         "scale1": scale1.to_json(),

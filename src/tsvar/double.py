@@ -558,14 +558,13 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
 # -- minimizer oracle -------------------------------------------------------
 
 
-def brute_force_minimizer_2d(dp: DoubleProblem, tol: float = 1e-12,
-                             max_sweeps: int = 4000) -> SurfaceFn:
+def brute_force_minimizer_2d(dp: DoubleProblem) -> SurfaceFn:
     """Coordinate-descent minimizer of the discrete double action.
 
     Boundary values come from the problem's boundary closure; interior
-    values move one at a time with Newton steps until the analytic
-    gradient is below ``tol``.  Intended for convex integrands on small
-    grids."""
+    values move one at a time with Newton steps until every analytic
+    gradient is at most ``NEWTON_GRAD_TOL``, within 4,000 sweeps.
+    Intended for convex integrands on small grids."""
     if not (dp.ax1.is_discrete and dp.ax2.is_discrete):
         raise UnsupportedScaleError("brute-force minimization requires discrete axes")
     if dp.boundary is None:
@@ -609,4 +608,4 @@ def brute_force_minimizer_2d(dp: DoubleProblem, tol: float = 1e-12,
         return SurfaceFn.from_table(dp.ax1, dp.ax2, table)
 
     interior = [(i, j) for i in range(1, n1 - 1) for j in range(1, n2 - 1)]
-    return _coordinate_newton(u, interior, grad, finish, tol, max_sweeps)
+    return _coordinate_newton(u, interior, grad, finish, 4000)

@@ -36,13 +36,12 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     return lv + rv, le + re
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
-                     max_depth: int = QUAD_MAX_DEPTH):
+def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL):
     """Integrate ``f`` over [a, b], returning ``(value, error_estimate)``.
 
     Raises ``ConvergenceError`` carrying both when the estimate misses
-    ``tol``.  Leaf tolerances sum to ``tol``, so only leaves cut off by
-    ``max_depth`` can make it miss.
+    ``tol``.  Leaf tolerances sum to ``tol``, so only leaves cut off at
+    depth ``QUAD_MAX_DEPTH`` can make it miss.
     """
     a = float(a)
     b = float(b)
@@ -53,10 +52,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(a, fa, b, fb, fm)
-    value, err = _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    value, err = _adapt(f, a, fa, b, fb, m, fm, whole, tol, QUAD_MAX_DEPTH)
     if err > tol:
         raise ConvergenceError(
-            f"adaptive Simpson hit depth {max_depth} with error estimate {err:.3e} "
+            f"adaptive Simpson hit depth {QUAD_MAX_DEPTH} with error estimate {err:.3e} "
             f"above tolerance {tol:.3e} (best estimate {value!r})",
             estimate=value,
             error=err,
@@ -64,13 +63,13 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL,
     return value, err
 
 
-def richardson_limit(sample, h0: float, order: int, tol: float = LIMIT_TOL,
-                     max_steps: int = LIMIT_MAX_STEPS):
+def richardson_limit(sample, h0: float, order: int, tol: float = LIMIT_TOL):
     """Extrapolate ``sample(h)`` to h -> 0 by halving steps.
 
     ``order`` is the leading error exponent: 1 for one-sided difference
     quotients, 2 for centered ones.  Returns ``(value, error_estimate)``
-    or raises ``ConvergenceError`` carrying the best estimate seen.
+    or, after ``LIMIT_MAX_STEPS`` halvings, raises ``ConvergenceError``
+    carrying the best estimate seen.
     """
     if h0 <= 0:
         raise ValueError("h0 must be positive")
@@ -78,7 +77,7 @@ def richardson_limit(sample, h0: float, order: int, tol: float = LIMIT_TOL,
     best_val = None
     best_err = float("inf")
     h = float(h0)
-    for i in range(max_steps):
+    for i in range(LIMIT_MAX_STEPS):
         row = [float(sample(h))]
         for j in range(1, i + 1):
             fac = 2.0 ** (order * j)
@@ -95,7 +94,7 @@ def richardson_limit(sample, h0: float, order: int, tol: float = LIMIT_TOL,
     if best_err <= tol:
         return best_val, best_err
     raise ConvergenceError(
-        f"difference quotients did not settle within {max_steps} halvings "
+        f"difference quotients did not settle within {LIMIT_MAX_STEPS} halvings "
         f"(best estimate {best_val!r}, spread {best_err:.3e})",
         estimate=best_val,
         error=best_err,

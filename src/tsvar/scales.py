@@ -52,15 +52,18 @@ def _clip(text: str) -> str:
     return text if len(text) <= ECHO_MAX_CHARS else text[:ECHO_MAX_CHARS] + "..."
 
 
+def _magnitude(x) -> str:
+    e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+    return f"a rational near {'-' if x < 0 else ''}10^{e:.6g}"
+
+
 def _echo_scalar(x) -> str:
-    """``fmt_scalar(x)`` clipped for an error message.  ``str`` refuses an
-    integer longer than the interpreter's digit limit, so such a rational
-    is shown by its order of magnitude instead."""
+    """``fmt_scalar(x)`` clipped for an error message, or, for a rational
+    too long to print, its order of magnitude."""
     try:
         return _clip(fmt_scalar(x))
-    except ValueError:
-        e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
-        return f"a rational near {'-' if x < 0 else ''}10^{e:.6g}"
+    except DomainError:
+        return _magnitude(x)
 
 
 def as_scalar(x, mode: str) -> Num:
@@ -137,11 +140,13 @@ def scalar_to_json(x: Num):
 
 
 def fmt_scalar(x) -> str:
-    """Deterministic text rendering: fractions as p/q, floats via repr."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
+    """Deterministic text rendering: fractions as p/q, floats via repr.
+    An exact value past the interpreter's digit limit raises DomainError."""
+    if isinstance(x, (Fraction, int)):
+        try:
+            return str(x)
+        except ValueError:
+            raise DomainError(f"{_magnitude(x)} is too long to print") from None
     return repr(float(x))
 
 

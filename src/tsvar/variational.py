@@ -5,13 +5,14 @@ partial along a candidate trajectory must equal the accumulated state
 partial plus a constant), the definedness audit at a left-scattered
 right endpoint, an exact fundamental-lemma kernel analyzer for finite
 discrete scales, and a small coordinate-descent action minimizer used
-as the oracle in tests.
+as the oracle in tests.  The kernel analyzer reads its answer off the
+pairing, whose matrix has at most one nonzero per row and per column,
+instead of eliminating (see ``fl_kernel``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .calculus import ScaleFn, _delta_at, _integrate
@@ -22,6 +23,8 @@ from .scales import (Num, TimeScale, check_grid_size, fmt_scalar, json_object,
                      scalar_from_json, zero_of)
 
 FD_STEP = 1e-6
+# The coordinate-descent minimizers stop once every |gradient| is at most this.
+NEWTON_GRAD_TOL = 1e-12
 
 BUILTIN_LAGRANGIANS = {
     "v2": "v^2",
@@ -201,55 +204,8 @@ class KernelReport:
     rank: int
 
 
-def _nullspace_support(rows, ncols: int):
-    """Rank and nullspace support of an exact rational matrix.
-
-    Each row is a mapping from column index to entry; zero entries may
-    be left out.  Gauss-Jordan elimination runs on these sparse rows,
-    with an index from each column to the rows that are nonzero there.
-    The support is the set of coordinates where some kernel vector is
-    nonzero; its complement is the set of coordinates every kernel
-    vector kills."""
-    m = [{c: x for c, x in row.items() if x != 0} for row in rows]
-    where = {}
-    for i, row in enumerate(m):
-        for c in row:
-            where.setdefault(c, set()).add(i)
-    pivot_rows = {}
-    used = set()
-    for c in range(ncols):
-        holders = where.get(c, set())
-        candidates = holders - used
-        if not candidates:
-            continue
-        p = min(candidates)
-        used.add(p)
-        inv = Fraction(1) / m[p][c]
-        prow = m[p] = {k: x * inv for k, x in m[p].items()}
-        for i in list(holders):
-            if i == p:
-                continue
-            row = m[i]
-            f = row[c]
-            for k, x in prow.items():
-                v = row.get(k, 0) - f * x
-                if v != 0:
-                    row[k] = v
-                    where.setdefault(k, set()).add(i)
-                else:
-                    del row[k]
-                    where[k].discard(i)
-        pivot_rows[c] = p
-    free = set(range(ncols)) - pivot_rows.keys()
-    support = set(free)
-    for c, p in pivot_rows.items():
-        if any(k in free for k in m[p]):
-            support.add(c)
-    return len(pivot_rows), support
-
-
 def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
-    """Brute-force fundamental-lemma analysis on a finite discrete range.
+    """Fundamental-lemma analysis on a finite discrete range.
 
     Treats the unknown M as one value per evaluation point and the test
     function as free values at interior points (zero at a and b), then
@@ -257,6 +213,14 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
     to zero.  The delta variant pairs M(t) with the test function at
     sigma(t) under weight mu(t) over [a, b); the nabla variant pairs
     M(t) with the test function at t under weight nu(t) over (a, b].
+
+    Column t of the pairing matrix (rows: interior points) has one
+    possible entry, in the row of its paired point, and that entry is
+    mu(t) or nu(t) > 0; sigma is injective, so no two columns share a
+    row.  Elimination would pivot on exactly the columns that have their
+    entry, so M(t) is forced to zero iff its paired point is interior
+    (for delta, sigma(t) > t >= a, so only sigma(t) < b is tested), and
+    the rank is the number of such t.
     """
     if variant not in ("delta", "nabla"):
         raise ValueError("variant must be 'delta' or 'nabla'")
@@ -268,50 +232,34 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
     pts = sub.points()
     if len(pts) < 2:
         raise PreconditionError("need at least two points")
-    interior = pts[1:-1]
 
     if variant == "delta":
         cols = [t for t in pts if t < b]
-        claimed = sub.truncate_k2().points()
+        claimed = tuple(sub.truncate_k2().points())
+        pinned = {t for t in cols if sub.sigma(t) < b}
     else:
-        cols = list(pts)
-        claimed = list(pts)
-
-    col_index = {t: i for i, t in enumerate(cols)}
-    row_index = {s: i for i, s in enumerate(interior)}
-    rows = [{} for _ in interior]
-    for t in cols:
-        if variant == "delta":
-            st = sub.sigma(t)
-            if st in row_index:
-                rows[row_index[st]][col_index[t]] = sub.mu(t)
-        else:
-            if t > a and t in row_index:
-                rows[row_index[t]][col_index[t]] = sub.nu(t)
-
-    rank, support = _nullspace_support(rows, len(cols))
-    unconstrained = tuple(t for t in cols if col_index[t] in support)
-    constrained = tuple(t for t in cols if col_index[t] not in support)
-    assert rank == len(constrained), "pairing matrix lost its diagonal structure"
+        cols = claimed = tuple(pts)
+        pinned = set(pts[1:-1])
+    constrained = tuple(t for t in cols if t in pinned)
     return KernelReport(
         variant=variant,
         a=a,
         b=b,
         constrained=constrained,
-        unconstrained=unconstrained,
-        claimed_domain=tuple(claimed),
-        claim_holds=set(claimed) <= set(constrained),
-        rank=rank,
+        unconstrained=tuple(t for t in cols if t not in pinned),
+        claimed_domain=claimed,
+        claim_holds=set(claimed) <= pinned,
+        rank=len(constrained),
     )
 
 
 def _coordinate_newton(state: dict, keys: list, grad: Callable, finish: Callable,
-                       tol: float, max_sweeps: int):
+                       max_sweeps: int):
     """Move ``state[k]`` for each interior key in turn by a Newton step.
 
     ``grad(k)`` reads the current ``state``; the curvature comes from a
     central difference of ``grad``.  Stops once every |gradient| is at
-    most ``tol`` and returns ``finish(state)``; otherwise raises
+    most ``NEWTON_GRAD_TOL`` and returns ``finish(state)``; otherwise raises
     ``ConvergenceError`` with ``finish`` of the best state seen."""
     if not keys:
         return finish(state)
@@ -334,7 +282,7 @@ def _coordinate_newton(state: dict, keys: list, grad: Callable, finish: Callable
         gmax = max(abs(grad(k)) for k in keys)
         if gmax < best[0]:
             best = (gmax, dict(state))
-        if gmax <= tol:
+        if gmax <= NEWTON_GRAD_TOL:
             return finish(state)
     raise ConvergenceError(
         f"coordinate descent stalled at max |gradient| = {best[0]:.3e}",
@@ -343,13 +291,13 @@ def _coordinate_newton(state: dict, keys: list, grad: Callable, finish: Callable
     )
 
 
-def brute_force_minimizer(p: VariationalProblem, tol: float = 1e-12,
-                          max_sweeps: int = 2000) -> ScaleFn:
+def brute_force_minimizer(p: VariationalProblem) -> ScaleFn:
     """Minimize the discrete action by coordinate descent with Newton steps.
 
     The action is the sum of mu(t) L(t, y(sigma(t)), y_delta(t)) over
     [a, b).  Interior values move one at a time; boundary values stay
-    fixed.  Converges to max |gradient| <= tol, intended for convex L.
+    fixed.  Converges to max |gradient| <= ``NEWTON_GRAD_TOL`` within
+    2,000 sweeps; intended for convex L.
     """
     if not p.world.is_discrete:
         raise UnsupportedScaleError("brute-force minimization requires a discrete range")
@@ -379,4 +327,4 @@ def brute_force_minimizer(p: VariationalProblem, tol: float = 1e-12,
     def finish(values):
         return ScaleFn.from_table(p.scale, {t: values[i] for i, t in enumerate(pts)})
 
-    return _coordinate_newton(y, list(range(1, n - 1)), grad, finish, tol, max_sweeps)
+    return _coordinate_newton(y, list(range(1, n - 1)), grad, finish, 2000)

@@ -222,6 +222,20 @@ class TestExitCodes:
             assert err.startswith("tsvar: ") and len(err.rstrip("\n")) < 200
             assert "set_int_max_str_digits" not in err
 
+    def test_result_past_digit_limit_exits_2(self, tmp_path, capsys):
+        # Both points print, but the quotient sigma(0)^5 has a 5,000-digit
+        # denominator, past the interpreter's integer-to-text limit.
+        scale = tmp_path / "scale.json"
+        scale.write_text(json.dumps({"mode": "rational", "pieces": [
+            {"point": "0"}, {"point": f"1/{10**1000 - 1}"}]}))
+        for fmt in ("text", "json"):
+            argv = ("deriv", "--scale", str(scale), "--fn", "t^6", "--t", "0", "--format", fmt)
+            assert invoke(*argv) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith("tsvar: ") and err.count("\n") == 1
+            assert len(err.rstrip("\n")) < 200 and "set_int_max_str_digits" not in err
+            assert "10^-5000" in err
+
     def test_env_tolerance(self, monkeypatch):
         args = ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3")
         monkeypatch.setenv("TSVAR_TOL", "1e-8")
@@ -248,6 +262,24 @@ class TestVerdictCommands:
         assert code == 0
         assert "c_hat = 2" in text
         assert text.count("finding:") == 2
+
+    def test_residual_beyond_float_range_still_reports(self, tmp_path):
+        # The exact residuals are near 10^400, past the largest float; the
+        # gate compares them with --pass-tol exactly.
+        points = [{"point": f"{k}e400"} for k in range(4)]
+        axis = {"mode": "rational", "pieces": points}
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"scale": dict(axis, pieces=points[:3]), "a": "0",
+                                    "b": "2e400", "lagrangian": "builtin:v2"}))
+        dprob = tmp_path / "dprob.json"
+        dprob.write_text(json.dumps({"scale1": axis, "scale2": axis,
+                                     "lagrangian": "builtin:grad2"}))
+        for argv in (("el-residual", "--problem", str(prob), "--y", "t^2"),
+                     ("double-el", "--problem", str(dprob), "--u", "t1^2*t2^2")):
+            code, text = invoke(*argv)
+            assert code == 1 and "max |residual| = " in text and "(fail)" in text
+            code, text = invoke(*argv, "--format", "json")
+            assert code == 1 and json.loads(text)["status"] == "fail"
 
     def test_ibp_check_exact_on_discrete(self):
         code, text = invoke(

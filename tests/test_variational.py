@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import rand_discrete_scale, rand_fraction
 from tsvar import (
     FLOAT,
+    RATIONAL,
     DoubleProblem,
     Poly,
     PreconditionError,
@@ -18,11 +19,12 @@ from tsvar import (
     VariationalProblem,
     brute_force_minimizer,
     definedness_audit,
+    delta_integral,
     el_residual,
     fl_kernel,
     lagrangian_from_spec,
+    nabla_integral_discrete,
 )
-from tsvar.variational import _nullspace_support
 
 Z6 = TimeScale.discrete(range(6))
 
@@ -231,22 +233,47 @@ def dense_nullspace_support(rows, ncols):
     return len(pivots), support
 
 
-class TestSparseElimination:
+def pairing_matrix(sub, variant, a, b):
+    """The kernel's pairing matrix, built from the calculus itself.
+
+    Entry (s, t) pairs the indicator of M at t with the indicator of the
+    test function at s: the delta integral over [a, b] of
+    [tau = t][sigma(tau) = s], or the nabla integral of [tau = t][tau = s].
+    Rows are the interior points, columns the points M lives on."""
+    pts = sub.points()
+    interior = pts[1:-1]
+    if variant == "delta":
+        cols = [t for t in pts if t < b]
+
+        def entry(s, t):
+            return delta_integral(sub, lambda tau: int(tau == t and sub.sigma(tau) == s), a, b)
+    else:
+        cols = pts
+
+        def entry(s, t):
+            return nabla_integral_discrete(sub, lambda tau: int(tau == t == s), a, b)
+    return cols, [[entry(s, t) for t in cols] for s in interior]
+
+
+class TestKernelOracle:
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_matches_dense_reference(self, seed):
+    @given(seed=st.integers(0, 10**6), mode=st.sampled_from([RATIONAL, FLOAT]),
+           variant=st.sampled_from(["delta", "nabla"]))
+    def test_matches_elimination_of_the_pairing_matrix(self, seed, mode, variant):
         rng = random.Random(seed)
-        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
-        density = rng.random()
-        rows = [[rand_fraction(rng, -3, 3, 3) if rng.random() < density else Fraction(0)
-                 for _ in range(ncols)] for _ in range(nrows)]
-        if rows:
-            rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
-            dead = rng.randrange(ncols)
-            for row in rows:
-                row[dead] = Fraction(0)
-        sparse = [dict(enumerate(row)) for row in rows]
-        assert _nullspace_support(sparse, ncols) == dense_nullspace_support(rows, ncols)
+        pts = rand_discrete_scale(rng, rng.randint(2, 12)).points()
+        if mode == FLOAT:
+            pts = [float(t) for t in pts]
+        s = TimeScale.discrete(pts, mode=mode)
+        i = rng.randrange(len(pts) - 1)
+        j = rng.randrange(i + 1, len(pts))
+        a, b = pts[i], pts[j]
+        rep = fl_kernel(s, variant, a, b)
+        cols, rows = pairing_matrix(s.restrict(a, b), variant, a, b)
+        rank, support = dense_nullspace_support(rows, len(cols))
+        expected = (tuple(t for k, t in enumerate(cols) if k not in support),
+                    tuple(t for k, t in enumerate(cols) if k in support), rank)
+        assert (rep.constrained, rep.unconstrained, rep.rank) == expected
 
     def test_structural_kernel_sets_on_2000_points(self):
         s = rand_discrete_scale(random.Random(7), 2000)
