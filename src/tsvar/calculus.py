@@ -3,8 +3,16 @@
 Derivatives are exact difference quotients across gaps and Richardson
 extrapolated limits along dense pieces.  Integrals decompose a range
 into scattered points, contributing graininess-weighted values exactly,
-and interval pieces, handed to adaptive Simpson in floats.  On purely
-discrete rational scales every operation here is exact.
+and interval pieces.  On purely discrete rational scales every operation
+here is exact.
+
+On a rational scale an interval piece is integrated exactly when the
+data are polynomial: the integrand is evaluated once at a symbolic
+node, a ``Poly`` variable, and the piece [c, d] contributes F(d) - F(c)
+of its antiderivative F.  Only ``Poly`` data, alone or inside a
+``ScaleFn`` or ``SurfaceFn``, ever sees the node; anything else (a plain
+callable, a polynomial past the size limits, a float scale) sends the
+piece to adaptive Simpson in floats, and the integral is a float.
 
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
@@ -17,14 +25,17 @@ so dense evaluation substitutes sigma(t) = t and the classical slope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DomainError, UnsupportedScaleError
-from .polyfn import Poly
+from .polyfn import Poly, PolySizeError
 from .quadrature import LIMIT_TOL, QUAD_TOL, adaptive_simpson, richardson_limit
 from .scales import (
+    RATIONAL,
     Num,
     TimeScale,
+    _magnitude,
     as_scalar,
     fmt_scalar,
     json_object,
@@ -38,6 +49,30 @@ from .scales import (
 EXACT_QUOTIENT = "exact-quotient"
 ANALYTIC = "analytic"
 NUMERIC_LIMIT = "numeric-limit"
+
+
+# Symbolic nodes of exact dense integrals: x1 for a one-variable integral
+# or the outer axis of an iterated one, x2 for the inner axis.
+_NODE_VARS = ("x1", "x2")
+_X1 = Poly.var(_NODE_VARS, "x1")
+_X2 = Poly.var(_NODE_VARS, "x2")
+
+
+class _NotPolynomial(Exception):
+    """A symbolic node met data that is not a ``Poly``; the integral
+    falls back to Simpson."""
+
+
+def _exact(func):
+    """``func`` when a symbolic node may reach it, that is a ``Poly``."""
+    if not isinstance(func, Poly):
+        raise _NotPolynomial
+    return func
+
+
+def _node_var(node) -> int:
+    """Index of the variable a symbolic node stands for."""
+    return next(iter(node.terms)).index(1)
 
 
 @dataclass(frozen=True)
@@ -86,6 +121,10 @@ class ScaleFn:
         return cls(scale, table=table)
 
     def __call__(self, t) -> Num:
+        # A symbolic node lies in its dense piece by construction.  The
+        # test is on the exact type: it runs at every quadrature node.
+        if type(t) is Poly:
+            return _exact(self.func)(t)
         t = self.scale.require(t)
         if self.table is not None:
             try:
@@ -158,8 +197,24 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
     taken: ``EXACT_QUOTIENT``, ``ANALYTIC`` or ``NUMERIC_LIMIT``.
     ``dense`` forces the classical slope at a quadrature node of a dense
     piece, where ``fn`` is read as its continuous restriction and ``t``
-    is used as given.
+    is used as given.  At a symbolic node the slope is a polynomial
+    (``d_analytic``, the data's own derivative, or the derivative of
+    ``fn`` at the node) and no limit runs.
     """
+    if dense and type(t) is Poly:
+        if d_analytic is not None:
+            slope = d_analytic(t)
+        elif isinstance(fn, ScaleFn) and fn.deriv is not None:
+            slope = _exact(fn.deriv)(t)
+        else:
+            value = fn(t)
+            if isinstance(value, Poly):
+                slope = value.diff(_NODE_VARS[_node_var(t)])
+            elif isinstance(value, (int, Fraction)):
+                slope = 0
+            else:
+                raise _NotPolynomial
+        return slope, 0.0, ANALYTIC
     if dense:
         hit = scale._locate(t)
         if hit is None:
@@ -256,12 +311,42 @@ def _decompose(scale: TimeScale, a, b):
             yield ("gap", d)
 
 
-def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float):
+def _symbolic(*fns):
+    """The symbolic node when each of ``fns`` may see it: a ``Poly``, or a
+    ``ScaleFn``, which hands the node to ``Poly`` data only.  Otherwise
+    None, and dense pieces go to Simpson."""
+    return _X1 if all(isinstance(f, (Poly, ScaleFn)) for f in fns) else None
+
+
+def _primitive(scale: TimeScale, dense_value, node):
+    """The exact antiderivative, in ``node``'s variable, of the dense
+    integrand ``dense_value``, or None when Simpson must run: no node, a
+    float scale, data that is not polynomial, or a polynomial past the
+    size limits."""
+    if node is None or scale.mode != RATIONAL:
+        return None
+    try:
+        value = dense_value(node)
+        if isinstance(value, Poly):
+            return value.integrate(_NODE_VARS[_node_var(node)])
+        if isinstance(value, (int, Fraction)):
+            return node * value
+    except (_NotPolynomial, PolySizeError):
+        pass
+    return None
+
+
+def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
+               node=None, exact_only: bool = False, cache=None):
     """Delta integral driver shared by every integral in the package.
 
     ``point_value(t)`` is the exact integrand at a right-scattered t.
-    ``dense_value(x)`` is the float-valued continuous restriction of the
-    integrand at a quadrature node x of a dense piece."""
+    ``dense_value(x)`` is the continuous restriction of the integrand on
+    a dense piece, at a float quadrature node or at the symbolic
+    ``node``.  Its antiderivative is built at the first dense piece and
+    kept in ``cache`` (a dict), so that calls sharing one integrand
+    build it once.  Without one, each dense piece goes to Simpson, or,
+    with ``exact_only``, ``_NotPolynomial`` is raised."""
     a = scale.require(a)
     b = scale.require(b)
     if a > b:
@@ -271,28 +356,40 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float):
     exact = zero_of(scale)
     dense_total = 0.0
     used_dense = False
+    cache = {} if cache is None else cache
     for kind, payload in _decompose(scale, a, b):
         if kind == "gap":
             t = payload
             exact = exact + scale.mu(t) * point_value(t)
+            continue
+        c, d = payload
+        if "primitive" not in cache:
+            cache["primitive"] = _primitive(scale, dense_value, node)
+        primitive = cache["primitive"]
+        if primitive is not None:
+            k = _node_var(node)
+            exact = exact + primitive.subs(k, d) - primitive.subs(k, c)
+        elif exact_only:
+            raise _NotPolynomial
         else:
-            c, d = payload
-            value, _ = adaptive_simpson(dense_value, float(c), float(d), tol)
+            value, _ = adaptive_simpson(lambda x: float(dense_value(x)), float(c), float(d), tol)
             dense_total += value
             used_dense = True
-    if used_dense:
+    if not used_dense:
+        return exact
+    try:
         return float(exact) + dense_total
-    return exact
+    except OverflowError:
+        raise DomainError(
+            f"the exact gap sum, {_magnitude(exact)}, is past the float range "
+            f"of the Simpson part of the integral"
+        ) from None
 
 
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
-    """Delta integral of ``fn`` over [a, b]."""
-    return _integrate(
-        scale, a, b,
-        point_value=fn,
-        dense_value=lambda x: float(fn(x)),
-        tol=tol,
-    )
+    """Delta integral of ``fn`` over [a, b]; exact on a rational scale
+    when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
+    return _integrate(scale, a, b, point_value=fn, dense_value=fn, tol=tol, node=_symbolic(fn))
 
 
 def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
@@ -319,22 +416,28 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     """Iterated delta integral over [a1, b1] x [a2, b2], second axis innermost.
 
     ``G(t1, t2, dense1, dense2)`` is the integrand, told per axis whether
-    it is evaluated at a quadrature node of a dense piece (True) or at a
-    right-scattered point (False)."""
+    it is evaluated at a node of a dense piece (True) or at a
+    right-scattered point (False).  A node is a float, or the symbolic
+    node of that axis when both axes are rational."""
 
     def inner(t1, dense1):
+        # At a float node of the outer Simpson the inner integral stays
+        # numeric; at the outer symbolic node it is exact or refused.
         return _integrate(
             ax2, a2, b2,
             point_value=lambda t2: G(t1, t2, dense1, False),
-            dense_value=lambda x: float(G(t1, x, dense1, True)),
+            dense_value=lambda x: G(t1, x, dense1, True),
             tol=tol,
+            node=None if isinstance(t1, float) else _X2,
+            exact_only=isinstance(t1, Poly),
         )
 
     return _integrate(
         ax1, a1, b1,
         point_value=lambda t1: inner(t1, False),
-        dense_value=lambda x: float(inner(x, True)),
+        dense_value=lambda x: inner(x, True),
         tol=tol,
+        node=_X1 if ax2.mode == RATIONAL else None,
     )
 
 
@@ -343,7 +446,9 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
 
     Form 1: int f(sigma) g' = [fg] - int f' g.
     Form 2: int f g' = [fg] - int f' g(sigma).
-    The result is |lhs - rhs|, exactly zero on discrete rational scales.
+    The result is |lhs - rhs|, exactly zero on discrete rational scales
+    and on rational scales with polynomial ``f`` and ``g``.  ``tol``
+    bounds both the quadrature and any Richardson limit.
     """
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
@@ -354,17 +459,20 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     # on dense pieces sigma(t) = t and both read the same.
     f_at = scale.sigma if form == 1 else (lambda t: t)
     g_at = (lambda t: t) if form == 1 else scale.sigma
+    node = _symbolic(f, g)
     lhs = _integrate(
         scale, a, b,
-        point_value=lambda t: f(f_at(t)) * _delta_at(scale, g, t)[0],
-        dense_value=lambda x: float(f(x)) * _delta_at(scale, g, x, True)[0],
+        point_value=lambda t: f(f_at(t)) * _delta_at(scale, g, t, tol=tol)[0],
+        dense_value=lambda x: f(x) * _delta_at(scale, g, x, True, tol=tol)[0],
         tol=tol,
+        node=node,
     )
     rest = _integrate(
         scale, a, b,
-        point_value=lambda t: _delta_at(scale, f, t)[0] * g(g_at(t)),
-        dense_value=lambda x: _delta_at(scale, f, x, True)[0] * float(g(x)),
+        point_value=lambda t: _delta_at(scale, f, t, tol=tol)[0] * g(g_at(t)),
+        dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g(x),
         tol=tol,
+        node=node,
     )
     return abs(lhs - (boundary - rest))
 

@@ -8,8 +8,9 @@ the first variation to the kernel paired with the shifted variation.
 
 The chain is verified exactly on purely discrete rational product
 scales.  On hybrid scales only the two endpoints of the chain are
-compared numerically; intermediate steps rely on pointwise strip
-identities that only make sense with scattered right endpoints.
+compared, exactly on rational axes with polynomial data and numerically
+otherwise; intermediate steps rely on pointwise strip identities that
+only make sense with scattered right endpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import _delta_at, _iterated
+from .calculus import _delta_at, _exact, _iterated
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -110,6 +111,9 @@ class SurfaceFn:
         return cls(scale1, scale2, table=table)
 
     def val(self, t1, t2) -> Num:
+        if type(t1) is Poly or type(t2) is Poly:
+            # A symbolic node lies in its dense piece by construction.
+            return _exact(self.func)(t1, t2)
         t1 = self.scale1.require(t1)
         t2 = self.scale2.require(t2)
         if self.table is not None:
@@ -121,16 +125,23 @@ class SurfaceFn:
                 ) from None
         return self.func(t1, t2)
 
+    def _partial(self, axis: int, t1, t2) -> Num:
+        """The analytic classical partial on ``axis`` (1 or 2) at (t1, t2)."""
+        fn = self.d1fn if axis == 1 else self.d2fn
+        if type(t1) is Poly or type(t2) is Poly:
+            fn = _exact(fn)
+        return fn(t1, t2)
+
     def d1(self, t1, t2) -> Num:
         """Axis-1 delta derivative holding t2 fixed."""
         t2 = self.scale2.require(t2)
-        dan = (lambda s: self.d1fn(s, t2)) if self.d1fn is not None else None
+        dan = (lambda s: self._partial(1, s, t2)) if self.d1fn is not None else None
         return _delta_at(self.scale1, lambda s: self.val(s, t2), t1, d_analytic=dan)[0]
 
     def d2(self, t1, t2) -> Num:
         """Axis-2 delta derivative holding t1 fixed."""
         t1 = self.scale1.require(t1)
-        dan = (lambda s: self.d2fn(t1, s)) if self.d2fn is not None else None
+        dan = (lambda s: self._partial(2, t1, s)) if self.d2fn is not None else None
         return _delta_at(self.scale2, lambda s: self.val(t1, s), t2, d_analytic=dan)[0]
 
 
@@ -242,7 +253,7 @@ def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
 
 def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
     """|iterated t2-first minus iterated t1-first|; exactly 0 on discrete
-    rational scales."""
+    rational scales, and on rational hybrid scales for a polynomial ``f``."""
     a1, b1, a2, b2 = ps.rect(*rect)
     one = double_integral(ps, f, rect, tol)
     two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1,
@@ -259,9 +270,9 @@ def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, dense1: bool, dense2: bo
     s1 = t1 if dense1 else dp.ax1.sigma(t1)
     s2 = t2 if dense2 else dp.ax2.sigma(t2)
     u_ss = u.val(s1, s2)
-    dan1 = (lambda s: u.d1fn(s, s2)) if u.d1fn is not None else None
+    dan1 = (lambda s: u._partial(1, s, s2)) if u.d1fn is not None else None
     u_d1 = _delta_at(dp.ax1, lambda s: u.val(s, s2), t1, dense1, dan1)[0]
-    dan2 = (lambda s: u.d2fn(s1, s)) if u.d2fn is not None else None
+    dan2 = (lambda s: u._partial(2, s1, s)) if u.d2fn is not None else None
     u_d2 = _delta_at(dp.ax2, lambda s: u.val(s1, s), t2, dense2, dan2)[0]
     return (t1, t2, u_ss, u_d1, u_d2)
 
@@ -407,7 +418,8 @@ def derivation_chain_check(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn
     On purely discrete scales every labeled identity is checked by
     direct summation and all residuals are exact.  On hybrid scales the
     strip identities degenerate, so only the chain endpoints (first
-    variation vs kernel pairing) are compared numerically.
+    variation vs kernel pairing) are compared: exactly on rational axes
+    with polynomial surfaces, numerically otherwise.
     """
     if dp.audit_findings:
         raise UnsupportedScaleError(

@@ -19,11 +19,19 @@ POLY_MAX_DEGREE = 200
 POLY_MAX_TERM_PAIRS = 20_000
 POLY_MAX_COEFF_BITS = 4096
 
+
+class PolySizeError(ValueError):
+    """An expanded polynomial would pass one of the size limits above."""
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+/\d+|\d+\.\d*|\.\d+|\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^()]))"
 )
+
+
+_EXACT = (int, Fraction)
 
 
 def _tokenize(text: str):
@@ -61,7 +69,7 @@ class Poly:
             if c:
                 bits = max(c.numerator.bit_length(), c.denominator.bit_length())
                 if bits > POLY_MAX_COEFF_BITS:
-                    raise ValueError(
+                    raise PolySizeError(
                         f"polynomial coefficient too large: {bits} bits "
                         f"(limit {POLY_MAX_COEFF_BITS})"
                     )
@@ -90,27 +98,45 @@ class Poly:
     def __hash__(self):
         return hash((self.variables, frozenset(self.terms.items())))
 
+    # Arithmetic takes a Poly over the same variables or an exact scalar
+    # (int or Fraction) on either side; a float is refused with TypeError.
+
     def __add__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
+            other = Poly.constant(self.variables, other)
         merged = dict(self.terms)
         for expo, c in other.terms.items():
             merged[expo] = merged.get(expo, Fraction(0)) + c
         return Poly(self.variables, merged)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Poly":
         return Poly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
+        if not isinstance(other, (Poly,) + _EXACT):
+            return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
 
     def degree(self) -> int:
         """Total degree; 0 for constants, including the zero polynomial."""
         return max((sum(expo) for expo in self.terms), default=0)
 
     def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
+            return Poly(self.variables, {e: c * other for e, c in self.terms.items()})
         pairs = len(self.terms) * len(other.terms)
         degree = self.degree() + other.degree()
         if pairs > POLY_MAX_TERM_PAIRS or degree > POLY_MAX_DEGREE:
-            raise ValueError(
+            raise PolySizeError(
                 f"polynomial product too large: {pairs} term pairs (limit "
                 f"{POLY_MAX_TERM_PAIRS}), degree {degree} (limit {POLY_MAX_DEGREE})"
             )
@@ -121,11 +147,18 @@ class Poly:
                 out[expo] = out.get(expo, Fraction(0)) + c1 * c2
         return Poly(self.variables, out)
 
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Poly":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        return self * (1 / Fraction(other))
+
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative exponents are not polynomial")
         if n > POLY_MAX_DEGREE:
-            raise ValueError(f"exponent {n} is above the limit {POLY_MAX_DEGREE}")
+            raise PolySizeError(f"exponent {n} is above the limit {POLY_MAX_DEGREE}")
         if n <= 1:
             return self if n else Poly.constant(self.variables, 1)
         half = self ** (n // 2)
@@ -140,6 +173,33 @@ class Poly:
             lowered = list(expo)
             lowered[i] -= 1
             out[tuple(lowered)] = out.get(tuple(lowered), Fraction(0)) + c * expo[i]
+        return Poly(self.variables, out)
+
+    def integrate(self, name: str) -> "Poly":
+        """The antiderivative in ``name`` whose terms all contain ``name``."""
+        i = self.variables.index(name)
+        out = {}
+        for expo, c in self.terms.items():
+            raised = list(expo)
+            raised[i] += 1
+            out[tuple(raised)] = c / raised[i]
+        return Poly(self.variables, out)
+
+    def subs(self, i: int, value):
+        """Substitute ``value`` for variable ``i`` in one pass.
+
+        The result is a scalar once no variable is left, as from
+        ``__call__``; otherwise a Poly over the same variables."""
+        out = {}
+        powers = {}
+        for expo, c in self.terms.items():
+            e = expo[i]
+            if e not in powers:
+                powers[e] = value ** e
+            rest = expo[:i] + (0,) + expo[i + 1:]
+            out[rest] = out.get(rest, 0) + c * powers[e]
+        if not any(any(expo) for expo, c in out.items() if c):
+            return sum(out.values(), Fraction(0))
         return Poly(self.variables, out)
 
     def __call__(self, *args):

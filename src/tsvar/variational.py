@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .calculus import ScaleFn, _delta_at, _integrate
+from .calculus import ScaleFn, _delta_at, _integrate, _symbolic
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -165,17 +165,20 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
         return p.partial_y(*traj(tau))
 
     def ly_dense(x):
-        return float(p.partial_y(*traj(x, True)))
+        return p.partial_y(*traj(x, True))
 
     span = world.restrict(p.a, rb)
     check_grid_size(dense_refinement, span)
     pts = span.grid(dense_refinement)
+    node = _symbolic(y_hat)
+    # Every grid step integrates L_y: one exact antiderivative serves all.
+    cache = {}
     raw = []
     acc = zero_of(world)
     prev = pts[0]
     for t in pts:
         if t != prev:
-            acc = acc + _integrate(world, prev, t, ly_point, ly_dense, tol)
+            acc = acc + _integrate(world, prev, t, ly_point, ly_dense, tol, node, cache=cache)
             prev = t
         raw.append((t, p.partial_v(*traj(t)) - acc))
 

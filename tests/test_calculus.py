@@ -12,17 +12,22 @@ from tsvar import (
     ANALYTIC,
     ConvergenceError,
     DomainError,
+    DoubleProblem,
     EXACT_QUOTIENT,
     FLOAT,
     NUMERIC_LIMIT,
     Poly,
+    ProductScale,
     ScaleFn,
+    SurfaceFn,
     TimeScale,
     UnsupportedScaleError,
     VariationalProblem,
     delta_deriv,
     delta_integral,
+    derivation_chain_check,
     el_residual,
+    fubini_residual,
     ibp_residual,
     junction_audit,
     nabla_integral_discrete,
@@ -145,6 +150,146 @@ class TestPolyData:
         })
         line = ScaleFn.from_callable(p.scale, Poly.parse("3*t - 1/7", ("t",)))
         assert el_residual(p, line, dense_refinement=8).max_abs_residual <= 1e-9
+
+
+class TestExactDenseIntegrals:
+    """On a rational scale, polynomial data integrate every dense piece
+    exactly: no Simpson, no Richardson limit, a Fraction result.  Any
+    other data, and any float scale, still take the numeric branch."""
+
+    AXIS = TimeScale((0, Fraction(1, 2), (1, 2)))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"simpson": 0, "richardson": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for key, name in (("simpson", "adaptive_simpson"), ("richardson", "richardson_limit")):
+            monkeypatch.setattr(tsvar.calculus, name, counted(key, getattr(tsvar.calculus, name)))
+        return counts
+
+    def poly_fns(self, scale):
+        f = ScaleFn.from_callable(scale, Poly.parse("t^2 - 1/3", ("t",)))
+        g = ScaleFn.from_callable(scale, Poly.parse("2*t^3 + t", ("t",)))
+        return f, g
+
+    def double_problem(self, u_text="2*t1 - t2 + t1*t2"):
+        axis = self.AXIS
+        ps = ProductScale(axis, axis)
+        dp = DoubleProblem.from_json({"scale1": axis.to_json(), "scale2": axis.to_json(),
+                                      "lagrangian": "builtin:grad2"})
+        u = SurfaceFn.from_callable(axis, axis, Poly.parse(u_text, ("t1", "t2")))
+        eta = SurfaceFn.from_callable(axis, axis, Poly.parse("t1*(2-t1)*t2*(2-t2)", ("t1", "t2")))
+        return ps, dp, u, eta
+
+    def test_poly_data_take_no_numeric_branch(self, calls):
+        f, g = self.poly_fns(RAT_HYBRID)
+        a, b = RAT_HYBRID.min, RAT_HYBRID.max
+        # 1/10..2/3 and 5/4..11/6 by antiderivative, 1 and 11/6 across gaps.
+        prim = lambda t: t ** 3 / 3 - t / 3
+        expect = (prim(Fraction(2, 3)) - prim(Fraction(1, 10)) + (Fraction(5, 4) - 1) * f(1)
+                  + prim(Fraction(11, 6)) - prim(Fraction(5, 4))
+                  + (Fraction(5, 2) - Fraction(11, 6)) * f(Fraction(11, 6))
+                  + (1 - Fraction(2, 3)) * f(Fraction(2, 3)))
+        value = delta_integral(RAT_HYBRID, f, a, b)
+        assert isinstance(value, Fraction) and value == expect
+        for form in (1, 2):
+            r = ibp_residual(RAT_HYBRID, f, g, a, b, form)
+            assert isinstance(r, Fraction) and r == 0
+        p = VariationalProblem.from_json({
+            "scale": RAT_HYBRID.to_json(), "a": "1/10", "b": "5/2", "lagrangian": "builtin:v2",
+        })
+        line = ScaleFn.from_callable(p.scale, Poly.parse("3*t - 1/7", ("t",)))
+        assert el_residual(p, line, dense_refinement=8).max_abs_residual == 0
+        ps, dp, u, eta = self.double_problem()
+        rect = (self.AXIS.min, self.AXIS.max, self.AXIS.min, self.AXIS.max)
+        r = fubini_residual(ps, u, rect)
+        assert isinstance(r, Fraction) and r == 0
+        (step,) = derivation_chain_check(dp, u, eta)
+        assert isinstance(step.residual, Fraction) and step.residual == 0
+        assert calls == {"simpson": 0, "richardson": 0}
+
+    def test_plain_callables_take_simpson(self, calls):
+        # Reads a symbolic node as x * x; only Simpson may see it.
+        square = lambda x: 0 if x == 0 else x * x
+        a, b = RAT_HYBRID.min, RAT_HYBRID.max
+        for fn in (square, ScaleFn.from_callable(RAT_HYBRID, square)):
+            before = calls["simpson"]
+            assert isinstance(delta_integral(RAT_HYBRID, fn, a, b), float)
+            assert calls["simpson"] > before
+        f, g = self.poly_fns(RAT_HYBRID)
+        before = calls["simpson"]
+        plain_g = ScaleFn.from_callable(RAT_HYBRID, g.func, deriv=lambda t: 6 * t * t + 1)
+        assert ibp_residual(RAT_HYBRID, f, plain_g, a, b) <= 1e-9
+        assert calls["simpson"] > before
+        p = VariationalProblem.from_json({
+            "scale": RAT_HYBRID.to_json(), "a": "1/10", "b": "5/2", "lagrangian": "builtin:v2",
+        })
+        before = calls["simpson"]
+        assert el_residual(p, lambda t: 3 * t, dense_refinement=4).max_abs_residual <= 1e-9
+        assert calls["simpson"] > before
+        ps, dp, u, eta = self.double_problem()
+        rect = (self.AXIS.min, self.AXIS.max, self.AXIS.min, self.AXIS.max)
+        before = calls["simpson"]
+        surf = SurfaceFn.from_callable(self.AXIS, self.AXIS, lambda t1, t2: t1 * t2,
+                                       d1=lambda t1, t2: t2, d2=lambda t1, t2: t1)
+        assert fubini_residual(ps, surf, rect) <= 1e-9
+        assert calls["simpson"] > before
+        # A Poly surface whose axis-1 slope is a plain callable.
+        before = calls["simpson"]
+        u_plain = SurfaceFn.from_callable(self.AXIS, self.AXIS, u.func,
+                                          d1=lambda t1, t2: 2 + t2)
+        (step,) = derivation_chain_check(dp, u_plain, eta)
+        assert step.residual <= 1e-8
+        assert calls["simpson"] > before
+
+    def test_float_scales_take_simpson(self, calls):
+        f, g = self.poly_fns(HYBRID)
+        assert isinstance(delta_integral(HYBRID, f, 0.0, 3.0), float)
+        assert calls["simpson"] > 0
+        before = calls["simpson"]
+        assert ibp_residual(HYBRID, f, g, 0.0, 3.0) <= 1e-9
+        assert calls["simpson"] > before
+
+    def test_tolerance_reaches_the_limits(self, monkeypatch):
+        # Without a derivative, every dense slope is a Richardson limit,
+        # and ibp_residual hands it its own tolerance.
+        seen = []
+        real = tsvar.calculus.richardson_limit
+
+        def spy(sample, h0, order, tol):
+            seen.append(tol)
+            return real(sample, h0, order=order, tol=tol)
+
+        monkeypatch.setattr(tsvar.calculus, "richardson_limit", spy)
+        f = ScaleFn(HYBRID, func=math.sin)
+        g = ScaleFn(HYBRID, func=math.exp)
+        for tol in (1e-6, 1e-9):
+            seen.clear()
+            assert ibp_residual(HYBRID, f, g, 0.0, 3.0, tol=tol) <= 10 * tol
+            assert seen and set(seen) == {tol}
+
+
+class TestBeyondFloatRange:
+    """A rational hybrid scale whose gap sum is past the largest float."""
+
+    BIG = TimeScale.from_json({"mode": "rational", "pieces": [
+        {"interval": ["0", "1"]}, {"point": "1e400"}, {"point": "2e400"}]})
+
+    def test_poly_data_stay_exact(self):
+        fn = ScaleFn.from_callable(self.BIG, Poly.parse("t", ("t",)))
+        value = delta_integral(self.BIG, fn, 0, self.BIG.max)
+        assert value == (2 * Fraction(10) ** 800 + 2 * Fraction(10) ** 400 - 1) / 2
+
+    def test_plain_callable_raises_domain_error(self):
+        fn = ScaleFn.from_callable(self.BIG, lambda t: t)
+        with pytest.raises(DomainError, match=r"10\^800"):
+            delta_integral(self.BIG, fn, 0, self.BIG.max)
 
 
 class TestDeltaIntegral:

@@ -236,6 +236,20 @@ class TestExitCodes:
             assert len(err.rstrip("\n")) < 200 and "set_int_max_str_digits" not in err
             assert "10^-5000" in err
 
+    def test_rational_hybrid_past_float_range_stays_exact(self, tmp_path):
+        # [0, 1] and two points near 10^400: the gap sum is past the
+        # largest float, and the dense piece is integrated exactly.
+        scale = tmp_path / "scale.json"
+        scale.write_text(json.dumps({"mode": "rational", "pieces": [
+            {"interval": ["0", "1"]}, {"point": "1e400"}, {"point": "2e400"}]}))
+        args = ("--scale", str(scale), "--a", "0", "--b", "2e400")
+        code, text = invoke("integrate", *args, "--fn", "t")
+        assert (code, text) == (0, f"{2 * 10**800 + 2 * 10**400 - 1}/2\n")
+        code, text = invoke("integrate", *args, "--fn", "t", "--format", "json")
+        assert code == 0 and json.loads(text)["results"]["exact"] is True
+        code, text = invoke("ibp-check", *args, "--f", "t", "--g", "t^2")
+        assert code == 0 and "form 1: residual = 0\nform 2: residual = 0\n" in text
+
     def test_env_tolerance(self, monkeypatch):
         args = ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3")
         monkeypatch.setenv("TSVAR_TOL", "1e-8")

@@ -25,6 +25,7 @@ FIX = "tests/fixtures/"
 Z5, Z6, HYBRID = FIX + "z5.json", FIX + "z6.json", FIX + "hybrid01_2.json"
 DPROB, DPROB_BAD = FIX + "dprob_grad2.json", FIX + "dprob_bad_axis.json"
 DPROB_FLOAT = FIX + "dprob_float_grid.json"
+HYBRID_RAT = FIX + "hybrid_rational.json"
 README_ETA = "t1*(4-t1)*t2*(4-t2)"
 
 COMMANDS = [
@@ -63,6 +64,11 @@ COMMANDS = [
     ["double-el", "--problem", DPROB_BAD, "--u", "t1^2*t2 + t2^3", "--refine", "2"],
     ["derivation-check", "--problem", DPROB_BAD, "--u", "t1+t2",
      "--eta", "t1*(1.5-t1)*t2*(1.5-t2)"],
+    # rational hybrid fixture: exact antiderivatives on the interval pieces
+    ["integrate", "--scale", HYBRID_RAT, "--fn", "t^2 + 1", "--a", "0", "--b", "3"],
+    ["integrate", "--scale", HYBRID_RAT, "--fn", "(t+1)^3 - 2/3*t", "--a", "1/2", "--b", "9/4"],
+    ["ibp-check", "--scale", HYBRID_RAT, "--f", "t^2 - 1/3", "--g", "2*t^3 + t",
+     "--a", "0", "--b", "3"],
     # counterexamples
     ["counterexample", "eta-not-c1"],
     ["counterexample", "eta-not-c1", "--t0", "0.5"],

@@ -4,8 +4,10 @@ Random polynomial text is read by both ``Poly.parse`` and sympy, and the
 two must agree term by term, in value and in derivative.  On random
 discrete scales the exact delta derivative (the jump quotient) and the
 delta integral (the sum of mu(t) f(t)) are recomputed in sympy from the
-point list alone.  Skipped when sympy is absent; the runtime never
-imports it.
+point list alone.  On random rational hybrid scales the exact delta
+integral, one- and two-dimensional, is recomputed as sympy's exact gap
+terms plus its ``integrate`` over each interval piece.  Skipped when
+sympy is absent; the runtime never imports it.
 """
 
 import random
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_discrete_scale, rand_fraction
-from tsvar import Poly, ScaleFn, delta_deriv, delta_integral
+from tsvar import (Poly, ProductScale, ScaleFn, SurfaceFn, TimeScale, delta_deriv,
+                   delta_integral, double_integral)
 
 sympy = pytest.importorskip("sympy")
 
@@ -102,3 +105,76 @@ class TestDiscreteCalculusAgainstSympy:
                     sympy.Integer(0))
         got = delta_integral(s, f, s.points()[i], s.points()[j])
         assert isinstance(got, Fraction) and got == as_fraction(total)
+
+
+def rand_hybrid_pieces(rng, k) -> list:
+    """``k`` ascending pieces with rational ends, the first an interval,
+    the rest intervals or isolated points at random, with gaps between."""
+    x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    pieces = []
+    for i in range(k):
+        if i == 0 or rng.random() < 0.5:
+            w = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            pieces.append((x, x + w))
+            x = x + w
+        else:
+            pieces.append((x, x))
+        x = x + Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return pieces
+
+
+def as_scale(pieces) -> TimeScale:
+    return TimeScale(tuple(lo if lo == hi else (lo, hi) for lo, hi in pieces))
+
+
+def sympy_delta_integral(expr, var, pieces, a, b):
+    """The delta integral of ``expr`` in ``var`` over [a, b], read off the
+    piece list: sympy's integral over each dense stretch plus mu(t)
+    f(t) at each right-scattered point of [a, b)."""
+    rat = lambda x: sympy.Rational(x.numerator, x.denominator)
+    total = sympy.Integer(0)
+    for i, (lo, hi) in enumerate(pieces):
+        c, d = max(lo, a), min(hi, b)
+        if c > d:
+            continue
+        if c < d:
+            total += sympy.integrate(expr, (var, rat(c), rat(d)))
+        if d == hi and d < b:
+            total += (rat(pieces[i + 1][0]) - rat(hi)) * expr.subs(var, rat(hi))
+    return sympy.expand(total)
+
+
+class TestRationalHybridAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_delta_integral(self, seed):
+        rng = random.Random(seed)
+        pieces = rand_hybrid_pieces(rng, rng.randint(1, 5))
+        s = as_scale(pieces)
+        text = rand_poly_text(rng, depth=3)
+        f = ScaleFn.from_callable(s, Poly.parse(text, ("t",)))
+        expr = sympy.sympify(text, rational=True)
+        i = rng.randrange(len(pieces))
+        j = rng.randrange(i, len(pieces))
+        a, b = pieces[i][0], pieces[j][1]
+        got = delta_integral(s, f, a, b)
+        assert isinstance(got, Fraction)
+        assert got == as_fraction(sympy_delta_integral(expr, T, pieces, a, b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_double_integral(self, seed):
+        rng = random.Random(seed)
+        p1 = rand_hybrid_pieces(rng, rng.randint(1, 3))
+        p2 = rand_hybrid_pieces(rng, rng.randint(1, 3))
+        s1, s2 = as_scale(p1), as_scale(p2)
+        text = " + ".join(
+            f"({rand_fraction(rng)})*t1^{rng.randint(0, 2)}*t2^{rng.randint(0, 2)}"
+            for _ in range(rng.randint(1, 4)))
+        surf = SurfaceFn.from_callable(s1, s2, Poly.parse(text, ("t1", "t2")))
+        t1, t2 = sympy.symbols("t1 t2")
+        expr = sympy.sympify(text, rational=True)
+        got = double_integral(ProductScale(s1, s2), surf, (s1.min, s1.max, s2.min, s2.max))
+        inner = sympy_delta_integral(expr, t2, p2, s2.min, s2.max)
+        assert isinstance(got, Fraction)
+        assert got == as_fraction(sympy_delta_integral(inner, t1, p1, s1.min, s1.max))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tsvar import Poly
+from tsvar.polyfn import PolySizeError
 
 
 class TestParse:
@@ -92,3 +93,53 @@ class TestAlgebra:
         t = Poly.var(("t",), "t")
         p = (t + Poly.constant(("t",), 1)) ** 2 - t * t
         assert p(Fraction(5)) == 11
+
+
+class TestExactIntegration:
+    """The pieces an exact dense integral is built from."""
+
+    XY = ("x1", "x2")
+
+    def test_scalar_arithmetic_on_either_side(self):
+        x = Poly.var(self.XY, "x1")
+        two = Fraction(2)
+        assert (x + 1)(3, 0) == 4 and (1 + x)(3, 0) == 4
+        assert (x - two)(3, 0) == 1 and (two - x)(3, 0) == -1
+        assert (3 * x)(2, 0) == 6 and (x * Fraction(1, 2))(3, 0) == Fraction(3, 2)
+        assert (x / 4)(2, 0) == Fraction(1, 2)
+
+    def test_floats_are_refused(self):
+        x = Poly.var(self.XY, "x1")
+        for op in (lambda: x * 0.5, lambda: 0.5 + x, lambda: x - 0.5, lambda: x / 2.0):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_call_with_poly_arguments_composes(self):
+        p = Poly.parse("t^2 - 3*t + 1/2", ("t",))
+        x = Poly.var(self.XY, "x1")
+        q = p(x + 1)
+        assert q.variables == self.XY
+        for v in (Fraction(-2), Fraction(1, 3), Fraction(7)):
+            assert q(v, 0) == p(v + 1)
+
+    def test_integrate_inverts_diff(self):
+        p = Poly.parse("3*x1^2*x2 - x2^3 + 5/7*x1 - 2", self.XY)
+        for name in self.XY:
+            prim = p.integrate(name)
+            assert prim.diff(name) == p
+            assert prim.subs(self.XY.index(name), 0) == 0
+
+    def test_subs_is_partial_and_scalar_when_nothing_is_left(self):
+        p = Poly.parse("x1^2*x2 + x2 + 1", self.XY)
+        half = p.subs(1, Fraction(3))
+        assert isinstance(half, Poly)
+        assert half == Poly.parse("3*x1^2 + 4", self.XY)
+        whole = half.subs(0, Fraction(1, 2))
+        assert isinstance(whole, Fraction) and whole == Fraction(19, 4)
+        assert Poly.constant(self.XY, 0).subs(0, 5) == 0
+
+    def test_size_limits_raise_poly_size_error(self):
+        with pytest.raises(PolySizeError):
+            Poly.parse("(t+1)^150*(t+1)^60", ("t",))
+        with pytest.raises(PolySizeError):
+            Poly.parse("t^201", ("t",))

@@ -3,7 +3,7 @@
 Every ```python block runs in order, in one namespace.  A top-level
 expression statement whose trailing comment is itself an expression
 (``ts.sigma(2)  # Fraction(3, 1)``) must equal that value.  A comment in
-prose cannot be evaluated; the three prose claims are asserted
+prose cannot be evaluated; the four prose claims are asserted
 explicitly below, on the values their expressions produced.
 """
 
@@ -60,7 +60,7 @@ def _run_readme():
 
 def test_readme_examples():
     ns, values, checks = _run_readme()
-    assert len(checks) == 8
+    assert len(checks) == 9
     for text, value, expected in checks:
         assert value == expected, text
 
@@ -72,6 +72,11 @@ def test_readme_examples():
     # value 36.75, 'analytic', est_error 0.0
     dres = values['delta_deriv(ts, g, Fraction(7, 2))']
     assert (dres.value, dres.method, dres.est_error) == (36.75, ANALYTIC, 0.0)
+
+    # about 52.75, a float from Simpson
+    approx = values["delta_integral(ts, lambda t: t ** 3, 0, 4)"]
+    assert type(approx) is float and abs(approx - 52.75) <= 1e-9
+    assert type(values["delta_integral(ts, g, 0, 4)"]) is Fraction
 
     # eight labeled steps, every residual exactly 0
     steps = values["[(s.label, s.residual) for s in derivation_chain_check(dp, u, eta)]"]
