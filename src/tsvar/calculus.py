@@ -151,13 +151,15 @@ def tabulated_from_json(obj) -> ScaleFn:
 
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     """Classical derivative of ``fn`` at ``t`` inside a dense piece, as
-    ``(float value, error_estimate, method)``.
+    ``(value, error_estimate, method)``.
 
     ``fn`` must be evaluable throughout the piece.  Uses the analytic
-    derivative when the ScaleFn carries one, else a Richardson limit.
+    derivative when the ScaleFn carries one, unconverted on a rational
+    scale and as a float otherwise, else a float Richardson limit.
     """
     if isinstance(fn, ScaleFn) and fn.deriv is not None:
-        return float(fn.deriv(t)), 0.0, ANALYTIC
+        slope = fn.deriv(t)
+        return (slope if scale.mode == RATIONAL else float(slope)), 0.0, ANALYTIC
     lo, hi = piece
     x = float(t)
     flo, fhi = float(lo), float(hi)
@@ -499,6 +501,6 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
         if abs(slope - float(quot)) > tol:
             findings.append(
                 f"derivative jump at t={fmt_scalar(hi)}: dense-side slope "
-                f"{slope!r} vs gap quotient {fmt_scalar(quot)}"
+                f"{fmt_scalar(slope)} vs gap quotient {fmt_scalar(quot)}"
             )
     return findings

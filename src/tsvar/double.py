@@ -23,9 +23,10 @@ from .calculus import _delta_at, _exact, _iterated
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
-from .scales import (Num, TimeScale, as_scalar, check_grid_size, fmt_scalar, json_object,
-                     scalar_from_json, zero_of)
-from .variational import _coordinate_newton, _lagrangian_partials, _parse_lagrangian
+from .scales import (RATIONAL, Num, TimeScale, as_scalar, check_grid_size, fmt_scalar,
+                     json_object, scalar_from_json, zero_of)
+from .variational import (_check_unknowns, _lagrangian_partials, _newton_minimize,
+                          _parse_lagrangian)
 
 _POLY2_VARS = ("t1", "t2", "y0", "y1", "y2")
 
@@ -571,53 +572,26 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
 
 
 def brute_force_minimizer_2d(dp: DoubleProblem) -> SurfaceFn:
-    """Coordinate-descent minimizer of the discrete double action.
+    """Minimize the discrete double action in the interior values by
+    ``_newton_minimize``, with boundary values from the boundary closure.
 
-    Boundary values come from the problem's boundary closure; interior
-    values move one at a time with Newton steps until every analytic
-    gradient is at most ``NEWTON_GRAD_TOL``, within 4,000 sweeps.
-    Intended for convex integrands on small grids."""
+    Cell [t1, s1) x [t2, s2) reads u at (s1, s2), (t1, s2) and (s1, t2), so
+    the Hessian is banded, about as wide as the second axis is long.  The
+    action must be strictly convex."""
     if not (dp.ax1.is_discrete and dp.ax2.is_discrete):
         raise UnsupportedScaleError("brute-force minimization requires discrete axes")
     if dp.boundary is None:
         raise PreconditionError("boundary data is required")
-    pts1 = dp.ax1.points()
-    pts2 = dp.ax2.points()
-    n1, n2 = len(pts1), len(pts2)
-    if n1 > 8 or n2 > 8:
-        raise PreconditionError("brute force capped at 8 points per axis")
+    pts1, pts2 = dp.ax1.points(), dp.ax2.points()
+    _check_unknowns((len(pts1) - 2) * (len(pts2) - 2))
 
-    f1 = [float(t) for t in pts1]
-    f2 = [float(t) for t in pts2]
-    m1 = [f1[i + 1] - f1[i] for i in range(n1 - 1)]
-    m2 = [f2[j + 1] - f2[j] for j in range(n2 - 1)]
-    u = {(i, j): float(dp.boundary(t1, t2))
-         for i, t1 in enumerate(pts1) for j, t2 in enumerate(pts2)}
-
-    def cell_args(i, j):
-        y0 = u[i + 1, j + 1]
-        y1 = (u[i + 1, j + 1] - u[i, j + 1]) / m1[i]
-        y2 = (u[i + 1, j + 1] - u[i + 1, j]) / m2[j]
-        return (f1[i], f2[j], y0, y1, y2)
-
-    def grad(key):
-        # Cells whose integrand reads u[i, j]: (i-1, j-1) through the
-        # state and both quotients, (i, j-1) through the axis-1
-        # quotient, (i-1, j) through the axis-2 quotient.
-        i, j = key
-        c00 = cell_args(i - 1, j - 1)
-        g = m1[i - 1] * m2[j - 1] * float(dp.partial_y0(*c00))
-        g += m2[j - 1] * float(dp.partial_y1(*c00))
-        g += m1[i - 1] * float(dp.partial_y2(*c00))
-        c10 = cell_args(i, j - 1)
-        g -= m2[j - 1] * float(dp.partial_y1(*c10))
-        c01 = cell_args(i - 1, j)
-        g -= m1[i - 1] * float(dp.partial_y2(*c01))
-        return g
-
-    def finish(values):
-        table = {(pts1[i], pts2[j]): v for (i, j), v in values.items()}
-        return SurfaceFn.from_table(dp.ax1, dp.ax2, table)
-
-    interior = [(i, j) for i in range(1, n1 - 1) for j in range(1, n2 - 1)]
-    return _coordinate_newton(u, interior, grad, finish, 4000)
+    values = {(t1, t2): dp.boundary(t1, t2) for t1 in pts1 for t2 in pts2}
+    cells = [((s1 - t1) * (s2 - t2), (t1, t2),
+              (((1, (s1, s2)),),
+               ((1 / (s1 - t1), (s1, s2)), (-1 / (s1 - t1), (t1, s2))),
+               ((1 / (s2 - t2), (s1, s2)), (-1 / (s2 - t2), (s1, t2)))))
+             for t1, s1 in zip(pts1, pts1[1:]) for t2, s2 in zip(pts2, pts2[1:])]
+    interior = [(t1, t2) for t1 in pts1[1:-1] for t2 in pts2[1:-1]]
+    return _newton_minimize(dp.partials, ("y0", "y1", "y2"), cells, values, interior,
+                            dp.ax1.mode == RATIONAL and dp.ax2.mode == RATIONAL,
+                            lambda v: SurfaceFn.from_table(dp.ax1, dp.ax2, v))

@@ -4,8 +4,8 @@ Covers the integral form of the stationarity condition (the velocity
 partial along a candidate trajectory must equal the accumulated state
 partial plus a constant), the definedness audit at a left-scattered
 right endpoint, an exact fundamental-lemma kernel analyzer for finite
-discrete scales, and a small coordinate-descent action minimizer used
-as the oracle in tests.  The kernel analyzer reads its answer off the
+discrete scales, and a Newton action minimizer on the exact Hessian
+used as the oracle in tests.  The kernel analyzer reads its answer off the
 pairing, whose matrix has at most one nonzero per row and per column,
 instead of eliminating (see ``fl_kernel``).
 """
@@ -13,18 +13,23 @@ instead of eliminating (see ``fl_kernel``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .calculus import ScaleFn, _delta_at, _integrate, _symbolic
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
-from .scales import (Num, TimeScale, check_grid_size, fmt_scalar, json_object,
+from .scales import (RATIONAL, Num, TimeScale, check_grid_size, fmt_scalar, json_object,
                      scalar_from_json, zero_of)
 
-FD_STEP = 1e-6
-# The coordinate-descent minimizers stop once every |gradient| is at most this.
+# The minimizers' float Newton loop stops at max |gradient| <= NEWTON_GRAD_TOL,
+# or fails after NEWTON_MAX_STEPS steps.  They refuse more interior unknowns
+# than MINIMIZER_MAX_UNKNOWNS: exact elimination on an n x n grid takes about
+# n^4 Fraction operations, on numbers that grow with the fill.
 NEWTON_GRAD_TOL = 1e-12
+NEWTON_MAX_STEPS = 50
+MINIMIZER_MAX_UNKNOWNS = 200
 
 BUILTIN_LAGRANGIANS = {
     "v2": "v^2",
@@ -126,10 +131,6 @@ class ELReport:
     c_hat: Num
     max_abs_residual: Num
     definedness_findings: tuple
-
-    @property
-    def residual_fn(self) -> dict:
-        return dict(self.residuals)
 
 
 def definedness_audit(p: VariationalProblem) -> list:
@@ -256,78 +257,100 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
     )
 
 
-def _coordinate_newton(state: dict, keys: list, grad: Callable, finish: Callable,
-                       max_sweeps: int):
-    """Move ``state[k]`` for each interior key in turn by a Newton step.
+def _check_unknowns(count: int) -> None:
+    if count > MINIMIZER_MAX_UNKNOWNS:
+        raise PreconditionError(f"{count} unknowns is above the limit {MINIMIZER_MAX_UNKNOWNS}")
 
-    ``grad(k)`` reads the current ``state``; the curvature comes from a
-    central difference of ``grad``.  Stops once every |gradient| is at
-    most ``NEWTON_GRAD_TOL`` and returns ``finish(state)``; otherwise raises
-    ``ConvergenceError`` with ``finish`` of the best state seen."""
-    if not keys:
-        return finish(state)
-    best = (float("inf"), dict(state))
-    for _ in range(max_sweeps):
-        for k in keys:
-            g = grad(k)
-            h = FD_STEP * max(1.0, abs(state[k]))
-            saved = state[k]
-            state[k] = saved + h
-            g_hi = grad(k)
-            state[k] = saved - h
-            g_lo = grad(k)
-            state[k] = saved
-            curvature = (g_hi - g_lo) / (2.0 * h)
-            if curvature > 1e-12:
-                state[k] -= g / curvature
-            else:
-                state[k] -= g
-        gmax = max(abs(grad(k)) for k in keys)
-        if gmax < best[0]:
-            best = (gmax, dict(state))
-        if gmax <= NEWTON_GRAD_TOL:
-            return finish(state)
-    raise ConvergenceError(
-        f"coordinate descent stalled at max |gradient| = {best[0]:.3e}",
-        estimate=finish(best[1]),
-        error=best[0],
-    )
+
+def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
+                     unknowns: list, rational: bool, finish: Callable):
+    """Minimize the sum over ``cells`` of ``w * L(*targs, *states)`` in the
+    values at ``unknowns``, the other ``values`` fixed; return ``finish(values)``.
+
+    A cell is ``(w, targs, forms)``: state ``wrt[a]`` is the sum of
+    ``c * values[key]`` over the ``(c, key)`` pairs of ``forms[a]``.  The
+    gradient and Hessian follow by the chain rule from L's partials
+    ``first``.  Each Newton step is solved by elimination in the order of
+    ``unknowns``, without pivoting, so fill stays inside the band; a pivot
+    <= 0 shows that the action is not strictly convex.  On a rational
+    problem with L of degree <= 2 in ``wrt`` the arithmetic is exact and one
+    step lands on the minimizer; otherwise floats run to ``NEWTON_GRAD_TOL``."""
+    second = [(a, b, h) for a, d in enumerate(first)
+              for b, h in enumerate(d.diff(x) for x in wrt) if h.terms]
+    exact = rational and not any(h.diff(x).terms for _, _, h in second for x in wrt)
+    num, tol = (Fraction, 0) if exact else (float, NEWTON_GRAD_TOL)
+    values = {k: num(v) for k, v in values.items()}
+    pos = {k: r for r, k in enumerate(unknowns)}
+    # Each form becomes its fixed part and its (c, position) pairs over x.
+    cells = [(num(w), tuple(map(num, targs)),
+              tuple((sum(num(c) * values[k] for c, k in f if k not in pos),
+                     [(num(c), pos[k]) for c, k in f if k in pos]) for f in forms))
+             for w, targs, forms in cells]
+    x = [values[k] for k in unknowns]
+    for step in range(NEWTON_MAX_STEPS + 1):
+        at = [(w, targs + tuple(c0 + sum(c * x[r] for c, r in f) for c0, f in forms), forms)
+              for w, targs, forms in cells]
+        grad = [0] * len(x)
+        for w, args, forms in at:
+            for d, (_, form) in zip(first, forms):
+                g = w * d(*args)
+                for c, r in form:
+                    grad[r] += c * g
+        gmax = max(map(abs, grad), default=0)
+        if gmax <= tol or step == NEWTON_MAX_STEPS:
+            break
+        # upper[r]: row r of the Hessian from the diagonal on, {column: entry}.
+        upper = [{} for _ in x]
+        for w, args, forms in at:
+            for a, b, h in second:
+                wh = w * h(*args)
+                for c1, r in forms[a][1]:
+                    for c2, s in forms[b][1]:
+                        if r <= s:
+                            upper[r][s] = upper[r].get(s, 0) + c1 * c2 * wh
+        for r, row in enumerate(upper):
+            pivot = row.get(r, 0)
+            if not pivot > 0:
+                key = unknowns[r] if isinstance(unknowns[r], tuple) else (unknowns[r],)
+                raise PreconditionError(f"the action is not strictly convex: Hessian pivot "
+                                        f"{fmt_scalar(pivot)} at the unknown value at "
+                                        f"({', '.join(map(fmt_scalar, key))})")
+            for s, h in row.items():
+                if s > r:
+                    ratio = h / pivot
+                    for c, hc in row.items():
+                        if c >= s:
+                            upper[s][c] = upper[s].get(c, 0) - ratio * hc
+                    grad[s] -= ratio * grad[r]
+        # Back substitution turns grad into the Newton step, last unknown first.
+        for r in reversed(range(len(x))):
+            row = upper[r]
+            grad[r] = (grad[r] - sum(h * grad[c] for c, h in row.items() if c > r)) / row[r]
+            x[r] -= grad[r]
+    values.update(zip(unknowns, x))
+    if gmax > tol:
+        raise ConvergenceError(f"Newton's method stopped at max |gradient| = {gmax:.3e} "
+                               f"after {NEWTON_MAX_STEPS} steps", estimate=finish(values),
+                               error=gmax)
+    return finish(values)
 
 
 def brute_force_minimizer(p: VariationalProblem) -> ScaleFn:
-    """Minimize the discrete action by coordinate descent with Newton steps.
-
-    The action is the sum of mu(t) L(t, y(sigma(t)), y_delta(t)) over
-    [a, b).  Interior values move one at a time; boundary values stay
-    fixed.  Converges to max |gradient| <= ``NEWTON_GRAD_TOL`` within
-    2,000 sweeps; intended for convex L.
-    """
+    """Minimize the discrete action, the sum of mu(t) L(t, y(sigma(t)), y_delta(t))
+    over [a, b), in the interior values by ``_newton_minimize``.  Its Hessian
+    is tridiagonal; the action must be strictly convex."""
     if not p.world.is_discrete:
         raise UnsupportedScaleError("brute-force minimization requires a discrete range")
     pts = p.world.points()
-    n = len(pts)
-    if n > 12:
-        raise PreconditionError(f"brute force capped at 12 points, got {n}")
+    _check_unknowns(len(pts) - 2)
     if p.ya is None or p.yb is None:
         raise PreconditionError("boundary values ya, yb are required")
 
-    fl = [float(t) for t in pts]
-    mu = [fl[i + 1] - fl[i] for i in range(n - 1)]
-    ya, yb = float(p.ya), float(p.yb)
-    y = {i: ya + (yb - ya) * (fl[i] - fl[0]) / (fl[-1] - fl[0]) for i in range(n)}
-    y[0], y[n - 1] = ya, yb
-
-    def grad(i):
-        # Cells touching y[i]: the cell at rho (via the state and the
-        # quotient) and the cell at t itself (via the quotient).
-        q_prev = (y[i] - y[i - 1]) / mu[i - 1]
-        g = mu[i - 1] * float(p.partial_y(fl[i - 1], y[i], q_prev))
-        g += float(p.partial_v(fl[i - 1], y[i], q_prev))
-        q_here = (y[i + 1] - y[i]) / mu[i]
-        g -= float(p.partial_v(fl[i], y[i + 1], q_here))
-        return g
-
-    def finish(values):
-        return ScaleFn.from_table(p.scale, {t: values[i] for i, t in enumerate(pts)})
-
-    return _coordinate_newton(y, list(range(1, n - 1)), grad, finish, 2000)
+    a, b = pts[0], pts[-1]
+    values = {t: p.ya + (p.yb - p.ya) * (t - a) / (b - a) for t in pts[1:-1]}
+    values[a], values[b] = p.ya, p.yb
+    # Cell [t, s): y = y(s) and v = (y(s) - y(t)) / mu.
+    cells = [(s - t, (t,), (((1, s),), ((1 / (s - t), s), (-1 / (s - t), t))))
+             for t, s in zip(pts, pts[1:])]
+    return _newton_minimize(p.partials, ("y", "v"), cells, values, pts[1:-1],
+                            p.scale.mode == RATIONAL, lambda v: ScaleFn.from_table(p.scale, v))

@@ -255,14 +255,14 @@ def test_criterion_07_minimizers_are_stationary():
         y = brute_force_minimizer(p)
         rep = el_residual(p, y)
         worst_1d = max(worst_1d, abs(float(rep.max_abs_residual)))
-        ok = ok and float(rep.max_abs_residual) <= 1e-9
+        ok = ok and type(rep.max_abs_residual) is Fraction and rep.max_abs_residual == 0
 
     dp = DoubleProblem.from_json(
         json.loads((FIX / "dprob_grad2.json").read_text())
     )
     u = brute_force_minimizer_2d(dp)
     rep2 = double_el_residual(dp, u)
-    ok = ok and float(rep2.max_abs_residual) <= 1e-9
+    ok = ok and type(rep2.max_abs_residual) is Fraction and rep2.max_abs_residual == 0
     worst_fv = 0.0
     pts = dp.ax1.points()
     for i in pts[1:-1]:
@@ -280,9 +280,9 @@ def test_criterion_07_minimizers_are_stationary():
     verdict(
         7,
         ok,
-        f"10 random convex problems: max stationarity residual {worst_1d:.2e} <= 1e-9; "
-        f"5x5 Dirichlet minimizer: kernel max {float(rep2.max_abs_residual):.2e} and "
-        f"first variation max {worst_fv:.2e} <= 1e-9 over the spanning basis",
+        f"10 random convex problems: max stationarity residual {worst_1d:.2e}, exactly 0; "
+        f"5x5 Dirichlet minimizer: kernel max {float(rep2.max_abs_residual):.2e}, exactly 0, "
+        f"and first variation max {worst_fv:.2e} <= 1e-9 over the spanning basis",
         elapsed, budget=60.0,
     )
 

@@ -26,6 +26,7 @@ from tsvar import (
     sigma_diff_audit,
     surface_from_json,
 )
+from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
 
 AX4 = TimeScale.discrete(range(4))
 AX5 = TimeScale.discrete(range(5))
@@ -371,13 +372,28 @@ class TestMinimizer2D:
         with pytest.raises(PreconditionError):
             brute_force_minimizer_2d(dp)
 
-    def test_size_cap(self):
-        big = TimeScale.discrete(range(9))
-        dp = DoubleProblem.from_json(
-            {"scale1": big.to_json(), "scale2": big.to_json(),
-             "lagrangian": "builtin:grad2", "boundary": "t1"}
-        )
-        with pytest.raises(PreconditionError):
+    def test_nine_by_nine_solves_exactly(self):
+        nine = TimeScale.discrete(range(9))
+        dp = grad2_problem(nine, nine, boundary="t1*t2 + t1^2")
+        rep = double_el_residual(dp, brute_force_minimizer_2d(dp))
+        assert type(rep.max_abs_residual) is Fraction and rep.max_abs_residual == 0
+
+    def test_random_rational_grid_solves_exactly(self):
+        rng = random.Random(88)
+        ax1, ax2 = rand_discrete_scale(rng, 8), rand_discrete_scale(rng, 8)
+        # Coefficients of at least 1/3 keep the action strictly convex.
+        c = [rand_fraction(rng, 1, 4, 3) for _ in range(3)]
+        poly = Poly.parse(f"({c[0]})*y1^2 + ({c[1]})*y2^2 + ({c[2]})*y0^2 + (1/2)*y1*y2"
+                          " + t1*y0 - 2*t2*y1 + y0", VARS2)
+        dp = DoubleProblem(ProductScale(ax1, ax2), ax1.min, ax1.max, ax2.min, ax2.max, poly,
+                           Poly.parse("t1 - 2*t2 + 1/3", ("t1", "t2")))
+        rep = double_el_residual(dp, brute_force_minimizer_2d(dp))
+        assert type(rep.max_abs_residual) is Fraction and rep.max_abs_residual == 0
+
+    def test_unknowns_bound(self):
+        long_axis = TimeScale.discrete(range(MINIMIZER_MAX_UNKNOWNS + 3))
+        dp = grad2_problem(TimeScale.discrete(range(3)), long_axis)
+        with pytest.raises(PreconditionError, match="above the limit"):
             brute_force_minimizer_2d(dp)
 
 

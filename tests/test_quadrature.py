@@ -4,12 +4,13 @@ import math
 import pytest
 
 from tsvar import (ConvergenceError, adaptive_simpson, brute_force_minimizer,
-                   brute_force_minimizer_2d, richardson_limit)
+                   brute_force_minimizer_2d, richardson_limit, variational)
 
 
 def test_iteration_caps_are_module_constants():
-    # Depth, step and sweep caps and the minimizers' gradient tolerance
-    # are fixed constants, not per-call settings.
+    # Depth and step caps, the minimizers' Newton step cap, gradient
+    # tolerance and bound on unknowns are fixed constants, not per-call
+    # settings.
     signatures = {fn.__name__: list(inspect.signature(fn).parameters)
                   for fn in (adaptive_simpson, richardson_limit,
                              brute_force_minimizer, brute_force_minimizer_2d)}
@@ -19,6 +20,10 @@ def test_iteration_caps_are_module_constants():
         "brute_force_minimizer": ["p"],
         "brute_force_minimizer_2d": ["dp"],
     }
+    assert type(variational.NEWTON_MAX_STEPS) is int and variational.NEWTON_MAX_STEPS > 0
+    assert type(variational.MINIMIZER_MAX_UNKNOWNS) is int
+    assert variational.MINIMIZER_MAX_UNKNOWNS > 0
+    assert 0 < variational.NEWTON_GRAD_TOL < 1e-9
 
 
 class TestAdaptiveSimpson:

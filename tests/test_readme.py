@@ -69,9 +69,13 @@ def test_readme_examples():
     assert type(quotient) is Fraction and quotient == 7
     assert eval("delta_deriv(f.scale, f, 3)", ns).method == EXACT_QUOTIENT
 
-    # value 36.75, 'analytic', est_error 0.0
+    # value Fraction(147, 4), 'analytic', est_error 0.0
     dres = values['delta_deriv(ts, g, Fraction(7, 2))']
-    assert (dres.value, dres.method, dres.est_error) == (36.75, ANALYTIC, 0.0)
+    assert type(dres.value) is Fraction
+    assert (dres.value, dres.method, dres.est_error) == (Fraction(147, 4), ANALYTIC, 0.0)
+
+    # Fraction(0): the minimizer is exact on a rational scale
+    assert type(values["el_residual(p, y).max_abs_residual"]) is Fraction
 
     # about 52.75, a float from Simpson
     approx = values["delta_integral(ts, lambda t: t ** 3, 0, 4)"]

@@ -25,6 +25,7 @@ from tsvar import (
     lagrangian_from_spec,
     nabla_integral_discrete,
 )
+from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
 
 Z6 = TimeScale.discrete(range(6))
 
@@ -130,7 +131,7 @@ class TestELResidual:
     def test_square_trajectory_misses(self):
         rep = el_residual(v2_problem(), ScaleFn.from_callable(Z6, lambda t: t * t))
         assert rep.max_abs_residual == 8
-        assert rep.residual_fn[Fraction(0)] == -8
+        assert dict(rep.residuals)[Fraction(0)] == -8
 
     def test_exact_rational_arithmetic(self):
         rep = el_residual(v2_problem(), ScaleFn.from_callable(Z6, lambda t: t * t))
@@ -340,11 +341,43 @@ class TestMinimizer:
         with pytest.raises(PreconditionError):
             brute_force_minimizer(v2_problem())
 
-    def test_size_cap(self):
-        s = TimeScale.discrete(range(13))
+    def test_thirteen_points_solve_exactly(self):
+        rng = random.Random(13)
+        s = rand_discrete_scale(rng, 13)
+        poly = Poly.parse("2*v^2 + 3*y^2 - 2*t*y + y", ("t", "y", "v"))
+        p = VariationalProblem(s, s.min, s.max, poly,
+                               ya=rand_fraction(rng), yb=rand_fraction(rng))
+        rep = el_residual(p, brute_force_minimizer(p))
+        assert type(rep.max_abs_residual) is Fraction and rep.max_abs_residual == 0
+
+    def test_unknowns_bound(self):
+        def problem(unknowns):
+            s = TimeScale.discrete(range(unknowns + 2))
+            return VariationalProblem(s, s.min, s.max, Poly.parse("v^2", ("t", "y", "v")),
+                                      ya=Fraction(0), yb=Fraction(1))
+
+        y = brute_force_minimizer(problem(MINIMIZER_MAX_UNKNOWNS))
+        assert y(Fraction(1)) == Fraction(1, MINIMIZER_MAX_UNKNOWNS + 1)
+        with pytest.raises(PreconditionError, match="above the limit"):
+            brute_force_minimizer(problem(MINIMIZER_MAX_UNKNOWNS + 1))
+
+    @pytest.mark.parametrize("scale, spec", [
+        (TimeScale.discrete(range(7)), "v^4 + v^2 + y^2"),
+        (TimeScale.discrete([0.0, 0.5, 1.25, 2.0, 3.5, 4.0, 6.0], mode=FLOAT), "v^2 + y^2"),
+    ])
+    def test_float_loop(self, scale, spec):
+        # A quartic Lagrangian, or a float scale, takes the float loop.
+        p = VariationalProblem(scale, scale.min, scale.max, Poly.parse(spec, ("t", "y", "v")),
+                               ya=1, yb=5)
+        y = brute_force_minimizer(p)
+        # Its values are binary floats, tabulated as Fractions on a rational scale.
+        assert all(y(t) == Fraction(float(y(t))) for t in p.world.points())
+        assert abs(el_residual(p, y).max_abs_residual) <= 1e-9
+
+    def test_not_strictly_convex_is_refused_at_once(self):
         p = VariationalProblem.from_json(
-            {"scale": s.to_json(), "a": 0, "b": 12, "lagrangian": "builtin:v2",
-             "boundary": {"ya": 0, "yb": 1}}
+            {"scale": TimeScale.discrete(range(7)).to_json(), "a": 0, "b": 6,
+             "lagrangian": "builtin:harmonic", "boundary": {"ya": 0, "yb": 1}}
         )
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="not strictly convex"):
             brute_force_minimizer(p)
