@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .errors import DomainError, UnsupportedScaleError
@@ -456,22 +457,31 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
         raise ValueError("form must be 1 or 2")
     a = scale.require(a)
     b = scale.require(b)
-    boundary = f(b) * g(b) - f(a) * g(a)
+    # Gap points, their forward jumps and the ends are points of the
+    # scale: f, g and sigma are read once at each, for both integrals.
+    f_, g_, sigma = cache(f), cache(g), cache(scale.sigma)
+    boundary = f_(b) * g_(b) - f_(a) * g_(a)
+
+    def quotient(fn, t):
+        """The jump quotient of ``fn`` at the right-scattered ``t``."""
+        st = sigma(t)
+        return (fn(st) - fn(t)) / (st - t)
+
     # The forms differ only in which factor takes sigma at gap points;
     # on dense pieces sigma(t) = t and both read the same.
-    f_at = scale.sigma if form == 1 else (lambda t: t)
-    g_at = (lambda t: t) if form == 1 else scale.sigma
+    f_at = sigma if form == 1 else (lambda t: t)
+    g_at = (lambda t: t) if form == 1 else sigma
     node = _symbolic(f, g)
     lhs = _integrate(
         scale, a, b,
-        point_value=lambda t: f(f_at(t)) * _delta_at(scale, g, t, tol=tol)[0],
+        point_value=lambda t: f_(f_at(t)) * quotient(g_, t),
         dense_value=lambda x: f(x) * _delta_at(scale, g, x, True, tol=tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, a, b,
-        point_value=lambda t: _delta_at(scale, f, t, tol=tol)[0] * g(g_at(t)),
+        point_value=lambda t: quotient(f_, t) * g_(g_at(t)),
         dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g(x),
         tol=tol,
         node=node,

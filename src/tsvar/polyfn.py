@@ -5,12 +5,26 @@ must arrive as tabulated values.  Polynomials double as Lagrangian
 definitions: they evaluate exactly on Fractions and provide analytic
 partial derivatives, which keeps every identity check on discrete
 rational scales exact.
+
+Calling a ``Poly`` takes one of three branches, chosen by argument type:
+
+- exact scalars (``int``, ``Fraction``): integer arithmetic over one
+  common denominator, from a plan of scaled integer coefficients built
+  once per ``Poly``, and a single ``Fraction`` at the end;
+- any ``Poly`` argument (a symbolic node): each power computed once and
+  every term accumulated into one exponent dict;
+- anything else (floats): term by term, so that float sums keep one
+  fixed order and their exact bits.
+
+``subs`` shares the exact branch's plan and power table.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 # Size limits on expanded polynomials.  They bound the time and memory a
 # short expression such as "(t+1)^2000" or "((2^200)^200)^200" can cost;
@@ -32,6 +46,28 @@ _TOKEN = re.compile(
 
 
 _EXACT = (int, Fraction)
+
+
+def _check_bits(c: Fraction) -> None:
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    if bits > POLY_MAX_COEFF_BITS:
+        raise PolySizeError(
+            f"polynomial coefficient too large: {bits} bits (limit {POLY_MAX_COEFF_BITS})"
+        )
+
+
+def _check_same_variables(left: tuple, right: tuple) -> None:
+    if left != right:
+        raise TypeError(
+            f"polynomials over different variables: ({', '.join(left)}) and ({', '.join(right)})"
+        )
+
+
+def _power_table(x, top: int):
+    """For the exact scalar ``x = p/q`` in lowest terms, the integers
+    ``p^e * q^(top - e)`` for e = 0 … top, and ``q^top``."""
+    p, q = x.as_integer_ratio()
+    return [p**e * q ** (top - e) for e in range(top + 1)], q**top
 
 
 def _tokenize(text: str):
@@ -59,7 +95,7 @@ class Poly:
     are immutable by convention.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_plan")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
@@ -67,15 +103,24 @@ class Poly:
         for expo, c in (terms or {}).items():
             c = Fraction(c)
             if c:
-                bits = max(c.numerator.bit_length(), c.denominator.bit_length())
-                if bits > POLY_MAX_COEFF_BITS:
-                    raise PolySizeError(
-                        f"polynomial coefficient too large: {bits} bits "
-                        f"(limit {POLY_MAX_COEFF_BITS})"
-                    )
+                _check_bits(c)
                 expo = tuple(int(e) for e in expo)
                 clean[expo] = clean.get(expo, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}
+        self._plan = None
+
+    @classmethod
+    def _make(cls, variables, terms) -> "Poly":
+        """A Poly over the tuple ``variables`` from ``terms`` that
+        arithmetic produced: distinct tuples of ints mapped to Fractions.
+        Zero coefficients are dropped and the bit limit is still checked."""
+        self = object.__new__(cls)
+        self.variables = variables
+        self.terms = {e: c for e, c in terms.items() if c}
+        for c in self.terms.values():
+            _check_bits(c)
+        self._plan = None
+        return self
 
     @classmethod
     def constant(cls, variables, c) -> "Poly":
@@ -99,22 +144,26 @@ class Poly:
         return hash((self.variables, frozenset(self.terms.items())))
 
     # Arithmetic takes a Poly over the same variables or an exact scalar
-    # (int or Fraction) on either side; a float is refused with TypeError.
+    # (int or Fraction) on either side; a float, or a Poly over other
+    # variables, is refused with TypeError.
 
     def __add__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, _EXACT):
-                return NotImplemented
-            other = Poly.constant(self.variables, other)
+        if isinstance(other, Poly):
+            _check_same_variables(self.variables, other.variables)
+            pairs = other.terms.items()
+        elif isinstance(other, _EXACT):
+            pairs = (((0,) * len(self.variables), Fraction(other)),)
+        else:
+            return NotImplemented
         merged = dict(self.terms)
-        for expo, c in other.terms.items():
-            merged[expo] = merged.get(expo, Fraction(0)) + c
-        return Poly(self.variables, merged)
+        for expo, c in pairs:
+            merged[expo] = merged[expo] + c if expo in merged else c
+        return Poly._make(self.variables, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, (Poly,) + _EXACT):
@@ -132,7 +181,8 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, _EXACT):
                 return NotImplemented
-            return Poly(self.variables, {e: c * other for e, c in self.terms.items()})
+            return Poly._make(self.variables, {e: c * other for e, c in self.terms.items()})
+        _check_same_variables(self.variables, other.variables)
         pairs = len(self.terms) * len(other.terms)
         degree = self.degree() + other.degree()
         if pairs > POLY_MAX_TERM_PAIRS or degree > POLY_MAX_DEGREE:
@@ -143,9 +193,9 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = out.get(expo, Fraction(0)) + c1 * c2
-        return Poly(self.variables, out)
+                expo = tuple(map(add, e1, e2))
+                out[expo] = out[expo] + c1 * c2 if expo in out else c1 * c2
+        return Poly._make(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -168,39 +218,111 @@ class Poly:
         i = self.variables.index(name)
         out = {}
         for expo, c in self.terms.items():
-            if expo[i] == 0:
-                continue
-            lowered = list(expo)
-            lowered[i] -= 1
-            out[tuple(lowered)] = out.get(tuple(lowered), Fraction(0)) + c * expo[i]
-        return Poly(self.variables, out)
+            if expo[i]:
+                lowered = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
+                out[lowered] = c * expo[i]
+        return Poly._make(self.variables, out)
 
     def integrate(self, name: str) -> "Poly":
         """The antiderivative in ``name`` whose terms all contain ``name``."""
         i = self.variables.index(name)
         out = {}
         for expo, c in self.terms.items():
-            raised = list(expo)
-            raised[i] += 1
-            out[tuple(raised)] = c / raised[i]
-        return Poly(self.variables, out)
+            raised = expo[:i] + (expo[i] + 1,) + expo[i + 1:]
+            out[raised] = c / raised[i]
+        return Poly._make(self.variables, out)
+
+    # Evaluation: the three branches of the module docstring.
+
+    def _scalar_plan(self):
+        """``(D, active, tops, terms)``: the lcm ``D`` of the coefficient
+        denominators, the indices of the variables that occur, the top
+        exponent of each, and per term ``(D * c, exponents of active)``."""
+        if self._plan is None:
+            tops = [max(col) for col in zip(*self.terms)] or [0] * len(self.variables)
+            active = tuple(j for j, top in enumerate(tops) if top)
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            terms = tuple(
+                (c.numerator * (den // c.denominator), tuple(expo[j] for j in active))
+                for expo, c in self.terms.items()
+            )
+            self._plan = (den, active, tuple(tops[j] for j in active), terms)
+        return self._plan
+
+    def _exact_call(self, args) -> Fraction:
+        den, active, tops, terms = self._scalar_plan()
+        tables = []
+        for j, top in zip(active, tops):
+            table, q_top = _power_table(args[j], top)
+            tables.append(table)
+            den *= q_top
+        num = 0
+        for n, expo in terms:
+            for table, e in zip(tables, expo):
+                n *= table[e]
+            num += n
+        return Fraction(num, den)
+
+    def _symbolic_call(self, args):
+        variables = None
+        for a in args:
+            if type(a) is Poly:
+                if variables is None:
+                    variables = a.variables
+                _check_same_variables(variables, a.variables)
+            elif not isinstance(a, _EXACT):
+                raise TypeError(f"cannot mix {type(a).__name__} with Poly arguments")
+        powers = [{} for _ in args]
+        out = {}
+        scalar = Fraction(0)
+        symbolic = False
+        for expo, c in self.terms.items():
+            node = None
+            for j, e in enumerate(expo):
+                if e:
+                    power = powers[j].get(e)
+                    if power is None:
+                        power = powers[j][e] = args[j] ** e
+                    if type(power) is Poly:
+                        node = power if node is None else node * power
+                    else:
+                        c = c * power
+            if node is None:
+                scalar += c
+                continue
+            symbolic = True
+            for e, nc in node.terms.items():
+                nc = c * nc
+                _check_bits(nc)
+                out[e] = out[e] + nc if e in out else nc
+        if not symbolic:
+            return scalar
+        zero = (0,) * len(variables)
+        out[zero] = out[zero] + scalar if zero in out else scalar
+        return Poly._make(variables, out)
 
     def subs(self, i: int, value):
-        """Substitute ``value`` for variable ``i`` in one pass.
+        """Substitute the exact scalar ``value`` for variable ``i``.
 
         The result is a scalar once no variable is left, as from
         ``__call__``; otherwise a Poly over the same variables."""
+        if not isinstance(value, _EXACT):
+            raise TypeError(f"subs takes an int or a Fraction, not {type(value).__name__}")
+        den, active, _, terms = self._scalar_plan()
+        if active in ((), (i,)):
+            return self._exact_call((0,) * i + (value,) + (0,) * (len(self.variables) - i - 1))
+        top = max(expo[i] for expo in self.terms)
+        table, q_top = _power_table(value, top)
+        den *= q_top
         out = {}
-        powers = {}
-        for expo, c in self.terms.items():
-            e = expo[i]
-            if e not in powers:
-                powers[e] = value ** e
+        for expo, (n, _) in zip(self.terms, terms):
             rest = expo[:i] + (0,) + expo[i + 1:]
-            out[rest] = out.get(rest, 0) + c * powers[e]
-        if not any(any(expo) for expo, c in out.items() if c):
+            n *= table[expo[i]]
+            out[rest] = out[rest] + n if rest in out else n
+        out = {e: Fraction(n, den) for e, n in out.items() if n}
+        if not any(any(expo) for expo in out):
             return sum(out.values(), Fraction(0))
-        return Poly(self.variables, out)
+        return Poly._make(self.variables, out)
 
     def __call__(self, *args):
         if len(args) != len(self.variables):
@@ -208,6 +330,13 @@ class Poly:
                 f"expected {len(self.variables)} arguments "
                 f"({', '.join(self.variables)}), got {len(args)}"
             )
+        for a in args:
+            if type(a) is not Fraction and type(a) is not int:
+                break
+        else:
+            return self._exact_call(args)
+        if Poly in map(type, args):
+            return self._symbolic_call(args)
         total = None
         for expo, c in self.terms.items():
             term = c

@@ -1,9 +1,12 @@
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsvar import Poly
-from tsvar.polyfn import PolySizeError
+from tsvar.polyfn import POLY_MAX_COEFF_BITS, PolySizeError
 
 
 class TestParse:
@@ -143,3 +146,160 @@ class TestExactIntegration:
             Poly.parse("(t+1)^150*(t+1)^60", ("t",))
         with pytest.raises(PolySizeError):
             Poly.parse("t^201", ("t",))
+
+
+def naive_call(p: Poly, args):
+    """Reference evaluation: term by term, one power and one sum at a time."""
+    total = None
+    for expo, c in p.terms.items():
+        term = c
+        for v, e in zip(args, expo):
+            if e:
+                term = term * v ** e
+        total = term if total is None else total + term
+    if total is None:
+        return 0.0 if any(isinstance(a, float) for a in args) else Fraction(0)
+    return total
+
+
+NAMES = ("t1", "t2", "y0", "y1", "y2")
+XY = ("x1", "x2")
+fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+exact_scalars = st.one_of(st.integers(-20, 20), fractions)
+
+
+@st.composite
+def polys(draw, variables, max_degree=6, max_terms=8):
+    """A polynomial over ``variables`` of total degree at most ``max_degree``,
+    possibly the zero polynomial."""
+    n = len(variables)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        expo = [0] * n
+        for _ in range(draw(st.integers(0, max_degree))):
+            expo[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(expo)] = draw(fractions)
+    return Poly(variables, terms)
+
+
+@st.composite
+def poly_and_variables(draw):
+    return draw(polys(NAMES[:draw(st.integers(1, 5))]))
+
+
+class TestEvaluationKernel:
+    """Every branch of ``Poly.__call__`` against the term-by-term reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exact_scalars_give_the_same_fraction(self, data):
+        p = data.draw(poly_and_variables())
+        args = [data.draw(exact_scalars) for _ in p.variables]
+        got = p(*args)
+        assert type(got) is Fraction
+        assert got == naive_call(p, args)
+
+    def test_zero_polynomial_is_a_zero_fraction(self):
+        zero = Poly(NAMES, {})
+        assert zero(1, 2, 3, 4, 5) == 0 and type(zero(1, 2, 3, 4, 5)) is Fraction
+        assert zero(*[Fraction(1, 3)] * 5) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_poly_arguments_compose_like_the_reference(self, data):
+        p = data.draw(poly_and_variables())
+        args = [
+            data.draw(st.one_of(fractions, polys(XY, max_degree=2, max_terms=3)))
+            for _ in p.variables
+        ]
+        got = p(*args)
+        want = naive_call(p, args)
+        assert type(got) is type(want)
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_float_arguments_are_bit_identical(self, data):
+        p = data.draw(poly_and_variables())
+        args = [data.draw(st.floats(-3.0, 3.0)) for _ in p.variables]
+        got = p(*args)
+        want = naive_call(p, args)
+        assert got == want and repr(got) == repr(want)
+
+    def test_symbolic_result_is_a_scalar_when_no_poly_argument_occurs(self):
+        x = Poly.var(XY, "x1")
+        p = Poly.parse("t1^2 + 3", ("t1", "t2"))
+        assert p(x, Fraction(5)) == Poly.parse("x1^2 + 3", XY)
+        # Only the scalar argument occurs: the value stays a scalar.
+        q = Poly.parse("t2 + 1", ("t1", "t2"))
+        assert q(x, Fraction(5)) == 6 and type(q(x, Fraction(5))) is Fraction
+
+    def test_subs_matches_the_full_evaluation(self):
+        p = Poly.parse("3/7*x1^3*x2 - 2*x1*x2^2 + 5/3*x2 - 1/4", XY)
+        for a, b in ((Fraction(1, 3), Fraction(-2, 5)), (2, Fraction(7, 9)), (0, 3)):
+            assert p.subs(0, a).subs(1, b) == p(a, b)
+            assert p.subs(1, b).subs(0, a) == p(a, b)
+
+    def test_subs_refuses_floats(self):
+        with pytest.raises(TypeError):
+            Poly.parse("x1", XY).subs(0, 0.5)
+
+
+class TestVariablesMustAgree:
+    """Terms of polynomials over different variables never mix."""
+
+    T = Poly.parse("t^2", ("t",))
+    T12 = Poly.parse("t1 + t2", ("t1", "t2"))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_arithmetic_across_variable_tuples_is_refused(self, op):
+        with pytest.raises(TypeError, match="different variables"):
+            op(self.T, self.T12)
+        with pytest.raises(TypeError, match="different variables"):
+            op(self.T12, self.T)
+
+    def test_call_with_poly_arguments_over_different_variables_is_refused(self):
+        with pytest.raises(TypeError, match="different variables"):
+            self.T12(Poly.var(XY, "x1"), Poly.var(("y",), "y"))
+
+    def test_call_refuses_floats_beside_poly_arguments(self):
+        with pytest.raises(TypeError):
+            self.T12(Poly.var(XY, "x1"), 0.5)
+
+
+class TestSizeLimitsThroughTheKernel:
+    def test_composition_past_the_degree_limit(self):
+        p = Poly.parse("(t+1)^100", ("t",))
+        with pytest.raises(PolySizeError):
+            p(Poly.parse("(x1+1)^3", XY))
+
+    def test_composition_past_the_coefficient_limit(self):
+        p = Poly.parse("t^100", ("t",))
+        with pytest.raises(PolySizeError, match="coefficient too large"):
+            p(Poly.parse("2^50*x1", XY))
+
+    def test_composition_checks_each_term_before_the_sum(self):
+        # The two terms pass the limit and cancel; the term is still refused.
+        p = Poly.parse("t1*t2^100 - t1*t3^100", ("t1", "t2", "t3"))
+        with pytest.raises(PolySizeError, match="coefficient too large"):
+            p(Poly.var(XY, "x1"), 2 ** 50, 2 ** 50)
+
+    def test_products_past_the_coefficient_limit(self):
+        big = Poly(("t",), {(1,): Fraction(2) ** 4000})
+        with pytest.raises(PolySizeError, match="coefficient too large"):
+            big * 2 ** 200
+        with pytest.raises(PolySizeError, match="coefficient too large"):
+            big * big
+        widest = Poly(("t",), {(1,): 2 ** POLY_MAX_COEFF_BITS - 1})
+        with pytest.raises(PolySizeError, match="coefficient too large"):
+            widest + widest
+        with pytest.raises(PolySizeError, match="coefficient too large"):
+            big.integrate("t") * Fraction(1, 3 ** 2600)
+
+    def test_subs_past_the_coefficient_limit(self):
+        p = Poly.parse("x1^100*x2", XY)
+        with pytest.raises(PolySizeError, match="coefficient too large"):
+            p.subs(0, 2 ** 50)
+        assert p.subs(0, 2 ** 40).terms == {(0, 1): Fraction(2) ** 4000}
+        # With no variable left the result is a scalar, which no limit bounds.
+        assert Poly.parse("x1^100", XY).subs(0, 2 ** 50) == 2 ** 5000
