@@ -76,63 +76,28 @@ __all__ = [
     "__version__",
 ]
 
-# The submodule that defines each public name.
+# The submodule that defines each public name, listed by submodule.
 _SUBMODULE = {
-    "ALL_COUNTEREXAMPLES": "counterexamples",
-    "ANALYTIC": "calculus",
-    "BUILTIN_LAGRANGIANS": "variational",
-    "BUILTIN_LAGRANGIANS_2D": "double",
-    "ChainStep": "double",
-    "ConvergenceError": "errors",
-    "DerivResult": "calculus",
-    "DomainError": "errors",
-    "DoubleELReport": "double",
-    "DoubleProblem": "double",
-    "ELReport": "variational",
-    "EXACT_QUOTIENT": "calculus",
-    "FLOAT": "scales",
-    "KernelReport": "variational",
-    "NUMERIC_LIMIT": "calculus",
-    "PointClass": "scales",
-    "Poly": "polyfn",
-    "PreconditionError": "errors",
-    "ProductScale": "double",
-    "RATIONAL": "scales",
-    "ScaleFn": "calculus",
-    "SurfaceFn": "double",
-    "TimeScale": "scales",
-    "UnsupportedScaleError": "errors",
-    "VariationalProblem": "variational",
-    "Verdict": "counterexamples",
-    "action": "double",
-    "adaptive_simpson": "quadrature",
-    "brute_force_minimizer": "variational",
-    "brute_force_minimizer_2d": "double",
-    "cx_eta_not_c1": "counterexamples",
-    "cx_nabla_endpoints": "counterexamples",
-    "cx_omega_degenerate": "counterexamples",
-    "cx_sigma_discontinuity": "counterexamples",
-    "definedness_audit": "variational",
-    "delta_deriv": "calculus",
-    "delta_integral": "calculus",
-    "derivation_chain_check": "double",
-    "double_el_residual": "double",
-    "double_integral": "double",
-    "el_residual": "variational",
-    "first_variation": "double",
-    "fl_kernel": "variational",
-    "fmt_scalar": "scales",
-    "fubini_residual": "double",
-    "ibp_residual": "calculus",
-    "junction_audit": "calculus",
-    "lagrangian_from_spec": "variational",
-    "nabla_integral_discrete": "calculus",
-    "product_rule_residual": "calculus",
-    "richardson_limit": "quadrature",
-    "sigma_diff_audit": "double",
-    "simple_useful_check": "calculus",
-    "surface_from_json": "double",
-    "tabulated_from_json": "calculus",
+    name: module
+    for module, names in {
+        "calculus": "ANALYTIC DerivResult EXACT_QUOTIENT NUMERIC_LIMIT ScaleFn delta_deriv "
+                    "delta_integral ibp_residual junction_audit nabla_integral_discrete "
+                    "product_rule_residual simple_useful_check tabulated_from_json",
+        "counterexamples": "ALL_COUNTEREXAMPLES Verdict cx_eta_not_c1 cx_nabla_endpoints "
+                           "cx_omega_degenerate cx_sigma_discontinuity",
+        "double": "BUILTIN_LAGRANGIANS_2D ChainStep DoubleELReport DoubleProblem ProductScale "
+                  "SurfaceFn action brute_force_minimizer_2d derivation_chain_check "
+                  "double_el_residual double_integral first_variation fubini_residual "
+                  "sigma_diff_audit surface_from_json",
+        "errors": "ConvergenceError DomainError PreconditionError UnsupportedScaleError",
+        "polyfn": "Poly",
+        "quadrature": "adaptive_simpson richardson_limit",
+        "scales": "FLOAT PointClass RATIONAL TimeScale fmt_scalar",
+        "variational": "BUILTIN_LAGRANGIANS ELReport KernelReport VariationalProblem "
+                       "brute_force_minimizer definedness_audit el_residual fl_kernel "
+                       "lagrangian_from_spec",
+    }.items()
+    for name in names.split()
 }
 
 

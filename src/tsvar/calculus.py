@@ -126,13 +126,17 @@ class ScaleFn:
         # test is on the exact type: it runs at every quadrature node.
         if type(t) is Poly:
             return _exact(self.func)(t)
-        t = self.scale.require(t)
-        if self.table is not None:
-            try:
-                return self.table[t]
-            except KeyError:
-                raise DomainError(f"{fmt_scalar(t)} is not tabulated") from None
-        return self.func(t)
+        if self.table is None:
+            return self.func(self.scale.require(t))
+        # A Fraction equal to a tabulated point takes one probe; any other
+        # argument is coerced, snapped and checked first.
+        value = self.table.get(t) if type(t) is Fraction else None
+        if value is None:
+            t = self.scale.require(t)
+            value = self.table.get(t)
+            if value is None:
+                raise DomainError(f"{fmt_scalar(t)} is not tabulated")
+        return value
 
 
 def tabulated_from_json(obj) -> ScaleFn:
@@ -293,25 +297,29 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
 
 
 def _decompose(scale: TimeScale, a, b):
-    """Split [a, b] into ('gap', t) and ('dense', (c, d)) parts, in order.
+    """Split [a, b] into ('gap', (t, mu)) and ('dense', (c, d)) parts, in order.
 
-    Gap entries are right-scattered points t in [a, b) contributing
-    mu(t) f(t) exactly.  Dense entries carry the clipped bounds (c, d).
-    ``a`` must be a point of the scale; the walk starts at its piece.
-    """
+    Gap entries are the right-scattered t in [a, b) with their graininess
+    mu(t), contributing mu(t) f(t) exactly; dense entries carry the clipped
+    bounds.  ``a`` and ``b`` are points of the scale, located once; every
+    other bound and gap is read off the piece tuple by index."""
     pieces = scale.pieces
-    for i in range(scale._locate(a)[0], len(pieces)):
-        lo, hi = pieces[i]
-        if lo > b:
-            break
-        c = max(lo, a)
-        d = min(hi, b)
-        if c > d:
-            continue
-        if c < d:
-            yield ("dense", (c, d))
-        if d < b and d == hi:
-            yield ("gap", d)
+    i = scale._locate(a)[0]
+    j = scale._locate(b)[0]
+    c = max(pieces[i][0], a)
+    # Each piece k < j ends below b, at a right-scattered point whose
+    # forward jump is the low of piece k + 1.  At an isolated point c is
+    # usually hi itself, and the identity test spares a Fraction compare.
+    for k in range(i, j):
+        hi = pieces[k][1]
+        nxt = pieces[k + 1][0]
+        if c is not hi and c < hi:
+            yield ("dense", (c, hi))
+        yield ("gap", (hi, nxt - hi))
+        c = nxt
+    d = min(pieces[j][1], b)
+    if c < d:
+        yield ("dense", (c, d))
 
 
 def _symbolic(*fns):
@@ -343,7 +351,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
                node=None, exact_only: bool = False, cache=None):
     """Delta integral driver shared by every integral in the package.
 
-    ``point_value(t)`` is the exact integrand at a right-scattered t.
+    ``point_value(t)`` is the exact integrand at a right-scattered t,
+    weighted by the graininess ``_decompose`` read off the piece tuple.
     ``dense_value(x)`` is the continuous restriction of the integrand on
     a dense piece, at a float quadrature node or at the symbolic
     ``node``.  Its antiderivative is built at the first dense piece and
@@ -362,8 +371,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
     cache = {} if cache is None else cache
     for kind, payload in _decompose(scale, a, b):
         if kind == "gap":
-            t = payload
-            exact = exact + scale.mu(t) * point_value(t)
+            t, mu = payload
+            exact = exact + mu * point_value(t)
             continue
         c, d = payload
         if "primitive" not in cache:
@@ -408,10 +417,11 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
         raise UnsupportedScaleError(
             "nabla integrals are implemented for purely discrete ranges only"
         )
+    pts = sub.points()
     total = zero_of(scale)
-    for t in sub.points():
-        if t > a:
-            total = total + scale.nu(t) * fn(t)
+    # nu(t) is the gap back to the point before t.
+    for s, t in zip(pts, pts[1:]):
+        total = total + (t - s) * fn(t)
     return total
 
 

@@ -115,16 +115,17 @@ class SurfaceFn:
         if type(t1) is Poly or type(t2) is Poly:
             # A symbolic node lies in its dense piece by construction.
             return _exact(self.func)(t1, t2)
-        t1 = self.scale1.require(t1)
-        t2 = self.scale2.require(t2)
-        if self.table is not None:
-            try:
-                return self.table[(t1, t2)]
-            except KeyError:
-                raise DomainError(
-                    f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) is not tabulated"
-                ) from None
-        return self.func(t1, t2)
+        if self.table is None:
+            return self.func(self.scale1.require(t1), self.scale2.require(t2))
+        # As in ScaleFn: two Fractions equal to a tabulated pair take one probe.
+        exact = type(t1) is Fraction and type(t2) is Fraction
+        value = self.table.get((t1, t2)) if exact else None
+        if value is None:
+            t1, t2 = self.scale1.require(t1), self.scale2.require(t2)
+            value = self.table.get((t1, t2))
+            if value is None:
+                raise DomainError(f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) is not tabulated")
+        return value
 
     def _partial(self, axis: int, t1, t2) -> Num:
         """The analytic classical partial on ``axis`` (1 or 2) at (t1, t2)."""

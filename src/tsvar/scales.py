@@ -232,11 +232,12 @@ class TimeScale:
     pieces: tuple
     mode: str = RATIONAL
     eps: float = 0.0
-    # Lookup index, built once from the canonical pieces: the piece lows
-    # for bisection and a hash from each isolated point to its piece.
-    # Rational scales with an interval piece also keep the lows as floats
-    # (``_keys``, else None), so that quadrature nodes bisect without
+    # Lookup index, built once from the canonical pieces by ``_index``: the
+    # piece lows for bisection and a hash from each isolated point to its
+    # piece.  Rational scales with an interval piece also keep the lows as
+    # floats (``_keys``, else None), so that quadrature nodes bisect without
     # Fraction arithmetic; discrete scales find their points in the hash.
+    # Sub-scales sliced from canonical pieces skip canonicalization (``_sliced``).
     _lows: tuple = field(init=False, repr=False, compare=False)
     _isolated: dict = field(init=False, repr=False, compare=False)
     _keys: Optional[tuple] = field(init=False, repr=False, compare=False)
@@ -248,19 +249,28 @@ class TimeScale:
             raise ValueError("eps must be nonnegative")
         if self.eps and self.mode == RATIONAL:
             raise ValueError("eps-based membership applies to float mode only")
-        pieces = _canonical_pieces(self.pieces, self.mode)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_lows", tuple(lo for lo, _ in pieces))
-        object.__setattr__(
-            self, "_isolated", {lo: i for i, (lo, hi) in enumerate(pieces) if lo == hi}
-        )
+        self._index(_canonical_pieces(self.pieces, self.mode))
+
+    def _index(self, pieces: tuple) -> None:
+        """Store the canonical ``pieces`` and build the lookup index."""
+        lows = tuple(lo for lo, _ in pieces)
+        isolated = {lo: i for i, (lo, hi) in enumerate(pieces) if lo == hi}
         keys = None
-        if self.mode == RATIONAL and len(self._isolated) < len(pieces):
+        if self.mode == RATIONAL and len(isolated) < len(pieces):
             try:
-                keys = tuple(float(lo) for lo in self._lows)
+                keys = tuple(float(lo) for lo in lows)
             except OverflowError:
                 pass
-        object.__setattr__(self, "_keys", keys)
+        # Frozen: the index fields are written past the dataclass __setattr__.
+        vars(self).update(pieces=pieces, _lows=lows, _isolated=isolated, _keys=keys)
+
+    def _sliced(self, pieces: tuple) -> "TimeScale":
+        """This scale's mode and eps on ``pieces``, a clipped run of its own
+        canonical pieces, indexed without canonicalizing them again."""
+        sub = object.__new__(TimeScale)
+        vars(sub).update(mode=self.mode, eps=self.eps)
+        sub._index(pieces)
+        return sub
 
     @classmethod
     def discrete(cls, points: Iterable, mode: str = RATIONAL, eps: float = 0.0) -> "TimeScale":
@@ -395,9 +405,10 @@ class TimeScale:
 
     def truncate_k(self) -> "TimeScale":
         """Drop the maximum when it is left-scattered, else return self."""
-        m = self.max
-        if self.rho(m) < m:
-            return TimeScale(self.pieces[:-1], self.mode, self.eps)
+        pieces = self.pieces
+        # A left-scattered maximum is an isolated point with a piece below.
+        if len(pieces) > 1 and pieces[-1][0] == pieces[-1][1]:
+            return self._sliced(pieces[:-1])
         return self
 
     def truncate_k2(self) -> "TimeScale":
@@ -405,19 +416,17 @@ class TimeScale:
 
     def restrict(self, a, b) -> "TimeScale":
         """The sub-scale [a, b] intersected with this scale."""
-        a = self.require(a)
-        b = self.require(b)
+        i, a = self._find(a)
+        j, b = self._find(b)
         if a > b:
             raise DomainError("restriction endpoints out of order")
         if a == self.min and b == self.max:
             return self
-        out = []
-        for lo, hi in self.pieces:
-            c = max(lo, a)
-            d = min(hi, b)
-            if c <= d:
-                out.append((c, d))
-        return TimeScale(tuple(out), self.mode, self.eps)
+        # The pieces i..j, the first clipped below at a and the last above at b.
+        out = list(self.pieces[i:j + 1])
+        out[0] = (max(out[0][0], a), out[0][1])
+        out[-1] = (out[-1][0], min(out[-1][1], b))
+        return self._sliced(tuple(out))
 
     def grid(self, refinement: int = 0) -> list:
         """Isolated points, interval endpoints, and ``refinement`` equally

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .calculus import ScaleFn, _delta_at, _integrate, _symbolic
@@ -162,8 +163,12 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
         """(t, y(sigma(t)), y_delta(t)); sigma(t) = t at dense nodes."""
         return t, y_hat(t if dense else world.sigma(t)), _delta_at(world, y_hat, t, dense)[0]
 
+    # A grid point's arguments serve L_v there and, when it is
+    # right-scattered, L_y at the gap that starts there: built once.
+    point = cache(traj)
+
     def ly_point(tau):
-        return p.partial_y(*traj(tau))
+        return p.partial_y(*point(tau))
 
     def ly_dense(x):
         return p.partial_y(*traj(x, True))
@@ -173,15 +178,15 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     pts = span.grid(dense_refinement)
     node = _symbolic(y_hat)
     # Every grid step integrates L_y: one exact antiderivative serves all.
-    cache = {}
+    shared = {}
     raw = []
     acc = zero_of(world)
     prev = pts[0]
     for t in pts:
         if t != prev:
-            acc = acc + _integrate(world, prev, t, ly_point, ly_dense, tol, node, cache=cache)
+            acc = acc + _integrate(world, prev, t, ly_point, ly_dense, tol, node, cache=shared)
             prev = t
-        raw.append((t, p.partial_v(*traj(t)) - acc))
+        raw.append((t, p.partial_v(*point(t)) - acc))
 
     c_hat = sum(r for _, r in raw) / len(raw)
     residuals = tuple((t, r - c_hat) for t, r in raw)
@@ -240,7 +245,7 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
     if variant == "delta":
         cols = [t for t in pts if t < b]
         claimed = tuple(sub.truncate_k2().points())
-        pinned = {t for t in cols if sub.sigma(t) < b}
+        pinned = {t for t, st in zip(pts, pts[1:]) if st < b}
     else:
         cols = claimed = tuple(pts)
         pinned = set(pts[1:-1])

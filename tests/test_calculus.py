@@ -120,6 +120,57 @@ class TestScaleFn:
             tabulated_from_json({"scale": s.to_json()})
 
 
+class TestTableProbe:
+    """A Fraction probe reads a table directly; every other argument still
+    goes through the scale's coercion, snapping and refusals."""
+
+    S = TimeScale.discrete([0, Fraction(1, 2), 1])
+    FN = ScaleFn.from_table(S, {0: 3, Fraction(1, 2): 5, 1: 7})
+    SURF = SurfaceFn.from_table(S, S, [[3 * i + j for j in range(3)] for i in range(3)])
+    FLOAT_S = TimeScale.discrete([0.0, 0.5, 1.0], mode=FLOAT, eps=1e-9)
+
+    def test_fraction_probe_reads_the_table(self):
+        assert self.FN(Fraction(1, 2)) == 5
+        assert self.SURF.val(Fraction(1, 2), Fraction(1)) == 5
+
+    def test_booleans_are_still_refused(self):
+        with pytest.raises(DomainError, match="booleans are not scalars"):
+            self.FN(True)
+        for args in ((True, Fraction(0)), (Fraction(0), True)):
+            with pytest.raises(DomainError, match="booleans are not scalars"):
+                self.SURF.val(*args)
+
+    def test_a_fraction_off_the_scale_is_still_refused(self):
+        with pytest.raises(DomainError, match=r"^1/3 is not a point of the scale$"):
+            self.FN(Fraction(1, 3))
+        for args in ((Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(1, 3))):
+            with pytest.raises(DomainError, match=r"^1/3 is not a point of the scale$"):
+                self.SURF.val(*args)
+
+    def test_a_point_missing_from_the_table_is_still_refused(self):
+        fn = ScaleFn(self.S, table={Fraction(0): Fraction(1)})
+        with pytest.raises(DomainError, match="^1/2 is not tabulated$"):
+            fn(Fraction(1, 2))
+        surf = SurfaceFn(self.S, self.S, table={(Fraction(0), Fraction(0)): Fraction(1)})
+        with pytest.raises(DomainError, match=r"^\(0, 1/2\) is not tabulated$"):
+            surf.val(Fraction(0), Fraction(1, 2))
+
+    def test_point_text_is_still_accepted(self):
+        assert self.FN("1/2") == 5
+        assert self.SURF.val("1/2", 1) == 5
+
+    def test_float_table_with_eps_still_snaps(self):
+        fn = ScaleFn.from_table(self.FLOAT_S, {0.0: 1.0, 0.5: 2.0, 1.0: 4.0})
+        surf = SurfaceFn.from_table(self.FLOAT_S, self.FLOAT_S,
+                                    [[3.0 * i + j for j in range(3)] for i in range(3)])
+        near = Fraction(1, 2) + Fraction(1, 10**12)
+        for probe in (0.5 + 1e-12, near, Fraction(1, 2)):
+            assert fn(probe) == 2.0
+            assert surf.val(probe, 1.0) == 5.0
+        with pytest.raises(DomainError, match="is not a point of the scale"):
+            fn(Fraction(1, 4))
+
+
 class TestPolyData:
     """A Poly handed to from_callable brings its own derivative."""
 
@@ -334,6 +385,82 @@ class TestDeltaIntegral:
         assert isinstance(whole, Fraction)
 
 
+def _clip_walk(scale, a, b):
+    """Reference decomposition: clip every piece from a's on to [a, b],
+    with the graininess of each gap point from ``scale.mu``."""
+    pieces = scale.pieces
+    for i in range(scale._locate(a)[0], len(pieces)):
+        lo, hi = pieces[i]
+        if lo > b:
+            break
+        c = max(lo, a)
+        d = min(hi, b)
+        if c > d:
+            continue
+        if c < d:
+            yield ("dense", (c, d))
+        if d < b and d == hi:
+            yield ("gap", (d, scale.mu(d)))
+
+
+def _assert_walks_agree(scale, a, b):
+    a, b = scale.require(a), scale.require(b)
+    got = list(tsvar.calculus._decompose(scale, a, b))
+    want = list(_clip_walk(scale, a, b))
+    # repr tells types and float signs apart.
+    assert repr(got) == repr(want)
+
+
+# Walk scales: an isolated point, a dense piece, two touching-free dense
+# pieces with a point between, and a trailing point.
+_WALK_RAW = (0, (1, 3), 4, (5, 6), 8)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float", "float-eps"])
+def test_decompose_matches_clip_walk_on_every_range(mode):
+    scalar = {"rational": Fraction, "float": float, "float-eps": float}[mode]
+    pieces = tuple(tuple(map(scalar, p)) if isinstance(p, tuple) else scalar(p) for p in _WALK_RAW)
+    s = TimeScale(pieces, FLOAT if mode != "rational" else "rational",
+                  eps=1e-9 if mode == "float-eps" else 0.0)
+    # Every piece end and an interior point of each dense piece: this
+    # covers a at a dense right end, b at a dense left end, a == b and
+    # ranges inside one dense piece.
+    pts = sorted({x for lo, hi in s.pieces for x in (lo, hi, (lo + hi) / 2)})
+    for i, a in enumerate(pts):
+        for b in pts[i:]:
+            _assert_walks_agree(s, a, b)
+    if s.eps:
+        # Queries within eps snap onto the piece ends first.
+        _assert_walks_agree(s, 3.0 + 5e-10, 5.0 - 5e-10)
+    if s.mode == FLOAT:
+        # -0.0 is the point 0.0; the dense bounds keep the piece's own zero.
+        _assert_walks_agree(TimeScale(((0.0, 1.0), 2.0), FLOAT, s.eps), -0.0, 2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=st.lists(st.one_of(st.integers(-20, 20),
+                              st.tuples(st.integers(-20, 20), st.integers(0, 6))),
+                    min_size=1, max_size=10),
+       den=st.integers(1, 4), mode=st.sampled_from(["rational", "float", "float-eps"]),
+       ij=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+def test_decompose_matches_clip_walk(raw, den, mode, ij):
+    if mode == "rational":
+        scalar = lambda k: Fraction(k, den)
+    else:
+        scalar = lambda k: k / den
+    pieces = tuple((scalar(p[0]), scalar(p[0] + p[1])) if isinstance(p, tuple) else scalar(p)
+                   for p in raw)
+    s = TimeScale(pieces, "rational" if mode == "rational" else FLOAT,
+                  eps=0.25 / den if mode == "float-eps" else 0.0)
+    pts = sorted({x for lo, hi in s.pieces for x in (lo, hi, (lo + hi) / 2)})
+    i, j = sorted(k % len(pts) for k in ij)
+    a, b = pts[i], pts[j]
+    if s.eps:
+        # Nudge a query off its point; require snaps it back.
+        a = a - s.eps / 2 if a in s and (a - s.eps / 2) in s else a
+    _assert_walks_agree(s, a, b)
+
+
 class TestNablaIntegral:
     def test_oracle_value(self):
         s = TimeScale.discrete([1, 2, 3])
@@ -345,6 +472,21 @@ class TestNablaIntegral:
         fn = ScaleFn.from_callable(HYBRID, lambda t: t)
         with pytest.raises(UnsupportedScaleError):
             nabla_integral_discrete(HYBRID, fn, 0.0, 3.0)
+
+    def test_range_ends_at_dense_pieces(self):
+        s = TimeScale((0, (1, 2), 3, (4, 5)))
+        fn = ScaleFn.from_callable(s, lambda t: t * t)
+        # Starting inside, ending inside, or spanning a dense piece is refused.
+        for a, b in ((Fraction(3, 2), 3), (0, Fraction(9, 2)), (0, 2)):
+            with pytest.raises(UnsupportedScaleError):
+                nabla_integral_discrete(s, fn, a, b)
+        # From a dense piece's right end the range is discrete:
+        # nu(3) f(3) + nu(4) f(4) = 1 * 9 + 1 * 16.
+        assert nabla_integral_discrete(s, fn, 2, 4) == 25
+        # So is a range up to a dense piece's left end: nu(1) f(1) = 1.
+        assert nabla_integral_discrete(s, fn, 0, 1) == 1
+        for a in (0, 2, Fraction(3, 2), 5):
+            assert nabla_integral_discrete(s, fn, a, a) == 0
 
 
 class TestIdentities:

@@ -369,3 +369,73 @@ def test_float_keys_only_on_rational_scales_with_intervals():
     assert s._keys is None
     assert s.sigma(1) == 10**400 and s.require(10**400) == 10**400
     assert Fraction(1, 2) in s and 10**401 not in s
+
+
+# -- sub-scales sliced from the piece tuple --------------------------------
+
+
+def _clipped(s, a, b):
+    """The pieces of s clipped to [a, b], before any index is built."""
+    out = []
+    for lo, hi in s.pieces:
+        c, d = max(lo, a), min(hi, b)
+        if c <= d:
+            out.append((c, d))
+    return tuple(out)
+
+
+def _assert_same_scale(got, want):
+    """Field by field, the lookup index included."""
+    assert got.pieces == want.pieces
+    assert [tuple(map(type, p)) for p in got.pieces] == [tuple(map(type, p)) for p in want.pieces]
+    assert got._lows == want._lows
+    assert got._isolated == want._isolated
+    assert got._keys == want._keys
+    assert got.is_discrete == want.is_discrete
+    assert (got.mode, got.eps) == (want.mode, want.eps)
+    assert got == want
+
+
+def _check_slices(s, queries):
+    public = lambda pieces: TimeScale(pieces, s.mode, s.eps)
+    pts = sorted({s.require(q) for q in queries if q in s})
+    for i, a in enumerate(pts):
+        for b in pts[i:]:
+            r = s.restrict(a, b)
+            if (a, b) == (s.min, s.max):
+                assert r is s
+            _assert_same_scale(r, public(_clipped(s, a, b)))
+    for got in (s.truncate_k(), s.truncate_k2()):
+        # Truncation drops whole pieces from the top.
+        want = public(s.pieces[:len(got.pieces)])
+        _assert_same_scale(got, want)
+    m = s.max
+    assert (s.truncate_k() is s) == (s.rho(m) == m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_raw_pieces, den=st.integers(1, 4))
+def test_rational_slices_match_public_constructor(raw, den):
+    s = TimeScale(_build_pieces(raw, lambda k: Fraction(k, den)))
+    _check_slices(s, _near_pieces(s.pieces, (Fraction(1, 2 * den),)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_raw_pieces, den=st.sampled_from((1, 3, 4)), eps=st.sampled_from((0.0, 1e-9, 0.3)))
+def test_float_slices_match_public_constructor(raw, den, eps):
+    s = TimeScale(_build_pieces(raw, lambda k: k / den), mode=FLOAT, eps=eps)
+    _check_slices(s, _near_pieces(s.pieces, (1e-12, 0.5)))
+
+
+def test_slices_of_a_scale_past_float_range_keep_no_float_keys():
+    # A point whose numerator is near RATIONAL_MAX_BITS: no float holds it.
+    big = Fraction(2 ** (RATIONAL_MAX_BITS - 1) + 1, 3)
+    s = TimeScale(((0, 1), Fraction(3, 2), big))
+    assert s._keys is None
+    r = s.restrict(Fraction(1, 2), big)
+    assert r._keys is None and r.pieces[-1] == (big, big)
+    _assert_same_scale(r, TimeScale(_clipped(s, Fraction(1, 2), big)))
+    # Without the big point the lows fit in floats again.
+    _assert_same_scale(s.truncate_k(), TimeScale(s.pieces[:-1]))
+    assert s.truncate_k()._keys == (0.0, 1.5)
+    _check_slices(s, [0, Fraction(1, 2), 1, Fraction(3, 2), big])
