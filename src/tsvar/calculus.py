@@ -193,7 +193,7 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
 
 
 def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
-              d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL):
+              d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL, sigma=None):
     """Delta derivative of ``fn`` at ``t`` as ``(value, error_estimate, method)``.
 
     Every delta derivative in the package goes through here.  A
@@ -206,7 +206,8 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
     piece, where ``fn`` is read as its continuous restriction and ``t``
     is used as given.  At a symbolic node the slope is a polynomial
     (``d_analytic``, the data's own derivative, or the derivative of
-    ``fn`` at the node) and no limit runs.
+    ``fn`` at the node) and no limit runs.  A known forward jump ``sigma``
+    past ``t`` gives the quotient with no lookup.
     """
     if dense and type(t) is Poly:
         if d_analytic is not None:
@@ -228,10 +229,11 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
             raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
         i, t = hit
     else:
-        i, t = scale._find(t)
-        st = scale._sigma_at(i, t)
-        if st > t:
-            return (fn(st) - fn(t)) / (st - t), zero_of(scale), EXACT_QUOTIENT
+        if sigma is None or sigma == t:
+            i, t = scale._find(t)
+            sigma = scale._sigma_at(i, t)
+        if sigma > t:
+            return (fn(sigma) - fn(t)) / (sigma - t), zero_of(scale), EXACT_QUOTIENT
         if t == scale.max and scale._rho_at(i, t) < t:
             raise DomainError(
                 f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
@@ -297,12 +299,13 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
 
 
 def _decompose(scale: TimeScale, a, b):
-    """Split [a, b] into ('gap', (t, mu)) and ('dense', (c, d)) parts, in order.
+    """Split [a, b] into ('gap', (t, sigma, mu)) and ('dense', (c, d)) parts, in order.
 
-    Gap entries are the right-scattered t in [a, b) with their graininess
-    mu(t), contributing mu(t) f(t) exactly; dense entries carry the clipped
-    bounds.  ``a`` and ``b`` are points of the scale, located once; every
-    other bound and gap is read off the piece tuple by index."""
+    Gap entries are the right-scattered t in [a, b) with their forward
+    jump sigma(t) and graininess mu(t), contributing mu(t) f(t) exactly;
+    dense entries carry the clipped bounds.  ``a`` and ``b`` are points of
+    the scale, located once; every other bound, jump and gap is read off
+    the piece tuple by index."""
     pieces = scale.pieces
     i = scale._locate(a)[0]
     j = scale._locate(b)[0]
@@ -315,7 +318,7 @@ def _decompose(scale: TimeScale, a, b):
         nxt = pieces[k + 1][0]
         if c is not hi and c < hi:
             yield ("dense", (c, hi))
-        yield ("gap", (hi, nxt - hi))
+        yield ("gap", (hi, nxt, nxt - hi))
         c = nxt
     d = min(pieces[j][1], b)
     if c < d:
@@ -351,8 +354,9 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
                node=None, exact_only: bool = False, cache=None):
     """Delta integral driver shared by every integral in the package.
 
-    ``point_value(t)`` is the exact integrand at a right-scattered t,
-    weighted by the graininess ``_decompose`` read off the piece tuple.
+    ``point_value(t, st, mu)`` is the exact integrand at a right-scattered
+    t, handed the forward jump st = sigma(t) and the graininess mu = st - t
+    that ``_decompose`` read off the piece tuple, and weighted by mu.
     ``dense_value(x)`` is the continuous restriction of the integrand on
     a dense piece, at a float quadrature node or at the symbolic
     ``node``.  Its antiderivative is built at the first dense piece and
@@ -371,8 +375,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
     cache = {} if cache is None else cache
     for kind, payload in _decompose(scale, a, b):
         if kind == "gap":
-            t, mu = payload
-            exact = exact + mu * point_value(t)
+            t, st, mu = payload
+            exact = exact + mu * point_value(t, st, mu)
             continue
         c, d = payload
         if "primitive" not in cache:
@@ -401,7 +405,7 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     """Delta integral of ``fn`` over [a, b]; exact on a rational scale
     when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
-    return _integrate(scale, a, b, point_value=fn, dense_value=fn, tol=tol, node=_symbolic(fn))
+    return _integrate(scale, a, b, lambda t, st, mu: fn(t), fn, tol, _symbolic(fn))
 
 
 def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
@@ -428,18 +432,18 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     """Iterated delta integral over [a1, b1] x [a2, b2], second axis innermost.
 
-    ``G(t1, t2, dense1, dense2)`` is the integrand, told per axis whether
-    it is evaluated at a node of a dense piece (True) or at a
-    right-scattered point (False).  A node is a float, or the symbolic
-    node of that axis when both axes are rational."""
+    ``G(t1, t2, s1, s2)`` is the integrand, handed per axis the forward
+    jump s = sigma(t) of a right-scattered t, or None at a node of a dense
+    piece.  A node is a float, or the symbolic node of that axis when both
+    axes are rational."""
 
-    def inner(t1, dense1):
+    def inner(t1, s1, mu1=None):
         # At a float node of the outer Simpson the inner integral stays
         # numeric; at the outer symbolic node it is exact or refused.
         return _integrate(
             ax2, a2, b2,
-            point_value=lambda t2: G(t1, t2, dense1, False),
-            dense_value=lambda x: G(t1, x, dense1, True),
+            point_value=lambda t2, s2, mu2: G(t1, t2, s1, s2),
+            dense_value=lambda x: G(t1, x, s1, None),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
             exact_only=isinstance(t1, Poly),
@@ -447,8 +451,8 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
 
     return _integrate(
         ax1, a1, b1,
-        point_value=lambda t1: inner(t1, False),
-        dense_value=lambda x: inner(x, True),
+        point_value=inner,
+        dense_value=lambda x: inner(x, None),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
     )
@@ -468,30 +472,23 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     a = scale.require(a)
     b = scale.require(b)
     # Gap points, their forward jumps and the ends are points of the
-    # scale: f, g and sigma are read once at each, for both integrals.
-    f_, g_, sigma = cache(f), cache(g), cache(scale.sigma)
+    # scale: f and g are read once at each, for both integrals.
+    f_, g_ = cache(f), cache(g)
     boundary = f_(b) * g_(b) - f_(a) * g_(a)
-
-    def quotient(fn, t):
-        """The jump quotient of ``fn`` at the right-scattered ``t``."""
-        st = sigma(t)
-        return (fn(st) - fn(t)) / (st - t)
 
     # The forms differ only in which factor takes sigma at gap points;
     # on dense pieces sigma(t) = t and both read the same.
-    f_at = sigma if form == 1 else (lambda t: t)
-    g_at = (lambda t: t) if form == 1 else sigma
     node = _symbolic(f, g)
     lhs = _integrate(
         scale, a, b,
-        point_value=lambda t: f_(f_at(t)) * quotient(g_, t),
+        point_value=lambda t, st, mu: f_(st if form == 1 else t) * ((g_(st) - g_(t)) / mu),
         dense_value=lambda x: f(x) * _delta_at(scale, g, x, True, tol=tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, a, b,
-        point_value=lambda t: quotient(f_, t) * g_(g_at(t)),
+        point_value=lambda t, st, mu: (f_(st) - f_(t)) / mu * g_(t if form == 1 else st),
         dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g(x),
         tol=tol,
         node=node,

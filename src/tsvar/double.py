@@ -250,7 +250,7 @@ def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
     """Iterated double delta integral over the rectangle, t2 axis first."""
     a1, b1, a2, b2 = ps.rect(*rect)
     return _iterated(ps.scale1, ps.scale2, a1, b1, a2, b2,
-                     lambda t1, t2, dense1, dense2: f.val(t1, t2), tol)
+                     lambda t1, t2, s1, s2: f.val(t1, t2), tol)
 
 
 def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
@@ -259,23 +259,26 @@ def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
     a1, b1, a2, b2 = ps.rect(*rect)
     one = double_integral(ps, f, rect, tol)
     two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1,
-                    lambda t2, t1, dense2, dense1: f.val(t1, t2), tol)
+                    lambda t2, t1, s2, s1: f.val(t1, t2), tol)
     return abs(one - two)
 
 
 # -- trajectory plumbing ----------------------------------------------------
 
 
-def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, dense1: bool, dense2: bool) -> tuple:
-    """The argument tuple (t1, t2, u(s1,s2), u_delta1(t1,s2), u_delta2(s1,t2)),
-    with s the forward jump of t, or t itself at a dense quadrature node."""
-    s1 = t1 if dense1 else dp.ax1.sigma(t1)
-    s2 = t2 if dense2 else dp.ax2.sigma(t2)
-    u_ss = u.val(s1, s2)
-    dan1 = (lambda s: u._partial(1, s, s2)) if u.d1fn is not None else None
-    u_d1 = _delta_at(dp.ax1, lambda s: u.val(s, s2), t1, dense1, dan1)[0]
-    dan2 = (lambda s: u._partial(2, s1, s)) if u.d2fn is not None else None
-    u_d2 = _delta_at(dp.ax2, lambda s: u.val(s1, s), t2, dense2, dan2)[0]
+def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2) -> tuple:
+    """The argument tuple (t1, t2, u(x1,x2), u_delta1(t1,x2), u_delta2(x1,t2)).
+
+    Per axis x = s, the forward jump of t that a gap term is handed or a
+    sampled point looked up (s = t keeps the classical slope), or x = t at
+    a dense quadrature node, where s is None."""
+    x1 = t1 if s1 is None else s1
+    x2 = t2 if s2 is None else s2
+    u_ss = u.val(x1, x2)
+    dan1 = (lambda s: u._partial(1, s, x2)) if u.d1fn is not None else None
+    u_d1 = _delta_at(dp.ax1, lambda s: u.val(s, x2), t1, s1 is None, dan1, sigma=s1)[0]
+    dan2 = (lambda s: u._partial(2, x1, s)) if u.d2fn is not None else None
+    u_d2 = _delta_at(dp.ax2, lambda s: u.val(x1, s), t2, s2 is None, dan2, sigma=s2)[0]
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
@@ -305,8 +308,8 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:
     """The double delta integral of the composed integrand over the rectangle."""
 
-    def G(t1, t2, dense1, dense2):
-        return dp.lagrangian(*_traj_args(dp, u, t1, t2, dense1, dense2))
+    def G(t1, t2, s1, s2):
+        return dp.lagrangian(*_traj_args(dp, u, t1, t2, s1, s2))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
 
@@ -320,9 +323,9 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
     vanish on the boundary."""
     _require_vanishes_on_boundary(dp, eta)
 
-    def G(t1, t2, dense1, dense2):
-        args = _traj_args(dp, u_tilde, t1, t2, dense1, dense2)
-        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, dense1, dense2)
+    def G(t1, t2, s1, s2):
+        args = _traj_args(dp, u_tilde, t1, t2, s1, s2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2)
         return (
             dp.partial_y0(*args) * e_ss
             + dp.partial_y1(*args) * e_d1
@@ -344,20 +347,27 @@ class DoubleELReport:
     max_abs_residual: Num
 
 
-def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2,
-                  dense1: bool = False, dense2: bool = False) -> Num:
-    """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2."""
-    args = _traj_args(dp, u, t1, t2, dense1, dense2)
+def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2) -> Num:
+    """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2,
+    with the jumps ``s1``, ``s2`` of ``_traj_args``.  Past (t1, t2) the
+    partials are read at sigma(t), whose own jump is looked up."""
+    args = _traj_args(dp, u, t1, t2, s1, s2)
     term0 = dp.partial_y0(*args)
 
     def F1(s):
-        return dp.partial_y1(*_traj_args(dp, u, s, t2, dense1, dense2))
+        if s is t1:
+            return dp.partial_y1(*args)
+        jump = None if s1 is None else dp.ax1.sigma(s)
+        return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2))
 
     def F2(s):
-        return dp.partial_y2(*_traj_args(dp, u, t1, s, dense1, dense2))
+        if s is t2:
+            return dp.partial_y2(*args)
+        jump = None if s2 is None else dp.ax2.sigma(s)
+        return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump))
 
-    d1 = _delta_at(dp.ax1, F1, t1, dense1)[0]
-    d2 = _delta_at(dp.ax2, F2, t2, dense2)[0]
+    d1 = _delta_at(dp.ax1, F1, t1, s1 is None, sigma=s1)[0]
+    d2 = _delta_at(dp.ax2, F2, t2, s2 is None, sigma=s2)[0]
     return term0 - d1 - d2
 
 
@@ -378,10 +388,12 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
     pts2 = span2.grid(dense_refinement)
     residuals = []
     gaps = []
+    jumps2 = [dp.ax2.sigma(t2) for t2 in pts2]  # sampled: each looked up once
     for t1 in pts1:
-        for t2 in pts2:
+        s1 = dp.ax1.sigma(t1)
+        for t2, s2 in zip(pts2, jumps2):
             try:
-                r = _el_kernel_at(dp, u_tilde, t1, t2)
+                r = _el_kernel_at(dp, u_tilde, t1, t2, s1, s2)
             except DomainError as exc:
                 gaps.append(((t1, t2), str(exc)))
             else:
@@ -405,10 +417,9 @@ def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float)
     rb1 = dp.ax1.rho(dp.b1)
     rb2 = dp.ax2.rho(dp.b2)
 
-    def G(t1, t2, dense1, dense2):
-        r = _el_kernel_at(dp, u, t1, t2, dense1, dense2)
-        return r * eta.val(t1 if dense1 else dp.ax1.sigma(t1),
-                           t2 if dense2 else dp.ax2.sigma(t2))
+    def G(t1, t2, s1, s2):
+        r = _el_kernel_at(dp, u, t1, t2, s1, s2)
+        return r * eta.val(t1 if s1 is None else s1, t2 if s2 is None else s2)
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, rb1, dp.a2, rb2, G, tol)
 
@@ -450,115 +461,106 @@ def _wsum(zero, points, *factors) -> Num:
 
 
 def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
-    ax1, ax2 = dp.ax1, dp.ax2
-    a1, b1, a2, b2 = dp.a1, dp.b1, dp.a2, dp.b2
-    rb1 = ax1.rho(b1)
-    rb2 = ax2.rho(b2)
-    mu1, mu2 = ax1.mu, ax2.mu
-    sg1, sg2 = ax1.sigma, ax2.sigma
-    zero = zero_of(ax1)
+    # The grid is read once into index arrays (points P, gaps M, values U
+    # and E of u and eta, partials L0..L2 on the cells of [a1, b1) x [a2, b2)):
+    # sigma is the next index and nothing is looked up again.  Quotients keep
+    # _delta_at's written order and sums _wsum's grouping: floats do not move.
+    P1, P2 = dp.ax1.points(), dp.ax2.points()
+    M1 = [s - t for t, s in zip(P1, P1[1:])]
+    M2 = [s - t for t, s in zip(P2, P2[1:])]
+    U = [[u.val(t1, t2) for t2 in P2] for t1 in P1]
+    E = [[eta.val(t1, t2) for t2 in P2] for t1 in P1]
+    mu1, mu2 = M1.__getitem__, M2.__getitem__
+    zero = zero_of(dp.ax1)
 
-    def half_open(ax, lo, hi):
-        return [t for t in ax.restrict(lo, hi).points() if t < hi]
+    def d1(F, i, j):
+        return (F[i + 1][j] - F[i][j]) / M1[i]
 
-    P1_full = half_open(ax1, a1, b1)
-    P1_core = half_open(ax1, a1, rb1)
-    P2_full = half_open(ax2, a2, b2)
-    P2_core = half_open(ax2, a2, rb2)
+    def d2(F, i, j):
+        return (F[i][j + 1] - F[i][j]) / M2[j]
 
-    # Every step reads the trajectory partials inside P1_full x P2_full only.
-    partials = {}
-    for t1 in P1_full:
-        for t2 in P2_full:
-            args = _traj_args(dp, u, t1, t2, False, False)
-            partials[t1, t2] = (dp.partial_y0(*args), dp.partial_y1(*args), dp.partial_y2(*args))
+    # Indices of rho1(b1) and rho2(b2): the last cell of each axis.
+    r1, r2 = len(M1) - 1, len(M2) - 1
+    full1, full2 = range(r1 + 1), range(r2 + 1)
+    core1, core2 = range(r1), range(r2)
 
-    def partial(k):
-        return lambda t1, t2: partials[t1, t2][k]
+    def partials_at(i, j):
+        args = (P1[i], P2[j], U[i + 1][j + 1], d1(U, i, j + 1), d2(U, i + 1, j))
+        return dp.partial_y0(*args), dp.partial_y1(*args), dp.partial_y2(*args)
 
-    Ly0, Ly1, Ly2 = partial(0), partial(1), partial(2)
+    cells = [[partials_at(i, j) for j in full2] for i in full1]
+    L0, L1, L2 = ([[c[k] for c in row] for row in cells] for k in range(3))
 
-    e = eta.val
-
-    def d1(F, t1, x2):
-        return _delta_at(ax1, lambda s: F(s, x2), t1)[0]
-
-    def d2(F, x1, t2):
-        return _delta_at(ax2, lambda s: F(x1, s), t2)[0]
-
-    def G(t1, t2):
+    def G(i, j):
         return (
-            Ly0(t1, t2) * e(sg1(t1), sg2(t2))
-            + Ly1(t1, t2) * d1(e, t1, sg2(t2))
-            + Ly2(t1, t2) * d2(e, sg1(t1), t2)
+            L0[i][j] * E[i + 1][j + 1]
+            + L1[i][j] * d1(E, i, j + 1)
+            + L2[i][j] * d2(E, i + 1, j)
         )
 
-    def kernel_term(t1, t2):
-        return (Ly0(t1, t2) - d1(Ly1, t1, t2) - d2(Ly2, t1, t2)) * e(sg1(t1), sg2(t2))
+    def kernel_term(i, j):
+        return (L0[i][j] - d1(L1, i, j) - d2(L2, i, j)) * E[i + 1][j + 1]
 
-    def double_sum(pts1, pts2, fn):
-        return _wsum(zero, pts1, mu1, lambda t1: _wsum(zero, pts2, mu2, lambda t2: fn(t1, t2)))
+    def double_sum(idx1, idx2, fn):
+        return _wsum(zero, idx1, mu1, lambda i: _wsum(zero, idx2, mu2, lambda j: fn(i, j)))
 
     steps = []
 
-    full_sum = double_sum(P1_full, P2_full, G)
+    full_sum = double_sum(full1, full2, G)
 
     # The rectangle splits into the core, the last t1 cell against the
     # t2 core, and the last t2 cell against all of t1.
-    strip1 = half_open(ax1, rb1, b1)
-    strip2 = half_open(ax2, rb2, b2)
-    A = double_sum(P1_core, P2_core, G)
-    B = double_sum(strip1, P2_core, G)
-    C = double_sum(P1_full, strip2, G)
+    A = double_sum(core1, core2, G)
+    B = double_sum([r1], core2, G)
+    C = double_sum(full1, [r2], G)
     steps.append(ChainStep("region-split", abs(full_sum - (A + B + C))))
 
     # Core rewritten by parts per axis: brackets at the far core edges,
     # derivative weight moved onto the trajectory partials.
-    A1 = double_sum(P1_core, P2_core, kernel_term)
-    A2 = _wsum(zero, P2_core, mu2, lambda t2: Ly1(rb1, t2), lambda t2: e(rb1, sg2(t2)))
-    A3 = _wsum(zero, P1_core, mu1, lambda t1: Ly2(t1, rb2), lambda t1: e(sg1(t1), rb2))
+    A1 = double_sum(core1, core2, kernel_term)
+    A2 = _wsum(zero, core2, mu2, lambda j: L1[r1][j], lambda j: E[r1][j + 1])
+    A3 = _wsum(zero, core1, mu1, lambda i: L2[i][r2], lambda i: E[i + 1][r2])
     steps.append(ChainStep("core-by-parts", abs(A - (A1 + A2 + A3))))
 
     # Last t1 cell: the strip is the single graininess-weighted column
     # at rho1(b1), and the state term dies because eta(b1, .) = 0.
-    mu1_rb1 = mu1(rb1)
+    mu1_rb1 = M1[r1]
     strip1_sum = _wsum(
-        zero, P2_core, mu2, lambda t2: mu1_rb1,
-        lambda t2: Ly1(rb1, t2) * d1(e, rb1, sg2(t2)) + Ly2(rb1, t2) * d2(e, sg1(rb1), t2),
+        zero, core2, mu2, lambda j: mu1_rb1,
+        lambda j: L1[r1][j] * d1(E, r1, j + 1) + L2[r1][j] * d2(E, r1 + 1, j),
     )
     steps.append(ChainStep("t1-strip-single-cell", abs(B - strip1_sum)))
 
     # Pointwise: mu1(rho1(b1)) eta_delta1(rho1(b1), sigma2(t2)) folds to
     # -eta(rho1(b1), sigma2(t2)) since eta vanishes at t1 = b1.
-    collapse = max([zero] + [abs(mu1_rb1 * d1(e, rb1, sg2(t2)) + e(rb1, sg2(t2)))
-                             for t2 in P2_core])
+    collapse = max([zero] + [abs(mu1_rb1 * d1(E, r1, j + 1) + E[r1][j + 1]) for j in core2])
     steps.append(ChainStep("strip-collapse-identity", collapse))
 
     strip1_subst = _wsum(
-        zero, P2_core, mu2,
-        lambda t2: -Ly1(rb1, t2) * e(rb1, sg2(t2)) + mu1_rb1 * Ly2(rb1, t2) * d2(e, sg1(rb1), t2),
+        zero, core2, mu2,
+        lambda j: -L1[r1][j] * E[r1][j + 1] + mu1_rb1 * L2[r1][j] * d2(E, r1 + 1, j),
     )
     steps.append(ChainStep("t1-strip-substitute", abs(strip1_sum - strip1_subst)))
 
     # The leftover axis-2 term integrates by parts to zero: bracket and
     # shifted integral both live on the t1 = b1 edge where eta is 0.
-    I1 = _wsum(zero, P2_core, mu2, lambda t2: Ly2(rb1, t2), lambda t2: d2(e, sg1(rb1), t2))
-    I2 = _wsum(zero, P2_core, mu2, lambda t2: d2(Ly2, rb1, t2), lambda t2: e(sg1(rb1), sg2(t2)))
-    bracket = Ly2(rb1, rb2) * e(sg1(rb1), rb2) - Ly2(rb1, a2) * e(sg1(rb1), a2)
-    strip1_reduced = _wsum(zero, P2_core, mu2, lambda t2: -Ly1(rb1, t2) * e(rb1, sg2(t2)))
+    I1 = _wsum(zero, core2, mu2, lambda j: L2[r1][j], lambda j: d2(E, r1 + 1, j))
+    I2 = _wsum(zero, core2, mu2, lambda j: d2(L2, r1, j), lambda j: E[r1 + 1][j + 1])
+    bracket = L2[r1][r2] * E[r1 + 1][r2] - L2[r1][0] * E[r1 + 1][0]
+    strip1_reduced = _wsum(zero, core2, mu2, lambda j: -L1[r1][j] * E[r1][j + 1])
     drop = max(abs(I1 - (bracket - I2)), abs(I1), abs(strip1_subst - strip1_reduced))
     steps.append(ChainStep("t1-strip-drop-d2", drop))
 
     # Last t2 cell: collapse, kill the eta_delta1 term on the top edge,
     # then fold the axis-2 quotient exactly as in the other strip.
-    mu2_rb2 = mu2(rb2)
+    mu2_rb2 = M2[r2]
 
-    def strip2_cell(t1):
-        return Ly1(t1, rb2) * d1(e, t1, sg2(rb2)) + Ly2(t1, rb2) * d2(e, sg1(t1), rb2)
+    def strip2_cell(i):
+        return L1[i][r2] * d1(E, i, r2 + 1) + L2[i][r2] * d2(E, i + 1, r2)
 
-    C1 = _wsum(zero, P1_full, mu1, lambda t1: mu2_rb2, strip2_cell)
-    C2 = _wsum(zero, P1_core + [rb1], mu1, lambda t1: mu2_rb2, strip2_cell)
-    C3 = _wsum(zero, P1_core, mu1, lambda t1: -Ly2(t1, rb2) * e(sg1(t1), rb2))
+    C1 = _wsum(zero, full1, mu1, lambda i: mu2_rb2, strip2_cell)
+    C2 = _wsum(zero, [*core1, r1], mu1, lambda i: mu2_rb2, strip2_cell)
+    C3 = _wsum(zero, core1, mu1, lambda i: -L2[i][r2] * E[i + 1][r2])
     reduce_resid = max(abs(C - C1), abs(C1 - C2), abs(C2 - C3))
     steps.append(ChainStep("t2-strip-reduce", reduce_resid))
 

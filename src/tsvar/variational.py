@@ -167,7 +167,7 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     # right-scattered, L_y at the gap that starts there: built once.
     point = cache(traj)
 
-    def ly_point(tau):
+    def ly_point(tau, st, mu):
         return p.partial_y(*point(tau))
 
     def ly_dense(x):

@@ -27,6 +27,7 @@ from tsvar import (
     delta_integral,
     derivation_chain_check,
     el_residual,
+    first_variation,
     fubini_residual,
     ibp_residual,
     junction_audit,
@@ -35,6 +36,8 @@ from tsvar import (
     simple_useful_check,
     tabulated_from_json,
 )
+from tsvar.double import _el_kernel_at, _kernel_pairing
+from tsvar.quadrature import QUAD_TOL
 
 HYBRID = TimeScale(((0.0, 2.0), (3.0, 3.0)), mode=FLOAT)
 # Rational, with interval ends that are not binary floats.  Each end
@@ -265,6 +268,24 @@ class TestExactDenseIntegrals:
         assert isinstance(step.residual, Fraction) and step.residual == 0
         assert calls == {"simpson": 0, "richardson": 0}
 
+    def test_jump_onto_a_dense_piece_takes_the_analytic_slope(self, calls):
+        # The gap point 1/2 jumps to 1, where the dense piece [1, 2] starts,
+        # so its kernel reads the trajectory at 1 with sigma(1) = 1: a
+        # right-dense point, whose slope is u's own partial, not a quotient
+        # over a zero gap and not a Richardson limit.
+        ps, dp, u, eta = self.double_problem("t1^2*t2")
+        half, one = Fraction(1, 2), Fraction(1)
+        assert self.AXIS.sigma(half) == one == self.AXIS.sigma(one)
+        # grad2 with u = t1^2 t2 at (1/2, 1/2): L_y1 = 2 u_delta1(., sigma2) is
+        # 3 at t1 = 1/2 and 2 * 2 t1 t2 = 4 at (1, 1), so its quotient is 2;
+        # L_y2 = 2 u_delta2(sigma1, .) is 2 at both ends; L_y0 = 0.
+        assert _el_kernel_at(dp, u, half, half, one, one) == -2
+        pairing = _kernel_pairing(dp, u, eta, QUAD_TOL)
+        assert isinstance(pairing, Fraction) and pairing == first_variation(dp, u, eta)
+        (step,) = derivation_chain_check(dp, u, eta)
+        assert step.residual == 0
+        assert calls == {"simpson": 0, "richardson": 0}
+
     def test_plain_callables_take_simpson(self, calls):
         # Reads a symbolic node as x * x; only Simpson may see it.
         square = lambda x: 0 if x == 0 else x * x
@@ -387,7 +408,8 @@ class TestDeltaIntegral:
 
 def _clip_walk(scale, a, b):
     """Reference decomposition: clip every piece from a's on to [a, b],
-    with the graininess of each gap point from ``scale.mu``."""
+    with the forward jump and graininess of each gap point from
+    ``scale.sigma`` and ``scale.mu``."""
     pieces = scale.pieces
     for i in range(scale._locate(a)[0], len(pieces)):
         lo, hi = pieces[i]
@@ -400,7 +422,7 @@ def _clip_walk(scale, a, b):
         if c < d:
             yield ("dense", (c, d))
         if d < b and d == hi:
-            yield ("gap", (d, scale.mu(d)))
+            yield ("gap", (d, scale.sigma(d), scale.mu(d)))
 
 
 def _assert_walks_agree(scale, a, b):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,9 @@ from tsvar import (
     sigma_diff_audit,
     surface_from_json,
 )
+from tsvar.calculus import _delta_at
+from tsvar.double import ChainStep, _chain_discrete, _el_kernel_at, _wsum
+from tsvar.scales import zero_of
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
 
 AX4 = TimeScale.discrete(range(4))
@@ -259,6 +263,27 @@ class TestDoubleELResidual:
         gap_points = {pt for pt, _ in rep.gaps}
         assert (Fraction(3), Fraction(3)) in gap_points
 
+    def test_gap_text_names_the_axis_maximum(self):
+        # Kernels on the last column read u_delta1 at b1 = 3, those on the
+        # last row u_delta2 at b2 = 3/2; axis 1 is differenced first.
+        ax2 = TimeScale.discrete([0, Fraction(1, 2), Fraction(3, 2)])
+        dp = grad2_problem(AX4, ax2)
+        u = SurfaceFn.from_callable(AX4, ax2, lambda a, b: a * b)
+        rep = double_el_residual(dp, u)
+        at_max = "delta derivative undefined at the left-scattered maximum "
+        assert [pt for pt, _ in rep.residuals] == [(0, 0), (1, 0)]
+        assert rep.gaps == (
+            ((0, Fraction(1, 2)), at_max + "3/2"),
+            ((1, Fraction(1, 2)), at_max + "3/2"),
+            ((2, 0), at_max + "3"),
+            ((2, Fraction(1, 2)), at_max + "3"),
+        )
+        # Handed the maximum as its own jump, the kernel raises the same
+        # DomainError, not a zero division.
+        with pytest.raises(DomainError) as exc_info:
+            _el_kernel_at(dp, u, Fraction(3), Fraction(0), Fraction(3), Fraction(1, 2))
+        assert str(exc_info.value) == at_max + "3"
+
     def test_nonstationary_surface_detected(self):
         dp = grad2_problem()
         u = SurfaceFn.from_callable(AX5, AX5, lambda a, b: a * a)
@@ -333,6 +358,145 @@ class TestDerivationChain:
         with pytest.raises(UnsupportedScaleError) as exc_info:
             derivation_chain_check(dp, u, eta)
         assert "left-dense right-scattered" in str(exc_info.value)
+
+
+def _reference_chain(dp, u, eta):
+    """The chain label by label as first written: every jump, graininess
+    and delta quotient looked up on the axes, every value hashed by its
+    (t1, t2) key."""
+    ax1, ax2 = dp.ax1, dp.ax2
+    a1, b1, a2, b2 = dp.a1, dp.b1, dp.a2, dp.b2
+    rb1 = ax1.rho(b1)
+    rb2 = ax2.rho(b2)
+    mu1, mu2 = ax1.mu, ax2.mu
+    sg1, sg2 = ax1.sigma, ax2.sigma
+    zero = zero_of(ax1)
+
+    def half_open(ax, lo, hi):
+        return [t for t in ax.restrict(lo, hi).points() if t < hi]
+
+    P1_full = half_open(ax1, a1, b1)
+    P1_core = half_open(ax1, a1, rb1)
+    P2_full = half_open(ax2, a2, b2)
+    P2_core = half_open(ax2, a2, rb2)
+
+    e = eta.val
+
+    def d1(F, t1, x2):
+        return _delta_at(ax1, lambda s: F(s, x2), t1)[0]
+
+    def d2(F, x1, t2):
+        return _delta_at(ax2, lambda s: F(x1, s), t2)[0]
+
+    partials = {}
+    for t1 in P1_full:
+        for t2 in P2_full:
+            s1, s2 = sg1(t1), sg2(t2)
+            args = (t1, t2, u.val(s1, s2), d1(u.val, t1, s2), d2(u.val, s1, t2))
+            partials[t1, t2] = (dp.partial_y0(*args), dp.partial_y1(*args), dp.partial_y2(*args))
+
+    def partial(k):
+        return lambda t1, t2: partials[t1, t2][k]
+
+    Ly0, Ly1, Ly2 = partial(0), partial(1), partial(2)
+
+    def G(t1, t2):
+        return (
+            Ly0(t1, t2) * e(sg1(t1), sg2(t2))
+            + Ly1(t1, t2) * d1(e, t1, sg2(t2))
+            + Ly2(t1, t2) * d2(e, sg1(t1), t2)
+        )
+
+    def kernel_term(t1, t2):
+        return (Ly0(t1, t2) - d1(Ly1, t1, t2) - d2(Ly2, t1, t2)) * e(sg1(t1), sg2(t2))
+
+    def double_sum(pts1, pts2, fn):
+        return _wsum(zero, pts1, mu1, lambda t1: _wsum(zero, pts2, mu2, lambda t2: fn(t1, t2)))
+
+    steps = []
+    full_sum = double_sum(P1_full, P2_full, G)
+    strip1 = half_open(ax1, rb1, b1)
+    strip2 = half_open(ax2, rb2, b2)
+    A = double_sum(P1_core, P2_core, G)
+    B = double_sum(strip1, P2_core, G)
+    C = double_sum(P1_full, strip2, G)
+    steps.append(ChainStep("region-split", abs(full_sum - (A + B + C))))
+    A1 = double_sum(P1_core, P2_core, kernel_term)
+    A2 = _wsum(zero, P2_core, mu2, lambda t2: Ly1(rb1, t2), lambda t2: e(rb1, sg2(t2)))
+    A3 = _wsum(zero, P1_core, mu1, lambda t1: Ly2(t1, rb2), lambda t1: e(sg1(t1), rb2))
+    steps.append(ChainStep("core-by-parts", abs(A - (A1 + A2 + A3))))
+    mu1_rb1 = mu1(rb1)
+    strip1_sum = _wsum(
+        zero, P2_core, mu2, lambda t2: mu1_rb1,
+        lambda t2: Ly1(rb1, t2) * d1(e, rb1, sg2(t2)) + Ly2(rb1, t2) * d2(e, sg1(rb1), t2),
+    )
+    steps.append(ChainStep("t1-strip-single-cell", abs(B - strip1_sum)))
+    collapse = max([zero] + [abs(mu1_rb1 * d1(e, rb1, sg2(t2)) + e(rb1, sg2(t2)))
+                             for t2 in P2_core])
+    steps.append(ChainStep("strip-collapse-identity", collapse))
+    strip1_subst = _wsum(
+        zero, P2_core, mu2,
+        lambda t2: -Ly1(rb1, t2) * e(rb1, sg2(t2)) + mu1_rb1 * Ly2(rb1, t2) * d2(e, sg1(rb1), t2),
+    )
+    steps.append(ChainStep("t1-strip-substitute", abs(strip1_sum - strip1_subst)))
+    I1 = _wsum(zero, P2_core, mu2, lambda t2: Ly2(rb1, t2), lambda t2: d2(e, sg1(rb1), t2))
+    I2 = _wsum(zero, P2_core, mu2, lambda t2: d2(Ly2, rb1, t2), lambda t2: e(sg1(rb1), sg2(t2)))
+    bracket = Ly2(rb1, rb2) * e(sg1(rb1), rb2) - Ly2(rb1, a2) * e(sg1(rb1), a2)
+    strip1_reduced = _wsum(zero, P2_core, mu2, lambda t2: -Ly1(rb1, t2) * e(rb1, sg2(t2)))
+    drop = max(abs(I1 - (bracket - I2)), abs(I1), abs(strip1_subst - strip1_reduced))
+    steps.append(ChainStep("t1-strip-drop-d2", drop))
+    mu2_rb2 = mu2(rb2)
+
+    def strip2_cell(t1):
+        return Ly1(t1, rb2) * d1(e, t1, sg2(rb2)) + Ly2(t1, rb2) * d2(e, sg1(t1), rb2)
+
+    C1 = _wsum(zero, P1_full, mu1, lambda t1: mu2_rb2, strip2_cell)
+    C2 = _wsum(zero, P1_core + [rb1], mu1, lambda t1: mu2_rb2, strip2_cell)
+    C3 = _wsum(zero, P1_core, mu1, lambda t1: -Ly2(t1, rb2) * e(sg1(t1), rb2))
+    steps.append(ChainStep("t2-strip-reduce", max(abs(C - C1), abs(C1 - C2), abs(C2 - C3))))
+    fv = first_variation(dp, u, eta)
+    steps.append(ChainStep("combine", max(abs(full_sum - A1), abs(fv - A1))))
+    return steps
+
+
+@st.composite
+def chain_problems(draw):
+    """A discrete product problem, rational or float, with 2 to 8 points
+    per axis (2 leaves an empty core), random tabulated u and a random
+    tabulated eta that is zero on the boundary."""
+    rational = draw(st.booleans())
+    num = Fraction if rational else (lambda k, d: k / d)
+
+    def axis():
+        gaps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=7))
+        den = draw(st.integers(1, 3))
+        return [num(k, den) for k in accumulate(gaps, initial=draw(st.integers(-3, 3)))]
+
+    p1, p2 = axis(), axis()
+    value = st.builds(num, st.integers(-9, 9), st.integers(1, 9))
+    mode = "rational" if rational else FLOAT
+    s1, s2 = TimeScale.discrete(p1, mode), TimeScale.discrete(p2, mode)
+    u = [[draw(value) for _ in p2] for _ in p1]
+    eta = [[draw(value) if 0 < i < len(p1) - 1 and 0 < j < len(p2) - 1 else num(0, 1)
+            for j in range(len(p2))] for i in range(len(p1))]
+    lagrangian = rand_quadratic2(random.Random(draw(st.integers(0, 10**6))))
+    dp = DoubleProblem(ProductScale(s1, s2), p1[0], p1[-1], p2[0], p2[-1], lagrangian)
+    return dp, SurfaceFn.from_table(s1, s2, u), SurfaceFn.from_table(s1, s2, eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=chain_problems())
+def test_chain_by_index_matches_the_labelled_walk(problem):
+    dp, u, eta = problem
+    got = _chain_discrete(dp, u, eta)
+    want = _reference_chain(dp, u, eta)
+    assert [s.label for s in got] == [s.label for s in want] == CHAIN_LABELS
+    for g, w in zip(got, want):
+        assert type(g.residual) is type(w.residual), g.label
+        if isinstance(w.residual, float):
+            assert repr(g.residual) == repr(w.residual), g.label
+        else:
+            assert g.residual == w.residual, g.label
 
 
 def ps_axes(ps):
