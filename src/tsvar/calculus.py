@@ -20,6 +20,16 @@ dense piece, where the forward jump leaps across the gap.  Quadrature
 therefore never sees jump compositions: on a dense piece the delta
 integral equals the classical integral of the continuous restriction,
 so dense evaluation substitutes sigma(t) = t and the classical slope.
+
+Exact sums (gap terms mu(t) f(t), nabla terms, the means and double sums
+of the other layers) go through ``_exact_sum``.  While every weight and
+value is an int or a Fraction it adds the products in integers over one
+running common denominator, the lcm of the term denominators, and
+normalizes once, building a single Fraction at the end; each term costs
+a multiply-add instead of a Fraction product and sum, each reduced by
+gcd.  At the first other term (a float, or a ``Poly`` at a symbolic
+node) the exact partial sum is handed to the plain left-to-right loop,
+so float results keep the rounding of the written grouping.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Callable, Optional
 
 from .errors import DomainError, UnsupportedScaleError
@@ -36,6 +47,7 @@ from .scales import (
     RATIONAL,
     Num,
     TimeScale,
+    _ZEROS,
     _magnitude,
     as_scalar,
     fmt_scalar,
@@ -233,7 +245,7 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
             i, t = scale._find(t)
             sigma = scale._sigma_at(i, t)
         if sigma > t:
-            return (fn(sigma) - fn(t)) / (sigma - t), zero_of(scale), EXACT_QUOTIENT
+            return (fn(sigma) - fn(t)) / (sigma - t), _ZEROS[scale.mode], EXACT_QUOTIENT
         if t == scale.max and scale._rho_at(i, t) < t:
             raise DomainError(
                 f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
@@ -325,6 +337,39 @@ def _decompose(scale: TimeScale, a, b):
         yield ("dense", (c, d))
 
 
+def _exact_sum(zero, terms) -> Num:
+    """``zero`` plus the sum of ``w * v`` over the pairs ``(w, v)`` of ``terms``.
+
+    While ``zero`` and every w and v are ints or Fractions, the products
+    are added as integers over a running denominator kept as the lcm of
+    the term denominators, and one Fraction is built at the end, so the
+    result is a Fraction even when every term is an int.  At the first
+    other term the exact partial sum is handed to ``total = total + w * v``
+    and the rest is added left to right, as written."""
+    total = zero
+    terms = iter(terms)
+    if type(zero) is int or type(zero) is Fraction:
+        num, den = zero.as_integer_ratio()
+        for w, v in terms:
+            tw, tv = type(w), type(v)
+            if not ((tw is Fraction or tw is int) and (tv is Fraction or tv is int)):
+                total = Fraction(num, den) + w * v
+                break
+            wn, wd = w.as_integer_ratio()
+            vn, vd = v.as_integer_ratio()
+            q = wd * vd
+            if den % q:
+                m = q // gcd(den, q)
+                num *= m
+                den *= m
+            num += wn * vn * (den // q)
+        else:
+            return Fraction(num, den)
+    for w, v in terms:
+        total = total + w * v
+    return total
+
+
 def _symbolic(*fns):
     """The symbolic node when each of ``fns`` may see it: a ``Poly``, or a
     ``ScaleFn``, which hands the node to ``Poly`` data only.  Otherwise
@@ -369,30 +414,36 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
         raise DomainError("integration range is reversed; integrate forward and negate")
     if a == b:
         return zero_of(scale)
-    exact = zero_of(scale)
-    dense_total = 0.0
-    used_dense = False
     cache = {} if cache is None else cache
-    for kind, payload in _decompose(scale, a, b):
-        if kind == "gap":
-            t, st, mu = payload
-            exact = exact + mu * point_value(t, st, mu)
-            continue
-        c, d = payload
-        if "primitive" not in cache:
-            cache["primitive"] = _primitive(scale, dense_value, node)
-        primitive = cache["primitive"]
-        if primitive is not None:
-            k = _node_var(node)
-            exact = exact + primitive.subs(k, d) - primitive.subs(k, c)
-        elif exact_only:
-            raise _NotPolynomial
-        else:
-            value, _ = adaptive_simpson(lambda x: float(dense_value(x)), float(c), float(d), tol)
-            dense_total += value
-            used_dense = True
-    if not used_dense:
+    simpson = []
+
+    def terms():
+        # Gap terms and exact dense pieces, as (weight, value); Simpson
+        # pieces are kept apart and added in floats.
+        for kind, payload in _decompose(scale, a, b):
+            if kind == "gap":
+                t, st, mu = payload
+                yield mu, point_value(t, st, mu)
+                continue
+            c, d = payload
+            if "primitive" not in cache:
+                cache["primitive"] = _primitive(scale, dense_value, node)
+            primitive = cache["primitive"]
+            if primitive is not None:
+                k = _node_var(node)
+                yield 1, primitive.subs(k, d) - primitive.subs(k, c)
+            elif exact_only:
+                raise _NotPolynomial
+            else:
+                value, _ = adaptive_simpson(lambda x: float(dense_value(x)), float(c), float(d), tol)
+                simpson.append(value)
+
+    exact = _exact_sum(zero_of(scale), terms())
+    if not simpson:
         return exact
+    dense_total = 0.0
+    for value in simpson:
+        dense_total += value
     try:
         return float(exact) + dense_total
     except OverflowError:
@@ -422,11 +473,8 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
             "nabla integrals are implemented for purely discrete ranges only"
         )
     pts = sub.points()
-    total = zero_of(scale)
     # nu(t) is the gap back to the point before t.
-    for s, t in zip(pts, pts[1:]):
-        total = total + (t - s) * fn(t)
-    return total
+    return _exact_sum(zero_of(scale), ((t - s, fn(t)) for s, t in zip(pts, pts[1:])))
 
 
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):

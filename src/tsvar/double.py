@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import _delta_at, _exact, _iterated
+from .calculus import _delta_at, _exact, _exact_sum, _iterated
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -450,14 +450,18 @@ def _wsum(zero, points, *factors) -> Num:
     """Sum over ``points`` of the product of ``factor(t)`` for each factor.
 
     Products are formed left to right, so on float scales every step
-    keeps the rounding of its written grouping."""
-    total = zero
-    for t in points:
-        term = factors[0](t)
-        for f in factors[1:]:
-            term = term * f(t)
-        total = total + term
-    return total
+    keeps the rounding of its written grouping: the last factor is the
+    value and the product of the others its weight in ``_exact_sum``."""
+    *head, last = factors
+
+    def terms():
+        for t in points:
+            weight = head[0](t)
+            for f in head[1:]:
+                weight = weight * f(t)
+            yield weight, last(t)
+
+    return _exact_sum(zero, terms())
 
 
 def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:

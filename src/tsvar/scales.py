@@ -496,9 +496,13 @@ class TimeScale:
         return cls.from_json(json_loads_strict(text))
 
 
+# The additive zero of each numeric mode, shared: both are immutable.
+_ZEROS = {RATIONAL: Fraction(0), FLOAT: 0.0}
+
+
 def zero_of(scale: TimeScale) -> Num:
     """Additive zero in the scale's numeric mode."""
-    return Fraction(0) if scale.mode == RATIONAL else 0.0
+    return _ZEROS[scale.mode]
 
 
 def check_grid_size(refinement: int, *scales: TimeScale) -> None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
-from .calculus import ScaleFn, _delta_at, _integrate, _symbolic
+from .calculus import ScaleFn, _delta_at, _exact_sum, _integrate, _symbolic
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -188,7 +188,13 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
             prev = t
         raw.append((t, p.partial_v(*point(t)) - acc))
 
-    c_hat = sum(r for _, r in raw) / len(raw)
+    # Exact residuals are summed in integers; anything else keeps the
+    # builtin sum and its float rounding.
+    rs = [r for _, r in raw]
+    if all(type(r) is Fraction for r in rs):
+        c_hat = _exact_sum(0, ((1, r) for r in rs)) / len(rs)
+    else:
+        c_hat = sum(rs) / len(rs)
     residuals = tuple((t, r - c_hat) for t, r in raw)
     max_abs = max(abs(r) for _, r in residuals)
     return ELReport(

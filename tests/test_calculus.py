@@ -511,6 +511,93 @@ class TestNablaIntegral:
             assert nabla_integral_discrete(s, fn, a, a) == 0
 
 
+# Denominators from 1 up to large primes, so the running common
+# denominator of _exact_sum both divides and grows.
+_DENOMINATORS = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([97, 7919, 104_729, 1_000_000_007, 2**61 - 1]),
+)
+_EXACT_SCALARS = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.builds(Fraction, st.integers(-10**12, 10**12), _DENOMINATORS),
+)
+_EXACT_PAIRS = st.lists(st.tuples(_EXACT_SCALARS, _EXACT_SCALARS), max_size=30)
+
+
+def _naive_sum(zero, terms):
+    total = zero
+    for w, v in terms:
+        total = total + w * v
+    return total
+
+
+class TestExactSum:
+    """``_exact_sum`` against the plain left-to-right sum it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=_EXACT_PAIRS)
+    def test_exact_terms_equal_the_naive_sum(self, terms):
+        got = tsvar.calculus._exact_sum(Fraction(0), terms)
+        assert type(got) is Fraction and got == _naive_sum(Fraction(0), terms)
+        # An int start gives a Fraction too, even when every term is an int.
+        got = tsvar.calculus._exact_sum(0, iter(terms))
+        assert type(got) is Fraction and got == _naive_sum(Fraction(0), terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=_EXACT_PAIRS, where=st.integers(0, 10**6), side=st.integers(0, 1),
+           x=st.floats(-1e6, 1e6))
+    def test_a_float_term_gives_the_naive_float_bits(self, terms, where, side, x):
+        k = where % (len(terms) + 1)
+        pair = (x, Fraction(3, 7)) if side == 0 else (Fraction(-5, 11), x)
+        terms = terms[:k] + [pair] + terms[k:]
+        got = tsvar.calculus._exact_sum(Fraction(0), terms)
+        want = _naive_sum(Fraction(0), terms)
+        assert type(got) is float and got.hex() == want.hex()
+        # A float start (a float scale) never takes the integer path.
+        got = tsvar.calculus._exact_sum(0.0, terms)
+        assert type(got) is float and got.hex() == _naive_sum(0.0, terms).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=_EXACT_PAIRS, where=st.integers(0, 10**6),
+           coeffs=st.tuples(_EXACT_SCALARS, _EXACT_SCALARS))
+    def test_poly_terms_equal_the_generic_sum(self, terms, where, coeffs):
+        k = where % (len(terms) + 1)
+        node = tsvar.calculus._X1 * coeffs[0] + coeffs[1]
+        terms = terms[:k] + [(Fraction(2, 3), node)] + terms[k:] + [(node, -1)]
+        got = tsvar.calculus._exact_sum(Fraction(0), terms)
+        assert got == _naive_sum(Fraction(0), terms)
+
+
+class TestExactSumEndToEnd:
+    SCALE = TimeScale.discrete([Fraction(-1, 3), 0, Fraction(2, 7), 1, Fraction(9, 4), 5])
+
+    def test_constant_one_integrates_to_a_fraction(self):
+        one = ScaleFn.from_callable(self.SCALE, lambda t: 1)
+        value = delta_integral(self.SCALE, one, self.SCALE.min, self.SCALE.max)
+        # The golden rendering of a result depends on its type.
+        assert type(value) is Fraction and value == Fraction(16, 3)
+
+    def test_float_values_keep_the_loop_bits(self):
+        fn = ScaleFn.from_callable(self.SCALE, lambda t: float(t) / 3)
+        pts = self.SCALE.points()
+        delta = nabla = Fraction(0)
+        for t, s in zip(pts, pts[1:]):
+            delta = delta + (s - t) * fn(t)
+            nabla = nabla + (s - t) * fn(s)
+        got = delta_integral(self.SCALE, fn, pts[0], pts[-1])
+        assert type(got) is float and got.hex() == delta.hex()
+        got = nabla_integral_discrete(self.SCALE, fn, pts[0], pts[-1])
+        assert type(got) is float and got.hex() == nabla.hex()
+
+    def test_fubini_on_a_rational_hybrid_product_stays_exact(self):
+        ps = ProductScale(RAT_HYBRID, TimeScale((0, Fraction(1, 2), (1, 2))))
+        u = SurfaceFn.from_callable(ps.scale1, ps.scale2,
+                                    Poly.parse("t1^2*t2 - 3*t1 + 1/5*t2^3", ("t1", "t2")))
+        rect = (ps.scale1.min, ps.scale1.max, ps.scale2.min, ps.scale2.max)
+        r = fubini_residual(ps, u, rect)
+        assert type(r) is Fraction and r == 0
+
+
 class TestIdentities:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
