@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd
 from typing import Callable, Optional
 
@@ -102,7 +101,8 @@ class ScaleFn:
 
     Closure-backed instances wrap a callable, optionally with an
     analytic classical derivative used on dense pieces.  Tabulated
-    instances carry explicit values on a purely discrete scale and
+    instances carry explicit values on a purely discrete scale, as a list
+    over the scale's point index (None where a point has no value), and
     reject evaluation off the table.
     """
 
@@ -125,12 +125,16 @@ class ScaleFn:
 
     @classmethod
     def from_table(cls, scale: TimeScale, values) -> "ScaleFn":
-        """Tabulate ``values`` (a mapping point -> value) on a discrete scale."""
+        """Tabulate ``values`` (a mapping point -> value) on a discrete scale.
+        Each point may be named by one key only."""
         if not scale.is_discrete:
             raise UnsupportedScaleError("tabulated functions require a purely discrete scale")
-        table = {}
-        for k, v in dict(values).items():
-            table[scale.require(k)] = as_scalar(v, scale.mode)
+        table = [None] * len(scale.pieces)
+        for k, v in values.items():
+            i, t = scale._find(k)
+            if table[i] is not None:
+                raise DomainError(f"the table names {fmt_scalar(t)} twice")
+            table[i] = as_scalar(v, scale.mode)
         return cls(scale, table=table)
 
     def __call__(self, t) -> Num:
@@ -140,14 +144,14 @@ class ScaleFn:
             return _exact(self.func)(t)
         if self.table is None:
             return self.func(self.scale.require(t))
-        # A Fraction equal to a tabulated point takes one probe; any other
+        # One of the scale's own points is found by identity; any other
         # argument is coerced, snapped and checked first.
-        value = self.table.get(t) if type(t) is Fraction else None
+        i = self.scale._ids.get(id(t))
+        if i is None:
+            i, t = self.scale._find(t)
+        value = self.table[i]
         if value is None:
-            t = self.scale.require(t)
-            value = self.table.get(t)
-            if value is None:
-                raise DomainError(f"{fmt_scalar(t)} is not tabulated")
+            raise DomainError(f"{fmt_scalar(t)} is not tabulated")
         return value
 
 
@@ -317,8 +321,8 @@ def _decompose(scale: TimeScale, a, b):
     jump sigma(t) and graininess mu(t), contributing mu(t) f(t) exactly;
     dense entries carry the clipped bounds.  ``a`` and ``b`` are points of
     the scale, located once; every other bound, jump and gap is read off
-    the piece tuple by index."""
-    pieces = scale.pieces
+    the scale's indexed view."""
+    pieces, gaps = scale.pieces, scale._gaps
     i = scale._locate(a)[0]
     j = scale._locate(b)[0]
     c = max(pieces[i][0], a)
@@ -330,7 +334,7 @@ def _decompose(scale: TimeScale, a, b):
         nxt = pieces[k + 1][0]
         if c is not hi and c < hi:
             yield ("dense", (c, hi))
-        yield ("gap", (hi, nxt, nxt - hi))
+        yield ("gap", (hi, nxt, gaps[k]))
         c = nxt
     d = min(pieces[j][1], b)
     if c < d:
@@ -472,9 +476,8 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
         raise UnsupportedScaleError(
             "nabla integrals are implemented for purely discrete ranges only"
         )
-    pts = sub.points()
     # nu(t) is the gap back to the point before t.
-    return _exact_sum(zero_of(scale), ((t - s, fn(t)) for s, t in zip(pts, pts[1:])))
+    return _exact_sum(zero_of(scale), zip(sub._gaps, map(fn, sub._lows[1:])))
 
 
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
@@ -519,24 +522,21 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
         raise ValueError("form must be 1 or 2")
     a = scale.require(a)
     b = scale.require(b)
-    # Gap points, their forward jumps and the ends are points of the
-    # scale: f and g are read once at each, for both integrals.
-    f_, g_ = cache(f), cache(g)
-    boundary = f_(b) * g_(b) - f_(a) * g_(a)
+    boundary = f(b) * g(b) - f(a) * g(a)
 
     # The forms differ only in which factor takes sigma at gap points;
     # on dense pieces sigma(t) = t and both read the same.
     node = _symbolic(f, g)
     lhs = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: f_(st if form == 1 else t) * ((g_(st) - g_(t)) / mu),
+        point_value=lambda t, st, mu: f(st if form == 1 else t) * ((g(st) - g(t)) / mu),
         dense_value=lambda x: f(x) * _delta_at(scale, g, x, True, tol=tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: (f_(st) - f_(t)) / mu * g_(t if form == 1 else st),
+        point_value=lambda t, st, mu: (f(st) - f(t)) / mu * g(t if form == 1 else st),
         dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g(x),
         tol=tol,
         node=node,

@@ -55,7 +55,9 @@ class ProductScale:
 
 
 class SurfaceFn:
-    """Real-valued function on a product scale, closure-backed or tabulated."""
+    """Real-valued function on a product scale, closure-backed or tabulated:
+    a table is a list of rows over the first axis's point index, each a
+    list over the second's (None where a point has no value)."""
 
     __slots__ = ("scale1", "scale2", "func", "d1fn", "d2fn", "table")
 
@@ -89,11 +91,13 @@ class SurfaceFn:
             raise UnsupportedScaleError("tabulated surfaces require discrete axes")
         pts1 = scale1.points()
         pts2 = scale2.points()
-        table = {}
+        table = [[None] * len(pts2) for _ in pts1]
         if isinstance(values, dict):
             for (k1, k2), v in values.items():
-                key = (scale1.require(k1), scale2.require(k2))
-                table[key] = as_scalar(v, scale1.mode)
+                (i, t1), (j, t2) = scale1._find(k1), scale2._find(k2)
+                if table[i][j] is not None:
+                    raise DomainError(f"the table names ({fmt_scalar(t1)}, {fmt_scalar(t2)}) twice")
+                table[i][j] = as_scalar(v, scale1.mode)
         else:
             rows = list(values)
             if len(rows) != len(pts1):
@@ -104,9 +108,9 @@ class SurfaceFn:
                     raise DomainError(
                         f"row {i} has {len(row)} entries, expected {len(pts2)}"
                     )
-                for j, v in enumerate(row):
-                    table[(pts1[i], pts2[j])] = as_scalar(v, scale1.mode)
-        missing = [(t1, t2) for t1 in pts1 for t2 in pts2 if (t1, t2) not in table]
+                table[i] = [as_scalar(v, scale1.mode) for v in row]
+        missing = [(t1, t2) for t1, row in zip(pts1, table)
+                   for t2, v in zip(pts2, row) if v is None]
         if missing:
             raise DomainError(f"table misses {len(missing)} grid points, first {missing[0]}")
         return cls(scale1, scale2, table=table)
@@ -117,14 +121,13 @@ class SurfaceFn:
             return _exact(self.func)(t1, t2)
         if self.table is None:
             return self.func(self.scale1.require(t1), self.scale2.require(t2))
-        # As in ScaleFn: two Fractions equal to a tabulated pair take one probe.
-        exact = type(t1) is Fraction and type(t2) is Fraction
-        value = self.table.get((t1, t2)) if exact else None
+        # As in ScaleFn: the axes' own points are found by identity.
+        i, j = self.scale1._ids.get(id(t1)), self.scale2._ids.get(id(t2))
+        if i is None or j is None:
+            (i, t1), (j, t2) = self.scale1._find(t1), self.scale2._find(t2)
+        value = self.table[i][j]
         if value is None:
-            t1, t2 = self.scale1.require(t1), self.scale2.require(t2)
-            value = self.table.get((t1, t2))
-            if value is None:
-                raise DomainError(f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) is not tabulated")
+            raise DomainError(f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) is not tabulated")
         return value
 
     def _partial(self, axis: int, t1, t2) -> Num:
@@ -465,13 +468,12 @@ def _wsum(zero, points, *factors) -> Num:
 
 
 def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
-    # The grid is read once into index arrays (points P, gaps M, values U
-    # and E of u and eta, partials L0..L2 on the cells of [a1, b1) x [a2, b2)):
-    # sigma is the next index and nothing is looked up again.  Quotients keep
-    # _delta_at's written order and sums _wsum's grouping: floats do not move.
+    # The grid is read once into index arrays (points P, the axes' gaps M,
+    # values U and E of u and eta, partials L0..L2 on the cells of [a1, b1) x
+    # [a2, b2)): sigma is the next index and nothing is looked up again.
+    # Quotients keep _delta_at's written order and sums _wsum's grouping.
     P1, P2 = dp.ax1.points(), dp.ax2.points()
-    M1 = [s - t for t, s in zip(P1, P1[1:])]
-    M2 = [s - t for t, s in zip(P2, P2[1:])]
+    M1, M2 = dp.ax1._gaps, dp.ax2._gaps
     U = [[u.val(t1, t2) for t2 in P2] for t1 in P1]
     E = [[eta.val(t1, t2) for t2 in P2] for t1 in P1]
     mu1, mu2 = M1.__getitem__, M2.__getitem__
@@ -593,11 +595,12 @@ def brute_force_minimizer_2d(dp: DoubleProblem) -> SurfaceFn:
     _check_unknowns((len(pts1) - 2) * (len(pts2) - 2))
 
     values = {(t1, t2): dp.boundary(t1, t2) for t1 in pts1 for t2 in pts2}
-    cells = [((s1 - t1) * (s2 - t2), (t1, t2),
+    cells = [(m1 * m2, (t1, t2),
               (((1, (s1, s2)),),
-               ((1 / (s1 - t1), (s1, s2)), (-1 / (s1 - t1), (t1, s2))),
-               ((1 / (s2 - t2), (s1, s2)), (-1 / (s2 - t2), (s1, t2)))))
-             for t1, s1 in zip(pts1, pts1[1:]) for t2, s2 in zip(pts2, pts2[1:])]
+               ((1 / m1, (s1, s2)), (-1 / m1, (t1, s2))),
+               ((1 / m2, (s1, s2)), (-1 / m2, (s1, t2)))))
+             for t1, s1, m1 in zip(pts1, pts1[1:], dp.ax1._gaps)
+             for t2, s2, m2 in zip(pts2, pts2[1:], dp.ax2._gaps)]
     interior = [(t1, t2) for t1 in pts1[1:-1] for t2 in pts2[1:-1]]
     return _newton_minimize(dp.partials, ("y0", "y1", "y2"), cells, values, interior,
                             dp.ax1.mode == RATIONAL and dp.ax2.mode == RATIONAL,

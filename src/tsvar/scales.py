@@ -11,6 +11,17 @@ A scale commits to a numeric mode at construction.  Rational mode
 stores endpoints as ``fractions.Fraction`` and compares exactly; float
 mode stores binary floats and matches membership with an optional
 absolute tolerance ``eps`` (default 0, exact comparison).
+
+Each scale keeps one private indexed view of its pieces, read by every
+exact walk: the piece lows, the gaps between consecutive pieces (computed
+once; ``restrict`` and ``truncate_k`` slice their parent's), and a map
+from the ``id`` of each of its own endpoint objects to its piece index.
+A point is looked up by identity first, so a walk that hands a scale its
+own points never hashes or compares them.  This is sound because the
+scale keeps those objects alive, so no other live object has the same
+``id`` (``copy.deepcopy``'s memo relies on the same fact).  Other objects
+take the value path: a hash of the isolated points, built at the first
+such probe, then bisection and eps snapping.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -232,14 +244,13 @@ class TimeScale:
     pieces: tuple
     mode: str = RATIONAL
     eps: float = 0.0
-    # Lookup index, built once from the canonical pieces by ``_index``: the
-    # piece lows for bisection and a hash from each isolated point to its
-    # piece.  Rational scales with an interval piece also keep the lows as
-    # floats (``_keys``, else None), so that quadrature nodes bisect without
-    # Fraction arithmetic; discrete scales find their points in the hash.
-    # Sub-scales sliced from canonical pieces skip canonicalization (``_sliced``).
+    # The indexed view (see the module docstring), built by ``_index``; the
+    # gaps and the isolated-point hash are cached properties.  Rational scales
+    # with an interval piece keep float lows too (``_keys``, else None), so
+    # that quadrature nodes bisect without Fraction arithmetic.
     _lows: tuple = field(init=False, repr=False, compare=False)
-    _isolated: dict = field(init=False, repr=False, compare=False)
+    _ids: dict = field(init=False, repr=False, compare=False)
+    _discrete: bool = field(init=False, repr=False, compare=False)
     _keys: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -252,25 +263,45 @@ class TimeScale:
         self._index(_canonical_pieces(self.pieces, self.mode))
 
     def _index(self, pieces: tuple) -> None:
-        """Store the canonical ``pieces`` and build the lookup index."""
+        """Store the canonical ``pieces`` and build the indexed view."""
         lows = tuple(lo for lo, _ in pieces)
-        isolated = {lo: i for i, (lo, hi) in enumerate(pieces) if lo == hi}
+        discrete = all(lo == hi for lo, hi in pieces)
         keys = None
-        if self.mode == RATIONAL and len(isolated) < len(pieces):
+        if self.mode == RATIONAL and not discrete:
             try:
                 keys = tuple(float(lo) for lo in lows)
             except OverflowError:
                 pass
         # Frozen: the index fields are written past the dataclass __setattr__.
-        vars(self).update(pieces=pieces, _lows=lows, _isolated=isolated, _keys=keys)
+        vars(self).update(pieces=pieces, _lows=lows, _discrete=discrete,
+                          _ids={id(x): i for i, piece in enumerate(pieces) for x in piece},
+                          _keys=keys)
 
-    def _sliced(self, pieces: tuple) -> "TimeScale":
+    def _sliced(self, pieces: tuple, cut: slice) -> "TimeScale":
         """This scale's mode and eps on ``pieces``, a clipped run of its own
-        canonical pieces, indexed without canonicalizing them again."""
+        canonical pieces, indexed without canonicalizing them again; the
+        gaps between them are ``cut`` from this scale's, once known."""
         sub = object.__new__(TimeScale)
         vars(sub).update(mode=self.mode, eps=self.eps)
         sub._index(pieces)
+        if "_gaps" in vars(self):
+            vars(sub)["_gaps"] = self._gaps[cut]
         return sub
+
+    @cached_property
+    def _gaps(self) -> tuple:
+        """The gap from each piece to the next, computed at the first read."""
+        pieces = self.pieces
+        return tuple(nxt - hi for (_, hi), (nxt, _) in zip(pieces, pieces[1:]))
+
+    @cached_property
+    def _isolated(self) -> dict:
+        """The piece index of each isolated point, for probes that miss ``_ids``."""
+        return {lo: i for i, (lo, hi) in enumerate(self.pieces) if lo == hi}
+
+    def __reduce__(self):
+        # A pickled copy holds new objects, so it builds its own identity map.
+        return type(self), (self.pieces, self.mode, self.eps)
 
     @classmethod
     def discrete(cls, points: Iterable, mode: str = RATIONAL, eps: float = 0.0) -> "TimeScale":
@@ -292,7 +323,7 @@ class TimeScale:
 
     @property
     def is_discrete(self) -> bool:
-        return len(self._isolated) == len(self.pieces)
+        return self._discrete
 
     def points(self) -> list:
         """All points of a purely discrete scale, ascending."""
@@ -304,7 +335,9 @@ class TimeScale:
         """``(piece index, t)`` for the piece holding ``t``; else ``t``
         snapped onto the nearest piece within eps (the lower one on a
         tie); else None."""
-        i = self._isolated.get(t)
+        i = self._ids.get(id(t))
+        if i is None:
+            i = self._isolated.get(t)
         if i is not None:
             return i, t
         if self._keys is None:
@@ -408,7 +441,7 @@ class TimeScale:
         pieces = self.pieces
         # A left-scattered maximum is an isolated point with a piece below.
         if len(pieces) > 1 and pieces[-1][0] == pieces[-1][1]:
-            return self._sliced(pieces[:-1])
+            return self._sliced(pieces[:-1], slice(-1))
         return self
 
     def truncate_k2(self) -> "TimeScale":
@@ -426,7 +459,7 @@ class TimeScale:
         out = list(self.pieces[i:j + 1])
         out[0] = (max(out[0][0], a), out[0][1])
         out[-1] = (out[-1][0], min(out[-1][1], b))
-        return self._sliced(tuple(out))
+        return self._sliced(tuple(out), slice(i, j))
 
     def grid(self, refinement: int = 0) -> list:
         """Isolated points, interval endpoints, and ``refinement`` equally

@@ -248,23 +248,26 @@ def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:
     if len(pts) < 2:
         raise PreconditionError("need at least two points")
 
+    # By index among the n points the pinned columns are one run, cols[lo:hi]:
+    # sigma(t) < b for all but the last two points (delta), and the interior
+    # (nabla).  The claimed domain is a run of points from a, so the claim
+    # holds iff that run starts at lo and ends by hi.
+    n = len(pts)
     if variant == "delta":
-        cols = [t for t in pts if t < b]
+        cols, lo, hi = pts[:-1], 0, n - 2
         claimed = tuple(sub.truncate_k2().points())
-        pinned = {t for t, st in zip(pts, pts[1:]) if st < b}
     else:
-        cols = claimed = tuple(pts)
-        pinned = set(pts[1:-1])
-    constrained = tuple(t for t in cols if t in pinned)
+        cols, lo, hi = pts, 1, n - 1
+        claimed = tuple(pts)
     return KernelReport(
         variant=variant,
         a=a,
         b=b,
-        constrained=constrained,
-        unconstrained=tuple(t for t in cols if t not in pinned),
+        constrained=tuple(cols[lo:hi]),
+        unconstrained=tuple(cols[:lo] + cols[hi:]),
         claimed_domain=claimed,
-        claim_holds=set(claimed) <= pinned,
-        rank=len(constrained),
+        claim_holds=lo == 0 and len(claimed) <= hi,
+        rank=hi - lo,
     )
 
 
@@ -361,7 +364,7 @@ def brute_force_minimizer(p: VariationalProblem) -> ScaleFn:
     values = {t: p.ya + (p.yb - p.ya) * (t - a) / (b - a) for t in pts[1:-1]}
     values[a], values[b] = p.ya, p.yb
     # Cell [t, s): y = y(s) and v = (y(s) - y(t)) / mu.
-    cells = [(s - t, (t,), (((1, s),), ((1 / (s - t), s), (-1 / (s - t), t))))
-             for t, s in zip(pts, pts[1:])]
+    cells = [(mu, (t,), (((1, s),), ((1 / mu, s), (-1 / mu, t))))
+             for t, s, mu in zip(pts, pts[1:], p.world._gaps)]
     return _newton_minimize(p.partials, ("y", "v"), cells, values, pts[1:-1],
                             p.scale.mode == RATIONAL, lambda v: ScaleFn.from_table(p.scale, v))

@@ -151,10 +151,11 @@ class TestTableProbe:
                 self.SURF.val(*args)
 
     def test_a_point_missing_from_the_table_is_still_refused(self):
-        fn = ScaleFn(self.S, table={Fraction(0): Fraction(1)})
+        # Tables are lists over the scale's point index; None marks a gap.
+        fn = ScaleFn(self.S, table=[Fraction(1), None, None])
         with pytest.raises(DomainError, match="^1/2 is not tabulated$"):
             fn(Fraction(1, 2))
-        surf = SurfaceFn(self.S, self.S, table={(Fraction(0), Fraction(0)): Fraction(1)})
+        surf = SurfaceFn(self.S, self.S, table=[[Fraction(1), None, None]] + [[None] * 3] * 2)
         with pytest.raises(DomainError, match=r"^\(0, 1/2\) is not tabulated$"):
             surf.val(Fraction(0), Fraction(1, 2))
 

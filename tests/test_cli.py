@@ -44,6 +44,15 @@ class TestScalarCommands:
         code, _ = invoke("deriv", "--scale", Z5, "--fn", TABLE_TSQ, "--t", "3")
         assert code == 2
 
+    def test_table_naming_a_point_twice_exits_2(self, tmp_path, capsys):
+        # "4/2" and "2" name one point of z6: neither value may win silently.
+        table = json.loads(pathlib.Path(TABLE_TSQ).read_text())
+        table["values"]["4/2"] = "5"
+        path = tmp_path / "table_twice.json"
+        path.write_text(json.dumps(table))
+        assert invoke("deriv", "--scale", Z6, "--fn", str(path), "--t", "3") == (2, "")
+        assert capsys.readouterr().err == "tsvar: the table names 2 twice\n"
+
     def test_surface_table_axis_mode_mismatch(self, tmp_path):
         # Same points on both axes, but axis 2 of the table is in float mode.
         table = json.loads((FIX / "table2_sum.json").read_text())

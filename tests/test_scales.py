@@ -384,13 +384,23 @@ def _clipped(s, a, b):
     return tuple(out)
 
 
+def _fresh(x):
+    """An object equal to the scalar ``x`` but not ``x`` itself."""
+    return Fraction(x.numerator, x.denominator) if isinstance(x, Fraction) else float(repr(x))
+
+
 def _assert_same_scale(got, want):
-    """Field by field, the lookup index included."""
+    """Field by field, and the lookup index by what it answers: the piece
+    index of each endpoint, probed by identity and by an equal copy."""
     assert got.pieces == want.pieces
     assert [tuple(map(type, p)) for p in got.pieces] == [tuple(map(type, p)) for p in want.pieces]
     assert got._lows == want._lows
-    assert got._isolated == want._isolated
+    assert got._gaps == want._gaps
     assert got._keys == want._keys
+    for k, (piece, own) in enumerate(zip(want.pieces, got.pieces)):
+        for x in piece + own:
+            assert got._locate(x)[0] == want._locate(x)[0] == k
+            assert got._locate(_fresh(x))[0] == want._locate(_fresh(x))[0] == k
     assert got.is_discrete == want.is_discrete
     assert (got.mode, got.eps) == (want.mode, want.eps)
     assert got == want
@@ -398,6 +408,8 @@ def _assert_same_scale(got, want):
 
 def _check_slices(s, queries):
     public = lambda pieces: TimeScale(pieces, s.mode, s.eps)
+    # Read now, the gaps are sliced into every sub-scale made below.
+    assert len(s._gaps) == len(s.pieces) - 1
     pts = sorted({s.require(q) for q in queries if q in s})
     for i, a in enumerate(pts):
         for b in pts[i:]:
