@@ -14,6 +14,17 @@ of its antiderivative F.  Only ``Poly`` data, alone or inside a
 callable, a polynomial past the size limits, a float scale) sends the
 piece to adaptive Simpson in floats, and the integral is a float.
 
+A float quadrature node (of adaptive Simpson or of a Richardson limit)
+lies in its dense piece by construction, so data are evaluated there with
+no scale lookup: a closure-backed ``ScaleFn`` whose scale the piece was
+cut from hands its callable the node as ``require`` would, the float
+itself on a float scale and ``Fraction(x)`` on a rational one
+(``_at_nodes``), and a ``SurfaceFn`` does so per axis.  On a rational
+scale a node that float rounding put just off the scale beside a piece
+end, such as ``float(1/3)`` at the low end of [1/3, 2/3], is read as that
+end.  An integral locates its two ends once and walks the pieces between
+by index.
+
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
 dense piece, where the forward jump leaps across the gap.  Quadrature
@@ -139,16 +150,16 @@ class ScaleFn:
 
     def __call__(self, t) -> Num:
         # A symbolic node lies in its dense piece by construction.  The
-        # test is on the exact type: it runs at every quadrature node.
+        # test is on the exact type: it runs at every call.
         if type(t) is Poly:
             return _exact(self.func)(t)
-        if self.table is None:
-            return self.func(self.scale.require(t))
         # One of the scale's own points is found by identity; any other
         # argument is coerced, snapped and checked first.
         i = self.scale._ids.get(id(t))
         if i is None:
             i, t = self.scale._find(t)
+        if self.table is None:
+            return self.func(t)
         value = self.table[i]
         if value is None:
             raise DomainError(f"{fmt_scalar(t)} is not tabulated")
@@ -170,6 +181,22 @@ def tabulated_from_json(obj) -> ScaleFn:
     return ScaleFn.from_table(scale, values)
 
 
+def _at_nodes(fn, scale: TimeScale):
+    """``fn`` as read at the nodes of the dense pieces of ``scale``.
+
+    A closure-backed ``ScaleFn`` on ``scale``, or on a scale ``scale`` was
+    cut from, reads a float node with no lookup (``TimeScale._node``) and
+    a symbolic node through ``__call__``.  Anything else is returned as it
+    is, and looks its arguments up."""
+    if not (isinstance(fn, ScaleFn) and fn.func is not None and scale._cut_from(fn.scale)):
+        return fn
+    func = fn.func
+    if scale.mode != RATIONAL:
+        return func
+    point = fn.scale._node
+    return lambda x: fn(x) if type(x) is Poly else func(point(x))
+
+
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     """Classical derivative of ``fn`` at ``t`` inside a dense piece, as
     ``(value, error_estimate, method)``.
@@ -187,9 +214,10 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     room_l = x - flo
     room_r = fhi - x
     width = fhi - flo
+    at_node = _at_nodes(fn, scale)
 
     def value(s):
-        return float(fn(s))
+        return float(at_node(s))
 
     # Near (or at) a piece end, a one-sided quotient into the wider side.
     if min(room_l, room_r) < width / 64.0:
@@ -209,7 +237,8 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
 
 
 def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
-              d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL, sigma=None):
+              d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL, sigma=None,
+              mu=None):
     """Delta derivative of ``fn`` at ``t`` as ``(value, error_estimate, method)``.
 
     Every delta derivative in the package goes through here.  A
@@ -223,7 +252,8 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
     is used as given.  At a symbolic node the slope is a polynomial
     (``d_analytic``, the data's own derivative, or the derivative of
     ``fn`` at the node) and no limit runs.  A known forward jump ``sigma``
-    past ``t`` gives the quotient with no lookup.
+    past ``t`` gives the quotient with no lookup, divided by the graininess
+    ``mu`` when that is handed too.
     """
     if dense and type(t) is Poly:
         if d_analytic is not None:
@@ -240,16 +270,19 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
                 raise _NotPolynomial
         return slope, 0.0, ANALYTIC
     if dense:
-        hit = scale._locate(t)
+        # A node that float rounding put off the scale is read as the piece
+        # end it rounds from, as the data read it.
+        hit = scale._locate(t) or scale._locate(scale._node(t))
         if hit is None:
             raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
         i, t = hit
     else:
         if sigma is None or sigma == t:
             i, t = scale._find(t)
-            sigma = scale._sigma_at(i, t)
+            sigma, mu = scale._sigma_at(i, t), None
         if sigma > t:
-            return (fn(sigma) - fn(t)) / (sigma - t), _ZEROS[scale.mode], EXACT_QUOTIENT
+            gap = sigma - t if mu is None else mu
+            return (fn(sigma) - fn(t)) / gap, _ZEROS[scale.mode], EXACT_QUOTIENT
         if t == scale.max and scale._rho_at(i, t) < t:
             raise DomainError(
                 f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
@@ -314,17 +347,16 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
     return r1, r2
 
 
-def _decompose(scale: TimeScale, a, b):
+def _decompose(scale: TimeScale, start, end):
     """Split [a, b] into ('gap', (t, sigma, mu)) and ('dense', (c, d)) parts, in order.
 
     Gap entries are the right-scattered t in [a, b) with their forward
     jump sigma(t) and graininess mu(t), contributing mu(t) f(t) exactly;
-    dense entries carry the clipped bounds.  ``a`` and ``b`` are points of
-    the scale, located once; every other bound, jump and gap is read off
-    the scale's indexed view."""
+    dense entries carry the clipped bounds.  ``start`` and ``end`` are
+    ``(i, a)`` and ``(j, b)`` as ``TimeScale._find`` located them; every
+    other bound, jump and gap is read off the scale's indexed view."""
     pieces, gaps = scale.pieces, scale._gaps
-    i = scale._locate(a)[0]
-    j = scale._locate(b)[0]
+    (i, a), (j, b) = start, end
     c = max(pieces[i][0], a)
     # Each piece k < j ends below b, at a right-scattered point whose
     # forward jump is the low of piece k + 1.  At an isolated point c is
@@ -412,8 +444,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
     kept in ``cache`` (a dict), so that calls sharing one integrand
     build it once.  Without one, each dense piece goes to Simpson, or,
     with ``exact_only``, ``_NotPolynomial`` is raised."""
-    a = scale.require(a)
-    b = scale.require(b)
+    start, end = scale._find(a), scale._find(b)
+    a, b = start[1], end[1]
     if a > b:
         raise DomainError("integration range is reversed; integrate forward and negate")
     if a == b:
@@ -424,7 +456,7 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
     def terms():
         # Gap terms and exact dense pieces, as (weight, value); Simpson
         # pieces are kept apart and added in floats.
-        for kind, payload in _decompose(scale, a, b):
+        for kind, payload in _decompose(scale, start, end):
             if kind == "gap":
                 t, st, mu = payload
                 yield mu, point_value(t, st, mu)
@@ -460,7 +492,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     """Delta integral of ``fn`` over [a, b]; exact on a rational scale
     when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
-    return _integrate(scale, a, b, lambda t, st, mu: fn(t), fn, tol, _symbolic(fn))
+    return _integrate(scale, a, b, lambda t, st, mu: fn(t), _at_nodes(fn, scale), tol,
+                      _symbolic(fn))
 
 
 def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
@@ -483,18 +516,19 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     """Iterated delta integral over [a1, b1] x [a2, b2], second axis innermost.
 
-    ``G(t1, t2, s1, s2)`` is the integrand, handed per axis the forward
-    jump s = sigma(t) of a right-scattered t, or None at a node of a dense
-    piece.  A node is a float, or the symbolic node of that axis when both
-    axes are rational."""
+    ``G(t1, t2, s1, s2, mu1, mu2)`` is the integrand, handed per axis the
+    forward jump s = sigma(t) and the graininess mu = s - t of a
+    right-scattered t, or None for both at a node of a dense piece.  A node
+    is a float, or the symbolic node of that axis when both axes are
+    rational."""
 
     def inner(t1, s1, mu1=None):
         # At a float node of the outer Simpson the inner integral stays
         # numeric; at the outer symbolic node it is exact or refused.
         return _integrate(
             ax2, a2, b2,
-            point_value=lambda t2, s2, mu2: G(t1, t2, s1, s2),
-            dense_value=lambda x: G(t1, x, s1, None),
+            point_value=lambda t2, s2, mu2: G(t1, t2, s1, s2, mu1, mu2),
+            dense_value=lambda x: G(t1, x, s1, None, mu1, None),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
             exact_only=isinstance(t1, Poly),
@@ -527,17 +561,18 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     # The forms differ only in which factor takes sigma at gap points;
     # on dense pieces sigma(t) = t and both read the same.
     node = _symbolic(f, g)
+    f_node, g_node = _at_nodes(f, scale), _at_nodes(g, scale)
     lhs = _integrate(
         scale, a, b,
         point_value=lambda t, st, mu: f(st if form == 1 else t) * ((g(st) - g(t)) / mu),
-        dense_value=lambda x: f(x) * _delta_at(scale, g, x, True, tol=tol)[0],
+        dense_value=lambda x: f_node(x) * _delta_at(scale, g, x, True, tol=tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, a, b,
         point_value=lambda t, st, mu: (f(st) - f(t)) / mu * g(t if form == 1 else st),
-        dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g(x),
+        dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g_node(x),
         tol=tol,
         node=node,
     )

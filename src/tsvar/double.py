@@ -130,6 +130,16 @@ class SurfaceFn:
             raise DomainError(f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) is not tabulated")
         return value
 
+    def _at(self, t1, t2, node1: bool, node2: bool) -> Num:
+        """``val(t1, t2)``, where ``node1`` marks ``t1`` as a float quadrature
+        node of a dense piece of ``scale1``, or of an axis cut from it, and
+        ``node2`` likewise ``t2``: a node is read with no lookup
+        (``TimeScale._node``)."""
+        if not (node1 or node2) or self.table is not None or type(t1) is Poly or type(t2) is Poly:
+            return self.val(t1, t2)
+        return self.func(self.scale1._node(t1) if node1 else self.scale1.require(t1),
+                         self.scale2._node(t2) if node2 else self.scale2.require(t2))
+
     def _partial(self, axis: int, t1, t2) -> Num:
         """The analytic classical partial on ``axis`` (1 or 2) at (t1, t2)."""
         fn = self.d1fn if axis == 1 else self.d2fn
@@ -249,11 +259,21 @@ class DoubleProblem:
 # -- double integrals -------------------------------------------------------
 
 
+def _surface_integrand(f: SurfaceFn, ax1: TimeScale, ax2: TimeScale):
+    """``f`` as an ``_iterated`` integrand over ``ax1`` x ``ax2``: per axis, a
+    node (s is None) is read as one when the axis was cut from ``f``'s own;
+    a gap term's points go straight to ``val``."""
+    in1, in2 = ax1._cut_from(f.scale1), ax2._cut_from(f.scale2)
+    return lambda t1, t2, s1, s2, mu1, mu2: (
+        f.val(t1, t2) if s1 is not None and s2 is not None
+        else f._at(t1, t2, in1 and s1 is None, in2 and s2 is None))
+
+
 def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
     """Iterated double delta integral over the rectangle, t2 axis first."""
     a1, b1, a2, b2 = ps.rect(*rect)
     return _iterated(ps.scale1, ps.scale2, a1, b1, a2, b2,
-                     lambda t1, t2, s1, s2: f.val(t1, t2), tol)
+                     _surface_integrand(f, ps.scale1, ps.scale2), tol)
 
 
 def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
@@ -261,27 +281,33 @@ def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
     rational scales, and on rational hybrid scales for a polynomial ``f``."""
     a1, b1, a2, b2 = ps.rect(*rect)
     one = double_integral(ps, f, rect, tol)
+    G = _surface_integrand(f, ps.scale1, ps.scale2)
     two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1,
-                    lambda t2, t1, s2, s1: f.val(t1, t2), tol)
+                    lambda t2, t1, s2, s1, mu2, mu1: G(t1, t2, s1, s2, mu1, mu2), tol)
     return abs(one - two)
 
 
 # -- trajectory plumbing ----------------------------------------------------
 
 
-def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2) -> tuple:
+def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2=None) -> tuple:
     """The argument tuple (t1, t2, u(x1,x2), u_delta1(t1,x2), u_delta2(x1,t2)).
 
-    Per axis x = s, the forward jump of t that a gap term is handed or a
-    sampled point looked up (s = t keeps the classical slope), or x = t at
-    a dense quadrature node, where s is None."""
+    Per axis x = s, the forward jump of t that a gap term is handed, with
+    its graininess mu, or a sampled point looked up (s = t keeps the
+    classical slope), or x = t at a dense quadrature node, where s is None.
+    At a node every sample of the slope along that axis is a node too."""
     x1 = t1 if s1 is None else s1
     x2 = t2 if s2 is None else s2
-    u_ss = u.val(x1, x2)
+    n1 = s1 is None and dp.ax1._cut_from(u.scale1)
+    n2 = s2 is None and dp.ax2._cut_from(u.scale2)
+    u_ss = u._at(x1, x2, n1, n2)
     dan1 = (lambda s: u._partial(1, s, x2)) if u.d1fn is not None else None
-    u_d1 = _delta_at(dp.ax1, lambda s: u.val(s, x2), t1, s1 is None, dan1, sigma=s1)[0]
+    u_d1 = _delta_at(dp.ax1, lambda s: u._at(s, x2, n1, n2), t1, s1 is None, dan1,
+                     sigma=s1, mu=mu1)[0]
     dan2 = (lambda s: u._partial(2, x1, s)) if u.d2fn is not None else None
-    u_d2 = _delta_at(dp.ax2, lambda s: u.val(x1, s), t2, s2 is None, dan2, sigma=s2)[0]
+    u_d2 = _delta_at(dp.ax2, lambda s: u._at(x1, s, n1, n2), t2, s2 is None, dan2,
+                     sigma=s2, mu=mu2)[0]
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
@@ -311,8 +337,8 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:
     """The double delta integral of the composed integrand over the rectangle."""
 
-    def G(t1, t2, s1, s2):
-        return dp.lagrangian(*_traj_args(dp, u, t1, t2, s1, s2))
+    def G(t1, t2, s1, s2, mu1, mu2):
+        return dp.lagrangian(*_traj_args(dp, u, t1, t2, s1, s2, mu1, mu2))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
 
@@ -326,9 +352,9 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
     vanish on the boundary."""
     _require_vanishes_on_boundary(dp, eta)
 
-    def G(t1, t2, s1, s2):
-        args = _traj_args(dp, u_tilde, t1, t2, s1, s2)
-        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2)
+    def G(t1, t2, s1, s2, mu1, mu2):
+        args = _traj_args(dp, u_tilde, t1, t2, s1, s2, mu1, mu2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2, mu1, mu2)
         return (
             dp.partial_y0(*args) * e_ss
             + dp.partial_y1(*args) * e_d1
@@ -350,27 +376,28 @@ class DoubleELReport:
     max_abs_residual: Num
 
 
-def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2) -> Num:
+def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2=None) -> Num:
     """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2,
-    with the jumps ``s1``, ``s2`` of ``_traj_args``.  Past (t1, t2) the
-    partials are read at sigma(t), whose own jump is looked up."""
-    args = _traj_args(dp, u, t1, t2, s1, s2)
+    with the jumps ``s1``, ``s2`` and graininess ``mu1``, ``mu2`` of
+    ``_traj_args``.  Past (t1, t2) the partials are read at sigma(t), whose
+    own jump is looked up."""
+    args = _traj_args(dp, u, t1, t2, s1, s2, mu1, mu2)
     term0 = dp.partial_y0(*args)
 
     def F1(s):
         if s is t1:
             return dp.partial_y1(*args)
         jump = None if s1 is None else dp.ax1.sigma(s)
-        return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2))
+        return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2, None, mu2))
 
     def F2(s):
         if s is t2:
             return dp.partial_y2(*args)
         jump = None if s2 is None else dp.ax2.sigma(s)
-        return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump))
+        return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump, mu1, None))
 
-    d1 = _delta_at(dp.ax1, F1, t1, s1 is None, sigma=s1)[0]
-    d2 = _delta_at(dp.ax2, F2, t2, s2 is None, sigma=s2)[0]
+    d1 = _delta_at(dp.ax1, F1, t1, s1 is None, sigma=s1, mu=mu1)[0]
+    d2 = _delta_at(dp.ax2, F2, t2, s2 is None, sigma=s2, mu=mu2)[0]
     return term0 - d1 - d2
 
 
@@ -420,9 +447,11 @@ def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float)
     rb1 = dp.ax1.rho(dp.b1)
     rb2 = dp.ax2.rho(dp.b2)
 
-    def G(t1, t2, s1, s2):
-        r = _el_kernel_at(dp, u, t1, t2, s1, s2)
-        return r * eta.val(t1 if s1 is None else s1, t2 if s2 is None else s2)
+    def G(t1, t2, s1, s2, mu1, mu2):
+        r = _el_kernel_at(dp, u, t1, t2, s1, s2, mu1, mu2)
+        return r * eta._at(t1 if s1 is None else s1, t2 if s2 is None else s2,
+                           s1 is None and dp.ax1._cut_from(eta.scale1),
+                           s2 is None and dp.ax2._cut_from(eta.scale2))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, rb1, dp.a2, rb2, G, tol)
 

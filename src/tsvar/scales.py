@@ -22,6 +22,12 @@ scale keeps those objects alive, so no other live object has the same
 ``id`` (``copy.deepcopy``'s memo relies on the same fact).  Other objects
 take the value path: a hash of the isolated points, built at the first
 such probe, then bisection and eps snapping.
+
+A float quadrature node of one of a scale's dense pieces is not looked up
+at all: it lies in its piece by construction, and ``_node`` reads it as the
+point it stands for.  A sub-scale made by ``restrict`` or ``truncate_k``
+keeps the scale it was cut from, so that data on that scale know the
+sub-scale's nodes lie in their own pieces (``_cut_from``).
 """
 
 from __future__ import annotations
@@ -252,6 +258,7 @@ class TimeScale:
     _ids: dict = field(init=False, repr=False, compare=False)
     _discrete: bool = field(init=False, repr=False, compare=False)
     _keys: Optional[tuple] = field(init=False, repr=False, compare=False)
+    _parent: Optional["TimeScale"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (RATIONAL, FLOAT):
@@ -262,8 +269,9 @@ class TimeScale:
             raise ValueError("eps-based membership applies to float mode only")
         self._index(_canonical_pieces(self.pieces, self.mode))
 
-    def _index(self, pieces: tuple) -> None:
-        """Store the canonical ``pieces`` and build the indexed view."""
+    def _index(self, pieces: tuple, parent: Optional["TimeScale"] = None) -> None:
+        """Store the canonical ``pieces``, cut from ``parent`` if given, and
+        build the indexed view."""
         lows = tuple(lo for lo, _ in pieces)
         discrete = all(lo == hi for lo, hi in pieces)
         keys = None
@@ -275,7 +283,7 @@ class TimeScale:
         # Frozen: the index fields are written past the dataclass __setattr__.
         vars(self).update(pieces=pieces, _lows=lows, _discrete=discrete,
                           _ids={id(x): i for i, piece in enumerate(pieces) for x in piece},
-                          _keys=keys)
+                          _keys=keys, _parent=parent)
 
     def _sliced(self, pieces: tuple, cut: slice) -> "TimeScale":
         """This scale's mode and eps on ``pieces``, a clipped run of its own
@@ -283,7 +291,7 @@ class TimeScale:
         gaps between them are ``cut`` from this scale's, once known."""
         sub = object.__new__(TimeScale)
         vars(sub).update(mode=self.mode, eps=self.eps)
-        sub._index(pieces)
+        sub._index(pieces, self)
         if "_gaps" in vars(self):
             vars(sub)["_gaps"] = self._gaps[cut]
         return sub
@@ -298,6 +306,26 @@ class TimeScale:
     def _isolated(self) -> dict:
         """The piece index of each isolated point, for probes that miss ``_ids``."""
         return {lo: i for i, (lo, hi) in enumerate(self.pieces) if lo == hi}
+
+    @cached_property
+    def _rounded_ends(self) -> dict:
+        """Each float that an interval piece's end rounds to off the scale,
+        mapped to that end (to the nearer end, the lower on a tie, when two
+        round to it)."""
+        ends = {}
+        for lo, hi in self.pieces:
+            if lo == hi:
+                continue
+            for end in (lo, hi):
+                try:
+                    x = float(end)
+                except OverflowError:
+                    continue
+                off = Fraction(x)
+                if off != end and off not in self and (
+                        x not in ends or abs(end - off) < abs(ends[x] - off)):
+                    ends[x] = end
+        return ends
 
     def __reduce__(self):
         # A pickled copy holds new objects, so it builds its own identity map.
@@ -379,6 +407,27 @@ class TimeScale:
         if hit is None:
             raise DomainError(f"{_echo_scalar(t)} is not a point of the scale")
         return hit
+
+    def _cut_from(self, other: "TimeScale") -> bool:
+        """Whether this scale is ``other`` or was cut from it by ``restrict``
+        and ``truncate_k``, so that each of its pieces lies in one of ``other``'s."""
+        scale = self
+        while scale is not other:
+            scale = scale._parent
+            if scale is None:
+                return False
+        return True
+
+    def _node(self, x) -> Num:
+        """The point that ``x``, a float quadrature node of one of this scale's
+        dense pieces, stands for, found without locating it: what ``require``
+        would return, ``x`` itself on a float scale and ``Fraction(x)`` on a
+        rational one, except that a node float rounding put off the scale
+        beside a piece end is read as that end."""
+        if self.mode == FLOAT:
+            return x
+        end = self._rounded_ends.get(x)
+        return Fraction(x) if end is None else end
 
     def __contains__(self, t) -> bool:
         try:

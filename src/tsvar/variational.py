@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Optional
 
-from .calculus import ScaleFn, _delta_at, _exact_sum, _integrate, _symbolic
+from .calculus import ScaleFn, _at_nodes, _delta_at, _exact_sum, _integrate, _symbolic
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -158,20 +157,11 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     above ``GRID_MAX_POINTS`` points raises ``PreconditionError``."""
     world = p.world
     rb = world.rho(p.b)
-
-    def traj(t, dense=False):
-        """(t, y(sigma(t)), y_delta(t)); sigma(t) = t at dense nodes."""
-        return t, y_hat(t if dense else world.sigma(t)), _delta_at(world, y_hat, t, dense)[0]
-
-    # A grid point's arguments serve L_v there and, when it is
-    # right-scattered, L_y at the gap that starts there: built once.
-    point = cache(traj)
-
-    def ly_point(tau, st, mu):
-        return p.partial_y(*point(tau))
+    y_node = _at_nodes(y_hat, world)
 
     def ly_dense(x):
-        return p.partial_y(*traj(x, True))
+        # (x, y(x), y_delta(x)) at a node: sigma(x) = x on a dense piece.
+        return p.partial_y(x, y_node(x), _delta_at(world, y_hat, x, True)[0])
 
     span = world.restrict(p.a, rb)
     check_grid_size(dense_refinement, span)
@@ -184,9 +174,18 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     prev = pts[0]
     for t in pts:
         if t != prev:
-            acc = acc + _integrate(world, prev, t, ly_point, ly_dense, tol, node, cache=shared)
+            # Consecutive grid points have at most one gap between them, at
+            # prev, so L_y there reads the arguments ``args`` built at prev.
+            acc = acc + _integrate(world, prev, t, lambda tau, st, mu: p.partial_y(*args),
+                                   ly_dense, tol, node, cache=shared)
             prev = t
-        raw.append((t, p.partial_v(*point(t)) - acc))
+        # (t, y(sigma(t)), y_delta(t)), for L_v here and L_y at a gap from
+        # here; a right-scattered t divides by its gap in the indexed view.
+        i = world._find(t)[0]
+        st = world._sigma_at(i, t)
+        mu = None if st is t else world._gaps[i]
+        args = (t, y_hat(st), _delta_at(world, y_hat, t, sigma=st, mu=mu)[0])
+        raw.append((t, p.partial_v(*args) - acc))
 
     # Exact residuals are summed in integers; anything else keeps the
     # builtin sum and its float rounding.

@@ -427,8 +427,9 @@ def _clip_walk(scale, a, b):
 
 
 def _assert_walks_agree(scale, a, b):
-    a, b = scale.require(a), scale.require(b)
-    got = list(tsvar.calculus._decompose(scale, a, b))
+    start, end = scale._find(a), scale._find(b)
+    a, b = start[1], end[1]
+    got = list(tsvar.calculus._decompose(scale, start, end))
     want = list(_clip_walk(scale, a, b))
     # repr tells types and float signs apart.
     assert repr(got) == repr(want)

@@ -24,8 +24,10 @@ from tsvar import (
     ScaleFn,
     SurfaceFn,
     TimeScale,
+    VariationalProblem,
     delta_integral,
     double_integral,
+    el_residual,
     first_variation,
     fubini_residual,
     ibp_residual,
@@ -78,6 +80,19 @@ def test_exact_walks_read_the_view_without_hashing_or_subtracting(fraction_ops):
         assert fraction_ops["hash"] == 0
 
 
+def test_a_warm_el_residual_on_a_table_makes_no_hash(fraction_ops):
+    # Each grid point's arguments are built once and reused, by position, for
+    # the gap term that starts there.
+    rng = random.Random(17)
+    scale = rand_discrete_scale(rng, 200)
+    y = rand_tabulation(rng, scale)
+    p = VariationalProblem(scale, scale.min, scale.max, Poly.parse("v^2 + y^2", ("t", "y", "v")))
+    el_residual(p, y)
+    fraction_ops.clear()
+    el_residual(p, y)
+    assert fraction_ops["hash"] == 0
+
+
 def test_first_variation_on_a_table_makes_no_hash(fraction_ops):
     rng = random.Random(8)
     p1 = rand_discrete_scale(rng, 8).points()
@@ -93,6 +108,12 @@ def test_first_variation_on_a_table_makes_no_hash(fraction_ops):
     fraction_ops.clear()
     first_variation(dp, u, eta)
     assert fraction_ops["hash"] == 0
+    # Once the axes hold their gaps, each of the 7 x 7 cells takes four jump
+    # quotients, two per trajectory; each subtracts its two values and
+    # divides by the gap it was handed.
+    fraction_ops.clear()
+    first_variation(dp, u, eta)
+    assert fraction_ops["sub"] == 7 * 7 * 4
 
 
 # -- the identity path answers what the value path answers ------------------
