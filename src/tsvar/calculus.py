@@ -33,14 +33,18 @@ integral equals the classical integral of the continuous restriction,
 so dense evaluation substitutes sigma(t) = t and the classical slope.
 
 Exact sums (gap terms mu(t) f(t), nabla terms, the means and double sums
-of the other layers) go through ``_exact_sum``.  While every weight and
-value is an int or a Fraction it adds the products in integers over one
-running common denominator, the lcm of the term denominators, and
-normalizes once, building a single Fraction at the end; each term costs
-a multiply-add instead of a Fraction product and sum, each reduced by
-gcd.  At the first other term (a float, or a ``Poly`` at a symbolic
-node) the exact partial sum is handed to the plain left-to-right loop,
-so float results keep the rounding of the written grouping.
+of the other layers, and the short sums of products that make up an
+integrand) go through ``_exact_sum``.  While every weight and value is an
+int or a Fraction it adds the products in integers over one running
+common denominator, the lcm of the term denominators, and normalizes
+once, building a single Fraction at the end; each term costs a
+multiply-add instead of a Fraction product and sum, each reduced by gcd.
+At the first other term (a float, or a ``Poly`` at a symbolic node) the
+exact partial sum is handed to the plain left-to-right loop, so float
+results keep the rounding of the written grouping.  Exact jump quotients
+(f(sigma) - f(t)) / mu go through ``_quotient`` the same way: on int and
+Fraction values over a Fraction gap they are formed in integers and
+normalized once, and any other operands get the written expression.
 """
 
 from __future__ import annotations
@@ -185,16 +189,16 @@ def _at_nodes(fn, scale: TimeScale):
     """``fn`` as read at the nodes of the dense pieces of ``scale``.
 
     A closure-backed ``ScaleFn`` on ``scale``, or on a scale ``scale`` was
-    cut from, reads a float node with no lookup (``TimeScale._node``) and
-    a symbolic node through ``__call__``.  Anything else is returned as it
-    is, and looks its arguments up."""
+    cut from, reads a float node with no lookup (``TimeScale._node``), and
+    a symbolic node or a point of a rational scale through ``__call__``.
+    Anything else is returned as it is, and looks its arguments up."""
     if not (isinstance(fn, ScaleFn) and fn.func is not None and scale._cut_from(fn.scale)):
         return fn
     func = fn.func
     if scale.mode != RATIONAL:
         return func
     point = fn.scale._node
-    return lambda x: fn(x) if type(x) is Poly else func(point(x))
+    return lambda x: func(point(x)) if type(x) is float else fn(x)
 
 
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
@@ -236,6 +240,22 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     return slope, est, NUMERIC_LIMIT
 
 
+def _quotient(hi, lo, gap) -> Num:
+    """``(hi - lo) / gap``.
+
+    When ``hi`` and ``lo`` are ints or Fractions and ``gap`` is a Fraction,
+    the difference and the quotient are formed in integers and one Fraction
+    is built, reduced once; any other operands (a float, a ``Poly`` at a
+    symbolic node, an int gap) get the written expression."""
+    th, tl = type(hi), type(lo)
+    if type(gap) is Fraction and (th is Fraction or th is int) and (tl is Fraction or tl is int):
+        hn, hd = hi.as_integer_ratio()
+        ln, ld = lo.as_integer_ratio()
+        gn, gd = gap.as_integer_ratio()
+        return Fraction((hn * ld - ln * hd) * gd, hd * ld * gn)
+    return (hi - lo) / gap
+
+
 def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
               d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL, sigma=None,
               mu=None):
@@ -252,8 +272,9 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
     is used as given.  At a symbolic node the slope is a polynomial
     (``d_analytic``, the data's own derivative, or the derivative of
     ``fn`` at the node) and no limit runs.  A known forward jump ``sigma``
-    past ``t`` gives the quotient with no lookup, divided by the graininess
-    ``mu`` when that is handed too.
+    past ``t`` gives the quotient (``_quotient``) with no lookup; when the
+    graininess ``mu`` is handed too, the quotient is returned at once, with
+    no comparison of ``sigma`` and ``t``.
     """
     if dense and type(t) is Poly:
         if d_analytic is not None:
@@ -277,12 +298,13 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
             raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
         i, t = hit
     else:
+        if mu is not None:
+            return _quotient(fn(sigma), fn(t), mu), _ZEROS[scale.mode], EXACT_QUOTIENT
         if sigma is None or sigma == t:
             i, t = scale._find(t)
-            sigma, mu = scale._sigma_at(i, t), None
+            sigma = scale._sigma_at(i, t)
         if sigma > t:
-            gap = sigma - t if mu is None else mu
-            return (fn(sigma) - fn(t)) / gap, _ZEROS[scale.mode], EXACT_QUOTIENT
+            return _quotient(fn(sigma), fn(t), sigma - t), _ZEROS[scale.mode], EXACT_QUOTIENT
         if t == scale.max and scale._rho_at(i, t) < t:
             raise DomainError(
                 f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
@@ -305,7 +327,11 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     extrapolated limit of difference quotients along the scale.
     Undefined at a left-scattered maximum.
     """
-    value, est, method = _delta_at(scale, fn, scale.require(t), tol=tol)
+    i, t = scale._find(t)
+    sigma = scale._sigma_at(i, t)
+    # sigma is t itself where t is right-dense or the maximum.
+    mu = None if sigma is t else sigma - t
+    value, est, method = _delta_at(scale, fn, t, tol=tol, sigma=sigma, mu=mu)
     return DerivResult(value, method, est)
 
 
@@ -329,7 +355,8 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
     r1 for (fg)' = f' g(sigma) + f g' and
     r2 for (fg)' = f' g + f(sigma) g'.
     """
-    t = scale.require(t)
+    i, t = scale._find(t)
+    st = scale._sigma_at(i, t)
     if not isinstance(f, ScaleFn):
         f = ScaleFn.from_callable(scale, f)
     if not isinstance(g, ScaleFn):
@@ -337,13 +364,15 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
     d = None
     if f.deriv is not None and g.deriv is not None:
         d = lambda x: f.deriv(x) * g.func(x) + f.func(x) * g.deriv(x)
-    fg = ScaleFn(scale, func=lambda x: f(x) * g(x), deriv=d)
+    # fg's callable is handed located points and quadrature nodes of
+    # ``scale`` only, so it reads f and g as the nodes' readers do.
+    f_at, g_at = _at_nodes(f, scale), _at_nodes(g, scale)
+    fg = ScaleFn(scale, func=lambda x: f_at(x) * g_at(x), deriv=d)
     dfg = delta_deriv(scale, fg, t, tol).value
     df = delta_deriv(scale, f, t, tol).value
     dg = delta_deriv(scale, g, t, tol).value
-    st = scale.sigma(t)
-    r1 = abs(dfg - (df * g(st) + f(t) * dg))
-    r2 = abs(dfg - (df * g(t) + f(st) * dg))
+    r1 = abs(dfg - (df * g_at(st) + f_at(t) * dg))
+    r2 = abs(dfg - (df * g_at(t) + f_at(st) * dg))
     return r1, r2
 
 
@@ -564,14 +593,14 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     f_node, g_node = _at_nodes(f, scale), _at_nodes(g, scale)
     lhs = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: f(st if form == 1 else t) * ((g(st) - g(t)) / mu),
+        point_value=lambda t, st, mu: f(st if form == 1 else t) * _quotient(g(st), g(t), mu),
         dense_value=lambda x: f_node(x) * _delta_at(scale, g, x, True, tol=tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: (f(st) - f(t)) / mu * g(t if form == 1 else st),
+        point_value=lambda t, st, mu: _quotient(f(st), f(t), mu) * g(t if form == 1 else st),
         dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g_node(x),
         tol=tol,
         node=node,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import _delta_at, _exact, _exact_sum, _iterated
+from .calculus import _delta_at, _exact, _exact_sum, _iterated, _quotient
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -351,15 +351,14 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
     eta_delta2(s1,t2) over the rectangle, t2 axis first.  eta must
     vanish on the boundary."""
     _require_vanishes_on_boundary(dp, eta)
+    zero = zero_of(dp.ax1)
 
     def G(t1, t2, s1, s2, mu1, mu2):
         args = _traj_args(dp, u_tilde, t1, t2, s1, s2, mu1, mu2)
         _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2, mu1, mu2)
-        return (
-            dp.partial_y0(*args) * e_ss
-            + dp.partial_y1(*args) * e_d1
-            + dp.partial_y2(*args) * e_d2
-        )
+        return _exact_sum(zero, ((dp.partial_y0(*args), e_ss),
+                                 (dp.partial_y1(*args), e_d1),
+                                 (dp.partial_y2(*args), e_d2)))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
 
@@ -376,25 +375,34 @@ class DoubleELReport:
     max_abs_residual: Num
 
 
+def _jump(ax: TimeScale, t) -> tuple:
+    """``(sigma(t), mu(t))`` on ``ax``, the graininess read off the axis's
+    gaps at the index ``t`` was found at; ``(sigma(t), None)`` where ``t``
+    is right-dense or the maximum, and ``sigma(t)`` is ``t`` itself."""
+    i, t = ax._find(t)
+    sigma = ax._sigma_at(i, t)
+    return sigma, (None if sigma is t else ax._gaps[i])
+
+
 def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2=None) -> Num:
     """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2,
     with the jumps ``s1``, ``s2`` and graininess ``mu1``, ``mu2`` of
     ``_traj_args``.  Past (t1, t2) the partials are read at sigma(t), whose
-    own jump is looked up."""
+    own jump and graininess are looked up (``_jump``)."""
     args = _traj_args(dp, u, t1, t2, s1, s2, mu1, mu2)
     term0 = dp.partial_y0(*args)
 
     def F1(s):
         if s is t1:
             return dp.partial_y1(*args)
-        jump = None if s1 is None else dp.ax1.sigma(s)
-        return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2, None, mu2))
+        jump, mu = (None, None) if s1 is None else _jump(dp.ax1, s)
+        return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2, mu, mu2))
 
     def F2(s):
         if s is t2:
             return dp.partial_y2(*args)
-        jump = None if s2 is None else dp.ax2.sigma(s)
-        return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump, mu1, None))
+        jump, mu = (None, None) if s2 is None else _jump(dp.ax2, s)
+        return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump, mu1, mu))
 
     d1 = _delta_at(dp.ax1, F1, t1, s1 is None, sigma=s1, mu=mu1)[0]
     d2 = _delta_at(dp.ax2, F2, t2, s2 is None, sigma=s2, mu=mu2)[0]
@@ -418,12 +426,12 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
     pts2 = span2.grid(dense_refinement)
     residuals = []
     gaps = []
-    jumps2 = [dp.ax2.sigma(t2) for t2 in pts2]  # sampled: each looked up once
+    jumps2 = [_jump(dp.ax2, t2) for t2 in pts2]  # sampled: each looked up once
     for t1 in pts1:
-        s1 = dp.ax1.sigma(t1)
-        for t2, s2 in zip(pts2, jumps2):
+        s1, mu1 = _jump(dp.ax1, t1)
+        for t2, (s2, mu2) in zip(pts2, jumps2):
             try:
-                r = _el_kernel_at(dp, u_tilde, t1, t2, s1, s2)
+                r = _el_kernel_at(dp, u_tilde, t1, t2, s1, s2, mu1, mu2)
             except DomainError as exc:
                 gaps.append(((t1, t2), str(exc)))
             else:
@@ -498,9 +506,11 @@ def _wsum(zero, points, *factors) -> Num:
 
 def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
     # The grid is read once into index arrays (points P, the axes' gaps M,
-    # values U and E of u and eta, partials L0..L2 on the cells of [a1, b1) x
-    # [a2, b2)): sigma is the next index and nothing is looked up again.
-    # Quotients keep _delta_at's written order and sums _wsum's grouping.
+    # values U and E of u and eta, partials L0..L2 and integrand G on the
+    # cells of [a1, b1) x [a2, b2)): sigma is the next index and nothing is
+    # looked up again.  Exact quotients are formed in integers (_quotient)
+    # and float ones keep _delta_at's written order; sums keep _wsum's
+    # grouping.
     P1, P2 = dp.ax1.points(), dp.ax2.points()
     M1, M2 = dp.ax1._gaps, dp.ax2._gaps
     U = [[u.val(t1, t2) for t2 in P2] for t1 in P1]
@@ -509,10 +519,10 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
     zero = zero_of(dp.ax1)
 
     def d1(F, i, j):
-        return (F[i + 1][j] - F[i][j]) / M1[i]
+        return _quotient(F[i + 1][j], F[i][j], M1[i])
 
     def d2(F, i, j):
-        return (F[i][j + 1] - F[i][j]) / M2[j]
+        return _quotient(F[i][j + 1], F[i][j], M2[j])
 
     # Indices of rho1(b1) and rho2(b2): the last cell of each axis.
     r1, r2 = len(M1) - 1, len(M2) - 1
@@ -526,18 +536,15 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
     cells = [[partials_at(i, j) for j in full2] for i in full1]
     L0, L1, L2 = ([[c[k] for c in row] for row in cells] for k in range(3))
 
-    def G(i, j):
-        return (
-            L0[i][j] * E[i + 1][j + 1]
-            + L1[i][j] * d1(E, i, j + 1)
-            + L2[i][j] * d2(E, i + 1, j)
-        )
+    G = [[_exact_sum(zero, ((L0[i][j], E[i + 1][j + 1]),
+                            (L1[i][j], d1(E, i, j + 1)),
+                            (L2[i][j], d2(E, i + 1, j))))
+          for j in full2] for i in full1]
+    kernel = [[(L0[i][j] - d1(L1, i, j) - d2(L2, i, j)) * E[i + 1][j + 1]
+               for j in core2] for i in core1]
 
-    def kernel_term(i, j):
-        return (L0[i][j] - d1(L1, i, j) - d2(L2, i, j)) * E[i + 1][j + 1]
-
-    def double_sum(idx1, idx2, fn):
-        return _wsum(zero, idx1, mu1, lambda i: _wsum(zero, idx2, mu2, lambda j: fn(i, j)))
+    def double_sum(idx1, idx2, F):
+        return _wsum(zero, idx1, mu1, lambda i: _wsum(zero, idx2, mu2, F[i].__getitem__))
 
     steps = []
 
@@ -552,7 +559,7 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
 
     # Core rewritten by parts per axis: brackets at the far core edges,
     # derivative weight moved onto the trajectory partials.
-    A1 = double_sum(core1, core2, kernel_term)
+    A1 = double_sum(core1, core2, kernel)
     A2 = _wsum(zero, core2, mu2, lambda j: L1[r1][j], lambda j: E[r1][j + 1])
     A3 = _wsum(zero, core1, mu1, lambda i: L2[i][r2], lambda i: E[i + 1][r2])
     steps.append(ChainStep("core-by-parts", abs(A - (A1 + A2 + A3))))

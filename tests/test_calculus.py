@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_discrete_scale, rand_fraction, rand_poly1, rand_tabulation
+from conftest import (rand_discrete_scale, rand_fraction, rand_poly1, rand_quadratic2,
+                      rand_tabulation)
 import tsvar.calculus
 from tsvar import (
     ANALYTIC,
@@ -36,7 +37,7 @@ from tsvar import (
     simple_useful_check,
     tabulated_from_json,
 )
-from tsvar.double import _el_kernel_at, _kernel_pairing
+from tsvar.double import _el_kernel_at, _kernel_pairing, _traj_args
 from tsvar.quadrature import QUAD_TOL
 
 HYBRID = TimeScale(((0.0, 2.0), (3.0, 3.0)), mode=FLOAT)
@@ -568,6 +569,75 @@ class TestExactSum:
         terms = terms[:k] + [(Fraction(2, 3), node)] + terms[k:] + [(node, -1)]
         got = tsvar.calculus._exact_sum(Fraction(0), terms)
         assert got == _naive_sum(Fraction(0), terms)
+
+
+_NONZERO_FRACTIONS = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool), _DENOMINATORS)
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e12, 1e12))
+
+
+class TestQuotient:
+    """``_quotient`` against the written ``(hi - lo) / gap`` it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hi=_EXACT_SCALARS, lo=_EXACT_SCALARS, gap=_NONZERO_FRACTIONS)
+    def test_exact_operands_equal_the_written_quotient(self, hi, lo, gap):
+        got = tsvar.calculus._quotient(hi, lo, gap)
+        assert type(got) is Fraction and got == (hi - lo) / gap
+
+    @settings(max_examples=300, deadline=None)
+    @given(hi=st.one_of(_FLOATS, _EXACT_SCALARS), lo=st.one_of(_FLOATS, _EXACT_SCALARS),
+           gap=st.one_of(_FLOATS.filter(bool), _NONZERO_FRACTIONS), which=st.integers(0, 2))
+    def test_a_float_operand_gives_the_written_bits(self, hi, lo, gap, which):
+        hi, lo, gap = [float(x) if k == which else x for k, x in enumerate((hi, lo, gap))]
+        got = tsvar.calculus._quotient(hi, lo, gap)
+        assert type(got) is float and repr(got) == repr((hi - lo) / gap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=_EXACT_SCALARS, y=_EXACT_SCALARS, gap=_NONZERO_FRACTIONS, side=st.integers(0, 1))
+    def test_a_poly_operand_gives_the_written_poly(self, x, y, gap, side):
+        node = tsvar.calculus._X1 * x + y
+        hi, lo = (node, y) if side == 0 else (x, node)
+        got = tsvar.calculus._quotient(hi, lo, gap)
+        assert type(got) is Poly and got == (hi - lo) / gap
+
+    @settings(max_examples=200, deadline=None)
+    @given(hi=_EXACT_SCALARS, lo=_EXACT_SCALARS,
+           gap=st.integers(-10**6, 10**6).filter(bool))
+    @example(hi=7, lo=2, gap=2)  # int / int is a float, 2.5
+    def test_an_int_gap_keeps_the_written_result_and_type(self, hi, lo, gap):
+        got = tsvar.calculus._quotient(hi, lo, gap)
+        want = (hi - lo) / gap
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_first_variation_on_a_float_grid_keeps_the_written_bits(seed):
+    rng = random.Random(seed)
+
+    def axis():
+        pts = [float(rng.randint(-3, 3))]
+        for _ in range(rng.randint(2, 6)):
+            pts.append(pts[-1] + rng.randint(1, 9) / rng.choice((2, 3, 7)))
+        return TimeScale.discrete(pts, FLOAT)
+
+    ax1, ax2 = axis(), axis()
+    p1, p2 = ax1.points(), ax2.points()
+    dp = DoubleProblem(ProductScale(ax1, ax2), p1[0], p1[-1], p2[0], p2[-1], rand_quadratic2(rng))
+    u = SurfaceFn.from_table(ax1, ax2, [[rng.uniform(-3, 3) for _ in p2] for _ in p1])
+    eta = SurfaceFn.from_table(ax1, ax2, [
+        [rng.uniform(-3, 3) if 0 < i < len(p1) - 1 and 0 < j < len(p2) - 1 else 0.0
+         for j in range(len(p2))] for i in range(len(p1))])
+
+    def G(t1, t2, s1, s2, mu1, mu2):
+        args = _traj_args(dp, u, t1, t2, s1, s2, mu1, mu2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2, mu1, mu2)
+        return (dp.partial_y0(*args) * e_ss + dp.partial_y1(*args) * e_d1
+                + dp.partial_y2(*args) * e_d2)
+
+    want = tsvar.calculus._iterated(ax1, ax2, p1[0], p1[-1], p2[0], p2[-1], G, QUAD_TOL)
+    got = first_variation(dp, u, eta)
+    assert type(got) is float and repr(got) == repr(want)
 
 
 class TestExactSumEndToEnd:

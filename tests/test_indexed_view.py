@@ -26,6 +26,8 @@ from tsvar import (
     TimeScale,
     VariationalProblem,
     delta_integral,
+    derivation_chain_check,
+    double_el_residual,
     double_integral,
     el_residual,
     first_variation,
@@ -46,9 +48,10 @@ def _fresh(x):
 
 @pytest.fixture
 def fraction_ops(monkeypatch):
-    """Counts of Fraction hashes and subtractions made from now on."""
+    """Counts of Fraction hashes, subtractions and divisions made from now on."""
     counts = Counter()
-    for name, key in (("__hash__", "hash"), ("__sub__", "sub"), ("__rsub__", "sub")):
+    for name, key in (("__hash__", "hash"), ("__sub__", "sub"), ("__rsub__", "sub"),
+                      ("__truediv__", "div"), ("__rtruediv__", "div")):
         original = getattr(Fraction, name)
 
         def counted(*args, _original=original, _key=key):
@@ -77,7 +80,10 @@ def test_exact_walks_read_the_view_without_hashing_or_subtracting(fraction_ops):
     for call in by_parts:
         fraction_ops.clear()
         assert call() == 0
-        assert fraction_ops["hash"] == 0
+        # The jump quotients are formed in integers; what is left is the
+        # boundary term [fg] and the residual |lhs - ([fg] - rest)|.
+        assert fraction_ops["hash"] == fraction_ops["div"] == 0
+        assert fraction_ops["sub"] <= 3
 
 
 def test_a_warm_el_residual_on_a_table_makes_no_hash(fraction_ops):
@@ -93,7 +99,7 @@ def test_a_warm_el_residual_on_a_table_makes_no_hash(fraction_ops):
     assert fraction_ops["hash"] == 0
 
 
-def test_first_variation_on_a_table_makes_no_hash(fraction_ops):
+def _table_problem():
     rng = random.Random(8)
     p1 = rand_discrete_scale(rng, 8).points()
     p2 = rand_discrete_scale(rng, 8).points()
@@ -105,15 +111,36 @@ def test_first_variation_on_a_table_makes_no_hash(fraction_ops):
     eta = SurfaceFn.from_table(dp.ax1, dp.ax2, [
         [Fraction(i - j, 3) if 0 < i < 7 and 0 < j < 7 else 0 for j in range(8)]
         for i in range(8)])
+    return dp, u, eta
+
+
+def test_first_variation_on_a_table_makes_no_hash(fraction_ops):
+    dp, u, eta = _table_problem()
     fraction_ops.clear()
     first_variation(dp, u, eta)
     assert fraction_ops["hash"] == 0
     # Once the axes hold their gaps, each of the 7 x 7 cells takes four jump
-    # quotients, two per trajectory; each subtracts its two values and
-    # divides by the gap it was handed.
+    # quotients, two per trajectory, over the gap it was handed, and sums
+    # three products: all of it in integers.
     fraction_ops.clear()
     first_variation(dp, u, eta)
-    assert fraction_ops["sub"] == 7 * 7 * 4
+    assert fraction_ops == {}
+
+
+def test_the_chain_and_the_kernel_map_on_a_table_divide_nothing(fraction_ops):
+    dp, u, eta = _table_problem()
+    derivation_chain_check(dp, u, eta)
+    fraction_ops.clear()
+    derivation_chain_check(dp, u, eta)
+    assert fraction_ops["hash"] == fraction_ops["div"] == 0
+    # Left: L0 - d1 - d2 in each of the 6 x 6 core kernel terms, written so
+    # that float grids keep their rounding, and 13 in brackets and residuals.
+    assert fraction_ops["sub"] == 6 * 6 * 2 + 13
+    # The kernel map looks each sampled jump up with its gap; the 6 x 6
+    # points below the last row and column each subtract twice, as above.
+    fraction_ops.clear()
+    double_el_residual(dp, u)
+    assert fraction_ops["div"] == 0 and fraction_ops["sub"] == 6 * 6 * 2
 
 
 # -- the identity path answers what the value path answers ------------------

@@ -29,6 +29,7 @@ from tsvar import (
     first_variation,
     fubini_residual,
     ibp_residual,
+    product_rule_residual,
 )
 from tsvar.quadrature import QUAD_TOL
 
@@ -174,6 +175,47 @@ def test_a_right_dense_slope_locates_its_point_only(lookups):
         lookups.clear()
         assert delta_deriv(FLOAT_HYBRID, fn, t).method == "numeric-limit"
         assert len(lookups) == 2 and len(samples) > 4
+
+
+def test_a_jump_quotient_locates_its_point_once(lookups):
+    scale = TimeScale.discrete([Fraction(k, 3) for k in range(8)])
+    own = scale.points()[3]
+    for fn in (ScaleFn.from_callable(scale, lambda x: x * x),
+               ScaleFn.from_table(scale, {t: t * t for t in scale.points()})):
+        lookups.clear()
+        assert delta_deriv(scale, fn, own).value == Fraction(7, 3)
+        assert lookups == [own]
+        # An equal copy is located once more, when fn reads it.
+        lookups.clear()
+        delta_deriv(scale, fn, Fraction(1))
+        assert len(lookups) == 2
+
+
+def _looked_up_product_rule(scale, f, g, t):
+    """Both product-rule residuals, with f g read through lookups."""
+    fg = ScaleFn.from_callable(scale, lambda x: f(x) * g(x))
+    dfg, df, dg = (delta_deriv(scale, h, t).value for h in (fg, f, g))
+    s = scale.sigma(t)
+    return abs(dfg - (df * g(s) + f(t) * dg)), abs(dfg - (df * g(t) + f(s) * dg))
+
+
+def test_a_product_rule_slope_reads_its_factors_at_the_nodes(lookups):
+    scale = TimeScale(((0.0, 0.75), 1.0, (1.25, 2.0)), FLOAT)
+    f, g = ScaleFn.from_callable(scale, math.sin), ScaleFn.from_callable(scale, math.exp)
+    for t, count in ((0.5, 7), (0.75, 4), (1.0, 4)):
+        lookups.clear()
+        got = product_rule_residual(scale, f, g, t)
+        # At a right-dense t: the call's own lookup, two per slope, and none
+        # per Richardson sample; at a right-scattered t, one per slope.
+        assert len(lookups) == count
+        _same(got, _looked_up_product_rule(scale, f, g, t))
+    # On a rational scale the nodes are read as Fractions, and located points
+    # as the lookup path reads them.
+    rat = TimeScale(((Fraction(1, 3), Fraction(2, 3)), 1))
+    f = ScaleFn.from_callable(rat, lambda x: x * x + 1)
+    g = ScaleFn.from_callable(rat, lambda x: 3 * x - Fraction(1, 5))
+    for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+        _same(product_rule_residual(rat, f, g, t), _looked_up_product_rule(rat, f, g, t))
 
 
 # -- what a node stands for ----------------------------------------------------
