@@ -12,14 +12,16 @@ node, a ``Poly`` variable, and the piece [c, d] contributes F(d) - F(c)
 of its antiderivative F.  Only ``Poly`` data, alone or inside a
 ``ScaleFn`` or ``SurfaceFn``, ever sees the node; anything else (a plain
 callable, a polynomial past the size limits, a float scale) sends the
-piece to adaptive Simpson in floats, and the integral is a float.
+piece to adaptive Simpson in floats, through the ``_simpson`` wrapper that
+``_integrate`` shares with the running integral of ``el_residual``, and
+the integral is a float.
 
 A float quadrature node (of adaptive Simpson or of a Richardson limit)
 lies in its dense piece by construction, so data are evaluated there with
 no scale lookup: a closure-backed ``ScaleFn`` whose scale the piece was
 cut from hands its callable the node as ``require`` would, the float
-itself on a float scale and ``Fraction(x)`` on a rational one
-(``_at_nodes``), and a ``SurfaceFn`` does so per axis.  On a rational
+itself on a float scale and ``Fraction(x)`` on a rational one, and an
+exact point as it is (``_at_nodes``); a ``SurfaceFn`` does so per axis.  On a rational
 scale a node that float rounding put just off the scale beside a piece
 end, such as ``float(1/3)`` at the low end of [1/3, 2/3], is read as that
 end.  An integral locates its two ends once and walks the pieces between
@@ -186,11 +188,11 @@ def tabulated_from_json(obj) -> ScaleFn:
 
 
 def _at_nodes(fn, scale: TimeScale):
-    """``fn`` as read at the nodes of the dense pieces of ``scale``.
+    """``fn`` as read at the points and dense-piece nodes of ``scale``.
 
     A closure-backed ``ScaleFn`` on ``scale``, or on a scale ``scale`` was
-    cut from, reads a float node with no lookup (``TimeScale._node``), and
-    a symbolic node or a point of a rational scale through ``__call__``.
+    cut from, reads a float node (``TimeScale._node``) or an exact point of
+    ``scale`` with no lookup, and a symbolic node through ``__call__``.
     Anything else is returned as it is, and looks its arguments up."""
     if not (isinstance(fn, ScaleFn) and fn.func is not None and scale._cut_from(fn.scale)):
         return fn
@@ -198,7 +200,7 @@ def _at_nodes(fn, scale: TimeScale):
     if scale.mode != RATIONAL:
         return func
     point = fn.scale._node
-    return lambda x: func(point(x)) if type(x) is float else fn(x)
+    return lambda x: func(point(x)) if type(x) is float else fn(x) if type(x) is Poly else func(x)
 
 
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
@@ -258,7 +260,7 @@ def _quotient(hi, lo, gap) -> Num:
 
 def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
               d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL, sigma=None,
-              mu=None):
+              mu=None, piece=None):
     """Delta derivative of ``fn`` at ``t`` as ``(value, error_estimate, method)``.
 
     Every delta derivative in the package goes through here.  A
@@ -269,7 +271,8 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
     taken: ``EXACT_QUOTIENT``, ``ANALYTIC`` or ``NUMERIC_LIMIT``.
     ``dense`` forces the classical slope at a quadrature node of a dense
     piece, where ``fn`` is read as its continuous restriction and ``t``
-    is used as given.  At a symbolic node the slope is a polynomial
+    is used as given, located unless it lies by the dense piece ``piece``
+    (an index).  At a symbolic node the slope is a polynomial
     (``d_analytic``, the data's own derivative, or the derivative of
     ``fn`` at the node) and no limit runs.  A known forward jump ``sigma``
     past ``t`` gives the quotient (``_quotient``) with no lookup; when the
@@ -291,9 +294,14 @@ def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
                 raise _NotPolynomial
         return slope, 0.0, ANALYTIC
     if dense:
+        hit = None
+        if piece is not None:
+            lo, hi = scale.pieces[piece]
+            end = t if lo <= t <= hi else scale._rounded_ends.get(t)
+            hit = (piece, end) if end is t or end in (lo, hi) else None
         # A node that float rounding put off the scale is read as the piece
         # end it rounds from, as the data read it.
-        hit = scale._locate(t) or scale._locate(scale._node(t))
+        hit = hit or scale._locate(t) or scale._locate(scale._node(t))
         if hit is None:
             raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
         i, t = hit
@@ -460,8 +468,14 @@ def _primitive(scale: TimeScale, dense_value, node):
     return None
 
 
+def _simpson(dense_value, c, d, tol: float) -> float:
+    """Adaptive Simpson's value of the dense integrand ``dense_value`` over
+    [c, d], in floats: every numeric dense integral goes through here."""
+    return adaptive_simpson(lambda x: float(dense_value(x)), float(c), float(d), tol)[0]
+
+
 def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
-               node=None, exact_only: bool = False, cache=None):
+               node=None, exact_only: bool = False):
     """Delta integral driver shared by every integral in the package.
 
     ``point_value(t, st, mu)`` is the exact integrand at a right-scattered
@@ -469,17 +483,16 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
     that ``_decompose`` read off the piece tuple, and weighted by mu.
     ``dense_value(x)`` is the continuous restriction of the integrand on
     a dense piece, at a float quadrature node or at the symbolic
-    ``node``.  Its antiderivative is built at the first dense piece and
-    kept in ``cache`` (a dict), so that calls sharing one integrand
-    build it once.  Without one, each dense piece goes to Simpson, or,
-    with ``exact_only``, ``_NotPolynomial`` is raised."""
+    ``node``.  Its antiderivative is built at the first dense piece;
+    without one, each dense piece goes to ``_simpson``, or, with
+    ``exact_only``, ``_NotPolynomial`` is raised."""
     start, end = scale._find(a), scale._find(b)
     a, b = start[1], end[1]
     if a > b:
         raise DomainError("integration range is reversed; integrate forward and negate")
     if a == b:
         return zero_of(scale)
-    cache = {} if cache is None else cache
+    cache = {}
     simpson = []
 
     def terms():
@@ -500,8 +513,7 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
             elif exact_only:
                 raise _NotPolynomial
             else:
-                value, _ = adaptive_simpson(lambda x: float(dense_value(x)), float(c), float(d), tol)
-                simpson.append(value)
+                simpson.append(_simpson(dense_value, c, d, tol))
 
     exact = _exact_sum(zero_of(scale), terms())
     if not simpson:

@@ -515,19 +515,17 @@ class TimeScale:
         spaced interior samples per interval piece, ascending."""
         if refinement < 0:
             raise ValueError("refinement must be nonnegative")
-        pts = []
-        for lo, hi in self.pieces:
-            pts.append(lo)
-            if lo == hi:
-                continue
-            width = hi - lo
-            for k in range(1, refinement + 1):
-                if self.mode == RATIONAL:
-                    pts.append(lo + width * Fraction(k, refinement + 1))
-                else:
-                    pts.append(lo + width * k / (refinement + 1))
-            pts.append(hi)
-        return pts
+        return [t for lo, hi in self.pieces for t in self._piece_grid(lo, hi, refinement)]
+
+    def _piece_grid(self, lo, hi, refinement: int) -> list:
+        """The grid points of the piece (lo, hi): lo alone for an isolated
+        point, else lo, ``refinement`` equally spaced samples and hi."""
+        if lo == hi:
+            return [lo]
+        width, n = hi - lo, refinement + 1
+        if self.mode == RATIONAL:
+            return [lo, *(lo + width * Fraction(k, n) for k in range(1, n)), hi]
+        return [lo, *(lo + width * k / n for k in range(1, n)), hi]
 
     # -- serialization ----------------------------------------------------
 
@@ -591,7 +589,7 @@ def check_grid_size(refinement: int, *scales: TimeScale) -> None:
     """Refuse a product of ``grid(refinement)`` over ``scales`` with more
     than ``GRID_MAX_POINTS`` points, counted without building any grid.
 
-    A negative refinement is left for ``grid`` to refuse."""
+    A negative refinement is then refused as ``grid`` refuses it."""
     points = 1
     for scale in scales:
         dense = sum(1 for lo, hi in scale.pieces if lo != hi)
@@ -601,3 +599,5 @@ def check_grid_size(refinement: int, *scales: TimeScale) -> None:
             f"a grid of {points} points at refinement {refinement} is above "
             f"the limit {GRID_MAX_POINTS}"
         )
+    if refinement < 0:
+        raise ValueError("refinement must be nonnegative")

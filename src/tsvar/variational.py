@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import ScaleFn, _at_nodes, _delta_at, _exact_sum, _integrate, _symbolic
+from .calculus import (ScaleFn, _at_nodes, _classical_slope, _delta_at, _exact_sum, _node_var,
+                       _primitive, _quotient, _simpson, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly
-from .quadrature import QUAD_TOL
+from .quadrature import LIMIT_TOL, QUAD_TOL
 from .scales import (RATIONAL, Num, TimeScale, check_grid_size, fmt_scalar, json_object,
                      scalar_from_json, zero_of)
 
@@ -152,40 +153,57 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 tol: float = QUAD_TOL) -> ELReport:
     """Residual r(t) = L_v(t) - integral of L_y from a to t - c_hat.
 
-    Evaluated on [a, rho(b)], with dense pieces grid-sampled; c_hat is
-    the least-squares constant (the mean of the raw residuals).  A grid
-    above ``GRID_MAX_POINTS`` points raises ``PreconditionError``."""
+    Evaluated on the grid of [a, rho(b)]; c_hat is the least-squares
+    constant (the mean of the raw residuals).  The integral is one running
+    sum, carried forward along the grid piece by piece: the gap after a
+    right-scattered t adds mu(t) L_y(t), and a step inside a dense piece
+    adds F(t) - F(prev) of the exact antiderivative F of L_y or, without
+    one, ``_simpson`` on [prev, t], as ``_integrate`` would.  Each point is
+    read once, by piece index.  A grid above ``GRID_MAX_POINTS`` points
+    raises ``PreconditionError``."""
     world = p.world
-    rb = world.rho(p.b)
-    y_node = _at_nodes(y_hat, world)
-
-    def ly_dense(x):
-        # (x, y(x), y_delta(x)) at a node: sigma(x) = x on a dense piece.
-        return p.partial_y(x, y_node(x), _delta_at(world, y_hat, x, True)[0])
-
-    span = world.restrict(p.a, rb)
+    span = world.truncate_k()  # [a, rho(b)]
     check_grid_size(dense_refinement, span)
-    pts = span.grid(dense_refinement)
+    # Grid points and nodes lie in the scale: y reads them with no lookup.
+    y = _at_nodes(y_hat, world)
+
+    def ly(x, piece=None):
+        # (x, y(x), y_delta(x)) at a node of a dense piece: sigma(x) = x there.
+        return p.partial_y(x, y(x), _delta_at(world, y_hat, x, True, piece=piece)[0])
+
     node = _symbolic(y_hat)
-    # Every grid step integrates L_y: one exact antiderivative serves all.
-    shared = {}
+    primitive = False  # built at the first dense step, as _integrate builds it
     raw = []
     acc = zero_of(world)
-    prev = pts[0]
-    for t in pts:
-        if t != prev:
-            # Consecutive grid points have at most one gap between them, at
-            # prev, so L_y there reads the arguments ``args`` built at prev.
-            acc = acc + _integrate(world, prev, t, lambda tau, st, mu: p.partial_y(*args),
-                                   ly_dense, tol, node, cache=shared)
+    for i, (lo, hi) in enumerate(span.pieces):
+        if i:
+            # The gap after the last point, whose y(sigma) is y at lo.
+            acc = acc + world._gaps[i - 1] * p.partial_y(*args)
+            y_lo = y_st
+        f_prev = None
+        for t in world._piece_grid(lo, hi, dense_refinement):
+            if t is not lo and t != prev:
+                if primitive is False:
+                    primitive = _primitive(world, ly, node)
+                if primitive is None:
+                    acc = acc + _simpson(lambda x: ly(x, i), prev, t, tol)
+                else:
+                    k = _node_var(node)
+                    f_prev = primitive.subs(k, prev) if f_prev is None else f_prev
+                    f_t = primitive.subs(k, t)
+                    acc, f_prev = acc + (f_t - f_prev), f_t
             prev = t
-        # (t, y(sigma(t)), y_delta(t)), for L_v here and L_y at a gap from
-        # here; a right-scattered t divides by its gap in the indexed view.
-        i = world._find(t)[0]
-        st = world._sigma_at(i, t)
-        mu = None if st is t else world._gaps[i]
-        args = (t, y_hat(st), _delta_at(world, y_hat, t, sigma=st, mu=mu)[0])
-        raw.append((t, p.partial_v(*args) - acc))
+            # (t, y(sigma(t)), y_delta(t)), for L_v here and L_y at the gap
+            # after a right-scattered t, where y(sigma(t)) is read first.
+            st = world._sigma_at(i, t)
+            if st is t:
+                y_t = y_lo if i and t is lo else y(t)
+                args = (t, y_t, _classical_slope(world, y_hat, t, (lo, hi), LIMIT_TOL)[0])
+            else:
+                y_st = y(st)
+                y_t = y_lo if i and t is lo else y(t)
+                args = (t, y_st, _quotient(y_st, y_t, world._gaps[i]))
+            raw.append((t, p.partial_v(*args) - acc))
 
     # Exact residuals are summed in integers; anything else keeps the
     # builtin sum and its float rounding.

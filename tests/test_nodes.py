@@ -6,6 +6,7 @@ which hands every node to ``ScaleFn.__call__`` or ``SurfaceFn.val``; the
 node path must give the same bits."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,15 +23,19 @@ from tsvar import (
     ScaleFn,
     SurfaceFn,
     TimeScale,
+    VariationalProblem,
     action,
     delta_deriv,
     delta_integral,
     double_integral,
+    el_residual,
     first_variation,
     fubini_residual,
     ibp_residual,
+    lagrangian_from_spec,
     product_rule_residual,
 )
+from tsvar import calculus, variational
 from tsvar.quadrature import QUAD_TOL
 
 
@@ -216,6 +221,75 @@ def test_a_product_rule_slope_reads_its_factors_at_the_nodes(lookups):
     g = ScaleFn.from_callable(rat, lambda x: 3 * x - Fraction(1, 5))
     for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
         _same(product_rule_residual(rat, f, g, t), _looked_up_product_rule(rat, f, g, t))
+
+
+def _el_problem(scale, spec="builtin:v2+y2"):
+    return VariationalProblem(scale, scale.min, scale.max, lagrangian_from_spec(spec))
+
+
+@pytest.fixture
+def el_costs(monkeypatch):
+    """Counts of ``Poly.subs`` and of ``_integrate`` calls made from now on."""
+    counts = Counter()
+    original_subs = Poly.subs
+
+    def subs(self, i, value):
+        counts["subs"] += 1
+        return original_subs(self, i, value)
+
+    def integrate(*args, **kwargs):
+        counts["integrate"] += 1
+        return original_integrate(*args, **kwargs)
+
+    original_integrate = calculus._integrate
+    monkeypatch.setattr(Poly, "subs", subs)
+    monkeypatch.setattr(calculus, "_integrate", integrate)
+    monkeypatch.setattr(variational, "_integrate", integrate, raising=False)
+    return counts
+
+
+def test_el_residual_walks_a_rational_hybrid_scale_without_lookups(lookups, el_costs):
+    # [0, 3/4] u {1} u [5/4, 2] u {9/4} u [5/2, 3] at refinement 32: 104 grid
+    # points, 99 of them past the low end of their dense piece.  F, the
+    # antiderivative of L_y, is read once at each dense piece's low end and
+    # once at each later point of the piece.
+    scale = TimeScale(((0, Fraction(3, 4)), 1, (Fraction(5, 4), 2), Fraction(9, 4),
+                       (Fraction(5, 2), 3)))
+    p = _el_problem(scale)
+    square = Poly.parse("t^2", ("t",))
+    for y in (square, ScaleFn.from_callable(scale, square)):
+        lookups.clear()
+        el_costs.clear()
+        report = el_residual(p, y)
+        assert len(report.residuals) == 104
+        # The one lookup is the definedness audit's, classifying b.
+        assert lookups == [p.b]
+        assert el_costs == {"subs": 102}
+
+
+def test_el_residual_walks_a_discrete_scale_without_lookups(lookups, el_costs):
+    scale = TimeScale.discrete([Fraction(k, 3) for k in range(200)])
+    p = _el_problem(scale)
+    for y in (Poly.parse("t^2", ("t",)), ScaleFn.from_table(scale, {t: t * t for t in scale.points()})):
+        lookups.clear()
+        el_costs.clear()
+        assert len(el_residual(p, y).residuals) == 199
+        # b is left-scattered: the audit classifies it and finds rho(b).
+        assert len(lookups) == 2
+        assert el_costs == {}
+
+
+def test_el_residual_reads_simpson_nodes_in_the_walk_s_piece(lookups):
+    # y = sin with its derivative cos on a float scale: every dense step runs
+    # Simpson, whose nodes take their slope on the piece the walk is in.
+    scale = TimeScale(((0.0, 0.75), 1.0, (1.25, 2.0)), FLOAT)
+    nodes = []
+    y = ScaleFn.from_callable(scale, lambda x: nodes.append(x) or math.sin(x), deriv=math.cos)
+    p = _el_problem(scale)
+    lookups.clear()
+    el_residual(p, y, 4)
+    assert len(nodes) > 100
+    assert lookups == [2.0]
 
 
 # -- what a node stands for ----------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import rand_discrete_scale, rand_fraction
 from tsvar import (
     FLOAT,
     RATIONAL,
+    DomainError,
     DoubleProblem,
     Poly,
     PreconditionError,
@@ -25,6 +27,8 @@ from tsvar import (
     lagrangian_from_spec,
     nabla_integral_discrete,
 )
+from tsvar.calculus import _at_nodes, _delta_at, _exact_sum, _integrate, _symbolic
+from tsvar.scales import check_grid_size, zero_of
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
 
 Z6 = TimeScale.discrete(range(6))
@@ -381,3 +385,132 @@ class TestMinimizer:
         )
         with pytest.raises(PreconditionError, match="not strictly convex"):
             brute_force_minimizer(p)
+
+
+# -- the running integral gives what one integral per grid step gives -----------
+
+
+def _stepwise_el_residual(p, y_hat, refinement, tol):
+    """``el_residual`` computed with one ``_integrate`` from each grid point to
+    the next, every point located and y read afresh: the reference for the
+    running integral."""
+    world = p.world
+    y_node = _at_nodes(y_hat, world)
+
+    def ly_dense(x):
+        return p.partial_y(x, y_node(x), _delta_at(world, y_hat, x, True)[0])
+
+    span = world.restrict(p.a, world.rho(p.b))
+    check_grid_size(refinement, span)
+    pts = span.grid(refinement)
+    node = _symbolic(y_hat)
+    raw, acc, prev = [], zero_of(world), pts[0]
+    for t in pts:
+        if t != prev:
+            acc = acc + _integrate(world, prev, t, lambda tau, st, mu: p.partial_y(*args),
+                                   ly_dense, tol, node)
+            prev = t
+        i = world._find(t)[0]
+        st = world._sigma_at(i, t)
+        mu = None if st is t else world._gaps[i]
+        args = (t, y_hat(st), _delta_at(world, y_hat, t, sigma=st, mu=mu)[0])
+        raw.append((t, p.partial_v(*args) - acc))
+    rs = [r for _, r in raw]
+    if all(type(r) is Fraction for r in rs):
+        c_hat = _exact_sum(0, ((1, r) for r in rs)) / len(rs)
+    else:
+        c_hat = sum(rs) / len(rs)
+    residuals = tuple((t, r - c_hat) for t, r in raw)
+    return residuals, c_hat, max(abs(r) for _, r in residuals)
+
+
+def _outcome(call):
+    """What ``call`` returns or raises, by type and repr: float bits, signs and
+    Fraction against int all tell apart."""
+    try:
+        residuals, c_hat, max_abs = call()
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return ([(type(t), repr(t), type(r), repr(r)) for t, r in residuals],
+            type(c_hat), repr(c_hat), type(max_abs), repr(max_abs))
+
+
+@st.composite
+def el_scales(draw):
+    """Discrete rational, rational hybrid (pieces on a grid of halves, thirds
+    or sevenths, so that some ends round off the scale as floats) and float
+    hybrid scales, the last sometimes with an eps."""
+    kind = draw(st.sampled_from(["discrete", RATIONAL, FLOAT]))
+    unit = Fraction(1, draw(st.sampled_from([2, 3, 6, 7])))
+    x = unit * draw(st.integers(-6, 6))
+    pieces = []
+    for _ in range(draw(st.integers(2, 5))):
+        w = unit * draw(st.integers(1, 5))
+        pieces.append((x, x) if kind == "discrete" else (x, x + w))
+        x += (0 if kind == "discrete" else w) + unit * draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            pieces.append((x, x))
+            x += unit * draw(st.integers(1, 3))
+    if kind == FLOAT:
+        pieces = [(float(lo), float(hi)) for lo, hi in pieces]
+        return TimeScale(tuple(pieces), FLOAT, draw(st.sampled_from([0.0, 1e-9])))
+    return TimeScale(tuple(pieces) + ((x, x),))
+
+
+def _trajectory(kind, scale, c):
+    """y of the given kind; "raise" refuses every point from c on."""
+    poly = Poly.parse(f"({c})*t^2 - t + 1", ("t",))
+    if kind == "poly":
+        return poly
+    if kind == "scalefn-poly":
+        return ScaleFn.from_callable(scale, poly)
+    if kind == "closure":
+        return ScaleFn.from_callable(scale, lambda t: math.sin(t) + c * t * t)
+    if kind == "closure-deriv":
+        return ScaleFn.from_callable(scale, math.sin, deriv=math.cos)
+    if kind == "table":
+        return ScaleFn.from_table(scale, {t: c * t * t - t for t in scale.points()})
+    if kind == "plain":
+        return lambda t: 3 * t - c * t * t
+
+    def refuses(t):
+        if t >= c:
+            raise DomainError(f"no value at {t!r}")
+        return t * t
+    return refuses
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=el_scales(), data=st.data(),
+       kind=st.sampled_from(["poly", "scalefn-poly", "closure", "closure-deriv", "table",
+                             "plain", "raise"]),
+       spec=st.sampled_from(["builtin:v2", "builtin:v2+y2", "builtin:harmonic",
+                             "poly:t*y + v^2 + y*v", "poly:y^3 + v^2"]),
+       refinement=st.sampled_from([0, 1, 2, 3, 4] * 3 + [-1, 10 ** 5]),
+       tol=st.sampled_from([1e-6, 1e-9]))
+def test_el_residual_is_one_integral_per_step(scale, data, kind, spec, refinement, tol):
+    pts = scale.grid(1)
+    i = data.draw(st.integers(0, len(pts) // 3))
+    # b is the maximum (left-scattered) or any later grid point.
+    j = data.draw(st.sampled_from([len(pts) - 1, data.draw(st.integers(i + 1, len(pts) - 1))]))
+    p = VariationalProblem(scale, pts[i], pts[j], lagrangian_from_spec(spec))
+    if kind == "table" and not scale.is_discrete:
+        kind = "plain"
+    c = data.draw(st.sampled_from(pts)) if kind == "raise" else Fraction(data.draw(st.integers(-3, 3)), 2)
+    y = _trajectory(kind, scale, c)
+
+    def walked():
+        rep = el_residual(p, y, refinement, tol)
+        return rep.residuals, rep.c_hat, rep.max_abs_residual
+
+    assert _outcome(walked) == _outcome(lambda: _stepwise_el_residual(p, y, refinement, tol))
+
+
+def test_el_residual_refusals_match_the_stepwise_reference():
+    scale = TimeScale(((0, 1), 2, (3, 4)))
+    p = VariationalProblem(scale, 0, 4, lagrangian_from_spec("builtin:v2"))
+    y = ScaleFn.from_callable(scale, Poly.parse("t^2", ("t",)))
+    for refinement in (-1, 10 ** 5):
+        got = _outcome(lambda: (el_residual(p, y, refinement).residuals, 0, 0))
+        assert got == _outcome(lambda: _stepwise_el_residual(p, y, refinement, 1e-8))
+        assert got[0] in (ValueError, PreconditionError)
