@@ -208,11 +208,13 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     ``(value, error_estimate, method)``.
 
     ``fn`` must be evaluable throughout the piece.  Uses the analytic
-    derivative when the ScaleFn carries one, unconverted on a rational
-    scale and as a float otherwise, else a float Richardson limit.
+    derivative when the ScaleFn carries one or ``fn`` is a one-variable
+    Poly, unconverted on a rational scale and as a float otherwise, else a
+    float Richardson limit.
     """
-    if isinstance(fn, ScaleFn) and fn.deriv is not None:
-        slope = fn.deriv(t)
+    deriv = (fn if isinstance(fn, ScaleFn) else ScaleFn.from_callable(scale, fn)).deriv
+    if deriv is not None:
+        slope = deriv(t)
         return (slope if scale.mode == RATIONAL else float(slope)), 0.0, ANALYTIC
     lo, hi = piece
     x = float(t)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .calculus import _delta_at, _exact, _exact_sum, _iterated, _quotient
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
-from .polyfn import Poly
+from .polyfn import Poly, PolyTuple
 from .quadrature import QUAD_TOL
 from .scales import (RATIONAL, Num, TimeScale, as_scalar, check_grid_size, fmt_scalar,
                      json_object, scalar_from_json, zero_of)
@@ -205,12 +205,14 @@ class DoubleProblem:
     ax1: TimeScale = field(init=False, repr=False)
     ax2: TimeScale = field(init=False, repr=False)
     audit_findings: tuple = field(init=False, repr=False)
-    # (L_y0, L_y1, L_y2), worked out once.
+    # (L_y0, L_y1, L_y2), worked out once, and their joint evaluator.
     partials: tuple = field(init=False, repr=False, compare=False)
+    joint: PolyTuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "partials", _lagrangian_partials(
             self.lagrangian, _POLY2_VARS, ("y0", "y1", "y2")))
+        object.__setattr__(self, "joint", PolyTuple(self.partials))
         a1, b1, a2, b2 = self.ps.rect(self.a1, self.b1, self.a2, self.b2)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "b1", b1)
@@ -296,18 +298,20 @@ def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2=No
     Per axis x = s, the forward jump of t that a gap term is handed, with
     its graininess mu, or a sampled point looked up (s = t keeps the
     classical slope), or x = t at a dense quadrature node, where s is None.
-    At a node every sample of the slope along that axis is a node too."""
+    At a node every sample of the slope along that axis is a node too.
+    Each distinct value of u is read once: an axis handed its mu takes the
+    jump quotient from u(x1, x2) and u at t on that axis."""
     x1 = t1 if s1 is None else s1
     x2 = t2 if s2 is None else s2
     n1 = s1 is None and dp.ax1._cut_from(u.scale1)
     n2 = s2 is None and dp.ax2._cut_from(u.scale2)
     u_ss = u._at(x1, x2, n1, n2)
     dan1 = (lambda s: u._partial(1, s, x2)) if u.d1fn is not None else None
-    u_d1 = _delta_at(dp.ax1, lambda s: u._at(s, x2, n1, n2), t1, s1 is None, dan1,
-                     sigma=s1, mu=mu1)[0]
+    u_d1 = (_delta_at(dp.ax1, lambda s: u._at(s, x2, n1, n2), t1, s1 is None, dan1, sigma=s1)[0]
+            if mu1 is None else _quotient(u_ss, u._at(t1, x2, n1, n2), mu1))
     dan2 = (lambda s: u._partial(2, x1, s)) if u.d2fn is not None else None
-    u_d2 = _delta_at(dp.ax2, lambda s: u._at(x1, s, n1, n2), t2, s2 is None, dan2,
-                     sigma=s2, mu=mu2)[0]
+    u_d2 = (_delta_at(dp.ax2, lambda s: u._at(x1, s, n1, n2), t2, s2 is None, dan2, sigma=s2)[0]
+            if mu2 is None else _quotient(u_ss, u._at(x1, t2, n1, n2), mu2))
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
@@ -356,9 +360,8 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
     def G(t1, t2, s1, s2, mu1, mu2):
         args = _traj_args(dp, u_tilde, t1, t2, s1, s2, mu1, mu2)
         _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2, mu1, mu2)
-        return _exact_sum(zero, ((dp.partial_y0(*args), e_ss),
-                                 (dp.partial_y1(*args), e_d1),
-                                 (dp.partial_y2(*args), e_d2)))
+        l0, l1, l2 = dp.joint(*args)
+        return _exact_sum(zero, ((l0, e_ss), (l1, e_d1), (l2, e_d2)))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
 
@@ -388,19 +391,22 @@ def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2
     """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2,
     with the jumps ``s1``, ``s2`` and graininess ``mu1``, ``mu2`` of
     ``_traj_args``.  Past (t1, t2) the partials are read at sigma(t), whose
-    own jump and graininess are looked up (``_jump``)."""
+    own jump and graininess are looked up (``_jump``).  At exact arguments
+    the partials at (t1, t2) come from one joint call; at others each is
+    evaluated where it is read."""
     args = _traj_args(dp, u, t1, t2, s1, s2, mu1, mu2)
-    term0 = dp.partial_y0(*args)
+    here = dp.joint.exact(args)
+    term0 = dp.partial_y0(*args) if here is None else here[0]
 
     def F1(s):
         if s is t1:
-            return dp.partial_y1(*args)
+            return dp.partial_y1(*args) if here is None else here[1]
         jump, mu = (None, None) if s1 is None else _jump(dp.ax1, s)
         return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2, mu, mu2))
 
     def F2(s):
         if s is t2:
-            return dp.partial_y2(*args)
+            return dp.partial_y2(*args) if here is None else here[2]
         jump, mu = (None, None) if s2 is None else _jump(dp.ax2, s)
         return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump, mu1, mu))
 
@@ -530,8 +536,7 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
     core1, core2 = range(r1), range(r2)
 
     def partials_at(i, j):
-        args = (P1[i], P2[j], U[i + 1][j + 1], d1(U, i, j + 1), d2(U, i + 1, j))
-        return dp.partial_y0(*args), dp.partial_y1(*args), dp.partial_y2(*args)
+        return dp.joint(P1[i], P2[j], U[i + 1][j + 1], d1(U, i, j + 1), d2(U, i + 1, j))
 
     cells = [[partials_at(i, j) for j in full2] for i in full1]
     L0, L1, L2 = ([[c[k] for c in row] for row in cells] for k in range(3))

@@ -16,7 +16,9 @@ Calling a ``Poly`` takes one of three branches, chosen by argument type:
 - anything else (floats): term by term, so that float sums keep one
   fixed order and their exact bits.
 
-``subs`` shares the exact branch's plan and power table.
+``subs`` shares the exact branch's plan and power table.  A ``PolyTuple``
+calls several Polys at once, at exact scalars from one plan that builds each
+power table once; a ``Poly``'s exact branch is its one-output case.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ def _power_table(x, top: int):
     """For the exact scalar ``x = p/q`` in lowest terms, the integers
     ``p^e * q^(top - e)`` for e = 0 … top, and ``q^top``."""
     p, q = x.as_integer_ratio()
+    if top == 1:
+        return (q, p), q
     return [p**e * q ** (top - e) for e in range(top + 1)], q**top
 
 
@@ -234,34 +238,14 @@ class Poly:
 
     # Evaluation: the three branches of the module docstring.
 
-    def _scalar_plan(self):
-        """``(D, active, tops, terms)``: the lcm ``D`` of the coefficient
-        denominators, the indices of the variables that occur, the top
-        exponent of each, and per term ``(D * c, exponents of active)``."""
+    def _scalar_plan(self) -> "PolyTuple":
+        """This Poly alone as a ``PolyTuple``, built once: its exact branch."""
         if self._plan is None:
-            tops = [max(col) for col in zip(*self.terms)] or [0] * len(self.variables)
-            active = tuple(j for j, top in enumerate(tops) if top)
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            terms = tuple(
-                (c.numerator * (den // c.denominator), tuple(expo[j] for j in active))
-                for expo, c in self.terms.items()
-            )
-            self._plan = (den, active, tuple(tops[j] for j in active), terms)
+            self._plan = PolyTuple((self,))
         return self._plan
 
     def _exact_call(self, args) -> Fraction:
-        den, active, tops, terms = self._scalar_plan()
-        tables = []
-        for j, top in zip(active, tops):
-            table, q_top = _power_table(args[j], top)
-            tables.append(table)
-            den *= q_top
-        num = 0
-        for n, expo in terms:
-            for table, e in zip(tables, expo):
-                n *= table[e]
-            num += n
-        return Fraction(num, den)
+        return self._scalar_plan()._values(args)[0]
 
     def _symbolic_call(self, args):
         variables = None
@@ -308,8 +292,8 @@ class Poly:
         ``__call__``; otherwise a Poly over the same variables."""
         if not isinstance(value, _EXACT):
             raise TypeError(f"subs takes an int or a Fraction, not {type(value).__name__}")
-        den, active, _, terms = self._scalar_plan()
-        if active in ((), (i,)):
+        (den, terms), = self._scalar_plan().outputs
+        if self._plan.active in ((), (i,)):
             return self._exact_call((0,) * i + (value,) + (0,) * (len(self.variables) - i - 1))
         top = max(expo[i] for expo in self.terms)
         table, q_top = _power_table(value, top)
@@ -426,3 +410,58 @@ class Poly:
         if peek()[0] != "end":
             raise ValueError(f"trailing input after expression: {peek()[1]!r}")
         return node
+
+
+class PolyTuple:
+    """Polys over the same variables, called together: a call returns the
+    list of their values.  At int and Fraction arguments one plan builds each
+    power table once for all of them, and each value is one Fraction, equal to
+    that Poly's own call; at any other argument each Poly makes its own call."""
+
+    __slots__ = ("polys", "active", "tops", "outputs")
+
+    def __init__(self, polys):
+        # The plan: the variables that occur in any Poly with the top exponent
+        # of each; per Poly the lcm D of its denominators and per term (D*c, exponents).
+        self.polys = tuple(polys)
+        for p in self.polys[1:]:
+            _check_same_variables(self.polys[0].variables, p.variables)
+        tops = [max(col) for col in zip(*[expo for p in self.polys for expo in p.terms])]
+        self.active = tuple(j for j, top in enumerate(tops) if top)
+        self.tops = tuple(tops[j] for j in self.active)
+        self.outputs = []
+        for p in self.polys:
+            den = lcm(*(c.denominator for c in p.terms.values()))
+            self.outputs.append((den, tuple(
+                (c.numerator * (den // c.denominator), tuple(expo[j] for j in self.active))
+                for expo, c in p.terms.items())))
+
+    def _values(self, args) -> list:
+        tables = []
+        scale = 1  # the product of the tables' q^top, shared by every value
+        for j, top in zip(self.active, self.tops):
+            table, q_top = _power_table(args[j], top)
+            tables.append(table)
+            scale *= q_top
+        values = []
+        for den, terms in self.outputs:
+            num = 0
+            for n, expo in terms:
+                for table, e in zip(tables, expo):
+                    n *= table[e]
+                num += n
+            values.append(Fraction(num, den * scale))
+        return values
+
+    def exact(self, args):
+        """The values at ``args`` if every argument is an int or a Fraction, else None."""
+        for a in args:
+            if type(a) is not Fraction and type(a) is not int:
+                return None
+        if self.polys and len(args) != len(self.polys[0].variables):
+            raise TypeError(f"expected {len(self.polys[0].variables)} arguments, got {len(args)}")
+        return self._values(args)
+
+    def __call__(self, *args) -> list:
+        values = self.exact(args)
+        return [p(*args) for p in self.polys] if values is None else values

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .calculus import (ScaleFn, _at_nodes, _classical_slope, _delta_at, _exact_sum, _node_var,
                        _primitive, _quotient, _simpson, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
-from .polyfn import Poly
+from .polyfn import Poly, PolyTuple
 from .quadrature import LIMIT_TOL, QUAD_TOL
 from .scales import (RATIONAL, Num, TimeScale, check_grid_size, fmt_scalar, json_object,
                      scalar_from_json, zero_of)
@@ -309,6 +309,7 @@ def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
     second = [(a, b, h) for a, d in enumerate(first)
               for b, h in enumerate(d.diff(x) for x in wrt) if h.terms]
     exact = rational and not any(h.diff(x).terms for _, _, h in second for x in wrt)
+    first_at, second_at = PolyTuple(first), PolyTuple(h for _, _, h in second)
     num, tol = (Fraction, 0) if exact else (float, NEWTON_GRAD_TOL)
     values = {k: num(v) for k, v in values.items()}
     pos = {k: r for r, k in enumerate(unknowns)}
@@ -323,18 +324,20 @@ def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
               for w, targs, forms in cells]
         grad = [0] * len(x)
         for w, args, forms in at:
-            for d, (_, form) in zip(first, forms):
-                g = w * d(*args)
+            for d, (_, form) in zip(first_at(*args), forms):
+                g = w * d
                 for c, r in form:
                     grad[r] += c * g
         gmax = max(map(abs, grad), default=0)
-        if gmax <= tol or step == NEWTON_MAX_STEPS:
+        # With no second partial (L affine in the states) the Hessian is
+        # empty, and any unknown is refused at its first pivot, even at grad 0.
+        if (gmax <= tol and (second or not x)) or step == NEWTON_MAX_STEPS:
             break
         # upper[r]: row r of the Hessian from the diagonal on, {column: entry}.
         upper = [{} for _ in x]
         for w, args, forms in at:
-            for a, b, h in second:
-                wh = w * h(*args)
+            for (a, b, _), h in zip(second, second_at(*args)):
+                wh = w * h
                 for c1, r in forms[a][1]:
                     for c2, s in forms[b][1]:
                         if r <= s:

@@ -191,6 +191,21 @@ class TestPolyData:
         assert type(res.value) is Fraction and res.value == Fraction(-5, 3)
         assert (res.method, res.est_error) == (ANALYTIC, 0)
 
+    def test_a_bare_poly_slopes_by_its_own_derivative(self):
+        # A one-variable Poly handed as it is, not wrapped in a ScaleFn: exact
+        # on a rational scale, and a float of the same slope on a float one.
+        scale = TimeScale(((0, Fraction(3, 4)), 1, (Fraction(5, 4), 2)))
+        square = Poly.parse("t^2", ("t",))
+        res = delta_deriv(scale, square, Fraction(1, 2))
+        assert type(res.value) is Fraction and res.value == 1 and res.method == ANALYTIC
+        p = VariationalProblem(scale, 0, 2, Poly.parse("v^2", ("t", "y", "v")))
+        for y in (square, ScaleFn.from_callable(scale, square)):
+            worst = el_residual(p, y, dense_refinement=2).max_abs_residual
+            assert type(worst) is Fraction and worst == Fraction(37, 9)
+        floats = TimeScale(((0.0, 0.75), 1.0, (1.25, 2.0)), mode=FLOAT)
+        res = delta_deriv(floats, square, 0.5)
+        assert (repr(res.value), res.method) == ("1.0", ANALYTIC)
+
     def test_no_richardson_limit_on_poly_data(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("richardson_limit called on polynomial data")

@@ -30,6 +30,7 @@ from tsvar import (
 from tsvar.calculus import _delta_at
 from tsvar.double import ChainStep, _chain_discrete, _el_kernel_at, _wsum
 from tsvar.scales import zero_of
+from tsvar.polyfn import PolyTuple
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
 
 AX4 = TimeScale.discrete(range(4))
@@ -553,6 +554,22 @@ class TestMinimizer2D:
                            Poly.parse("t1 - 2*t2 + 1/3", ("t1", "t2")))
         rep = double_el_residual(dp, brute_force_minimizer_2d(dp))
         assert type(rep.max_abs_residual) is Fraction and rep.max_abs_residual == 0
+
+    @pytest.mark.parametrize("spec", ["poly:y1", "poly:y0 + t1*y2"])
+    def test_no_second_partial_is_refused_before_a_newton_step(self, spec, monkeypatch):
+        calls = []
+        call = PolyTuple.__call__
+        monkeypatch.setattr(PolyTuple, "__call__",
+                            lambda self, *args: calls.append(args) or call(self, *args))
+        dp = DoubleProblem.from_json({"scale1": AX5.to_json(), "scale2": AX5.to_json(),
+                                      "lagrangian": spec, "boundary": "t1 + t2"})
+        with pytest.raises(PreconditionError) as refused:
+            brute_force_minimizer_2d(dp)
+        assert str(refused.value) == ("the action is not strictly convex: Hessian pivot 0 "
+                                      "at the unknown value at (1, 1)")
+        # One gradient and one (empty) Hessian evaluation per cell, both at
+        # the starting values: no Newton step was taken.
+        assert len(calls) == 2 * 16 and calls[:16] == calls[16:]
 
     def test_unknowns_bound(self):
         long_axis = TimeScale.discrete(range(MINIMIZER_MAX_UNKNOWNS + 3))

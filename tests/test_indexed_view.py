@@ -143,6 +143,44 @@ def test_the_chain_and_the_kernel_map_on_a_table_divide_nothing(fraction_ops):
     assert fraction_ops["div"] == 0 and fraction_ops["sub"] == 6 * 6 * 2
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts of surface reads (``SurfaceFn.val``) and of exact Poly calls
+    (``Poly._exact_call``) made from now on."""
+    counts = Counter()
+    for owner, name in ((SurfaceFn, "val"), (Poly, "_exact_call")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _key=name):
+            counts[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("call, val, exact_call", [
+    # 7 x 7 cells read u(sigma1, sigma2), u(t1, sigma2) and u(sigma1, t2) of
+    # u and of eta, after 4 x 8 boundary probes; L's three partials come
+    # from one joint call per cell.
+    (lambda dp, u, eta: first_variation(dp, u, eta), 7 * 7 * 3 * 2 + 32, 0),
+    # The chain probes the boundary, reads u and eta on the grid once, and
+    # runs the first variation as its cross-check.
+    (lambda dp, u, eta: derivation_chain_check(dp, u, eta), 32 + 2 * 64 + 326, 0),
+    # 36 kernel points read 3 values at (t1, t2) and 3 at each look-ahead
+    # point, the 13 gaps fewer.  The look-ahead partials at sigma stay single
+    # calls: 2 per kernel point, and 1 at each of the 6 gaps whose axis-1
+    # look-ahead is defined.
+    (lambda dp, u, eta: double_el_residual(dp, u), 400, 36 * 2 + 6),
+])
+def test_each_surface_value_and_partial_tuple_is_read_once(reads, call, val, exact_call):
+    dp, u, eta = _table_problem()
+    call(dp, u, eta)
+    reads.clear()
+    call(dp, u, eta)
+    assert (reads["val"], reads["_exact_call"]) == (val, exact_call)
+
+
 # -- the identity path answers what the value path answers ------------------
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvar import Poly
-from tsvar.polyfn import POLY_MAX_COEFF_BITS, PolySizeError
+from tsvar.polyfn import POLY_MAX_COEFF_BITS, PolySizeError, PolyTuple
 
 
 class TestParse:
@@ -243,6 +243,70 @@ class TestEvaluationKernel:
     def test_subs_refuses_floats(self):
         with pytest.raises(TypeError):
             Poly.parse("x1", XY).subs(0, 0.5)
+
+
+# Exact scalars as wide as a 64-bit word, of either sign.
+WORD = 2**61 - 1
+wide_scalars = st.one_of(
+    st.integers(-WORD, WORD),
+    st.builds(Fraction, st.integers(-WORD, WORD), st.integers(1, WORD)),
+)
+
+
+@st.composite
+def poly_tuples(draw):
+    """``(variables, polys)``: up to four Polys over 1-5 variables, among
+    them zero polynomials, constants and tops above 1."""
+    variables = NAMES[:draw(st.integers(1, 5))]
+    one = st.one_of(polys(variables, max_degree=4, max_terms=5),
+                    st.builds(lambda c: Poly.constant(variables, c), fractions),
+                    st.just(Poly(variables, {})))
+    return variables, draw(st.lists(one, max_size=4))
+
+
+class TestJointEvaluation:
+    """A ``PolyTuple`` gives what each of its Polys gives on its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly_tuples(), st.data())
+    def test_exact_scalars_give_each_polys_own_fraction(self, drawn, data):
+        variables, ps = drawn
+        args = [data.draw(wide_scalars) for _ in variables]
+        got = PolyTuple(ps)(*args)
+        assert len(got) == len(ps)
+        for value, p in zip(got, ps):
+            own = p(*args)
+            assert type(value) is type(own) is Fraction
+            assert value == own == naive_call(p, args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_tuples(), st.data())
+    def test_float_arguments_keep_each_polys_bits(self, drawn, data):
+        variables, ps = drawn
+        args = [data.draw(st.floats(-3.0, 3.0)) for _ in variables]
+        joint = PolyTuple(ps)
+        assert joint.exact(args) is None
+        assert [repr(v) for v in joint(*args)] == [repr(p(*args)) for p in ps]
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_tuples(), st.data())
+    def test_poly_arguments_stay_symbolic(self, drawn, data):
+        variables, ps = drawn
+        args = [data.draw(st.one_of(fractions, polys(XY, max_degree=2, max_terms=3)))
+                for _ in variables]
+        for value, p in zip(PolyTuple(ps)(*args), ps):
+            own = p(*args)
+            assert type(value) is type(own) and value == own
+
+    def test_no_polys_give_no_values(self):
+        assert PolyTuple([])(Fraction(1, 3), 2) == [] and PolyTuple([])(0.5) == []
+
+    def test_arity_and_variables_are_checked(self):
+        ps = [Poly.parse("x1^2", XY), Poly.parse("x2 + 1", XY)]
+        with pytest.raises(TypeError, match="expected 2 arguments"):
+            PolyTuple(ps)(1)
+        with pytest.raises(TypeError, match="different variables"):
+            PolyTuple([Poly.parse("t", ("t",)), ps[0]])
 
 
 class TestVariablesMustAgree:

@@ -29,6 +29,7 @@ from tsvar import (
 )
 from tsvar.calculus import _at_nodes, _delta_at, _exact_sum, _integrate, _symbolic
 from tsvar.scales import check_grid_size, zero_of
+from tsvar.polyfn import PolyTuple
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
 
 Z6 = TimeScale.discrete(range(6))
@@ -385,6 +386,26 @@ class TestMinimizer:
         )
         with pytest.raises(PreconditionError, match="not strictly convex"):
             brute_force_minimizer(p)
+
+    @pytest.mark.parametrize("spec", ["poly:v", "poly:y", "poly:t*v - 2*y"])
+    def test_no_second_partial_is_refused_before_a_newton_step(self, spec, monkeypatch):
+        # An action affine in the unknowns has an empty Hessian, whose first
+        # pivot is 0: refused even where the gradient vanishes (poly:v).
+        calls = []
+        call = PolyTuple.__call__
+        monkeypatch.setattr(PolyTuple, "__call__",
+                            lambda self, *args: calls.append(args) or call(self, *args))
+        p = VariationalProblem.from_json(
+            {"scale": TimeScale.discrete(range(5)).to_json(), "a": 0, "b": 4,
+             "lagrangian": spec, "boundary": {"ya": 0, "yb": 1}}
+        )
+        with pytest.raises(PreconditionError) as refused:
+            brute_force_minimizer(p)
+        assert str(refused.value) == ("the action is not strictly convex: Hessian pivot 0 "
+                                      "at the unknown value at (1)")
+        # One gradient and one (empty) Hessian evaluation per cell, both at
+        # the starting values: no Newton step was taken.
+        assert len(calls) == 2 * 4 and calls[:4] == calls[4:]
 
 
 # -- the running integral gives what one integral per grid step gives -----------
