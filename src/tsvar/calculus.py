@@ -208,13 +208,11 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     ``(value, error_estimate, method)``.
 
     ``fn`` must be evaluable throughout the piece.  Uses the analytic
-    derivative when the ScaleFn carries one or ``fn`` is a one-variable
-    Poly, unconverted on a rational scale and as a float otherwise, else a
-    float Richardson limit.
+    derivative when the ScaleFn carries one, unconverted on a rational
+    scale and as a float otherwise, else a float Richardson limit.
     """
-    deriv = (fn if isinstance(fn, ScaleFn) else ScaleFn.from_callable(scale, fn)).deriv
-    if deriv is not None:
-        slope = deriv(t)
+    if isinstance(fn, ScaleFn) and fn.deriv is not None:
+        slope = fn.deriv(t)
         return (slope if scale.mode == RATIONAL else float(slope)), 0.0, ANALYTIC
     lo, hi = piece
     x = float(t)
@@ -333,14 +331,15 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     """Delta derivative of ``fn`` at ``t``.
 
     Exact quotient at right-scattered points.  At right-dense points the
-    analytic derivative a ``ScaleFn`` carries, else a Richardson
-    extrapolated limit of difference quotients along the scale.
-    Undefined at a left-scattered maximum.
+    analytic derivative a ``ScaleFn`` or a one-variable ``Poly`` carries,
+    else a Richardson extrapolated limit of difference quotients along the
+    scale.  Undefined at a left-scattered maximum.
     """
     i, t = scale._find(t)
     sigma = scale._sigma_at(i, t)
     # sigma is t itself where t is right-dense or the maximum.
     mu = None if sigma is t else sigma - t
+    fn = ScaleFn.from_callable(scale, fn) if type(fn) is Poly else fn  # carries its derivative
     value, est, method = _delta_at(scale, fn, t, tol=tol, sigma=sigma, mu=mu)
     return DerivResult(value, method, est)
 

@@ -391,22 +391,19 @@ def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2
     """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2,
     with the jumps ``s1``, ``s2`` and graininess ``mu1``, ``mu2`` of
     ``_traj_args``.  Past (t1, t2) the partials are read at sigma(t), whose
-    own jump and graininess are looked up (``_jump``).  At exact arguments
-    the partials at (t1, t2) come from one joint call; at others each is
-    evaluated where it is read."""
+    own jump and graininess are looked up (``_jump``)."""
     args = _traj_args(dp, u, t1, t2, s1, s2, mu1, mu2)
-    here = dp.joint.exact(args)
-    term0 = dp.partial_y0(*args) if here is None else here[0]
+    term0, l1, l2 = dp.joint(*args)
 
     def F1(s):
         if s is t1:
-            return dp.partial_y1(*args) if here is None else here[1]
+            return l1
         jump, mu = (None, None) if s1 is None else _jump(dp.ax1, s)
         return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2, mu, mu2))
 
     def F2(s):
         if s is t2:
-            return dp.partial_y2(*args) if here is None else here[2]
+            return l2
         jump, mu = (None, None) if s2 is None else _jump(dp.ax2, s)
         return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump, mu1, mu))
 

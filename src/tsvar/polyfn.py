@@ -74,6 +74,42 @@ def _power_table(x, top: int):
     return [p**e * q ** (top - e) for e in range(top + 1)], q**top
 
 
+def _plan(polys) -> tuple:
+    """``(active, tops, outputs)`` for Polys over the same variables: the variables
+    that occur in any of them, the top exponent of each, and per Poly the lcm ``D``
+    of its denominators with, per term, ``(D * c, exponents of active)``; no Poly."""
+    tops = [max(col) for col in zip(*[expo for p in polys for expo in p.terms])]
+    active = tuple(j for j, top in enumerate(tops) if top)
+    outputs = []
+    for p in polys:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        outputs.append((den, tuple((c.numerator * (den // c.denominator),
+                                    tuple(expo[j] for j in active))
+                                   for expo, c in p.terms.items())))
+    return active, tuple(tops[j] for j in active), tuple(outputs)
+
+
+def _values(plan: tuple, args) -> list:
+    """The values of a ``_plan``'s Polys at the exact scalars ``args``: each
+    power table is built once and shared, and each value is one Fraction."""
+    active, tops, outputs = plan
+    tables = []
+    scale = 1  # the product of the tables' q^top, shared by every value
+    for j, top in zip(active, tops):
+        table, q_top = _power_table(args[j], top)
+        tables.append(table)
+        scale *= q_top
+    values = []
+    for den, terms in outputs:
+        num = 0
+        for n, expo in terms:
+            for table, e in zip(tables, expo):
+                n *= table[e]
+            num += n
+        values.append(Fraction(num, den * scale))
+    return values
+
+
 def _tokenize(text: str):
     pos = 0
     out = []
@@ -238,14 +274,14 @@ class Poly:
 
     # Evaluation: the three branches of the module docstring.
 
-    def _scalar_plan(self) -> "PolyTuple":
-        """This Poly alone as a ``PolyTuple``, built once: its exact branch."""
+    def _scalar_plan(self) -> tuple:
+        """The ``_plan`` of this Poly alone, built once: its exact branch."""
         if self._plan is None:
-            self._plan = PolyTuple((self,))
+            self._plan = _plan((self,))
         return self._plan
 
     def _exact_call(self, args) -> Fraction:
-        return self._scalar_plan()._values(args)[0]
+        return _values(self._scalar_plan(), args)[0]
 
     def _symbolic_call(self, args):
         variables = None
@@ -292,8 +328,8 @@ class Poly:
         ``__call__``; otherwise a Poly over the same variables."""
         if not isinstance(value, _EXACT):
             raise TypeError(f"subs takes an int or a Fraction, not {type(value).__name__}")
-        (den, terms), = self._scalar_plan().outputs
-        if self._plan.active in ((), (i,)):
+        active, _, ((den, terms),) = self._scalar_plan()
+        if active in ((), (i,)):
             return self._exact_call((0,) * i + (value,) + (0,) * (len(self.variables) - i - 1))
         top = max(expo[i] for expo in self.terms)
         table, q_top = _power_table(value, top)
@@ -413,55 +449,22 @@ class Poly:
 
 
 class PolyTuple:
-    """Polys over the same variables, called together: a call returns the
-    list of their values.  At int and Fraction arguments one plan builds each
-    power table once for all of them, and each value is one Fraction, equal to
-    that Poly's own call; at any other argument each Poly makes its own call."""
+    """Polys over the same variables, called together for the list of their values:
+    at int and Fraction arguments from one plan, each power table built once and
+    each value that Poly's own Fraction; at any other argument by each Poly's call."""
 
-    __slots__ = ("polys", "active", "tops", "outputs")
+    __slots__ = ("polys", "plan")
 
     def __init__(self, polys):
-        # The plan: the variables that occur in any Poly with the top exponent
-        # of each; per Poly the lcm D of its denominators and per term (D*c, exponents).
         self.polys = tuple(polys)
         for p in self.polys[1:]:
             _check_same_variables(self.polys[0].variables, p.variables)
-        tops = [max(col) for col in zip(*[expo for p in self.polys for expo in p.terms])]
-        self.active = tuple(j for j, top in enumerate(tops) if top)
-        self.tops = tuple(tops[j] for j in self.active)
-        self.outputs = []
-        for p in self.polys:
-            den = lcm(*(c.denominator for c in p.terms.values()))
-            self.outputs.append((den, tuple(
-                (c.numerator * (den // c.denominator), tuple(expo[j] for j in self.active))
-                for expo, c in p.terms.items())))
-
-    def _values(self, args) -> list:
-        tables = []
-        scale = 1  # the product of the tables' q^top, shared by every value
-        for j, top in zip(self.active, self.tops):
-            table, q_top = _power_table(args[j], top)
-            tables.append(table)
-            scale *= q_top
-        values = []
-        for den, terms in self.outputs:
-            num = 0
-            for n, expo in terms:
-                for table, e in zip(tables, expo):
-                    n *= table[e]
-                num += n
-            values.append(Fraction(num, den * scale))
-        return values
-
-    def exact(self, args):
-        """The values at ``args`` if every argument is an int or a Fraction, else None."""
-        for a in args:
-            if type(a) is not Fraction and type(a) is not int:
-                return None
-        if self.polys and len(args) != len(self.polys[0].variables):
-            raise TypeError(f"expected {len(self.polys[0].variables)} arguments, got {len(args)}")
-        return self._values(args)
+        self.plan = _plan(self.polys)
 
     def __call__(self, *args) -> list:
-        values = self.exact(args)
-        return [p(*args) for p in self.polys] if values is None else values
+        for a in args:
+            if type(a) is not Fraction and type(a) is not int:
+                return [p(*args) for p in self.polys]
+        if self.polys and len(args) != len(self.polys[0].variables):
+            raise TypeError(f"expected {len(self.polys[0].variables)} arguments, got {len(args)}")
+        return _values(self.plan, args)

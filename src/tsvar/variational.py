@@ -166,10 +166,12 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     check_grid_size(dense_refinement, span)
     # Grid points and nodes lie in the scale: y reads them with no lookup.
     y = _at_nodes(y_hat, world)
+    # Slopes read a bare one-variable Poly by its own derivative, worked out once.
+    sloped = ScaleFn.from_callable(world, y_hat) if type(y_hat) is Poly else y_hat
 
     def ly(x, piece=None):
         # (x, y(x), y_delta(x)) at a node of a dense piece: sigma(x) = x there.
-        return p.partial_y(x, y(x), _delta_at(world, y_hat, x, True, piece=piece)[0])
+        return p.partial_y(x, y(x), _delta_at(world, sloped, x, True, piece=piece)[0])
 
     node = _symbolic(y_hat)
     primitive = False  # built at the first dense step, as _integrate builds it
@@ -198,7 +200,7 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
             st = world._sigma_at(i, t)
             if st is t:
                 y_t = y_lo if i and t is lo else y(t)
-                args = (t, y_t, _classical_slope(world, y_hat, t, (lo, hi), LIMIT_TOL)[0])
+                args = (t, y_t, _classical_slope(world, sloped, t, (lo, hi), LIMIT_TOL)[0])
             else:
                 y_st = y(st)
                 y_t = y_lo if i and t is lo else y(t)

@@ -417,9 +417,11 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
     running integral."""
     world = p.world
     y_node = _at_nodes(y_hat, world)
+    # Slopes are read as el_residual reads them: a bare Poly by its derivative.
+    sloped = ScaleFn.from_callable(world, y_hat) if type(y_hat) is Poly else y_hat
 
     def ly_dense(x):
-        return p.partial_y(x, y_node(x), _delta_at(world, y_hat, x, True)[0])
+        return p.partial_y(x, y_node(x), _delta_at(world, sloped, x, True)[0])
 
     span = world.restrict(p.a, world.rho(p.b))
     check_grid_size(refinement, span)
@@ -434,7 +436,7 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
         i = world._find(t)[0]
         st = world._sigma_at(i, t)
         mu = None if st is t else world._gaps[i]
-        args = (t, y_hat(st), _delta_at(world, y_hat, t, sigma=st, mu=mu)[0])
+        args = (t, y_hat(st), _delta_at(world, sloped, t, sigma=st, mu=mu)[0])
         raw.append((t, p.partial_v(*args) - acc))
     rs = [r for _, r in raw]
     if all(type(r) is Fraction for r in rs):
