@@ -6,26 +6,32 @@ into scattered points, contributing graininess-weighted values exactly,
 and interval pieces.  On purely discrete rational scales every operation
 here is exact.
 
+Data are ``AxesFn``: one class over a tuple of axes, a table or a
+callable with one partial per axis, of which ``ScaleFn`` and the double
+layer's ``SurfaceFn`` are the one- and two-axis constructors.  Its call is
+the one reader of values and partials; ``section`` is a one-axis view
+through a point.  Every public entry point wraps a bare ``Poly`` once
+(``_data``), so its slope is its own derivative.
+
 On a rational scale an interval piece is integrated exactly when the
 data are polynomial: the integrand is evaluated once at a symbolic
 node, a ``Poly`` variable, and the piece [c, d] contributes F(d) - F(c)
-of its antiderivative F.  Only ``Poly`` data, alone or inside a
-``ScaleFn`` or ``SurfaceFn``, ever sees the node; anything else (a plain
-callable, a polynomial past the size limits, a float scale) sends the
-piece to adaptive Simpson in floats, through the ``_simpson`` wrapper that
-``_integrate`` shares with the running integral of ``el_residual``, and
-the integral is a float.
+of its antiderivative F.  Only ``Poly`` data ever sees the node; anything
+else (a plain callable, a polynomial past the size limits, a float scale)
+sends the piece to adaptive Simpson in floats, through the ``_simpson``
+wrapper that ``_integrate`` shares with the running integral of
+``el_residual``, and the integral is a float.
 
 A float quadrature node (of adaptive Simpson or of a Richardson limit)
-lies in its dense piece by construction, so data are evaluated there with
-no scale lookup: a closure-backed ``ScaleFn`` whose scale the piece was
-cut from hands its callable the node as ``require`` would, the float
-itself on a float scale and ``Fraction(x)`` on a rational one, and an
-exact point as it is (``_at_nodes``); a ``SurfaceFn`` does so per axis.  On a rational
-scale a node that float rounding put just off the scale beside a piece
-end, such as ``float(1/3)`` at the low end of [1/3, 2/3], is read as that
-end.  An integral locates its two ends once and walks the pieces between
-by index.
+lies in its dense piece by construction, so data are read there with no
+scale lookup: the reader hands a callable on an axis the piece was cut
+from the node as ``require`` would, the float itself on a float scale and
+``Fraction(x)`` on a rational one, and an exact point as it is.  On a
+rational scale a node that float rounding put just off the scale beside a
+piece end, such as ``float(1/3)`` at the low end of [1/3, 2/3], is read as
+that end.  An integral locates its two ends once, walks the pieces
+between by index, and hands each dense piece's index to the integrand,
+so that a slope at a node (``_delta_at``) is never located again.
 
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
@@ -113,117 +119,237 @@ class DerivResult:
     est_error: Num
 
 
-class ScaleFn:
-    """Real-valued function on (a sub-domain of) a time scale.
+# Node marks for a one-axis read (see ``AxesFn.__call__``).
+_NODE = (True,)
 
-    Closure-backed instances wrap a callable, optionally with an
-    analytic classical derivative used on dense pieces.  Tabulated
-    instances carry explicit values on a purely discrete scale, as a list
-    over the scale's point index (None where a point has no value), and
-    reject evaluation off the table.
-    """
 
-    __slots__ = ("scale", "func", "deriv", "table")
+def _point_text(points) -> str:
+    """``points``, one per axis, as an error message names them."""
+    text = ", ".join(map(fmt_scalar, points))
+    return text if len(points) == 1 else f"({text})"
+
+
+def _index(axis: TimeScale, t) -> int:
+    if type(t) is Poly:
+        raise _NotPolynomial  # a symbolic node meets a table
+    return axis._find(t)[0]
+
+
+def _coordinate(axis: TimeScale, t, node: bool):
+    if node:
+        return axis._node(t) if type(t) is float else t
+    return t if id(t) in axis._ids else axis.require(t)
+
+
+class AxesFn:
+    """Real-valued data on the product of the time scales ``axes``: a table,
+    nested lists over the axes' point indices (None where a point has no
+    value), or a callable with one classical partial per axis in
+    ``partials`` (None where it has none), which a ``Poly`` supplies itself.
+    ``ScaleFn`` and ``SurfaceFn`` are its one- and two-axis constructors."""
+
+    __slots__ = ("axes", "func", "partials", "table")
+
+    def __init__(self, axes, func, partials, table):
+        if isinstance(func, Poly) and len(func.variables) == len(axes):
+            partials = tuple(func.diff(x) if d is None else d
+                             for x, d in zip(func.variables, partials))
+        self.axes, self.func, self.partials, self.table = axes, func, partials, table
+
+    def __call__(self, t, *more, nodes=(), d=None):
+        """The one reader: the value at ``(t, *more)``, one coordinate per
+        axis, or with ``d`` the partial along axis ``d``, which takes its
+        coordinates as they are.  A table finds each point's index, an axis's
+        own points by identity.  A callable gets each coordinate located,
+        unless ``nodes`` marks it as lying in a piece of an axis cut from
+        this one: a float quadrature node is then read as ``TimeScale._node``
+        reads it, and anything else as it is.  A symbolic node (a ``Poly``
+        coordinate) reaches ``Poly`` data only."""
+        # Written out for one axis and a second: a loop over the axes would
+        # double the cost of a read.
+        table = self.table
+        if table is not None:
+            axis = self.axes[0]
+            i = axis._ids.get(id(t))
+            value = table[_index(axis, t) if i is None else i]
+            if more:
+                axis, (u,) = self.axes[1], more
+                i = axis._ids.get(id(u))
+                value = value[_index(axis, u) if i is None else i]
+            if value is None:
+                points = [axis.require(x) for axis, x in zip(self.axes, (t, *more))]
+                raise DomainError(f"{_point_text(points)} is not tabulated")
+            return value
+        fn = self.func if d is None else self.partials[d]
+        if type(t) is Poly or (more and type(more[0]) is Poly):
+            return _exact(fn)(t, *more)
+        if d is not None:
+            return fn(t, *more)
+        x = _coordinate(self.axes[0], t, nodes and nodes[0])
+        if not more:
+            return fn(x)
+        return fn(x, _coordinate(self.axes[1], more[0], nodes and nodes[1]))
+
+    def on(self, scale: TimeScale):
+        """This one-axis datum as read at the points and nodes of ``scale``:
+        with no lookup where ``scale`` was cut from its axis, which on a float
+        scale hands the callable each of them as it is."""
+        if self.table is not None or not scale._cut_from(self.axes[0]):
+            return self
+        return self.func if scale.mode != RATIONAL else lambda x: self(x, nodes=_NODE)
+
+    def section(self, axis: int, point: tuple, nodes: tuple = ()) -> "AxesFn":
+        """The one-axis view along ``axis`` through ``point`` (see ``_Section``)."""
+        return _Section(self, axis, point, nodes)
+
+    @classmethod
+    def _tabulated(cls, axes: tuple, values, refusal: str) -> "AxesFn":
+        """``cls`` on the discrete ``axes``, tabulating ``values``: a mapping
+        from a point (one axis) or a point tuple, each point named by one key
+        only, or rows over the first of two axes.  Two axes need a value at
+        every point."""
+        if not all(axis.is_discrete for axis in axes):
+            raise UnsupportedScaleError(refusal)
+        pts = [axis.points() for axis in axes]
+        if not isinstance(values, dict):
+            rows = [list(row) for row in values]
+            if len(rows) != len(pts[0]):
+                raise DomainError(f"expected {len(pts[0])} rows, got {len(rows)}")
+            for i, row in enumerate(rows):
+                if len(row) != len(pts[1]):
+                    raise DomainError(f"row {i} has {len(row)} entries, expected {len(pts[1])}")
+            values = {(t1, t2): v for t1, row in zip(pts[0], rows) for t2, v in zip(pts[1], row)}
+        table = [[None] * len(pts[-1]) for _ in pts[0]] if len(axes) > 1 else [None] * len(pts[0])
+        for key, v in values.items():
+            found = [axis._find(k) for axis, k in zip(axes, key if len(axes) > 1 else (key,))]
+            row = table[found[0][0]] if len(axes) > 1 else table
+            i = found[-1][0]
+            if row[i] is not None:
+                raise DomainError(f"the table names {_point_text([t for _, t in found])} twice")
+            row[i] = as_scalar(v, axes[0].mode)
+        if len(axes) > 1:
+            missing = [(t1, t2) for t1, row in zip(pts[0], table)
+                       for t2, v in zip(pts[1], row) if v is None]
+            if missing:
+                raise DomainError(f"table misses {len(missing)} grid points, first {missing[0]}")
+        return cls(*axes, table=table)
+
+    @classmethod
+    def _from_json(cls, obj, what: str, names: tuple) -> "AxesFn":
+        """Load ``{<name>: scale, …, "values": …}``: values keyed by point text
+        on one axis, rows over the first of two, in the first axis's mode."""
+        json_object(obj, what, names + ("values",))
+        axes = [TimeScale.from_json(obj[name]) for name in names]
+        raw, mode = obj["values"], axes[0].mode
+        if len(axes) == 1 and not isinstance(raw, dict):
+            raise DomainError("'values' must be an object keyed by scale points")
+        if len(axes) > 1 and not isinstance(raw, list):
+            raise DomainError("'values' must be a list of rows")
+        # from_table reads each key as a point of the scale.
+        values = ({k: scalar_from_json(v, mode) for k, v in raw.items()} if len(axes) == 1
+                  else [[scalar_from_json(v, mode) for v in row] for row in raw])
+        return cls.from_table(*axes, values)
+
+
+class _Section(AxesFn):
+    """``parent`` along its axis ``axis`` through ``point``: a one-axis view
+    that reads the parent in place, its values with the node marks ``nodes``
+    and its partial along ``axis``, and copies no row or column."""
+
+    __slots__ = ("parent", "axis", "point", "nodes")
+
+    def __init__(self, parent, axis, point, nodes):
+        self.axes, self.partials = (parent.axes[axis],), (parent.partials[axis],)
+        self.func = self.table = None
+        self.parent, self.axis, self.point, self.nodes = parent, axis, point, nodes
+
+    def __call__(self, s, nodes=(), d=None):
+        k, point = self.axis, self.point
+        return self.parent(*point[:k], s, *point[k + 1:], nodes=self.nodes,
+                           d=None if d is None else k)
+
+    def on(self, scale: TimeScale):
+        return self  # the view carries its own node marks
+
+
+class ScaleFn(AxesFn):
+    """Real-valued function on (a sub-domain of) a time scale: an ``AxesFn``
+    on the one axis ``scale``, a callable with an optional classical
+    derivative, or a table on a purely discrete scale."""
+
+    __slots__ = ()
 
     def __init__(self, scale, func=None, deriv=None, table=None):
-        self.scale = scale
-        self.func = func
-        self.deriv = deriv
-        self.table = table
+        super().__init__((scale,), func, (deriv,), table)
+
+    scale = property(lambda self: self.axes[0])
 
     @classmethod
     def from_callable(cls, scale: TimeScale, func: Callable,
                       deriv: Optional[Callable] = None) -> "ScaleFn":
         """Wrap ``func``; a one-variable ``Poly`` supplies its own
         derivative unless ``deriv`` is given."""
-        if deriv is None and isinstance(func, Poly) and len(func.variables) == 1:
-            deriv = func.diff(func.variables[0])
-        return cls(scale, func=func, deriv=deriv)
+        return cls(scale, func, deriv)
 
     @classmethod
     def from_table(cls, scale: TimeScale, values) -> "ScaleFn":
         """Tabulate ``values`` (a mapping point -> value) on a discrete scale.
         Each point may be named by one key only."""
-        if not scale.is_discrete:
-            raise UnsupportedScaleError("tabulated functions require a purely discrete scale")
-        table = [None] * len(scale.pieces)
-        for k, v in values.items():
-            i, t = scale._find(k)
-            if table[i] is not None:
-                raise DomainError(f"the table names {fmt_scalar(t)} twice")
-            table[i] = as_scalar(v, scale.mode)
-        return cls(scale, table=table)
-
-    def __call__(self, t) -> Num:
-        # A symbolic node lies in its dense piece by construction.  The
-        # test is on the exact type: it runs at every call.
-        if type(t) is Poly:
-            return _exact(self.func)(t)
-        # One of the scale's own points is found by identity; any other
-        # argument is coerced, snapped and checked first.
-        i = self.scale._ids.get(id(t))
-        if i is None:
-            i, t = self.scale._find(t)
-        if self.table is None:
-            return self.func(t)
-        value = self.table[i]
-        if value is None:
-            raise DomainError(f"{fmt_scalar(t)} is not tabulated")
-        return value
+        return cls._tabulated((scale,), values, "tabulated functions require a purely discrete scale")
 
 
 def tabulated_from_json(obj) -> ScaleFn:
-    """Load {"scale": …, "values": {"t": v, …}} into a tabulated function.
-
-    Keys are strings naming scale points; values follow the scale's
-    numeric mode."""
-    json_object(obj, "tabulated function", ("scale", "values"))
-    scale = TimeScale.from_json(obj["scale"])
-    raw = obj["values"]
-    if not isinstance(raw, dict):
-        raise DomainError("'values' must be an object keyed by scale points")
-    # from_table reads each key as a point of the scale.
-    values = {k: scalar_from_json(v, scale.mode) for k, v in raw.items()}
-    return ScaleFn.from_table(scale, values)
+    """Load {"scale": …, "values": {"t": v, …}} into a tabulated function;
+    keys name scale points, values follow the scale's numeric mode."""
+    return ScaleFn._from_json(obj, "tabulated function", ("scale",))
 
 
-def _at_nodes(fn, scale: TimeScale):
-    """``fn`` as read at the points and dense-piece nodes of ``scale``.
-
-    A closure-backed ``ScaleFn`` on ``scale``, or on a scale ``scale`` was
-    cut from, reads a float node (``TimeScale._node``) or an exact point of
-    ``scale`` with no lookup, and a symbolic node through ``__call__``.
-    Anything else is returned as it is, and looks its arguments up."""
-    if not (isinstance(fn, ScaleFn) and fn.func is not None and scale._cut_from(fn.scale)):
-        return fn
-    func = fn.func
-    if scale.mode != RATIONAL:
-        return func
-    point = fn.scale._node
-    return lambda x: func(point(x)) if type(x) is float else fn(x) if type(x) is Poly else func(x)
+def _data(scale: TimeScale, fn):
+    """``fn`` as every public entry point on ``scale`` takes it, and the
+    callable that reads its values at the points and nodes of ``scale``
+    (``AxesFn.on``).  A bare ``Poly`` is wrapped once, so that its slope is
+    its own derivative; its values are read as it reads them."""
+    if type(fn) is Poly:
+        return ScaleFn(scale, fn), fn
+    return fn, (fn.on(scale) if isinstance(fn, AxesFn) else fn)
 
 
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
-    """Classical derivative of ``fn`` at ``t`` inside a dense piece, as
-    ``(value, error_estimate, method)``.
+    """Classical derivative of ``fn`` at ``t`` inside the ``piece`` (lo, hi)
+    of ``scale``, as ``(value, error_estimate, method)``: the one slope
+    channel.
 
-    ``fn`` must be evaluable throughout the piece.  Uses the analytic
-    derivative when the ScaleFn carries one, unconverted on a rational
-    scale and as a float otherwise, else a float Richardson limit.
+    The data's own partial where it has one, unconverted on a rational
+    scale and as a float otherwise.  At a symbolic node, without one, the
+    derivative of ``fn``'s polynomial value.  Otherwise a float Richardson
+    limit inside the piece, where ``fn`` must be evaluable throughout.
     """
-    if isinstance(fn, ScaleFn) and fn.deriv is not None:
-        slope = fn.deriv(t)
-        return (slope if scale.mode == RATIONAL else float(slope)), 0.0, ANALYTIC
     lo, hi = piece
+    if lo == hi:
+        raise DomainError(f"no dense neighborhood at {fmt_scalar(t)} for a classical slope")
+    if isinstance(fn, AxesFn) and fn.partials[0] is not None:
+        if type(t) is float and scale.mode == RATIONAL:
+            # A node that float rounding put off the scale is read as the
+            # piece end it rounds from.
+            t = scale._rounded_ends.get(t, t)
+        slope = fn(t, d=0)
+        return (slope if scale.mode == RATIONAL else float(slope)), 0.0, ANALYTIC
+    if type(t) is Poly:
+        value = fn(t)
+        if isinstance(value, Poly):
+            return value.diff(_NODE_VARS[_node_var(t)]), 0.0, ANALYTIC
+        if isinstance(value, (int, Fraction)):
+            return 0, 0.0, ANALYTIC
+        raise _NotPolynomial
     x = float(t)
     flo, fhi = float(lo), float(hi)
     room_l = x - flo
     room_r = fhi - x
     width = fhi - flo
-    at_node = _at_nodes(fn, scale)
+    read = _data(scale, fn)[1]
 
     def value(s):
-        return float(at_node(s))
+        return float(read(s))
 
     # Near (or at) a piece end, a one-sided quotient into the wider side.
     if min(room_l, room_r) < width / 64.0:
@@ -258,73 +384,28 @@ def _quotient(hi, lo, gap) -> Num:
     return (hi - lo) / gap
 
 
-def _delta_at(scale: TimeScale, fn, t, dense: bool = False,
-              d_analytic: Optional[Callable] = None, tol: float = LIMIT_TOL, sigma=None,
-              mu=None, piece=None):
-    """Delta derivative of ``fn`` at ``t`` as ``(value, error_estimate, method)``.
+def _delta_at(scale: TimeScale, fn, at, jump=None, tol: float = LIMIT_TOL):
+    """Delta derivative of ``fn`` at the located ``at`` = ``(i, t)``, a point
+    or node of piece i of ``scale``, as ``(value, error_estimate, method)``.
 
-    Every delta derivative in the package goes through here.  A
-    right-scattered point gives the exact jump quotient.  A right-dense
-    point inside an interval piece gives the classical slope:
-    ``d_analytic(t)`` when supplied (returned unconverted), else a
-    Richardson limit inside the piece.  ``method`` names the branch
-    taken: ``EXACT_QUOTIENT``, ``ANALYTIC`` or ``NUMERIC_LIMIT``.
-    ``dense`` forces the classical slope at a quadrature node of a dense
-    piece, where ``fn`` is read as its continuous restriction and ``t``
-    is used as given, located unless it lies by the dense piece ``piece``
-    (an index).  At a symbolic node the slope is a polynomial
-    (``d_analytic``, the data's own derivative, or the derivative of
-    ``fn`` at the node) and no limit runs.  A known forward jump ``sigma``
-    past ``t`` gives the quotient (``_quotient``) with no lookup; when the
-    graininess ``mu`` is handed too, the quotient is returned at once, with
-    no comparison of ``sigma`` and ``t``.
+    Every delta derivative in the package goes through here.  ``jump`` is
+    sigma(t) when the caller knows it, else it is looked up: at a node of a
+    dense piece it is t itself, and ``fn`` is read as its continuous
+    restriction.  A right-scattered t gives the exact jump quotient
+    (``_quotient``); a right-dense one the classical slope
+    (``_classical_slope``).  ``method`` names the branch taken:
+    ``EXACT_QUOTIENT``, ``ANALYTIC`` or ``NUMERIC_LIMIT``.
     """
-    if dense and type(t) is Poly:
-        if d_analytic is not None:
-            slope = d_analytic(t)
-        elif isinstance(fn, ScaleFn) and fn.deriv is not None:
-            slope = _exact(fn.deriv)(t)
-        else:
-            value = fn(t)
-            if isinstance(value, Poly):
-                slope = value.diff(_NODE_VARS[_node_var(t)])
-            elif isinstance(value, (int, Fraction)):
-                slope = 0
-            else:
-                raise _NotPolynomial
-        return slope, 0.0, ANALYTIC
-    if dense:
-        hit = None
-        if piece is not None:
-            lo, hi = scale.pieces[piece]
-            end = t if lo <= t <= hi else scale._rounded_ends.get(t)
-            hit = (piece, end) if end is t or end in (lo, hi) else None
-        # A node that float rounding put off the scale is read as the piece
-        # end it rounds from, as the data read it.
-        hit = hit or scale._locate(t) or scale._locate(scale._node(t))
-        if hit is None:
-            raise DomainError(f"{fmt_scalar(t)} is not a point of the scale")
-        i, t = hit
-    else:
-        if mu is not None:
-            return _quotient(fn(sigma), fn(t), mu), _ZEROS[scale.mode], EXACT_QUOTIENT
-        if sigma is None or sigma == t:
-            i, t = scale._find(t)
-            sigma = scale._sigma_at(i, t)
-        if sigma > t:
-            return _quotient(fn(sigma), fn(t), sigma - t), _ZEROS[scale.mode], EXACT_QUOTIENT
-        if t == scale.max and scale._rho_at(i, t) < t:
+    i, t = at
+    if jump is None:
+        jump = scale._sigma_at(i, t)
+        if jump is t and t == scale.max and scale._rho_at(i, t) < t:
             raise DomainError(
                 f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
             )
-    lo, hi = scale.pieces[i]
-    if lo == hi:
-        raise DomainError(
-            f"no dense neighborhood at {fmt_scalar(t)} for a classical slope"
-        )
-    if d_analytic is not None:
-        return d_analytic(t), 0.0, ANALYTIC
-    return _classical_slope(scale, fn, t, (lo, hi), tol)
+    if jump is not t:
+        return _quotient(fn(jump), fn(t), jump - t), _ZEROS[scale.mode], EXACT_QUOTIENT
+    return _classical_slope(scale, fn, t, scale.pieces[i], tol)
 
 
 def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
@@ -335,12 +416,7 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     else a Richardson extrapolated limit of difference quotients along the
     scale.  Undefined at a left-scattered maximum.
     """
-    i, t = scale._find(t)
-    sigma = scale._sigma_at(i, t)
-    # sigma is t itself where t is right-dense or the maximum.
-    mu = None if sigma is t else sigma - t
-    fn = ScaleFn.from_callable(scale, fn) if type(fn) is Poly else fn  # carries its derivative
-    value, est, method = _delta_at(scale, fn, t, tol=tol, sigma=sigma, mu=mu)
+    value, est, method = _delta_at(scale, _data(scale, fn)[0], scale._find(t), tol=tol)
     return DerivResult(value, method, est)
 
 
@@ -349,12 +425,13 @@ def simple_useful_check(scale: TimeScale, fn, t) -> Num:
 
     Zero by construction at right-dense points, where both sides
     collapse to f(t)."""
-    t = scale.require(t)
-    st = scale.sigma(t)
-    if st == t:
+    fn, read = _data(scale, fn)
+    i, t = scale._find(t)
+    st = scale._sigma_at(i, t)
+    if st is t:
         return zero_of(scale)
-    d = delta_deriv(scale, fn, t).value
-    return abs(fn(st) - fn(t) - (st - t) * d)
+    d = _delta_at(scale, fn, (i, t), st)[0]
+    return abs(read(st) - read(t) - (st - t) * d)
 
 
 def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
@@ -364,33 +441,29 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
     r1 for (fg)' = f' g(sigma) + f g' and
     r2 for (fg)' = f' g + f(sigma) g'.
     """
-    i, t = scale._find(t)
+    at = i, t = scale._find(t)
     st = scale._sigma_at(i, t)
-    if not isinstance(f, ScaleFn):
-        f = ScaleFn.from_callable(scale, f)
-    if not isinstance(g, ScaleFn):
-        g = ScaleFn.from_callable(scale, g)
-    d = None
-    if f.deriv is not None and g.deriv is not None:
-        d = lambda x: f.deriv(x) * g.func(x) + f.func(x) * g.deriv(x)
-    # fg's callable is handed located points and quadrature nodes of
-    # ``scale`` only, so it reads f and g as the nodes' readers do.
-    f_at, g_at = _at_nodes(f, scale), _at_nodes(g, scale)
-    fg = ScaleFn(scale, func=lambda x: f_at(x) * g_at(x), deriv=d)
-    dfg = delta_deriv(scale, fg, t, tol).value
-    df = delta_deriv(scale, f, t, tol).value
-    dg = delta_deriv(scale, g, t, tol).value
+    f = f if isinstance(f, ScaleFn) else ScaleFn(scale, f)
+    g = g if isinstance(g, ScaleFn) else ScaleFn(scale, g)
+    # fg is handed located points and quadrature nodes of ``scale`` only,
+    # so it reads f and g as the nodes' readers do.
+    f_at, g_at = f.on(scale), g.on(scale)
+    slope = None
+    if f.partials[0] is not None and g.partials[0] is not None:
+        slope = lambda x: f(x, d=0) * g_at(x) + f_at(x) * g(x, d=0)
+    fg = ScaleFn(scale, lambda x: f_at(x) * g_at(x), slope)
+    dfg, df, dg = (_delta_at(scale, h, at, tol=tol)[0] for h in (fg, f, g))
     r1 = abs(dfg - (df * g_at(st) + f_at(t) * dg))
     r2 = abs(dfg - (df * g_at(t) + f_at(st) * dg))
     return r1, r2
 
 
 def _decompose(scale: TimeScale, start, end):
-    """Split [a, b] into ('gap', (t, sigma, mu)) and ('dense', (c, d)) parts, in order.
+    """Split [a, b] into ('gap', (t, sigma, mu)) and ('dense', (k, c, d)) parts, in order.
 
     Gap entries are the right-scattered t in [a, b) with their forward
     jump sigma(t) and graininess mu(t), contributing mu(t) f(t) exactly;
-    dense entries carry the clipped bounds.  ``start`` and ``end`` are
+    dense entries carry their piece index k and the clipped bounds.  ``start`` and ``end`` are
     ``(i, a)`` and ``(j, b)`` as ``TimeScale._find`` located them; every
     other bound, jump and gap is read off the scale's indexed view."""
     pieces, gaps = scale.pieces, scale._gaps
@@ -403,12 +476,12 @@ def _decompose(scale: TimeScale, start, end):
         hi = pieces[k][1]
         nxt = pieces[k + 1][0]
         if c is not hi and c < hi:
-            yield ("dense", (c, hi))
+            yield ("dense", (k, c, hi))
         yield ("gap", (hi, nxt, gaps[k]))
         c = nxt
     d = min(pieces[j][1], b)
     if c < d:
-        yield ("dense", (c, d))
+        yield ("dense", (j, c, d))
 
 
 def _exact_sum(zero, terms) -> Num:
@@ -445,21 +518,21 @@ def _exact_sum(zero, terms) -> Num:
 
 
 def _symbolic(*fns):
-    """The symbolic node when each of ``fns`` may see it: a ``Poly``, or a
-    ``ScaleFn``, which hands the node to ``Poly`` data only.  Otherwise
-    None, and dense pieces go to Simpson."""
-    return _X1 if all(isinstance(f, (Poly, ScaleFn)) for f in fns) else None
+    """The symbolic node when each of ``fns`` may see it: an ``AxesFn``,
+    which hands the node to ``Poly`` data only.  Otherwise None, and dense
+    pieces go to Simpson."""
+    return _X1 if all(isinstance(f, AxesFn) for f in fns) else None
 
 
-def _primitive(scale: TimeScale, dense_value, node):
+def _primitive(scale: TimeScale, dense_value, node, i: int):
     """The exact antiderivative, in ``node``'s variable, of the dense
-    integrand ``dense_value``, or None when Simpson must run: no node, a
-    float scale, data that is not polynomial, or a polynomial past the
-    size limits."""
+    integrand ``dense_value`` on piece i, or None when Simpson must run: no
+    node, a float scale, data that is not polynomial, or a polynomial past
+    the size limits."""
     if node is None or scale.mode != RATIONAL:
         return None
     try:
-        value = dense_value(node)
+        value = dense_value(node, i)
         if isinstance(value, Poly):
             return value.integrate(_NODE_VARS[_node_var(node)])
         if isinstance(value, (int, Fraction)):
@@ -469,10 +542,11 @@ def _primitive(scale: TimeScale, dense_value, node):
     return None
 
 
-def _simpson(dense_value, c, d, tol: float) -> float:
+def _simpson(dense_value, i: int, c, d, tol: float) -> float:
     """Adaptive Simpson's value of the dense integrand ``dense_value`` over
-    [c, d], in floats: every numeric dense integral goes through here."""
-    return adaptive_simpson(lambda x: float(dense_value(x)), float(c), float(d), tol)[0]
+    [c, d] in piece i, in floats: every numeric dense integral goes through
+    here."""
+    return adaptive_simpson(lambda x: float(dense_value(x, i)), float(c), float(d), tol)[0]
 
 
 def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
@@ -482,8 +556,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
     ``point_value(t, st, mu)`` is the exact integrand at a right-scattered
     t, handed the forward jump st = sigma(t) and the graininess mu = st - t
     that ``_decompose`` read off the piece tuple, and weighted by mu.
-    ``dense_value(x)`` is the continuous restriction of the integrand on
-    a dense piece, at a float quadrature node or at the symbolic
+    ``dense_value(x, i)`` is the continuous restriction of the integrand
+    on the dense piece i, at a float quadrature node or at the symbolic
     ``node``.  Its antiderivative is built at the first dense piece;
     without one, each dense piece goes to ``_simpson``, or, with
     ``exact_only``, ``_NotPolynomial`` is raised."""
@@ -504,9 +578,9 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
                 t, st, mu = payload
                 yield mu, point_value(t, st, mu)
                 continue
-            c, d = payload
+            i, c, d = payload
             if "primitive" not in cache:
-                cache["primitive"] = _primitive(scale, dense_value, node)
+                cache["primitive"] = _primitive(scale, dense_value, node, i)
             primitive = cache["primitive"]
             if primitive is not None:
                 k = _node_var(node)
@@ -514,7 +588,7 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
             elif exact_only:
                 raise _NotPolynomial
             else:
-                simpson.append(_simpson(dense_value, c, d, tol))
+                simpson.append(_simpson(dense_value, i, c, d, tol))
 
     exact = _exact_sum(zero_of(scale), terms())
     if not simpson:
@@ -534,7 +608,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     """Delta integral of ``fn`` over [a, b]; exact on a rational scale
     when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
-    return _integrate(scale, a, b, lambda t, st, mu: fn(t), _at_nodes(fn, scale), tol,
+    fn, read = _data(scale, fn)
+    return _integrate(scale, a, b, lambda t, st, mu: read(t), lambda x, i: read(x), tol,
                       _symbolic(fn))
 
 
@@ -542,6 +617,7 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
     """Nabla integral over [a, b], supported on purely discrete ranges only.
 
     Sums nu(t) f(t) over the points of (a, b]."""
+    fn = _data(scale, fn)[1]
     a = scale.require(a)
     b = scale.require(b)
     if a > b:
@@ -558,19 +634,20 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     """Iterated delta integral over [a1, b1] x [a2, b2], second axis innermost.
 
-    ``G(t1, t2, s1, s2, mu1, mu2)`` is the integrand, handed per axis the
-    forward jump s = sigma(t) and the graininess mu = s - t of a
-    right-scattered t, or None for both at a node of a dense piece.  A node
-    is a float, or the symbolic node of that axis when both axes are
-    rational."""
+    ``G(p1, p2)`` is the integrand at a place on each axis, ``(i, t, s,
+    mu)``: a right-scattered t with its forward jump s = sigma(t) and
+    graininess mu = s - t (i is None), or a node t of the dense piece i, with
+    s and mu None.  A node is a float, or the symbolic node of that axis
+    when both axes are rational."""
 
-    def inner(t1, s1, mu1=None):
+    def inner(p1):
         # At a float node of the outer Simpson the inner integral stays
         # numeric; at the outer symbolic node it is exact or refused.
+        t1 = p1[1]
         return _integrate(
             ax2, a2, b2,
-            point_value=lambda t2, s2, mu2: G(t1, t2, s1, s2, mu1, mu2),
-            dense_value=lambda x: G(t1, x, s1, None, mu1, None),
+            point_value=lambda t2, s2, mu2: G(p1, (None, t2, s2, mu2)),
+            dense_value=lambda x, j: G(p1, (j, x, None, None)),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
             exact_only=isinstance(t1, Poly),
@@ -578,8 +655,8 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
 
     return _integrate(
         ax1, a1, b1,
-        point_value=inner,
-        dense_value=lambda x: inner(x, None),
+        point_value=lambda t1, s1, mu1: inner((None, t1, s1, mu1)),
+        dense_value=lambda x, i: inner((i, x, None, None)),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
     )
@@ -596,25 +673,25 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     """
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
+    (f, f_at), (g, g_at) = _data(scale, f), _data(scale, g)
     a = scale.require(a)
     b = scale.require(b)
-    boundary = f(b) * g(b) - f(a) * g(a)
+    boundary = f_at(b) * g_at(b) - f_at(a) * g_at(a)
 
     # The forms differ only in which factor takes sigma at gap points;
     # on dense pieces sigma(t) = t and both read the same.
     node = _symbolic(f, g)
-    f_node, g_node = _at_nodes(f, scale), _at_nodes(g, scale)
     lhs = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: f(st if form == 1 else t) * _quotient(g(st), g(t), mu),
-        dense_value=lambda x: f_node(x) * _delta_at(scale, g, x, True, tol=tol)[0],
+        point_value=lambda t, st, mu: f_at(st if form == 1 else t) * _quotient(g_at(st), g_at(t), mu),
+        dense_value=lambda x, i: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: _quotient(f(st), f(t), mu) * g(t if form == 1 else st),
-        dense_value=lambda x: _delta_at(scale, f, x, True, tol=tol)[0] * g_node(x),
+        point_value=lambda t, st, mu: _quotient(f_at(st), f_at(t), mu) * g_at(t if form == 1 else st),
+        dense_value=lambda x, i: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
         tol=tol,
         node=node,
     )
@@ -629,17 +706,17 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
     both numbers agree; a mismatch is reported, not rejected, since
     rd-continuous calculus remains valid either way.
     """
+    fn = _data(scale, fn)[0]
     a = scale.require(a) if a is not None else scale.min
     b = scale.require(b) if b is not None else scale.max
     findings = []
-    for lo, hi in scale.pieces:
+    for k, (lo, hi) in enumerate(scale.pieces):
+        sigma = scale._sigma_at(k, hi)
         # hi <= a: no dense side of the junction lies inside [a, b].
-        if lo == hi or hi <= a or hi > b:
-            continue
-        if scale.sigma(hi) == hi or scale.sigma(hi) > b:
+        if lo == hi or hi <= a or sigma is hi or sigma > b:
             continue
         slope = _classical_slope(scale, fn, hi, (max(lo, a), hi), LIMIT_TOL)[0]
-        quot = _delta_at(scale, fn, hi)[0]
+        quot = _delta_at(scale, fn, (k, hi), sigma)[0]
         if abs(slope - float(quot)) > tol:
             findings.append(
                 f"derivative jump at t={fmt_scalar(hi)}: dense-side slope "

@@ -85,6 +85,20 @@ def _surface_from_arg(ps, text: str):
     return SurfaceFn.from_callable(ps.scale1, ps.scale2, Poly.parse(text, ("t1", "t2")))
 
 
+def _gate(r, ns, allowed=None) -> tuple:
+    """Whether the residual ``r`` passes, and its findings.  A float passes at
+    or below ``allowed``, by default ``--pass-tol`` or ``PASS_TOL_DEFAULT``.
+    An exact residual is a proof: it passes only at 0, unless an explicit
+    ``--pass-tol`` lets it through, which a finding reports."""
+    if allowed is None:
+        allowed = PASS_TOL_DEFAULT if ns.pass_tol is None else ns.pass_tol
+    exact = isinstance(r, (int, Fraction))
+    if exact and (ns.pass_tol is None or r == 0):
+        return r == 0, []
+    ok = abs(r) <= allowed
+    return ok, ["an exact nonzero residual passed only under --pass-tol"] if ok and exact else []
+
+
 def _emit(ns, out, inputs: dict, results, findings, ok: bool, lines: list) -> int:
     """Render one command's outcome to ``out`` (and ``--out``); the exit code."""
     if ns.format == "json":
@@ -178,13 +192,11 @@ def _cmd_ibp_check(ns):
     f = _fn_from_arg(scale, ns.f)
     g = _fn_from_arg(scale, ns.g)
     forms = (1, 2) if ns.form == "both" else (int(ns.form),)
-    residuals = {}
-    worst = 0.0
-    for form in forms:
-        r = ibp_residual(scale, f, g, a, b, form=form, tol=ns.tol)
-        residuals[f"form{form}"] = fmt_scalar(r)
-        worst = max(worst, abs(float(r)))
-    ok = worst <= ns.pass_tol
+    rs = [ibp_residual(scale, f, g, a, b, form=form, tol=ns.tol) for form in forms]
+    residuals = {f"form{form}": fmt_scalar(r) for form, r in zip(forms, rs)}
+    # The gate reads the exact maximum; the report prints it as a float.
+    ok, findings = _gate(max(map(abs, rs)), ns)
+    worst = max(0.0, *(abs(float(r)) for r in rs))
     inputs = {
         "scale": scale.to_json(),
         "f": ns.f,
@@ -196,7 +208,8 @@ def _cmd_ibp_check(ns):
     results = {"residuals": residuals, "max_abs": repr(worst)}
     lines = [f"form {form}: residual = {residuals[f'form{form}']}" for form in forms]
     lines.append(f"max |residual| = {worst!r} ({'ok' if ok else 'fail'})")
-    return inputs, results, [], ok, lines
+    lines.extend(f"finding: {f}" for f in findings)
+    return inputs, results, findings, ok, lines
 
 
 def _cmd_el_residual(ns):
@@ -206,7 +219,8 @@ def _cmd_el_residual(ns):
     p = VariationalProblem.from_json(problem)
     y = _fn_from_arg(p.scale, ns.y)
     rep = el_residual(p, y, dense_refinement=ns.refine, tol=ns.tol)
-    ok = rep.max_abs_residual <= ns.pass_tol
+    ok, gated = _gate(rep.max_abs_residual, ns)
+    findings = [*rep.definedness_findings, *gated]
     results = {
         "c_hat": fmt_scalar(rep.c_hat),
         "max_abs_residual": fmt_scalar(rep.max_abs_residual),
@@ -217,9 +231,9 @@ def _cmd_el_residual(ns):
         f"max |residual| = {results['max_abs_residual']} ({'ok' if ok else 'fail'})",
         f"evaluated at {len(rep.residuals)} points",
     ]
-    lines.extend(f"finding: {f}" for f in rep.definedness_findings)
+    lines.extend(f"finding: {f}" for f in findings)
     inputs = {"problem": problem, "y": ns.y}
-    return inputs, results, rep.definedness_findings, ok, lines
+    return inputs, results, tuple(findings), ok, lines
 
 
 def _cmd_flcv_kernel(ns):
@@ -255,7 +269,7 @@ def _cmd_double_el(ns):
     dp = DoubleProblem.from_json(problem)
     u = _surface_from_arg(dp.ps, ns.u)
     rep = double_el_residual(dp, u, dense_refinement=ns.refine)
-    ok = rep.max_abs_residual <= ns.pass_tol
+    ok, gated = _gate(rep.max_abs_residual, ns)
     results = {
         "max_abs_residual": fmt_scalar(rep.max_abs_residual),
         "residuals": [
@@ -268,10 +282,11 @@ def _cmd_double_el(ns):
         ],
     }
     findings = [f"undefined at ({fmt_scalar(t1)}, {fmt_scalar(t2)}): {reason}"
-                for (t1, t2), reason in rep.gaps]
+                for (t1, t2), reason in rep.gaps] + gated
     lines = [
         f"max |residual| = {results['max_abs_residual']} ({'ok' if ok else 'fail'})",
         f"evaluated at {len(rep.residuals)} points, {len(rep.gaps)} undefined",
+        *(f"finding: {f}" for f in gated),
     ]
     return {"problem": problem, "u": ns.u}, results, findings, ok, lines
 
@@ -288,7 +303,7 @@ def _cmd_fubini_check(ns):
     a2 = _parse_point(scale2, ns.a2, scale2.min)
     b2 = _parse_point(scale2, ns.b2, scale2.max)
     r = fubini_residual(ps, f, (a1, b1, a2, b2), tol=ns.tol)
-    ok = abs(r) <= ns.pass_tol
+    ok, findings = _gate(r, ns)
     results = {"residual": fmt_scalar(r)}
     inputs = {
         "scale1": scale1.to_json(),
@@ -297,7 +312,8 @@ def _cmd_fubini_check(ns):
         "rect": [fmt_scalar(a1), fmt_scalar(b1), fmt_scalar(a2), fmt_scalar(b2)],
     }
     lines = [f"|order swap residual| = {results['residual']} ({'ok' if ok else 'fail'})"]
-    return inputs, results, [], ok, lines
+    lines.extend(f"finding: {f}" for f in findings)
+    return inputs, results, findings, ok, lines
 
 
 def _cmd_derivation_check(ns):
@@ -310,9 +326,11 @@ def _cmd_derivation_check(ns):
     steps = derivation_chain_check(dp, u, eta, tol=ns.tol)
     # Hybrid scales compare only the chain endpoints through quadrature,
     # so their pass threshold scales with the quadrature tolerance.
-    allowed = ns.pass_tol if len(steps) > 1 else max(ns.pass_tol, 4.0 * ns.tol)
+    pass_tol = PASS_TOL_DEFAULT if ns.pass_tol is None else ns.pass_tol
+    allowed = pass_tol if len(steps) > 1 else max(pass_tol, 4.0 * ns.tol)
+    # The gate reads the exact maximum; the report prints it as a float.
+    ok, findings = _gate(max(abs(s.residual) for s in steps), ns, allowed)
     worst = max(abs(float(s.residual)) for s in steps)
-    ok = worst <= allowed
     results = {
         "steps": [[s.label, fmt_scalar(s.residual)] for s in steps],
         "max_abs_residual": repr(worst),
@@ -320,8 +338,9 @@ def _cmd_derivation_check(ns):
     }
     lines = [f"{s.label}: residual = {fmt_scalar(s.residual)}" for s in steps]
     lines.append(f"max |residual| = {worst!r} ({'ok' if ok else 'fail'})")
+    lines.extend(f"finding: {f}" for f in findings)
     inputs = {"problem": problem, "u": ns.u, "eta": ns.eta}
-    return inputs, results, [], ok, lines
+    return inputs, results, findings, ok, lines
 
 
 # The flags each counterexample builder accepts, for every name in
@@ -382,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--tol", type=float, default=None,
                         help="numeric tolerance (default: TSVAR_TOL or 1e-10)")
-        sp.add_argument("--pass-tol", dest="pass_tol", type=float,
-                        default=PASS_TOL_DEFAULT,
-                        help="threshold separating exit 0 from exit 1")
+        sp.add_argument("--pass-tol", dest="pass_tol", type=float, default=None,
+                        help="threshold separating exit 0 from exit 1 (default: 1e-9 for "
+                             "a float residual; an exact one must be 0)")
         sp.add_argument("--out", default=None, help="also write the output to a file")
         for flag in required:
             sp.add_argument(flag, required=True)

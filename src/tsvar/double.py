@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import _delta_at, _exact, _exact_sum, _iterated, _quotient
+from .calculus import AxesFn, _delta_at, _exact_sum, _iterated, _quotient
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
 from .quadrature import QUAD_TOL
-from .scales import (RATIONAL, Num, TimeScale, as_scalar, check_grid_size, fmt_scalar,
-                     json_object, scalar_from_json, zero_of)
+from .scales import (RATIONAL, Num, TimeScale, check_grid_size, fmt_scalar, json_object,
+                     scalar_from_json, zero_of)
 from .variational import (_check_unknowns, _lagrangian_partials, _newton_minimize,
                           _parse_lagrangian)
 
@@ -54,20 +54,21 @@ class ProductScale:
         return (a1, b1, a2, b2)
 
 
-class SurfaceFn:
-    """Real-valued function on a product scale, closure-backed or tabulated:
-    a table is a list of rows over the first axis's point index, each a
-    list over the second's (None where a point has no value)."""
+class SurfaceFn(AxesFn):
+    """Real-valued function on a product scale: an ``AxesFn`` on the two axes
+    ``scale1``, ``scale2``, a callable with optional classical partials, or
+    a table of rows over the first axis's point index, each a list over the
+    second's."""
 
-    __slots__ = ("scale1", "scale2", "func", "d1fn", "d2fn", "table")
+    __slots__ = ()
 
     def __init__(self, scale1, scale2, func=None, d1fn=None, d2fn=None, table=None):
-        self.scale1 = scale1
-        self.scale2 = scale2
-        self.func = func
-        self.d1fn = d1fn
-        self.d2fn = d2fn
-        self.table = table
+        super().__init__((scale1, scale2), func, (d1fn, d2fn), table)
+
+    scale1 = property(lambda self: self.axes[0])
+    scale2 = property(lambda self: self.axes[1])
+    # val(t1, t2, nodes=()): the reader, under the name the double layer reads by.
+    val = AxesFn.__call__
 
     @classmethod
     def from_callable(cls, scale1: TimeScale, scale2: TimeScale, func: Callable,
@@ -75,101 +76,28 @@ class SurfaceFn:
                       d2: Optional[Callable] = None) -> "SurfaceFn":
         """Wrap ``func``; a two-variable ``Poly`` supplies the partial
         derivative on each axis that is not given."""
-        if isinstance(func, Poly) and len(func.variables) == 2:
-            x1, x2 = func.variables
-            d1 = func.diff(x1) if d1 is None else d1
-            d2 = func.diff(x2) if d2 is None else d2
-        return cls(scale1, scale2, func=func, d1fn=d1, d2fn=d2)
+        return cls(scale1, scale2, func, d1, d2)
 
     @classmethod
     def from_table(cls, scale1: TimeScale, scale2: TimeScale, values) -> "SurfaceFn":
-        """Tabulate on discrete axes.
-
-        ``values`` is either a dict keyed by (t1, t2) or a list of rows,
-        row-major by t1, covering the full grid."""
-        if not (scale1.is_discrete and scale2.is_discrete):
-            raise UnsupportedScaleError("tabulated surfaces require discrete axes")
-        pts1 = scale1.points()
-        pts2 = scale2.points()
-        table = [[None] * len(pts2) for _ in pts1]
-        if isinstance(values, dict):
-            for (k1, k2), v in values.items():
-                (i, t1), (j, t2) = scale1._find(k1), scale2._find(k2)
-                if table[i][j] is not None:
-                    raise DomainError(f"the table names ({fmt_scalar(t1)}, {fmt_scalar(t2)}) twice")
-                table[i][j] = as_scalar(v, scale1.mode)
-        else:
-            rows = list(values)
-            if len(rows) != len(pts1):
-                raise DomainError(f"expected {len(pts1)} rows, got {len(rows)}")
-            for i, row in enumerate(rows):
-                row = list(row)
-                if len(row) != len(pts2):
-                    raise DomainError(
-                        f"row {i} has {len(row)} entries, expected {len(pts2)}"
-                    )
-                table[i] = [as_scalar(v, scale1.mode) for v in row]
-        missing = [(t1, t2) for t1, row in zip(pts1, table)
-                   for t2, v in zip(pts2, row) if v is None]
-        if missing:
-            raise DomainError(f"table misses {len(missing)} grid points, first {missing[0]}")
-        return cls(scale1, scale2, table=table)
-
-    def val(self, t1, t2) -> Num:
-        if type(t1) is Poly or type(t2) is Poly:
-            # A symbolic node lies in its dense piece by construction.
-            return _exact(self.func)(t1, t2)
-        if self.table is None:
-            return self.func(self.scale1.require(t1), self.scale2.require(t2))
-        # As in ScaleFn: the axes' own points are found by identity.
-        i, j = self.scale1._ids.get(id(t1)), self.scale2._ids.get(id(t2))
-        if i is None or j is None:
-            (i, t1), (j, t2) = self.scale1._find(t1), self.scale2._find(t2)
-        value = self.table[i][j]
-        if value is None:
-            raise DomainError(f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) is not tabulated")
-        return value
-
-    def _at(self, t1, t2, node1: bool, node2: bool) -> Num:
-        """``val(t1, t2)``, where ``node1`` marks ``t1`` as a float quadrature
-        node of a dense piece of ``scale1``, or of an axis cut from it, and
-        ``node2`` likewise ``t2``: a node is read with no lookup
-        (``TimeScale._node``)."""
-        if not (node1 or node2) or self.table is not None or type(t1) is Poly or type(t2) is Poly:
-            return self.val(t1, t2)
-        return self.func(self.scale1._node(t1) if node1 else self.scale1.require(t1),
-                         self.scale2._node(t2) if node2 else self.scale2.require(t2))
-
-    def _partial(self, axis: int, t1, t2) -> Num:
-        """The analytic classical partial on ``axis`` (1 or 2) at (t1, t2)."""
-        fn = self.d1fn if axis == 1 else self.d2fn
-        if type(t1) is Poly or type(t2) is Poly:
-            fn = _exact(fn)
-        return fn(t1, t2)
+        """Tabulate on discrete axes: ``values`` is a dict keyed by (t1, t2)
+        or a list of rows, row-major by t1, covering the full grid."""
+        return cls._tabulated((scale1, scale2), values, "tabulated surfaces require discrete axes")
 
     def d1(self, t1, t2) -> Num:
         """Axis-1 delta derivative holding t2 fixed."""
         t2 = self.scale2.require(t2)
-        dan = (lambda s: self._partial(1, s, t2)) if self.d1fn is not None else None
-        return _delta_at(self.scale1, lambda s: self.val(s, t2), t1, d_analytic=dan)[0]
+        return _delta_at(self.scale1, self.section(0, (t1, t2)), self.scale1._find(t1))[0]
 
     def d2(self, t1, t2) -> Num:
         """Axis-2 delta derivative holding t1 fixed."""
         t1 = self.scale1.require(t1)
-        dan = (lambda s: self._partial(2, t1, s)) if self.d2fn is not None else None
-        return _delta_at(self.scale2, lambda s: self.val(t1, s), t2, d_analytic=dan)[0]
+        return _delta_at(self.scale2, self.section(1, (t1, t2)), self.scale2._find(t2))[0]
 
 
 def surface_from_json(obj) -> SurfaceFn:
     """Load a 2-D table: {"scale1":…, "scale2":…, "values":[[…],…]} row-major by t1."""
-    json_object(obj, "2-D table", ("scale1", "scale2", "values"))
-    scale1 = TimeScale.from_json(obj["scale1"])
-    scale2 = TimeScale.from_json(obj["scale2"])
-    rows = obj["values"]
-    if not isinstance(rows, list):
-        raise DomainError("'values' must be a list of rows")
-    parsed = [[scalar_from_json(v, scale1.mode) for v in row] for row in rows]
-    return SurfaceFn.from_table(scale1, scale2, parsed)
+    return SurfaceFn._from_json(obj, "2-D table", ("scale1", "scale2"))
 
 
 def sigma_diff_audit(ax1: TimeScale, ax2: TimeScale) -> list:
@@ -263,12 +191,10 @@ class DoubleProblem:
 
 def _surface_integrand(f: SurfaceFn, ax1: TimeScale, ax2: TimeScale):
     """``f`` as an ``_iterated`` integrand over ``ax1`` x ``ax2``: per axis, a
-    node (s is None) is read as one when the axis was cut from ``f``'s own;
-    a gap term's points go straight to ``val``."""
+    node (s is None) is read as one when the axis was cut from ``f``'s own."""
     in1, in2 = ax1._cut_from(f.scale1), ax2._cut_from(f.scale2)
-    return lambda t1, t2, s1, s2, mu1, mu2: (
-        f.val(t1, t2) if s1 is not None and s2 is not None
-        else f._at(t1, t2, in1 and s1 is None, in2 and s2 is None))
+    return lambda p1, p2: f.val(p1[1], p2[1],
+                                  nodes=(in1 and p1[2] is None, in2 and p2[2] is None))
 
 
 def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
@@ -284,34 +210,33 @@ def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
     a1, b1, a2, b2 = ps.rect(*rect)
     one = double_integral(ps, f, rect, tol)
     G = _surface_integrand(f, ps.scale1, ps.scale2)
-    two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1,
-                    lambda t2, t1, s2, s1, mu2, mu1: G(t1, t2, s1, s2, mu1, mu2), tol)
+    two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1, lambda p2, p1: G(p1, p2), tol)
     return abs(one - two)
 
 
 # -- trajectory plumbing ----------------------------------------------------
 
 
-def _traj_args(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2=None) -> tuple:
-    """The argument tuple (t1, t2, u(x1,x2), u_delta1(t1,x2), u_delta2(x1,t2)).
+def _traj_args(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> tuple:
+    """The argument tuple (t1, t2, u(x1,x2), u_delta1(t1,x2), u_delta2(x1,t2))
+    at the places ``p1`` on ``dp.ax1`` and ``p2`` on ``dp.ax2``.
 
-    Per axis x = s, the forward jump of t that a gap term is handed, with
-    its graininess mu, or a sampled point looked up (s = t keeps the
-    classical slope), or x = t at a dense quadrature node, where s is None.
-    At a node every sample of the slope along that axis is a node too.
-    Each distinct value of u is read once: an axis handed its mu takes the
-    jump quotient from u(x1, x2) and u at t on that axis."""
+    A place is ``(i, t, s, mu)``, as ``_iterated`` hands it: per axis x = s,
+    the forward jump of t that a gap term is handed with its graininess mu,
+    or a sampled point of piece i (s is t, mu None: the slope is looked up),
+    or x = t at a node of the dense piece i, where s is None.  At a node
+    every sample of the slope along that axis is a node too.  Each distinct
+    value of u is read once: an axis handed its mu takes the jump quotient
+    from u(x1, x2) and u at t on that axis."""
+    (i1, t1, s1, mu1), (i2, t2, s2, mu2) = p1, p2
     x1 = t1 if s1 is None else s1
     x2 = t2 if s2 is None else s2
-    n1 = s1 is None and dp.ax1._cut_from(u.scale1)
-    n2 = s2 is None and dp.ax2._cut_from(u.scale2)
-    u_ss = u._at(x1, x2, n1, n2)
-    dan1 = (lambda s: u._partial(1, s, x2)) if u.d1fn is not None else None
-    u_d1 = (_delta_at(dp.ax1, lambda s: u._at(s, x2, n1, n2), t1, s1 is None, dan1, sigma=s1)[0]
-            if mu1 is None else _quotient(u_ss, u._at(t1, x2, n1, n2), mu1))
-    dan2 = (lambda s: u._partial(2, x1, s)) if u.d2fn is not None else None
-    u_d2 = (_delta_at(dp.ax2, lambda s: u._at(x1, s, n1, n2), t2, s2 is None, dan2, sigma=s2)[0]
-            if mu2 is None else _quotient(u_ss, u._at(x1, t2, n1, n2), mu2))
+    nodes = (s1 is None and dp.ax1._cut_from(u.scale1), s2 is None and dp.ax2._cut_from(u.scale2))
+    u_ss = u.val(x1, x2, nodes=nodes)
+    u_d1 = (_delta_at(dp.ax1, u.section(0, (x1, x2), nodes), (i1, x1), x1 if s1 is None else None)[0]
+            if mu1 is None else _quotient(u_ss, u.val(t1, x2, nodes=nodes), mu1))
+    u_d2 = (_delta_at(dp.ax2, u.section(1, (x1, x2), nodes), (i2, x2), x2 if s2 is None else None)[0]
+            if mu2 is None else _quotient(u_ss, u.val(x1, t2, nodes=nodes), mu2))
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
@@ -341,10 +266,8 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:
     """The double delta integral of the composed integrand over the rectangle."""
 
-    def G(t1, t2, s1, s2, mu1, mu2):
-        return dp.lagrangian(*_traj_args(dp, u, t1, t2, s1, s2, mu1, mu2))
-
-    return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2, G, tol)
+    return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2,
+                     lambda p1, p2: dp.lagrangian(*_traj_args(dp, u, p1, p2)), tol)
 
 
 def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
@@ -357,9 +280,9 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
     _require_vanishes_on_boundary(dp, eta)
     zero = zero_of(dp.ax1)
 
-    def G(t1, t2, s1, s2, mu1, mu2):
-        args = _traj_args(dp, u_tilde, t1, t2, s1, s2, mu1, mu2)
-        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2, mu1, mu2)
+    def G(p1, p2):
+        args = _traj_args(dp, u_tilde, p1, p2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, p1, p2)
         l0, l1, l2 = dp.joint(*args)
         return _exact_sum(zero, ((l0, e_ss), (l1, e_d1), (l2, e_d2)))
 
@@ -379,36 +302,42 @@ class DoubleELReport:
 
 
 def _jump(ax: TimeScale, t) -> tuple:
-    """``(sigma(t), mu(t))`` on ``ax``, the graininess read off the axis's
-    gaps at the index ``t`` was found at; ``(sigma(t), None)`` where ``t``
-    is right-dense or the maximum, and ``sigma(t)`` is ``t`` itself."""
-    i, t = ax._find(t)
-    sigma = ax._sigma_at(i, t)
-    return sigma, (None if sigma is t else ax._gaps[i])
+    """The place ``(i, t, sigma(t), mu(t))`` of a sampled ``t`` on ``ax``, as
+    ``_traj_args`` takes it: the graininess read off the axis's gaps at the
+    index i that ``t`` was found at, and ``(sigma(t), None)`` where ``t`` is
+    right-dense or the maximum, and ``sigma(t)`` is ``t`` itself."""
+    i, x = ax._find(t)
+    sigma = ax._sigma_at(i, x)
+    return i, t, sigma, (None if sigma is x else ax._gaps[i])
 
 
-def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, t1, t2, s1, s2, mu1=None, mu2=None) -> Num:
-    """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2,
-    with the jumps ``s1``, ``s2`` and graininess ``mu1``, ``mu2`` of
-    ``_traj_args``.  Past (t1, t2) the partials are read at sigma(t), whose
-    own jump and graininess are looked up (``_jump``)."""
-    args = _traj_args(dp, u, t1, t2, s1, s2, mu1, mu2)
+def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> Num:
+    """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2
+    at the places ``p1``, ``p2`` of ``_traj_args``.  Past (t1, t2) the
+    partials are read at sigma(t), whose own place is looked up
+    (``_jump``)."""
+    args = _traj_args(dp, u, p1, p2)
     term0, l1, l2 = dp.joint(*args)
+    (i1, t1, s1, mu1), (i2, t2, s2, mu2) = p1, p2
 
     def F1(s):
         if s is t1:
             return l1
-        jump, mu = (None, None) if s1 is None else _jump(dp.ax1, s)
-        return dp.partial_y1(*_traj_args(dp, u, s, t2, jump, s2, mu, mu2))
+        return dp.partial_y1(*_traj_args(
+            dp, u, (i1, s, None, None) if s1 is None else _jump(dp.ax1, s), p2))
 
     def F2(s):
         if s is t2:
             return l2
-        jump, mu = (None, None) if s2 is None else _jump(dp.ax2, s)
-        return dp.partial_y2(*_traj_args(dp, u, t1, s, s1, jump, mu1, mu))
+        return dp.partial_y2(*_traj_args(
+            dp, u, p1, (i2, s, None, None) if s2 is None else _jump(dp.ax2, s)))
 
-    d1 = _delta_at(dp.ax1, F1, t1, s1 is None, sigma=s1, mu=mu1)[0]
-    d2 = _delta_at(dp.ax2, F2, t2, s2 is None, sigma=s2, mu=mu2)[0]
+    # A known graininess gives the quotient at once; otherwise the slope at
+    # a node (s None) or at a sampled point, looked up.
+    d1 = (_quotient(F1(s1), l1, mu1) if mu1 is not None
+          else _delta_at(dp.ax1, F1, (i1, t1 if s1 is None else s1), t1 if s1 is None else None)[0])
+    d2 = (_quotient(F2(s2), l2, mu2) if mu2 is not None
+          else _delta_at(dp.ax2, F2, (i2, t2 if s2 is None else s2), t2 if s2 is None else None)[0])
     return term0 - d1 - d2
 
 
@@ -429,16 +358,16 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
     pts2 = span2.grid(dense_refinement)
     residuals = []
     gaps = []
-    jumps2 = [_jump(dp.ax2, t2) for t2 in pts2]  # sampled: each looked up once
+    places2 = [_jump(dp.ax2, t2) for t2 in pts2]  # sampled: each looked up once
     for t1 in pts1:
-        s1, mu1 = _jump(dp.ax1, t1)
-        for t2, (s2, mu2) in zip(pts2, jumps2):
+        p1 = _jump(dp.ax1, t1)
+        for p2 in places2:
             try:
-                r = _el_kernel_at(dp, u_tilde, t1, t2, s1, s2, mu1, mu2)
+                r = _el_kernel_at(dp, u_tilde, p1, p2)
             except DomainError as exc:
-                gaps.append(((t1, t2), str(exc)))
+                gaps.append(((t1, p2[1]), str(exc)))
             else:
-                residuals.append(((t1, t2), r))
+                residuals.append(((t1, p2[1]), r))
     max_abs = max((abs(r) for _, r in residuals), default=zero_of(dp.ax1))
     return DoubleELReport(tuple(residuals), tuple(gaps), max_abs)
 
@@ -458,11 +387,12 @@ def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float)
     rb1 = dp.ax1.rho(dp.b1)
     rb2 = dp.ax2.rho(dp.b2)
 
-    def G(t1, t2, s1, s2, mu1, mu2):
-        r = _el_kernel_at(dp, u, t1, t2, s1, s2, mu1, mu2)
-        return r * eta._at(t1 if s1 is None else s1, t2 if s2 is None else s2,
-                           s1 is None and dp.ax1._cut_from(eta.scale1),
-                           s2 is None and dp.ax2._cut_from(eta.scale2))
+    def G(p1, p2):
+        (_, t1, s1, _), (_, t2, s2, _) = p1, p2
+        return _el_kernel_at(dp, u, p1, p2) * eta.val(
+            t1 if s1 is None else s1, t2 if s2 is None else s2,
+            nodes=(s1 is None and dp.ax1._cut_from(eta.scale1),
+                   s2 is None and dp.ax2._cut_from(eta.scale2)))
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, rb1, dp.a2, rb2, G, tol)
 

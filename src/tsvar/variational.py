@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .calculus import (ScaleFn, _at_nodes, _classical_slope, _delta_at, _exact_sum, _node_var,
+from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _exact_sum, _node_var,
                        _primitive, _quotient, _simpson, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
@@ -165,13 +165,11 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     span = world.truncate_k()  # [a, rho(b)]
     check_grid_size(dense_refinement, span)
     # Grid points and nodes lie in the scale: y reads them with no lookup.
-    y = _at_nodes(y_hat, world)
-    # Slopes read a bare one-variable Poly by its own derivative, worked out once.
-    sloped = ScaleFn.from_callable(world, y_hat) if type(y_hat) is Poly else y_hat
+    y_hat, y = _data(world, y_hat)
 
-    def ly(x, piece=None):
-        # (x, y(x), y_delta(x)) at a node of a dense piece: sigma(x) = x there.
-        return p.partial_y(x, y(x), _delta_at(world, sloped, x, True, piece=piece)[0])
+    def ly(x, i):
+        # (x, y(x), y_delta(x)) at a node of the dense piece i: sigma(x) = x there.
+        return p.partial_y(x, y(x), _delta_at(world, y_hat, (i, x), x)[0])
 
     node = _symbolic(y_hat)
     primitive = False  # built at the first dense step, as _integrate builds it
@@ -186,9 +184,9 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
         for t in world._piece_grid(lo, hi, dense_refinement):
             if t is not lo and t != prev:
                 if primitive is False:
-                    primitive = _primitive(world, ly, node)
+                    primitive = _primitive(world, ly, node, i)
                 if primitive is None:
-                    acc = acc + _simpson(lambda x: ly(x, i), prev, t, tol)
+                    acc = acc + _simpson(ly, i, prev, t, tol)
                 else:
                     k = _node_var(node)
                     f_prev = primitive.subs(k, prev) if f_prev is None else f_prev
@@ -200,7 +198,7 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
             st = world._sigma_at(i, t)
             if st is t:
                 y_t = y_lo if i and t is lo else y(t)
-                args = (t, y_t, _classical_slope(world, sloped, t, (lo, hi), LIMIT_TOL)[0])
+                args = (t, y_t, _classical_slope(world, y_hat, t, (lo, hi), LIMIT_TOL)[0])
             else:
                 y_st = y(st)
                 y_t = y_lo if i and t is lo else y(t)

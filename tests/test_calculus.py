@@ -37,7 +37,7 @@ from tsvar import (
     simple_useful_check,
     tabulated_from_json,
 )
-from tsvar.double import _el_kernel_at, _kernel_pairing, _traj_args
+from tsvar.double import _el_kernel_at, _jump, _kernel_pairing, _traj_args
 from tsvar.quadrature import QUAD_TOL
 
 HYBRID = TimeScale(((0.0, 2.0), (3.0, 3.0)), mode=FLOAT)
@@ -181,9 +181,9 @@ class TestPolyData:
 
     def test_poly_carries_its_derivative(self):
         poly = Poly.parse("t^3 - 2*t", ("t",))
-        assert ScaleFn.from_callable(RAT_HYBRID, poly).deriv == poly.diff("t")
+        assert ScaleFn.from_callable(RAT_HYBRID, poly).partials == (poly.diff("t"),)
         mine = lambda t: 0
-        assert ScaleFn.from_callable(RAT_HYBRID, poly, deriv=mine).deriv is mine
+        assert ScaleFn.from_callable(RAT_HYBRID, poly, deriv=mine).partials[0] is mine
 
     def test_dense_slope_is_exact(self):
         fn = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("t^3 - 2*t", ("t",)))
@@ -296,7 +296,9 @@ class TestExactDenseIntegrals:
         # grad2 with u = t1^2 t2 at (1/2, 1/2): L_y1 = 2 u_delta1(., sigma2) is
         # 3 at t1 = 1/2 and 2 * 2 t1 t2 = 4 at (1, 1), so its quotient is 2;
         # L_y2 = 2 u_delta2(sigma1, .) is 2 at both ends; L_y0 = 0.
-        assert _el_kernel_at(dp, u, half, half, one, one) == -2
+        place = _jump(self.AXIS, half)
+        assert place[2:] == (one, half)
+        assert _el_kernel_at(dp, u, place, place) == -2
         pairing = _kernel_pairing(dp, u, eta, QUAD_TOL)
         assert isinstance(pairing, Fraction) and pairing == first_variation(dp, u, eta)
         (step,) = derivation_chain_check(dp, u, eta)
@@ -437,7 +439,7 @@ def _clip_walk(scale, a, b):
         if c > d:
             continue
         if c < d:
-            yield ("dense", (c, d))
+            yield ("dense", (i, c, d))
         if d < b and d == hi:
             yield ("gap", (d, scale.sigma(d), scale.mu(d)))
 
@@ -644,9 +646,9 @@ def test_first_variation_on_a_float_grid_keeps_the_written_bits(seed):
         [rng.uniform(-3, 3) if 0 < i < len(p1) - 1 and 0 < j < len(p2) - 1 else 0.0
          for j in range(len(p2))] for i in range(len(p1))])
 
-    def G(t1, t2, s1, s2, mu1, mu2):
-        args = _traj_args(dp, u, t1, t2, s1, s2, mu1, mu2)
-        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, t1, t2, s1, s2, mu1, mu2)
+    def G(p1, p2):
+        args = _traj_args(dp, u, p1, p2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, p1, p2)
         return (dp.partial_y0(*args) * e_ss + dp.partial_y1(*args) * e_d1
                 + dp.partial_y2(*args) * e_d2)
 
@@ -742,6 +744,22 @@ class TestIdentities:
 
 
 class TestJunctionAudit:
+    def test_a_bare_poly_uses_its_own_slope(self, monkeypatch):
+        # Every public entry point wraps a bare Poly once: its dense slopes are
+        # its derivative, not Richardson limits, as for the wrapped data.
+        limits = []
+        real = tsvar.calculus.richardson_limit
+        monkeypatch.setattr(tsvar.calculus, "richardson_limit",
+                            lambda *args, **kwargs: limits.append(args) or real(*args, **kwargs))
+        scale = TimeScale(((0.0, 1.0), 1.5, (2.0, 3.0)), FLOAT)
+        poly = Poly.parse("t^3 - 2*t", ("t",))
+        wrapped = ScaleFn.from_callable(scale, poly)
+        for call in (lambda f: junction_audit(scale, f),
+                     lambda f: ibp_residual(scale, f, f, 0.0, 3.0)):
+            got = call(poly)
+            assert limits == []
+            assert repr(got) == repr(call(wrapped))
+
     def test_flags_derivative_jump_at_piece_top(self):
         fn = ScaleFn.from_callable(HYBRID, math.sin)
         findings = junction_audit(HYBRID, fn)

@@ -4,11 +4,15 @@ import pathlib
 import shutil
 import subprocess
 import time
+from argparse import Namespace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsvar import TimeScale
-from tsvar.cli import run
+from tsvar.cli import _gate, run
 
 FIX = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -279,6 +283,44 @@ class TestVerdictCommands:
             "el-residual", "--problem", PROB_V2, "--y", "t^2", "--pass-tol", "100"
         )
         assert code == 0
+
+    def test_the_gate_passes_an_exact_residual_only_at_zero(self):
+        tiny = Fraction(1, 10**400)  # 0.0 as a float
+        default, loose = Namespace(pass_tol=None), Namespace(pass_tol=1e-9)
+        assert _gate(tiny, default) == _gate(-tiny, default) == (False, [])
+        assert _gate(Fraction(0), default) == _gate(0, default) == (True, [])
+        assert _gate(tiny, loose) == (True, ["an exact nonzero residual passed only under --pass-tol"])
+        assert _gate(Fraction(0), loose) == (True, [])
+        assert _gate(Fraction(1, 10**8), loose) == (False, [])
+        # A float residual keeps the 1e-9 threshold.
+        assert _gate(1e-10, default) == _gate(-1e-9, default) == (True, [])
+        assert _gate(2e-9, default) == (False, [])
+        assert _gate(2e-9, Namespace(pass_tol=1e-8)) == (True, [])
+
+    @settings(max_examples=25, deadline=None)
+    @given(points=st.lists(st.integers(-20, 20), min_size=3, max_size=6, unique=True),
+           den=st.integers(1, 5), c=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+           eps=st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 30)))
+    def test_a_planted_exact_residual_fails_however_small(self, tmp_path_factory, points, den,
+                                                          c, eps):
+        # eps * t^2 on a linear trajectory: stationary for v^2 and grad2 only at eps = 0.
+        tmp = tmp_path_factory.mktemp("planted")
+        axis = {"mode": "rational",
+                "pieces": [{"point": f"{k}/{den}"} for k in sorted(points)]}
+        prob, dprob = tmp / "prob.json", tmp / "dprob.json"
+        prob.write_text(json.dumps({"scale": axis, "a": f"{min(points)}/{den}",
+                                    "b": f"{max(points)}/{den}", "lagrangian": "builtin:v2"}))
+        dprob.write_text(json.dumps({"scale1": axis, "scale2": axis,
+                                     "lagrangian": "builtin:grad2"}))
+        planted = f"({eps[0]}/{10 ** eps[1]})"
+        for argv in (("el-residual", "--problem", str(prob),
+                      "--y", f"({c[0]})*t + ({c[1]}) + {planted}*t^2"),
+                     ("double-el", "--problem", str(dprob),
+                      "--u", f"({c[0]})*t1 + ({c[1]})*t2 + {planted}*t1^2")):
+            code, text = invoke(*argv)
+            assert code == 1 and "(fail)" in text
+            code, text = invoke(*argv[:-1], argv[-1].replace(planted, "0"))
+            assert code == 0 and "max |residual| = 0 (ok)" in text
 
     def test_el_residual_stationary_trajectory(self):
         code, text = invoke("el-residual", "--problem", PROB_V2, "--y", "t")

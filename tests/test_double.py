@@ -19,6 +19,7 @@ from tsvar import (
     UnsupportedScaleError,
     action,
     brute_force_minimizer_2d,
+    delta_deriv,
     derivation_chain_check,
     double_el_residual,
     double_integral,
@@ -27,8 +28,7 @@ from tsvar import (
     sigma_diff_audit,
     surface_from_json,
 )
-from tsvar.calculus import _delta_at
-from tsvar.double import ChainStep, _chain_discrete, _el_kernel_at, _wsum
+from tsvar.double import ChainStep, _chain_discrete, _el_kernel_at, _jump, _wsum
 from tsvar.scales import zero_of
 from tsvar.polyfn import PolyTuple
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
@@ -99,10 +99,10 @@ class TestSurfaceFn:
     def test_poly_carries_its_partials(self):
         poly = Poly.parse("t1^2*t2 + 3*t2", ("t1", "t2"))
         sf = SurfaceFn.from_callable(AX4, AX4, poly)
-        assert (sf.d1fn, sf.d2fn) == (poly.diff("t1"), poly.diff("t2"))
+        assert sf.partials == (poly.diff("t1"), poly.diff("t2"))
         mine = lambda a, b: 0
         sf = SurfaceFn.from_callable(AX4, AX4, poly, d1=mine)
-        assert (sf.d1fn, sf.d2fn) == (mine, poly.diff("t2"))
+        assert sf.partials == (mine, poly.diff("t2")) and sf.partials[0] is mine
 
     def test_one_point_axis_has_no_classical_slope(self):
         # The single point is right-dense only as the maximum: there is no
@@ -282,7 +282,7 @@ class TestDoubleELResidual:
         # Handed the maximum as its own jump, the kernel raises the same
         # DomainError, not a zero division.
         with pytest.raises(DomainError) as exc_info:
-            _el_kernel_at(dp, u, Fraction(3), Fraction(0), Fraction(3), Fraction(1, 2))
+            _el_kernel_at(dp, u, _jump(dp.ax1, Fraction(3)), _jump(dp.ax2, Fraction(0)))
         assert str(exc_info.value) == at_max + "3"
 
     def test_nonstationary_surface_detected(self):
@@ -384,10 +384,10 @@ def _reference_chain(dp, u, eta):
     e = eta.val
 
     def d1(F, t1, x2):
-        return _delta_at(ax1, lambda s: F(s, x2), t1)[0]
+        return delta_deriv(ax1, lambda s: F(s, x2), t1).value
 
     def d2(F, x1, t2):
-        return _delta_at(ax2, lambda s: F(x1, s), t2)[0]
+        return delta_deriv(ax2, lambda s: F(x1, s), t2).value
 
     partials = {}
     for t1 in P1_full:

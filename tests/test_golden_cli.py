@@ -12,6 +12,7 @@ when an output change is intended:
 
 import contextlib
 import io
+from collections import Counter
 import json
 import os
 import pathlib
@@ -45,6 +46,8 @@ COMMANDS = [
     ["flcv-kernel", "--scale", Z5, "--variant", "nabla"],
     ["el-residual", "--problem", FIX + "prob_v2.json", "--y", "t^2"],
     ["el-residual", "--problem", FIX + "prob_v2_bc.json", "--y", "t"],
+    # an exact nonzero residual fails the default gate, however small
+    ["el-residual", "--problem", FIX + "prob_v2.json", "--y", "t + 1/1000000000000*t^2"],
     ["fubini-check", "--scale1", Z5, "--scale2", Z6, "--fn", "t1^2*t2 - 3*t1*t2 + t2"],
     ["double-el", "--problem", DPROB, "--u", "2*t1 - t2 + 1"],
     ["double-el", "--problem", DPROB, "--u", "t1^2 + t1*t2"],
@@ -83,6 +86,20 @@ COMMANDS = [
 
 FORMATS = ("text", "json")
 
+# The numeric branches each command reaches, as (adaptive Simpson calls,
+# Richardson limits); every other command runs neither.  A refactor keeps
+# these counts, not only the bytes; a change that moves a command to an
+# exact path updates them on purpose.
+BRANCHES = {
+    "integrate --scale tests/fixtures/hybrid01_2.json --fn t^2 + 1 --a 0 --b 2": (1, 0),
+    "ibp-check --scale tests/fixtures/hybrid01_2.json --f t^2 --g t + 1 --a 0 --b 2": (4, 0),
+    "fubini-check --scale1 tests/fixtures/hybrid01_2.json --scale2 tests/fixtures/hybrid01_2.json"
+    " --fn t1*t2 + t2^2": (14, 0),
+    "double-el --problem tests/fixtures/dprob_bad_axis.json --u t1*t2": (0, 171),
+    "double-el --problem tests/fixtures/dprob_bad_axis.json --u t1^2*t2 + t2^3 --refine 2": (0, 21),
+    "counterexample eta-not-c1": (0, 1),
+}
+
 
 def _key(argv, fmt):
     return " ".join(argv + ["--format", fmt])
@@ -120,6 +137,32 @@ def test_golden_covers_every_command(golden):
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
 def test_cli_output_matches_golden(golden, at_root, argv, fmt):
     assert _run(argv, fmt) == golden[_key(argv, fmt)]
+
+
+def test_each_command_reaches_its_numeric_branches(at_root, monkeypatch):
+    import tsvar.calculus
+    import tsvar.counterexamples
+    import tsvar.quadrature
+
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (tsvar.quadrature, tsvar.calculus, tsvar.counterexamples):
+        for name in ("adaptive_simpson", "richardson_limit"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    reached = {}
+    for argv in COMMANDS:
+        counts.clear()
+        _run(argv, "text")
+        reached[" ".join(argv)] = (counts["adaptive_simpson"], counts["richardson_limit"])
+    assert {cmd: n for cmd, n in reached.items() if n != (0, 0)} == BRANCHES
+    assert len(reached) - len(BRANCHES) == 36
 
 
 if __name__ == "__main__":

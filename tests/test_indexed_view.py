@@ -151,9 +151,9 @@ def reads(monkeypatch):
     for owner, name in ((SurfaceFn, "val"), (Poly, "_exact_call")):
         original = getattr(owner, name)
 
-        def counted(*args, _original=original, _key=name):
+        def counted(*args, _original=original, _key=name, **kwargs):
             counts[_key] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     return counts

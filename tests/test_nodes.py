@@ -163,6 +163,24 @@ def test_a_float_integral_locates_its_ends_only(lookups):
     assert many_nodes > few_nodes > 2
 
 
+def test_a_float_by_parts_residual_locates_no_node(lookups):
+    # The dense integrands take their slopes on the piece each integral hands
+    # them: the lookups are the ends', however many nodes Simpson takes.
+    scale = TimeScale(((0.0, 1.0), 1.5, (2.0, 3.0)), FLOAT)
+    nodes = []
+    f = ScaleFn.from_callable(scale, lambda x: nodes.append(x) or math.sin(x))
+    g = ScaleFn.from_callable(scale, math.exp)
+    seen = []
+    for tol in (1e-6, 1e-10):
+        nodes.clear()
+        lookups.clear()
+        ibp_residual(scale, f, g, 0.0, 3.0, 1, tol)
+        seen.append((len(lookups), len(nodes)))
+    (few_lookups, few_nodes), (many_lookups, many_nodes) = seen
+    assert few_lookups == many_lookups == 6
+    assert many_nodes > few_nodes > 100
+
+
 def test_a_sub_scale_reads_nodes_of_data_on_its_parent(lookups):
     sub = FLOAT_HYBRID.restrict(1.0, 3.25).truncate_k()
     fn = ScaleFn.from_callable(FLOAT_HYBRID, math.exp)
@@ -179,7 +197,8 @@ def test_a_right_dense_slope_locates_its_point_only(lookups):
         samples.clear()
         lookups.clear()
         assert delta_deriv(FLOAT_HYBRID, fn, t).method == "numeric-limit"
-        assert len(lookups) == 2 and len(samples) > 4
+        # The slope is taken at the located point: t is found once.
+        assert len(lookups) == 1 and len(samples) > 4
 
 
 def test_a_jump_quotient_locates_its_point_once(lookups):
@@ -207,12 +226,12 @@ def _looked_up_product_rule(scale, f, g, t):
 def test_a_product_rule_slope_reads_its_factors_at_the_nodes(lookups):
     scale = TimeScale(((0.0, 0.75), 1.0, (1.25, 2.0)), FLOAT)
     f, g = ScaleFn.from_callable(scale, math.sin), ScaleFn.from_callable(scale, math.exp)
-    for t, count in ((0.5, 7), (0.75, 4), (1.0, 4)):
+    for t in (0.5, 0.75, 1.0):
         lookups.clear()
         got = product_rule_residual(scale, f, g, t)
-        # At a right-dense t: the call's own lookup, two per slope, and none
-        # per Richardson sample; at a right-scattered t, one per slope.
-        assert len(lookups) == count
+        # The call's own lookup only: the three slopes are taken at the
+        # located t, and no Richardson sample is looked up.
+        assert lookups == [t]
         _same(got, _looked_up_product_rule(scale, f, g, t))
     # On a rational scale the nodes are read as Fractions, and located points
     # as the lookup path reads them.

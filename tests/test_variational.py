@@ -27,7 +27,7 @@ from tsvar import (
     lagrangian_from_spec,
     nabla_integral_discrete,
 )
-from tsvar.calculus import _at_nodes, _delta_at, _exact_sum, _integrate, _symbolic
+from tsvar.calculus import _delta_at, _exact_sum, _integrate, _symbolic
 from tsvar.scales import check_grid_size, zero_of
 from tsvar.polyfn import PolyTuple
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
@@ -416,27 +416,26 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
     the next, every point located and y read afresh: the reference for the
     running integral."""
     world = p.world
-    y_node = _at_nodes(y_hat, world)
+    y_node = y_hat.on(world) if isinstance(y_hat, ScaleFn) else y_hat
     # Slopes are read as el_residual reads them: a bare Poly by its derivative.
     sloped = ScaleFn.from_callable(world, y_hat) if type(y_hat) is Poly else y_hat
 
-    def ly_dense(x):
-        return p.partial_y(x, y_node(x), _delta_at(world, sloped, x, True)[0])
+    def ly_dense(x, i):
+        # At a node of the dense piece i, sigma(x) = x.
+        return p.partial_y(x, y_node(x), _delta_at(world, sloped, (i, x), x)[0])
 
     span = world.restrict(p.a, world.rho(p.b))
     check_grid_size(refinement, span)
     pts = span.grid(refinement)
-    node = _symbolic(y_hat)
+    node = _symbolic(sloped)
     raw, acc, prev = [], zero_of(world), pts[0]
     for t in pts:
         if t != prev:
             acc = acc + _integrate(world, prev, t, lambda tau, st, mu: p.partial_y(*args),
                                    ly_dense, tol, node)
             prev = t
-        i = world._find(t)[0]
-        st = world._sigma_at(i, t)
-        mu = None if st is t else world._gaps[i]
-        args = (t, y_hat(st), _delta_at(world, sloped, t, sigma=st, mu=mu)[0])
+        at = world._find(t)
+        args = (t, y_hat(world._sigma_at(*at)), _delta_at(world, sloped, at)[0])
         raw.append((t, p.partial_v(*args) - acc))
     rs = [r for _, r in raw]
     if all(type(r) is Fraction for r in rs):
