@@ -221,7 +221,8 @@ class AxesFn:
             values = {(t1, t2): v for t1, row in zip(pts[0], rows) for t2, v in zip(pts[1], row)}
         table = [[None] * len(pts[-1]) for _ in pts[0]] if len(axes) > 1 else [None] * len(pts[0])
         for key, v in values.items():
-            found = [axis._find(k) for axis, k in zip(axes, key if len(axes) > 1 else (key,))]
+            key = key if len(axes) > 1 else (key,)
+            found = [axis._find(k) for axis, k in zip(axes, key, strict=True)]
             row = table[found[0][0]] if len(axes) > 1 else table
             i = found[-1][0]
             if row[i] is not None:
@@ -259,9 +260,8 @@ class _Section(AxesFn):
     __slots__ = ("parent", "axis", "point", "nodes")
 
     def __init__(self, parent, axis, point, nodes):
-        self.axes, self.partials = (parent.axes[axis],), (parent.partials[axis],)
-        self.func = self.table = None
         self.parent, self.axis, self.point, self.nodes = parent, axis, point, nodes
+        self.axes, self.partials = (parent.axes[axis],), (parent.partials[axis],)
 
     def __call__(self, s, nodes=(), d=None):
         k, point = self.axis, self.point
@@ -295,7 +295,8 @@ class ScaleFn(AxesFn):
     def from_table(cls, scale: TimeScale, values) -> "ScaleFn":
         """Tabulate ``values`` (a mapping point -> value) on a discrete scale.
         Each point may be named by one key only."""
-        return cls._tabulated((scale,), values, "tabulated functions require a purely discrete scale")
+        return cls._tabulated((scale,), values,
+                              "tabulated functions require a purely discrete scale")
 
 
 def tabulated_from_json(obj) -> ScaleFn:
@@ -305,13 +306,16 @@ def tabulated_from_json(obj) -> ScaleFn:
 
 
 def _data(scale: TimeScale, fn):
-    """``fn`` as every public entry point on ``scale`` takes it, and the
-    callable that reads its values at the points and nodes of ``scale``
-    (``AxesFn.on``).  A bare ``Poly`` is wrapped once, so that its slope is
-    its own derivative; its values are read as it reads them."""
-    if type(fn) is Poly:
-        return ScaleFn(scale, fn), fn
-    return fn, (fn.on(scale) if isinstance(fn, AxesFn) else fn)
+    """``fn`` as every public entry point on ``scale`` takes it: a bare
+    ``Poly`` is wrapped once, so that its slope is its own derivative."""
+    return ScaleFn(scale, fn) if type(fn) is Poly else fn
+
+
+def _reader(scale: TimeScale, fn):
+    """The callable that reads the values of ``fn``, as handed to a public
+    entry point, at the points and nodes of ``scale``: data through
+    ``AxesFn.on``, anything else, a bare ``Poly`` too, as it reads itself."""
+    return fn.on(scale) if isinstance(fn, AxesFn) else fn
 
 
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
@@ -324,9 +328,6 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     derivative of ``fn``'s polynomial value.  Otherwise a float Richardson
     limit inside the piece, where ``fn`` must be evaluable throughout.
     """
-    lo, hi = piece
-    if lo == hi:
-        raise DomainError(f"no dense neighborhood at {fmt_scalar(t)} for a classical slope")
     if isinstance(fn, AxesFn) and fn.partials[0] is not None:
         if type(t) is float and scale.mode == RATIONAL:
             # A node that float rounding put off the scale is read as the
@@ -341,12 +342,13 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
         if isinstance(value, (int, Fraction)):
             return 0, 0.0, ANALYTIC
         raise _NotPolynomial
+    lo, hi = piece
     x = float(t)
     flo, fhi = float(lo), float(hi)
     room_l = x - flo
     room_r = fhi - x
     width = fhi - flo
-    read = _data(scale, fn)[1]
+    read = _reader(scale, fn)
 
     def value(s):
         return float(read(s))
@@ -405,7 +407,10 @@ def _delta_at(scale: TimeScale, fn, at, jump=None, tol: float = LIMIT_TOL):
             )
     if jump is not t:
         return _quotient(fn(jump), fn(t), jump - t), _ZEROS[scale.mode], EXACT_QUOTIENT
-    return _classical_slope(scale, fn, t, scale.pieces[i], tol)
+    piece = scale.pieces[i]
+    if piece[0] == piece[1]:
+        raise DomainError(f"no dense neighborhood at {fmt_scalar(t)} for a classical slope")
+    return _classical_slope(scale, fn, t, piece, tol)
 
 
 def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
@@ -416,7 +421,7 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     else a Richardson extrapolated limit of difference quotients along the
     scale.  Undefined at a left-scattered maximum.
     """
-    value, est, method = _delta_at(scale, _data(scale, fn)[0], scale._find(t), tol=tol)
+    value, est, method = _delta_at(scale, _data(scale, fn), scale._find(t), None, tol)
     return DerivResult(value, method, est)
 
 
@@ -425,7 +430,7 @@ def simple_useful_check(scale: TimeScale, fn, t) -> Num:
 
     Zero by construction at right-dense points, where both sides
     collapse to f(t)."""
-    fn, read = _data(scale, fn)
+    fn, read = _data(scale, fn), _reader(scale, fn)
     i, t = scale._find(t)
     st = scale._sigma_at(i, t)
     if st is t:
@@ -524,15 +529,15 @@ def _symbolic(*fns):
     return _X1 if all(isinstance(f, AxesFn) for f in fns) else None
 
 
-def _primitive(scale: TimeScale, dense_value, node, i: int):
+def _primitive(scale: TimeScale, dense, node):
     """The exact antiderivative, in ``node``'s variable, of the dense
-    integrand ``dense_value`` on piece i, or None when Simpson must run: no
-    node, a float scale, data that is not polynomial, or a polynomial past
-    the size limits."""
+    integrand ``dense``, or None when Simpson must run: no node, a float
+    scale, data that is not polynomial, or a polynomial past the size
+    limits."""
     if node is None or scale.mode != RATIONAL:
         return None
     try:
-        value = dense_value(node, i)
+        value = dense(node)
         if isinstance(value, Poly):
             return value.integrate(_NODE_VARS[_node_var(node)])
         if isinstance(value, (int, Fraction)):
@@ -542,23 +547,22 @@ def _primitive(scale: TimeScale, dense_value, node, i: int):
     return None
 
 
-def _simpson(dense_value, i: int, c, d, tol: float) -> float:
-    """Adaptive Simpson's value of the dense integrand ``dense_value`` over
-    [c, d] in piece i, in floats: every numeric dense integral goes through
-    here."""
-    return adaptive_simpson(lambda x: float(dense_value(x, i)), float(c), float(d), tol)[0]
+def _simpson(dense, c, d, tol: float) -> float:
+    """Adaptive Simpson's value of the dense integrand ``dense`` over [c, d],
+    in floats: every numeric dense integral goes through here."""
+    return adaptive_simpson(lambda x: float(dense(x)), float(c), float(d), tol)[0]
 
 
-def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
+def _integrate(scale: TimeScale, a, b, point_value, dense_on, tol: float,
                node=None, exact_only: bool = False):
     """Delta integral driver shared by every integral in the package.
 
     ``point_value(t, st, mu)`` is the exact integrand at a right-scattered
     t, handed the forward jump st = sigma(t) and the graininess mu = st - t
     that ``_decompose`` read off the piece tuple, and weighted by mu.
-    ``dense_value(x, i)`` is the continuous restriction of the integrand
-    on the dense piece i, at a float quadrature node or at the symbolic
-    ``node``.  Its antiderivative is built at the first dense piece;
+    ``dense_on(i)`` is the continuous restriction of the integrand on the
+    dense piece i, a callable of a float quadrature node or of the
+    symbolic ``node``.  Its antiderivative is built at the first dense piece;
     without one, each dense piece goes to ``_simpson``, or, with
     ``exact_only``, ``_NotPolynomial`` is raised."""
     start, end = scale._find(a), scale._find(b)
@@ -580,7 +584,7 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
                 continue
             i, c, d = payload
             if "primitive" not in cache:
-                cache["primitive"] = _primitive(scale, dense_value, node, i)
+                cache["primitive"] = _primitive(scale, dense_on(i), node)
             primitive = cache["primitive"]
             if primitive is not None:
                 k = _node_var(node)
@@ -588,7 +592,7 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
             elif exact_only:
                 raise _NotPolynomial
             else:
-                simpson.append(_simpson(dense_value, i, c, d, tol))
+                simpson.append(_simpson(dense_on(i), c, d, tol))
 
     exact = _exact_sum(zero_of(scale), terms())
     if not simpson:
@@ -608,8 +612,8 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_value, tol: float,
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     """Delta integral of ``fn`` over [a, b]; exact on a rational scale
     when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
-    fn, read = _data(scale, fn)
-    return _integrate(scale, a, b, lambda t, st, mu: read(t), lambda x, i: read(x), tol,
+    fn, read = _data(scale, fn), _reader(scale, fn)
+    return _integrate(scale, a, b, lambda t, st, mu: read(t), lambda i: read, tol,
                       _symbolic(fn))
 
 
@@ -617,7 +621,7 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
     """Nabla integral over [a, b], supported on purely discrete ranges only.
 
     Sums nu(t) f(t) over the points of (a, b]."""
-    fn = _data(scale, fn)[1]
+    fn = _reader(scale, fn)
     a = scale.require(a)
     b = scale.require(b)
     if a > b:
@@ -647,7 +651,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
         return _integrate(
             ax2, a2, b2,
             point_value=lambda t2, s2, mu2: G(p1, (None, t2, s2, mu2)),
-            dense_value=lambda x, j: G(p1, (j, x, None, None)),
+            dense_on=lambda j: lambda x: G(p1, (j, x, None, None)),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
             exact_only=isinstance(t1, Poly),
@@ -656,7 +660,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     return _integrate(
         ax1, a1, b1,
         point_value=lambda t1, s1, mu1: inner((None, t1, s1, mu1)),
-        dense_value=lambda x, i: inner((i, x, None, None)),
+        dense_on=lambda i: lambda x: inner((i, x, None, None)),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
     )
@@ -673,7 +677,7 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     """
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
-    (f, f_at), (g, g_at) = _data(scale, f), _data(scale, g)
+    f_at, g_at, f, g = _reader(scale, f), _reader(scale, g), _data(scale, f), _data(scale, g)
     a = scale.require(a)
     b = scale.require(b)
     boundary = f_at(b) * g_at(b) - f_at(a) * g_at(a)
@@ -683,15 +687,17 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     node = _symbolic(f, g)
     lhs = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: f_at(st if form == 1 else t) * _quotient(g_at(st), g_at(t), mu),
-        dense_value=lambda x, i: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
+        point_value=lambda t, st, mu: (f_at(st if form == 1 else t)
+                                       * _quotient(g_at(st), g_at(t), mu)),
+        dense_on=lambda i: lambda x: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, a, b,
-        point_value=lambda t, st, mu: _quotient(f_at(st), f_at(t), mu) * g_at(t if form == 1 else st),
-        dense_value=lambda x, i: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
+        point_value=lambda t, st, mu: (_quotient(f_at(st), f_at(t), mu)
+                                       * g_at(t if form == 1 else st)),
+        dense_on=lambda i: lambda x: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
         tol=tol,
         node=node,
     )
@@ -706,7 +712,7 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
     both numbers agree; a mismatch is reported, not rejected, since
     rd-continuous calculus remains valid either way.
     """
-    fn = _data(scale, fn)[0]
+    fn = _data(scale, fn)
     a = scale.require(a) if a is not None else scale.min
     b = scale.require(b) if b is not None else scale.max
     findings = []

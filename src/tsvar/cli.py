@@ -208,7 +208,6 @@ def _cmd_ibp_check(ns):
     results = {"residuals": residuals, "max_abs": repr(worst)}
     lines = [f"form {form}: residual = {residuals[f'form{form}']}" for form in forms]
     lines.append(f"max |residual| = {worst!r} ({'ok' if ok else 'fail'})")
-    lines.extend(f"finding: {f}" for f in findings)
     return inputs, results, findings, ok, lines
 
 
@@ -286,7 +285,6 @@ def _cmd_double_el(ns):
     lines = [
         f"max |residual| = {results['max_abs_residual']} ({'ok' if ok else 'fail'})",
         f"evaluated at {len(rep.residuals)} points, {len(rep.gaps)} undefined",
-        *(f"finding: {f}" for f in gated),
     ]
     return {"problem": problem, "u": ns.u}, results, findings, ok, lines
 
@@ -312,7 +310,6 @@ def _cmd_fubini_check(ns):
         "rect": [fmt_scalar(a1), fmt_scalar(b1), fmt_scalar(a2), fmt_scalar(b2)],
     }
     lines = [f"|order swap residual| = {results['residual']} ({'ok' if ok else 'fail'})"]
-    lines.extend(f"finding: {f}" for f in findings)
     return inputs, results, findings, ok, lines
 
 
@@ -338,7 +335,6 @@ def _cmd_derivation_check(ns):
     }
     lines = [f"{s.label}: residual = {fmt_scalar(s.residual)}" for s in steps]
     lines.append(f"max |residual| = {worst!r} ({'ok' if ok else 'fail'})")
-    lines.extend(f"finding: {f}" for f in findings)
     inputs = {"problem": problem, "u": ns.u, "eta": ns.eta}
     return inputs, results, findings, ok, lines
 

@@ -86,13 +86,13 @@ class SurfaceFn(AxesFn):
 
     def d1(self, t1, t2) -> Num:
         """Axis-1 delta derivative holding t2 fixed."""
-        t2 = self.scale2.require(t2)
-        return _delta_at(self.scale1, self.section(0, (t1, t2)), self.scale1._find(t1))[0]
+        return _delta_at(self.scale1, self.section(0, (t1, self.scale2.require(t2))),
+                         self.scale1._find(t1))[0]
 
     def d2(self, t1, t2) -> Num:
         """Axis-2 delta derivative holding t1 fixed."""
-        t1 = self.scale1.require(t1)
-        return _delta_at(self.scale2, self.section(1, (t1, t2)), self.scale2._find(t2))[0]
+        return _delta_at(self.scale2, self.section(1, (self.scale1.require(t1), t2)),
+                         self.scale2._find(t2))[0]
 
 
 def surface_from_json(obj) -> SurfaceFn:
@@ -233,10 +233,14 @@ def _traj_args(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> tuple:
     x2 = t2 if s2 is None else s2
     nodes = (s1 is None and dp.ax1._cut_from(u.scale1), s2 is None and dp.ax2._cut_from(u.scale2))
     u_ss = u.val(x1, x2, nodes=nodes)
-    u_d1 = (_delta_at(dp.ax1, u.section(0, (x1, x2), nodes), (i1, x1), x1 if s1 is None else None)[0]
-            if mu1 is None else _quotient(u_ss, u.val(t1, x2, nodes=nodes), mu1))
-    u_d2 = (_delta_at(dp.ax2, u.section(1, (x1, x2), nodes), (i2, x2), x2 if s2 is None else None)[0]
-            if mu2 is None else _quotient(u_ss, u.val(x1, t2, nodes=nodes), mu2))
+    # Without a graininess, the slope at x: a node is its own jump, and a
+    # sampled point's jump is looked up.
+    u_d1 = (_quotient(u_ss, u.val(t1, x2, nodes=nodes), mu1) if mu1 is not None
+            else _delta_at(dp.ax1, u.section(0, (x1, x2), nodes), (i1, x1),
+                           x1 if s1 is None else None)[0])
+    u_d2 = (_quotient(u_ss, u.val(x1, t2, nodes=nodes), mu2) if mu2 is not None
+            else _delta_at(dp.ax2, u.section(1, (x1, x2), nodes), (i2, x2),
+                           x2 if s2 is None else None)[0])
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
@@ -332,12 +336,12 @@ def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> Num:
         return dp.partial_y2(*_traj_args(
             dp, u, p1, (i2, s, None, None) if s2 is None else _jump(dp.ax2, s)))
 
-    # A known graininess gives the quotient at once; otherwise the slope at
-    # a node (s None) or at a sampled point, looked up.
+    # As in _traj_args: a node is its own jump, a sampled point's is looked up.
+    x1, x2 = (t1 if s1 is None else s1), (t2 if s2 is None else s2)
     d1 = (_quotient(F1(s1), l1, mu1) if mu1 is not None
-          else _delta_at(dp.ax1, F1, (i1, t1 if s1 is None else s1), t1 if s1 is None else None)[0])
+          else _delta_at(dp.ax1, F1, (i1, x1), x1 if s1 is None else None)[0])
     d2 = (_quotient(F2(s2), l2, mu2) if mu2 is not None
-          else _delta_at(dp.ax2, F2, (i2, t2 if s2 is None else s2), t2 if s2 is None else None)[0])
+          else _delta_at(dp.ax2, F2, (i2, x2), x2 if s2 is None else None)[0])
     return term0 - d1 - d2
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _exact_sum, _node_var,
-                       _primitive, _quotient, _simpson, _symbolic)
+                       _primitive, _quotient, _reader, _simpson, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
 from .quadrature import LIMIT_TOL, QUAD_TOL
@@ -165,11 +165,11 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     span = world.truncate_k()  # [a, rho(b)]
     check_grid_size(dense_refinement, span)
     # Grid points and nodes lie in the scale: y reads them with no lookup.
-    y_hat, y = _data(world, y_hat)
+    y_hat, y = _data(world, y_hat), _reader(world, y_hat)
 
-    def ly(x, i):
-        # (x, y(x), y_delta(x)) at a node of the dense piece i: sigma(x) = x there.
-        return p.partial_y(x, y(x), _delta_at(world, y_hat, (i, x), x)[0])
+    def ly_on(i):
+        # (x, y(x), y_delta(x)) at a node x of the dense piece i: sigma(x) = x there.
+        return lambda x: p.partial_y(x, y(x), _delta_at(world, y_hat, (i, x), x)[0])
 
     node = _symbolic(y_hat)
     primitive = False  # built at the first dense step, as _integrate builds it
@@ -184,9 +184,9 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
         for t in world._piece_grid(lo, hi, dense_refinement):
             if t is not lo and t != prev:
                 if primitive is False:
-                    primitive = _primitive(world, ly, node, i)
+                    primitive = _primitive(world, ly_on(i), node)
                 if primitive is None:
-                    acc = acc + _simpson(ly, i, prev, t, tol)
+                    acc = acc + _simpson(ly_on(i), prev, t, tol)
                 else:
                     k = _node_var(node)
                     f_prev = primitive.subs(k, prev) if f_prev is None else f_prev

@@ -420,9 +420,9 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
     # Slopes are read as el_residual reads them: a bare Poly by its derivative.
     sloped = ScaleFn.from_callable(world, y_hat) if type(y_hat) is Poly else y_hat
 
-    def ly_dense(x, i):
-        # At a node of the dense piece i, sigma(x) = x.
-        return p.partial_y(x, y_node(x), _delta_at(world, sloped, (i, x), x)[0])
+    def ly_on(i):
+        # At a node x of the dense piece i, sigma(x) = x.
+        return lambda x: p.partial_y(x, y_node(x), _delta_at(world, sloped, (i, x), x)[0])
 
     span = world.restrict(p.a, world.rho(p.b))
     check_grid_size(refinement, span)
@@ -432,7 +432,7 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
     for t in pts:
         if t != prev:
             acc = acc + _integrate(world, prev, t, lambda tau, st, mu: p.partial_y(*args),
-                                   ly_dense, tol, node)
+                                   ly_on, tol, node)
             prev = t
         at = world._find(t)
         args = (t, y_hat(world._sigma_at(*at)), _delta_at(world, sloped, at)[0])
