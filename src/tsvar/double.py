@@ -191,10 +191,12 @@ class DoubleProblem:
 
 def _surface_integrand(f: SurfaceFn, ax1: TimeScale, ax2: TimeScale):
     """``f`` as an ``_iterated`` integrand over ``ax1`` x ``ax2``: per axis, a
-    node (s is None) is read as one when the axis was cut from ``f``'s own."""
+    node (s is None) is read as one when the axis was cut from ``f``'s own;
+    a gap term's points go straight to ``val``."""
     in1, in2 = ax1._cut_from(f.scale1), ax2._cut_from(f.scale2)
-    return lambda p1, p2: f.val(p1[1], p2[1],
-                                  nodes=(in1 and p1[2] is None, in2 and p2[2] is None))
+    return lambda p1, p2: (
+        f.val(p1[1], p2[1]) if p1[2] is not None and p2[2] is not None
+        else f.val(p1[1], p2[1], nodes=(in1 and p1[2] is None, in2 and p2[2] is None)))
 
 
 def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
