@@ -10,8 +10,10 @@ Data are ``AxesFn``: one class over a tuple of axes, a table or a
 callable with one partial per axis, of which ``ScaleFn`` and the double
 layer's ``SurfaceFn`` are the one- and two-axis constructors.  Its call is
 the one reader of values and partials; ``section`` is a one-axis view
-through a point.  Every public entry point wraps a bare ``Poly`` once
-(``_data``), so its slope is its own derivative.
+through a point.  Every public entry point binds its data once to the
+axes it integrates or differentiates over (``AxesFn.on``, through
+``_data`` on one axis), and wraps a bare ``Poly`` once, so its slope is
+its own derivative.
 
 On a rational scale an interval piece is integrated exactly when the
 data are polynomial: the integrand is evaluated once at a symbolic
@@ -22,16 +24,20 @@ sends the piece to adaptive Simpson in floats, through the ``_simpson``
 wrapper that ``_integrate`` shares with the running integral of
 ``el_residual``, and the integral is a float.
 
-A float quadrature node (of adaptive Simpson or of a Richardson limit)
-lies in its dense piece by construction, so data are read there with no
-scale lookup: the reader hands a callable on an axis the piece was cut
-from the node as ``require`` would, the float itself on a float scale and
-``Fraction(x)`` on a rational one, and an exact point as it is.  On a
-rational scale a node that float rounding put just off the scale beside a
-piece end, such as ``float(1/3)`` at the low end of [1/3, 2/3], is read as
-that end.  An integral locates its two ends once, walks the pieces
-between by index, and hands each dense piece's index to the integrand,
-so that a slope at a node (``_delta_at``) is never located again.
+Every point or node an entry point reads lies in a piece of its own
+axes: a grid or gap point, or a float quadrature node (of adaptive
+Simpson or of a Richardson limit), which lies in its dense piece by
+construction.  So the bound datum marks each axis that was cut from the
+data's own axis, or equals it (``TimeScale._cut_from``), and reads a
+coordinate on such an axis with no scale lookup: a float node as
+``require`` would, the float itself on a float scale and ``Fraction(x)``
+on a rational one, and an exact point as it is.  On a rational scale a
+node that float rounding put just off the scale beside a piece end, such
+as ``float(1/3)`` at the low end of [1/3, 2/3], is read as that end.  On
+any other axis a coordinate is looked up, and refused off the data's
+scale.  An integral locates its two ends once, walks the pieces between
+by index, and hands each dense piece's index to the integrand, so that a
+slope at a node (``_delta_at``) is never located again.
 
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
@@ -119,10 +125,6 @@ class DerivResult:
     est_error: Num
 
 
-# Node marks for a one-axis read (see ``AxesFn.__call__``).
-_NODE = (True,)
-
-
 def _point_text(points) -> str:
     """``points``, one per axis, as an error message names them."""
     text = ", ".join(map(fmt_scalar, points))
@@ -135,36 +137,32 @@ def _index(axis: TimeScale, t) -> int:
     return axis._find(t)[0]
 
 
-def _coordinate(axis: TimeScale, t, node: bool):
-    if node:
-        return axis._node(t) if type(t) is float else t
-    return t if id(t) in axis._ids else axis.require(t)
-
-
 class AxesFn:
     """Real-valued data on the product of the time scales ``axes``: a table,
     nested lists over the axes' point indices (None where a point has no
     value), or a callable with one classical partial per axis in
     ``partials`` (None where it has none), which a ``Poly`` supplies itself.
-    ``ScaleFn`` and ``SurfaceFn`` are its one- and two-axis constructors."""
+    ``ScaleFn`` and ``SurfaceFn`` are its one- and two-axis constructors.
+    ``cut`` marks, per axis, whether the datum was bound (``on``) to a scale
+    cut from that axis."""
 
-    __slots__ = ("axes", "func", "partials", "table")
+    __slots__ = ("axes", "func", "partials", "table", "cut")
 
     def __init__(self, axes, func, partials, table):
         if isinstance(func, Poly) and len(func.variables) == len(axes):
             partials = tuple(func.diff(x) if d is None else d
                              for x, d in zip(func.variables, partials))
         self.axes, self.func, self.partials, self.table = axes, func, partials, table
+        self.cut = (False,) * len(axes)
 
-    def __call__(self, t, *more, nodes=(), d=None):
+    def __call__(self, t, *more, d=None):
         """The one reader: the value at ``(t, *more)``, one coordinate per
         axis, or with ``d`` the partial along axis ``d``, which takes its
         coordinates as they are.  A table finds each point's index, an axis's
         own points by identity.  A callable gets each coordinate located,
-        unless ``nodes`` marks it as lying in a piece of an axis cut from
-        this one: a float quadrature node is then read as ``TimeScale._node``
-        reads it, and anything else as it is.  A symbolic node (a ``Poly``
-        coordinate) reaches ``Poly`` data only."""
+        unless ``cut`` marks its axis: a float quadrature node is then read as
+        ``TimeScale._node`` reads it, and anything else as it is.  A symbolic
+        node (a ``Poly`` coordinate) reaches ``Poly`` data only."""
         # Written out for one axis and a second: a loop over the axes would
         # double the cost of a read.
         table = self.table
@@ -185,22 +183,32 @@ class AxesFn:
             return _exact(fn)(t, *more)
         if d is not None:
             return fn(t, *more)
-        x = _coordinate(self.axes[0], t, nodes and nodes[0])
+        axis, cut = self.axes[0], self.cut
+        if cut[0]:
+            x = axis._node(t) if type(t) is float else t
+        else:
+            x = t if id(t) in axis._ids else axis.require(t)
         if not more:
             return fn(x)
-        return fn(x, _coordinate(self.axes[1], more[0], nodes and nodes[1]))
+        axis, (u,) = self.axes[1], more
+        if cut[1]:
+            return fn(x, axis._node(u) if type(u) is float else u)
+        return fn(x, u if id(u) in axis._ids else axis.require(u))
 
-    def on(self, scale: TimeScale):
-        """This one-axis datum as read at the points and nodes of ``scale``:
-        with no lookup where ``scale`` was cut from its axis, which on a float
-        scale hands the callable each of them as it is."""
-        if self.table is not None or not scale._cut_from(self.axes[0]):
-            return self
-        return self.func if scale.mode != RATIONAL else lambda x: self(x, nodes=_NODE)
+    def on(self, *scales: TimeScale) -> "AxesFn":
+        """This datum bound to ``scales``, the axes an entry point reads it
+        on, one per axis: a copy of the same class whose ``cut`` marks each
+        axis whose scale is, equals or was cut from the datum's own
+        (``TimeScale._cut_from``)."""
+        bound = object.__new__(type(self))
+        bound.axes, bound.func, bound.partials, bound.table = (
+            self.axes, self.func, self.partials, self.table)
+        bound.cut = tuple(map(TimeScale._cut_from, scales, self.axes))
+        return bound
 
-    def section(self, axis: int, point: tuple, nodes: tuple = ()) -> "AxesFn":
+    def section(self, axis: int, point: tuple) -> "AxesFn":
         """The one-axis view along ``axis`` through ``point`` (see ``_Section``)."""
-        return _Section(self, axis, point, nodes)
+        return _Section(self, axis, point)
 
     @classmethod
     def _tabulated(cls, axes: tuple, values, refusal: str) -> "AxesFn":
@@ -254,22 +262,18 @@ class AxesFn:
 
 class _Section(AxesFn):
     """``parent`` along its axis ``axis`` through ``point``: a one-axis view
-    that reads the parent in place, its values with the node marks ``nodes``
-    and its partial along ``axis``, and copies no row or column."""
+    that reads the parent in place, as the parent is bound, its values and
+    its partial along ``axis``, and copies no row or column."""
 
-    __slots__ = ("parent", "axis", "point", "nodes")
+    __slots__ = ("parent", "axis", "point")
 
-    def __init__(self, parent, axis, point, nodes):
-        self.parent, self.axis, self.point, self.nodes = parent, axis, point, nodes
+    def __init__(self, parent, axis, point):
+        self.parent, self.axis, self.point = parent, axis, point
         self.axes, self.partials = (parent.axes[axis],), (parent.partials[axis],)
 
-    def __call__(self, s, nodes=(), d=None):
+    def __call__(self, s, d=None):
         k, point = self.axis, self.point
-        return self.parent(*point[:k], s, *point[k + 1:], nodes=self.nodes,
-                           d=None if d is None else k)
-
-    def on(self, scale: TimeScale):
-        return self  # the view carries its own node marks
+        return self.parent(*point[:k], s, *point[k + 1:], d=None if d is None else k)
 
 
 class ScaleFn(AxesFn):
@@ -305,17 +309,25 @@ def tabulated_from_json(obj) -> ScaleFn:
     return ScaleFn._from_json(obj, "tabulated function", ("scale",))
 
 
-def _data(scale: TimeScale, fn):
-    """``fn`` as every public entry point on ``scale`` takes it: a bare
-    ``Poly`` is wrapped once, so that its slope is its own derivative."""
-    return ScaleFn(scale, fn) if type(fn) is Poly else fn
+def _data(scale: TimeScale, fn) -> tuple:
+    """``fn`` as every public entry point on ``scale`` takes it, with the
+    callable that reads its values at the points and nodes of ``scale``.
+    Data are bound to ``scale`` (``AxesFn.on``); a bare ``Poly`` is wrapped
+    once, so that its slope is its own derivative, and reads itself, as does
+    any other callable."""
+    if isinstance(fn, AxesFn):
+        fn = fn.on(scale)
+        return fn, _reader(fn)
+    return (ScaleFn(scale, fn).on(scale) if type(fn) is Poly else fn), fn
 
 
-def _reader(scale: TimeScale, fn):
-    """The callable that reads the values of ``fn``, as handed to a public
-    entry point, at the points and nodes of ``scale``: data through
-    ``AxesFn.on``, anything else, a bare ``Poly`` too, as it reads itself."""
-    return fn.on(scale) if isinstance(fn, AxesFn) else fn
+def _reader(fn):
+    """The callable that reads the values of ``fn``: on a float scale, the
+    callable of one-axis data bound to an axis cut from theirs, since a node
+    is its own point there; else ``fn`` itself."""
+    if isinstance(fn, ScaleFn) and fn.table is None and fn.cut[0] and fn.axes[0].mode != RATIONAL:
+        return fn.func
+    return fn
 
 
 def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
@@ -348,7 +360,7 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     room_l = x - flo
     room_r = fhi - x
     width = fhi - flo
-    read = _reader(scale, fn)
+    read = _reader(fn)
 
     def value(s):
         return float(read(s))
@@ -421,7 +433,7 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     else a Richardson extrapolated limit of difference quotients along the
     scale.  Undefined at a left-scattered maximum.
     """
-    value, est, method = _delta_at(scale, _data(scale, fn), scale._find(t), None, tol)
+    value, est, method = _delta_at(scale, _data(scale, fn)[0], scale._find(t), None, tol)
     return DerivResult(value, method, est)
 
 
@@ -430,7 +442,7 @@ def simple_useful_check(scale: TimeScale, fn, t) -> Num:
 
     Zero by construction at right-dense points, where both sides
     collapse to f(t)."""
-    fn, read = _data(scale, fn), _reader(scale, fn)
+    fn, read = _data(scale, fn)
     i, t = scale._find(t)
     st = scale._sigma_at(i, t)
     if st is t:
@@ -448,15 +460,15 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
     """
     at = i, t = scale._find(t)
     st = scale._sigma_at(i, t)
-    f = f if isinstance(f, ScaleFn) else ScaleFn(scale, f)
-    g = g if isinstance(g, ScaleFn) else ScaleFn(scale, g)
+    f = (f if isinstance(f, ScaleFn) else ScaleFn(scale, f)).on(scale)
+    g = (g if isinstance(g, ScaleFn) else ScaleFn(scale, g)).on(scale)
     # fg is handed located points and quadrature nodes of ``scale`` only,
-    # so it reads f and g as the nodes' readers do.
-    f_at, g_at = f.on(scale), g.on(scale)
+    # so it reads f and g as their readers do.
+    f_at, g_at = _reader(f), _reader(g)
     slope = None
     if f.partials[0] is not None and g.partials[0] is not None:
         slope = lambda x: f(x, d=0) * g_at(x) + f_at(x) * g(x, d=0)
-    fg = ScaleFn(scale, lambda x: f_at(x) * g_at(x), slope)
+    fg = ScaleFn(scale, lambda x: f_at(x) * g_at(x), slope).on(scale)
     dfg, df, dg = (_delta_at(scale, h, at, tol=tol)[0] for h in (fg, f, g))
     r1 = abs(dfg - (df * g_at(st) + f_at(t) * dg))
     r2 = abs(dfg - (df * g_at(t) + f_at(st) * dg))
@@ -612,7 +624,7 @@ def _integrate(scale: TimeScale, a, b, point_value, dense_on, tol: float,
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     """Delta integral of ``fn`` over [a, b]; exact on a rational scale
     when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
-    fn, read = _data(scale, fn), _reader(scale, fn)
+    fn, read = _data(scale, fn)
     return _integrate(scale, a, b, lambda t, st, mu: read(t), lambda i: read, tol,
                       _symbolic(fn))
 
@@ -621,7 +633,7 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
     """Nabla integral over [a, b], supported on purely discrete ranges only.
 
     Sums nu(t) f(t) over the points of (a, b]."""
-    fn = _reader(scale, fn)
+    fn = _data(scale, fn)[1]
     a = scale.require(a)
     b = scale.require(b)
     if a > b:
@@ -677,7 +689,7 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     """
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
-    f_at, g_at, f, g = _reader(scale, f), _reader(scale, g), _data(scale, f), _data(scale, g)
+    (f, f_at), (g, g_at) = _data(scale, f), _data(scale, g)
     a = scale.require(a)
     b = scale.require(b)
     boundary = f_at(b) * g_at(b) - f_at(a) * g_at(a)
@@ -712,7 +724,7 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
     both numbers agree; a mismatch is reported, not rejected, since
     rd-continuous calculus remains valid either way.
     """
-    fn = _data(scale, fn)
+    fn = _data(scale, fn)[0]
     a = scale.require(a) if a is not None else scale.min
     b = scale.require(b) if b is not None else scale.max
     findings = []

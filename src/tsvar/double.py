@@ -67,7 +67,8 @@ class SurfaceFn(AxesFn):
 
     scale1 = property(lambda self: self.axes[0])
     scale2 = property(lambda self: self.axes[1])
-    # val(t1, t2, nodes=()): the reader, under the name the double layer reads by.
+    # val(t1, t2): the reader, under the name the double layer reads by; an
+    # entry point reads its data bound to the axes it integrates over (``on``).
     val = AxesFn.__call__
 
     @classmethod
@@ -86,12 +87,14 @@ class SurfaceFn(AxesFn):
 
     def d1(self, t1, t2) -> Num:
         """Axis-1 delta derivative holding t2 fixed."""
-        return _delta_at(self.scale1, self.section(0, (t1, self.scale2.require(t2))),
+        bound = self.on(*self.axes)
+        return _delta_at(self.scale1, bound.section(0, (t1, self.scale2.require(t2))),
                          self.scale1._find(t1))[0]
 
     def d2(self, t1, t2) -> Num:
         """Axis-2 delta derivative holding t1 fixed."""
-        return _delta_at(self.scale2, self.section(1, (self.scale1.require(t1), t2)),
+        bound = self.on(*self.axes)
+        return _delta_at(self.scale2, bound.section(1, (self.scale1.require(t1), t2)),
                          self.scale2._find(t2))[0]
 
 
@@ -189,29 +192,24 @@ class DoubleProblem:
 # -- double integrals -------------------------------------------------------
 
 
-def _surface_integrand(f: SurfaceFn, ax1: TimeScale, ax2: TimeScale):
-    """``f`` as an ``_iterated`` integrand over ``ax1`` x ``ax2``: per axis, a
-    node (s is None) is read as one when the axis was cut from ``f``'s own;
-    a gap term's points go straight to ``val``."""
-    in1, in2 = ax1._cut_from(f.scale1), ax2._cut_from(f.scale2)
-    return lambda p1, p2: (
-        f.val(p1[1], p2[1]) if p1[2] is not None and p2[2] is not None
-        else f.val(p1[1], p2[1], nodes=(in1 and p1[2] is None, in2 and p2[2] is None)))
+def _surface_integrand(ps: ProductScale, f: SurfaceFn):
+    """``f`` bound to the axes of ``ps``, as an ``_iterated`` integrand."""
+    f = f.on(ps.scale1, ps.scale2)
+    return lambda p1, p2: f.val(p1[1], p2[1])
 
 
 def double_integral(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
     """Iterated double delta integral over the rectangle, t2 axis first."""
     a1, b1, a2, b2 = ps.rect(*rect)
-    return _iterated(ps.scale1, ps.scale2, a1, b1, a2, b2,
-                     _surface_integrand(f, ps.scale1, ps.scale2), tol)
+    return _iterated(ps.scale1, ps.scale2, a1, b1, a2, b2, _surface_integrand(ps, f), tol)
 
 
 def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL) -> Num:
     """|iterated t2-first minus iterated t1-first|; exactly 0 on discrete
     rational scales, and on rational hybrid scales for a polynomial ``f``."""
     a1, b1, a2, b2 = ps.rect(*rect)
-    one = double_integral(ps, f, rect, tol)
-    G = _surface_integrand(f, ps.scale1, ps.scale2)
+    G = _surface_integrand(ps, f)
+    one = _iterated(ps.scale1, ps.scale2, a1, b1, a2, b2, G, tol)
     two = _iterated(ps.scale2, ps.scale1, a2, b2, a1, b1, lambda p2, p1: G(p1, p2), tol)
     return abs(one - two)
 
@@ -221,27 +219,26 @@ def fubini_residual(ps: ProductScale, f: SurfaceFn, rect, tol: float = QUAD_TOL)
 
 def _traj_args(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> tuple:
     """The argument tuple (t1, t2, u(x1,x2), u_delta1(t1,x2), u_delta2(x1,t2))
-    at the places ``p1`` on ``dp.ax1`` and ``p2`` on ``dp.ax2``.
+    at the places ``p1`` on ``dp.ax1`` and ``p2`` on ``dp.ax2``, of ``u``
+    bound to those axes.
 
     A place is ``(i, t, s, mu)``, as ``_iterated`` hands it: per axis x = s,
     the forward jump of t that a gap term is handed with its graininess mu,
-    or a sampled point of piece i (s is t, mu None: the slope is looked up),
-    or x = t at a node of the dense piece i, where s is None.  At a node
-    every sample of the slope along that axis is a node too.  Each distinct
-    value of u is read once: an axis handed its mu takes the jump quotient
-    from u(x1, x2) and u at t on that axis."""
+    or the point s that a sample t of piece i stands for (mu None: its jump
+    is read off the piece), or x = t at a node of the dense piece i, where s
+    is None.  Each distinct value of u is read once: an axis handed its mu
+    takes the jump quotient from u(x1, x2) and u at t on that axis."""
     (i1, t1, s1, mu1), (i2, t2, s2, mu2) = p1, p2
     x1 = t1 if s1 is None else s1
     x2 = t2 if s2 is None else s2
-    nodes = (s1 is None and dp.ax1._cut_from(u.scale1), s2 is None and dp.ax2._cut_from(u.scale2))
-    u_ss = u.val(x1, x2, nodes=nodes)
+    u_ss = u.val(x1, x2)
     # Without a graininess, the slope at x: a node is its own jump, and a
-    # sampled point's jump is looked up.
-    u_d1 = (_quotient(u_ss, u.val(t1, x2, nodes=nodes), mu1) if mu1 is not None
-            else _delta_at(dp.ax1, u.section(0, (x1, x2), nodes), (i1, x1),
+    # sampled point's jump is read off its piece.
+    u_d1 = (_quotient(u_ss, u.val(t1, x2), mu1) if mu1 is not None
+            else _delta_at(dp.ax1, u.section(0, (x1, x2)), (i1, x1),
                            x1 if s1 is None else None)[0])
-    u_d2 = (_quotient(u_ss, u.val(x1, t2, nodes=nodes), mu2) if mu2 is not None
-            else _delta_at(dp.ax2, u.section(1, (x1, x2), nodes), (i2, x2),
+    u_d2 = (_quotient(u_ss, u.val(x1, t2), mu2) if mu2 is not None
+            else _delta_at(dp.ax2, u.section(1, (x1, x2)), (i2, x2),
                            x2 if s2 is None else None)[0])
     return (t1, t2, u_ss, u_d1, u_d2)
 
@@ -271,7 +268,7 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
 
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:
     """The double delta integral of the composed integrand over the rectangle."""
-
+    u = u.on(dp.ax1, dp.ax2)
     return _iterated(dp.ax1, dp.ax2, dp.a1, dp.b1, dp.a2, dp.b2,
                      lambda p1, p2: dp.lagrangian(*_traj_args(dp, u, p1, p2)), tol)
 
@@ -285,6 +282,7 @@ def first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
     vanish on the boundary."""
     _require_vanishes_on_boundary(dp, eta)
     zero = zero_of(dp.ax1)
+    u_tilde, eta = u_tilde.on(dp.ax1, dp.ax2), eta.on(dp.ax1, dp.ax2)
 
     def G(p1, p2):
         args = _traj_args(dp, u_tilde, p1, p2)
@@ -317,28 +315,35 @@ def _jump(ax: TimeScale, t) -> tuple:
     return i, t, sigma, (None if sigma is x else ax._gaps[i])
 
 
+def _past(ax: TimeScale, p, s) -> tuple:
+    """The place of ``s`` past the place ``p`` = (i, t, x, mu) on ``ax``:
+    sigma(t) of a right-scattered t, whose own place is looked up
+    (``_jump``), or else a Richardson sample in piece i, placed with no
+    lookup.  Past a node the sample is a node too; past a sampled point it
+    is one, standing for ``TimeScale._node(s)``, so that an analytic slope
+    there is read at that point, as exactly as at t."""
+    i, _, x, mu = p
+    if mu is not None:
+        return _jump(ax, s)
+    return i, s, None if x is None else ax._node(s), None
+
+
 def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> Num:
     """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2
-    at the places ``p1``, ``p2`` of ``_traj_args``.  Past (t1, t2) the
-    partials are read at sigma(t), whose own place is looked up
-    (``_jump``)."""
+    at the places ``p1``, ``p2`` of ``_traj_args``, of ``u`` bound to
+    ``dp``'s axes.  Past (t1, t2) the partials are read at the places
+    ``_past`` gives."""
     args = _traj_args(dp, u, p1, p2)
     term0, l1, l2 = dp.joint(*args)
     (i1, t1, s1, mu1), (i2, t2, s2, mu2) = p1, p2
 
     def F1(s):
-        if s is t1:
-            return l1
-        return dp.partial_y1(*_traj_args(
-            dp, u, (i1, s, None, None) if s1 is None else _jump(dp.ax1, s), p2))
+        return l1 if s is t1 else dp.partial_y1(*_traj_args(dp, u, _past(dp.ax1, p1, s), p2))
 
     def F2(s):
-        if s is t2:
-            return l2
-        return dp.partial_y2(*_traj_args(
-            dp, u, p1, (i2, s, None, None) if s2 is None else _jump(dp.ax2, s)))
+        return l2 if s is t2 else dp.partial_y2(*_traj_args(dp, u, p1, _past(dp.ax2, p2, s)))
 
-    # As in _traj_args: a node is its own jump, a sampled point's is looked up.
+    # As in _traj_args: a node is its own jump, a sampled point's is read off its piece.
     x1, x2 = (t1 if s1 is None else s1), (t2 if s2 is None else s2)
     d1 = (_quotient(F1(s1), l1, mu1) if mu1 is not None
           else _delta_at(dp.ax1, F1, (i1, x1), x1 if s1 is None else None)[0])
@@ -365,6 +370,7 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
     residuals = []
     gaps = []
     places2 = [_jump(dp.ax2, t2) for t2 in pts2]  # sampled: each looked up once
+    u_tilde = u_tilde.on(dp.ax1, dp.ax2)
     for t1 in pts1:
         p1 = _jump(dp.ax1, t1)
         for p2 in places2:
@@ -392,13 +398,12 @@ def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float)
     rectangle."""
     rb1 = dp.ax1.rho(dp.b1)
     rb2 = dp.ax2.rho(dp.b2)
+    u, eta = u.on(dp.ax1, dp.ax2), eta.on(dp.ax1, dp.ax2)
 
     def G(p1, p2):
         (_, t1, s1, _), (_, t2, s2, _) = p1, p2
-        return _el_kernel_at(dp, u, p1, p2) * eta.val(
-            t1 if s1 is None else s1, t2 if s2 is None else s2,
-            nodes=(s1 is None and dp.ax1._cut_from(eta.scale1),
-                   s2 is None and dp.ax2._cut_from(eta.scale2)))
+        return _el_kernel_at(dp, u, p1, p2) * eta.val(t1 if s1 is None else s1,
+                                                      t2 if s2 is None else s2)
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, rb1, dp.a2, rb2, G, tol)
 

@@ -26,8 +26,9 @@ such probe, then bisection and eps snapping.
 A float quadrature node of one of a scale's dense pieces is not looked up
 at all: it lies in its piece by construction, and ``_node`` reads it as the
 point it stands for.  A sub-scale made by ``restrict`` or ``truncate_k``
-keeps the scale it was cut from, so that data on that scale know the
-sub-scale's nodes lie in their own pieces (``_cut_from``).
+keeps the scale it was cut from.  Data bound to a scale that is, equals,
+or was cut from their own (``_cut_from``) know that its points and nodes
+lie in their own pieces, and read them with no lookup.
 """
 
 from __future__ import annotations
@@ -251,13 +252,10 @@ class TimeScale:
     mode: str = RATIONAL
     eps: float = 0.0
     # The indexed view (see the module docstring), built by ``_index``; the
-    # gaps and the isolated-point hash are cached properties.  Rational scales
-    # with an interval piece keep float lows too (``_keys``, else None), so
-    # that quadrature nodes bisect without Fraction arithmetic.
+    # gaps and the isolated-point hash are cached properties.
     _lows: tuple = field(init=False, repr=False, compare=False)
     _ids: dict = field(init=False, repr=False, compare=False)
     _discrete: bool = field(init=False, repr=False, compare=False)
-    _keys: Optional[tuple] = field(init=False, repr=False, compare=False)
     _parent: Optional["TimeScale"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -274,16 +272,10 @@ class TimeScale:
         build the indexed view."""
         lows = tuple(lo for lo, _ in pieces)
         discrete = all(lo == hi for lo, hi in pieces)
-        keys = None
-        if self.mode == RATIONAL and not discrete:
-            try:
-                keys = tuple(float(lo) for lo in lows)
-            except OverflowError:
-                pass
         # Frozen: the index fields are written past the dataclass __setattr__.
         vars(self).update(pieces=pieces, _lows=lows, _discrete=discrete,
                           _ids={id(x): i for i, piece in enumerate(pieces) for x in piece},
-                          _keys=keys, _parent=parent)
+                          _parent=parent)
 
     def _sliced(self, pieces: tuple, cut: slice) -> "TimeScale":
         """This scale's mode and eps on ``pieces``, a clipped run of its own
@@ -368,10 +360,7 @@ class TimeScale:
             i = self._isolated.get(t)
         if i is not None:
             return i, t
-        if self._keys is None:
-            i = bisect_right(self._lows, t) - 1
-        else:
-            i = self._key_bisect(t)
+        i = bisect_right(self._lows, t) - 1
         if i >= 0 and t <= self.pieces[i][1]:
             return i, t
         if not self.eps:
@@ -384,22 +373,6 @@ class TimeScale:
             hits.append((self._lows[i + 1] - t, i + 1, self._lows[i + 1]))
         return min(hits)[1:] if hits else None
 
-    def _key_bisect(self, t) -> int:
-        """Index of the last piece whose low is at most ``t``, or -1,
-        found by bisecting the float keys."""
-        try:
-            x = float(t)
-        except OverflowError:
-            return bisect_right(self._lows, t) - 1
-        # Rounding to float is monotone, so a low whose key differs from x
-        # lies on the same side of t as its key does of x; only lows that
-        # round to x itself need an exact compare.
-        keys = self._keys
-        j = bisect_right(keys, x)
-        while j and keys[j - 1] == x and self._lows[j - 1] > t:
-            j -= 1
-        return j - 1
-
     def _find(self, t):
         """Coerce and locate ``t``: ``(piece index, snapped scalar)``."""
         t = as_scalar(t, self.mode)
@@ -409,10 +382,11 @@ class TimeScale:
         return hit
 
     def _cut_from(self, other: "TimeScale") -> bool:
-        """Whether this scale is ``other`` or was cut from it by ``restrict``
-        and ``truncate_k``, so that each of its pieces lies in one of ``other``'s."""
+        """Whether this scale is ``other``, or equal to it, or was cut from
+        such a scale by ``restrict`` and ``truncate_k``, so that each of its
+        pieces lies in one of ``other``'s."""
         scale = self
-        while scale is not other:
+        while not (scale is other or scale == other):
             scale = scale._parent
             if scale is None:
                 return False

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _exact_sum, _node_var,
-                       _primitive, _quotient, _reader, _simpson, _symbolic)
+                       _primitive, _quotient, _simpson, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
 from .quadrature import LIMIT_TOL, QUAD_TOL
@@ -165,7 +165,7 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     span = world.truncate_k()  # [a, rho(b)]
     check_grid_size(dense_refinement, span)
     # Grid points and nodes lie in the scale: y reads them with no lookup.
-    y_hat, y = _data(world, y_hat), _reader(world, y_hat)
+    y_hat, y = _data(world, y_hat)
 
     def ly_on(i):
         # (x, y(x), y_delta(x)) at a node x of the dense piece i: sigma(x) = x there.

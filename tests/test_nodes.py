@@ -27,6 +27,7 @@ from tsvar import (
     action,
     delta_deriv,
     delta_integral,
+    double_el_residual,
     double_integral,
     el_residual,
     first_variation,
@@ -209,10 +210,11 @@ def test_a_jump_quotient_locates_its_point_once(lookups):
         lookups.clear()
         assert delta_deriv(scale, fn, own).value == Fraction(7, 3)
         assert lookups == [own]
-        # An equal copy is located once more, when fn reads it.
+        # An equal copy is located once more when a table reads it; a
+        # callable bound to the scale reads it as it is.
         lookups.clear()
         delta_deriv(scale, fn, Fraction(1))
-        assert len(lookups) == 2
+        assert len(lookups) == (1 if fn.table is None else 2)
 
 
 def _looked_up_product_rule(scale, f, g, t):
@@ -360,6 +362,71 @@ def test_data_on_a_smaller_scale_still_refuse_nodes_off_it():
     surface = SurfaceFn.from_callable(small, small, lambda t1, t2: t1 * t2)
     with pytest.raises(DomainError, match="is not a point of the scale"):
         double_integral(ProductScale(big, big), surface, (0.0, 2.0, 0.0, 2.0))
-    # A scale equal to the data's but not cut from it is read by lookup.
+    # A scale equal to the data's counts as cut from it; a larger one does not.
     twin = TimeScale.interval(0.0, 1.0, mode=FLOAT)
-    assert not twin._cut_from(small) and small.restrict(0.0, 0.5)._cut_from(small)
+    assert twin._cut_from(small) and small.restrict(0.0, 0.5)._cut_from(small)
+    assert not big._cut_from(small)
+
+
+THIRDS_HYBRID = TimeScale(((Fraction(1, 3), Fraction(2, 3)), 1))
+HALF_HYBRID = TimeScale(((0, 1), Fraction(3, 2)))
+
+
+def _copy(scale):
+    """A scale equal to ``scale``, with none of its objects."""
+    return TimeScale(scale.pieces, scale.mode, scale.eps)
+
+
+def test_data_on_an_equal_copy_read_nodes_as_data_on_the_scale():
+    # float(1/3) rounds below the scale: read by lookup, it would be refused.
+    scale, copy = THIRDS_HYBRID, _copy(THIRDS_HYBRID)
+    a, b = scale.min, scale.max
+    on_scale, on_copy = (ScaleFn.from_callable(s, lambda x: x * x + 1) for s in (scale, copy))
+    _same(delta_integral(scale, on_copy, a, b), delta_integral(scale, on_scale, a, b))
+    _same(delta_deriv(scale, on_copy, a), delta_deriv(scale, on_scale, a))
+    # The same in two variables: the double layer's data on copies of its axes.
+    dp = DoubleProblem(ProductScale(scale, HALF_HYBRID), a, b, 0, Fraction(3, 2),
+                       Poly.parse("y1^2 + y2^2 + t1*y0", ("t1", "t2", "y0", "y1", "y2")))
+    u, eta = (lambda t1, t2: t1 * t1 * t2 + t2 ** 3,
+              lambda t1, t2: (t1 - a) * (b - t1) * t2 * (Fraction(3, 2) - t2))
+    mine = [SurfaceFn.from_callable(scale, HALF_HYBRID, f) for f in (u, eta)]
+    copies = [SurfaceFn.from_callable(copy, _copy(HALF_HYBRID), f) for f in (u, eta)]
+    _same(action(dp, copies[0], 1e-6), action(dp, mine[0], 1e-6))
+    _same(first_variation(dp, *copies, 1e-6), first_variation(dp, *mine, 1e-6))
+
+
+def test_a_kernel_at_a_piece_end_rounded_off_the_scale_is_defined():
+    # The kernel at t1 = 1/3 takes a one-sided Richardson limit from
+    # float(1/3), which lies below the scale.
+    dp = DoubleProblem(ProductScale(THIRDS_HYBRID, HALF_HYBRID), Fraction(1, 3), 1, 0,
+                       Fraction(3, 2), Poly.parse("y1^2 + y2^2", ("t1", "t2", "y0", "y1", "y2")))
+    for u in (lambda t1, t2: t1 * t1 * t2 + t2 ** 3, Poly.parse("t1^2*t2 + t2^3", ("t1", "t2"))):
+        report = double_el_residual(dp, SurfaceFn.from_callable(THIRDS_HYBRID, HALF_HYBRID, u), 2)
+        assert not [gap for gap in report.gaps if "is not a point of the scale" in gap[1]]
+        assert [t for (t, _), _ in report.residuals if t == Fraction(1, 3)]
+    surface = SurfaceFn.from_callable(THIRDS_HYBRID, HALF_HYBRID, lambda t1, t2: t1 * t1 * t2)
+    assert abs(surface.d1(Fraction(1, 3), Fraction(1, 2)) - Fraction(1, 3)) <= 1e-8
+
+
+def test_richardson_samples_of_the_kernel_locate_nothing(lookups, monkeypatch):
+    # At the right-dense samples of a float hybrid product the kernel's
+    # Richardson limits sample L_y1 and L_y2 along the trajectory: a tighter
+    # tolerance takes more samples, and no more lookups.
+    ax = TimeScale(((0.0, 0.5), 0.75, (1.0, 1.25)), FLOAT)
+    dp = DoubleProblem(ProductScale(ax, ax), 0.0, 1.25, 0.0, 1.25,
+                       Poly.parse("y1^2 + y2^2", ("t1", "t2", "y0", "y1", "y2")))
+    reads = []
+    u = SurfaceFn.from_callable(ax, ax,
+                                lambda t1, t2: reads.append(t1) or math.sin(t1) * math.exp(t2))
+    limit = calculus.richardson_limit
+    seen = []
+    for tol in (1e-3, 1e-7):
+        monkeypatch.setattr(calculus, "richardson_limit",
+                            lambda sample, h0, order, tol, _tol=tol: limit(sample, h0, order, _tol))
+        reads.clear()
+        lookups.clear()
+        double_el_residual(dp, u, 1)
+        seen.append((len(lookups), len(reads)))
+    (few_lookups, few_reads), (many_lookups, many_reads) = seen
+    assert few_lookups == many_lookups
+    assert many_reads > few_reads

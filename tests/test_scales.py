@@ -349,24 +349,19 @@ def test_float_index_matches_linear_scan(raw, den, eps, extra):
 @settings(max_examples=80, deadline=None)
 @given(raw=_raw_pieces, num=st.integers(-5, 5), den=st.sampled_from((3, 7, 10)),
        extra=st.lists(st.integers(-200, 200)))
-def test_rational_float_keys_settle_ties(raw, num, den, extra):
+def test_rational_lookups_settle_lows_that_round_to_one_float(raw, num, den, extra):
     # Lows 1e-30 apart round to one float (unless num is 0), so float
-    # queries and their exact neighbours land on runs of equal keys.
+    # queries and their exact neighbours land on runs of such lows.
     base, tiny = Fraction(num, den), Fraction(1, 10**30)
     s = TimeScale(_build_pieces(raw, lambda k: base + k * tiny) + ((base + 40 * tiny, base + 1),))
-    assert s._keys == tuple(float(lo) for lo in s._lows)
     near = _near_pieces(s.pieces, (tiny, tiny / 2))
     queries = near + [float(q) for q in near] + [base + k * tiny / 4 for k in extra]
     _check_against_scan(s, queries + [10**400, -(10**400), Fraction(10**400, 3)])
 
 
-def test_float_keys_only_on_rational_scales_with_intervals():
-    assert TimeScale.discrete([0, Fraction(1, 3), 1])._keys is None
-    assert TimeScale(((0.0, 1.0), 2.0), mode=FLOAT)._keys is None
-    assert TimeScale(((0, Fraction(1, 3)), 1))._keys == (0.0, 1.0)
+def test_a_low_past_float_range_is_looked_up():
     # A low beyond float range: every lookup bisects the exact lows.
     s = TimeScale(((0, 1), 10**400))
-    assert s._keys is None
     assert s.sigma(1) == 10**400 and s.require(10**400) == 10**400
     assert Fraction(1, 2) in s and 10**401 not in s
 
@@ -396,7 +391,6 @@ def _assert_same_scale(got, want):
     assert [tuple(map(type, p)) for p in got.pieces] == [tuple(map(type, p)) for p in want.pieces]
     assert got._lows == want._lows
     assert got._gaps == want._gaps
-    assert got._keys == want._keys
     for k, (piece, own) in enumerate(zip(want.pieces, got.pieces)):
         for x in piece + own:
             assert got._locate(x)[0] == want._locate(x)[0] == k
@@ -439,15 +433,13 @@ def test_float_slices_match_public_constructor(raw, den, eps):
     _check_slices(s, _near_pieces(s.pieces, (1e-12, 0.5)))
 
 
-def test_slices_of_a_scale_past_float_range_keep_no_float_keys():
+def test_slices_of_a_scale_past_float_range():
     # A point whose numerator is near RATIONAL_MAX_BITS: no float holds it.
     big = Fraction(2 ** (RATIONAL_MAX_BITS - 1) + 1, 3)
     s = TimeScale(((0, 1), Fraction(3, 2), big))
-    assert s._keys is None
     r = s.restrict(Fraction(1, 2), big)
-    assert r._keys is None and r.pieces[-1] == (big, big)
+    assert r.pieces[-1] == (big, big)
     _assert_same_scale(r, TimeScale(_clipped(s, Fraction(1, 2), big)))
-    # Without the big point the lows fit in floats again.
+    # Truncation drops the big point.
     _assert_same_scale(s.truncate_k(), TimeScale(s.pieces[:-1]))
-    assert s.truncate_k()._keys == (0.0, 1.5)
     _check_slices(s, [0, Fraction(1, 2), 1, Fraction(3, 2), big])

@@ -417,8 +417,9 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
     running integral."""
     world = p.world
     y_node = y_hat.on(world) if isinstance(y_hat, ScaleFn) else y_hat
-    # Slopes are read as el_residual reads them: a bare Poly by its derivative.
-    sloped = ScaleFn.from_callable(world, y_hat) if type(y_hat) is Poly else y_hat
+    # Slopes are read as el_residual reads them: a bare Poly by its derivative,
+    # and data bound to the world.
+    sloped = ScaleFn.from_callable(world, y_hat).on(world) if type(y_hat) is Poly else y_node
 
     def ly_on(i):
         # At a node x of the dense piece i, sigma(x) = x.
