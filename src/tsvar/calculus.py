@@ -28,16 +28,18 @@ Every point or node an entry point reads lies in a piece of its own
 axes: a grid or gap point, or a float quadrature node (of adaptive
 Simpson or of a Richardson limit), which lies in its dense piece by
 construction.  So the bound datum marks each axis that was cut from the
-data's own axis, or equals it (``TimeScale._cut_from``), and reads a
-coordinate on such an axis with no scale lookup: a float node as
-``require`` would, the float itself on a float scale and ``Fraction(x)``
-on a rational one, and an exact point as it is.  On a rational scale a
-node that float rounding put just off the scale beside a piece end, such
-as ``float(1/3)`` at the low end of [1/3, 2/3], is read as that end.  On
-any other axis a coordinate is looked up, and refused off the data's
-scale.  An integral locates its two ends once, walks the pieces between
-by index, and hands each dense piece's index to the integrand, so that a
-slope at a node (``_delta_at``) is never located again.
+data's own axis, or equals it and has a dense piece
+(``TimeScale._cut_from``), and reads a coordinate on such an axis with no
+scale lookup: a float node as ``require`` would, the float itself on a
+float scale and ``Fraction(x)`` on a rational one, and an exact point as
+it is.  On a rational scale a node that float rounding put just off the
+scale beside a piece end, such as ``float(1/3)`` at the low end of
+[1/3, 2/3], is read as that end.  On any other axis a coordinate is looked
+up, and refused off the data's scale.  A ``section`` is not bound: it
+reads its parent as the parent is bound.  An integral locates its two
+ends once, walks the pieces between by index, and hands each dense
+piece's index to the integrand, so that a slope at a node (``_delta_at``)
+is never located again.
 
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
@@ -148,12 +150,12 @@ class AxesFn:
 
     __slots__ = ("axes", "func", "partials", "table", "cut")
 
-    def __init__(self, axes, func, partials, table):
-        if isinstance(func, Poly) and len(func.variables) == len(axes):
+    def __init__(self, axes, func, partials, table, cut=None):
+        if None in partials and isinstance(func, Poly) and len(func.variables) == len(axes):
             partials = tuple(func.diff(x) if d is None else d
                              for x, d in zip(func.variables, partials))
         self.axes, self.func, self.partials, self.table = axes, func, partials, table
-        self.cut = (False,) * len(axes)
+        self.cut = (False,) * len(axes) if cut is None else cut
 
     def __call__(self, t, *more, d=None):
         """The one reader: the value at ``(t, *more)``, one coordinate per
@@ -197,13 +199,13 @@ class AxesFn:
 
     def on(self, *scales: TimeScale) -> "AxesFn":
         """This datum bound to ``scales``, the axes an entry point reads it
-        on, one per axis: a copy of the same class whose ``cut`` marks each
-        axis whose scale is, equals or was cut from the datum's own
-        (``TimeScale._cut_from``)."""
+        on, one per axis: a copy of the same class whose ``cut`` marks the
+        axes cut from its own (``TimeScale._cut_from``); a table is itself."""
+        if self.table is not None:
+            return self
         bound = object.__new__(type(self))
-        bound.axes, bound.func, bound.partials, bound.table = (
-            self.axes, self.func, self.partials, self.table)
-        bound.cut = tuple(map(TimeScale._cut_from, scales, self.axes))
+        AxesFn.__init__(bound, self.axes, self.func, self.partials, None,
+                        tuple(map(TimeScale._cut_from, scales, self.axes)))
         return bound
 
     def section(self, axis: int, point: tuple) -> "AxesFn":
@@ -274,6 +276,9 @@ class _Section(AxesFn):
     def __call__(self, s, d=None):
         k, point = self.axis, self.point
         return self.parent(*point[:k], s, *point[k + 1:], d=None if d is None else k)
+
+    def on(self, *scales: TimeScale) -> "AxesFn":
+        return self  # the view reads its parent, bound or not, as it is
 
 
 class ScaleFn(AxesFn):

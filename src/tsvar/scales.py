@@ -26,9 +26,9 @@ such probe, then bisection and eps snapping.
 A float quadrature node of one of a scale's dense pieces is not looked up
 at all: it lies in its piece by construction, and ``_node`` reads it as the
 point it stands for.  A sub-scale made by ``restrict`` or ``truncate_k``
-keeps the scale it was cut from.  Data bound to a scale that is, equals,
-or was cut from their own (``_cut_from``) know that its points and nodes
-lie in their own pieces, and read them with no lookup.
+keeps the scale it was cut from.  Data bound to a scale that is or was cut
+from their own, or equals it and has a dense piece (``_cut_from``), know
+that its points and nodes lie in their own pieces: no lookup.
 """
 
 from __future__ import annotations
@@ -382,11 +382,14 @@ class TimeScale:
         return hit
 
     def _cut_from(self, other: "TimeScale") -> bool:
-        """Whether this scale is ``other``, or equal to it, or was cut from
-        such a scale by ``restrict`` and ``truncate_k``, so that each of its
-        pieces lies in one of ``other``'s."""
+        """Whether this scale is ``other``, or was cut from it by ``restrict``
+        and ``truncate_k``, so that each of its pieces lies in one of
+        ``other``'s.  Where ``other`` has a dense piece, an equal scale
+        counts as ``other``, sparing its float nodes a lookup each; a discrete
+        one has no nodes to spare, and is not worth a pass over its pieces."""
+        dense = not other._discrete
         scale = self
-        while not (scale is other or scale == other):
+        while not (scale is other or dense and scale == other):
             scale = scale._parent
             if scale is None:
                 return False

@@ -33,8 +33,10 @@ from tsvar import (
     first_variation,
     fubini_residual,
     ibp_residual,
+    junction_audit,
     lagrangian_from_spec,
     product_rule_residual,
+    simple_useful_check,
 )
 from tsvar import calculus, variational
 from tsvar.quadrature import QUAD_TOL
@@ -366,6 +368,27 @@ def test_data_on_a_smaller_scale_still_refuse_nodes_off_it():
     twin = TimeScale.interval(0.0, 1.0, mode=FLOAT)
     assert twin._cut_from(small) and small.restrict(0.0, 0.5)._cut_from(small)
     assert not big._cut_from(small)
+    # A discrete scale has no nodes, and an equal copy of one is not compared.
+    dots = TimeScale.discrete([0, Fraction(1, 2), 1])
+    assert not TimeScale.discrete([0, Fraction(1, 2), 1])._cut_from(dots)
+
+
+@pytest.mark.parametrize("axes", [
+    (TimeScale.discrete([0, Fraction(1, 2), 1, 2]), TimeScale.discrete([0, 1, 3])),
+    (TimeScale(((0, 1), 2)), TimeScale(((0, 1), Fraction(3, 2)))),
+])
+def test_a_section_is_data_for_the_one_axis_entry_points(axes):
+    surface = SurfaceFn.from_callable(*axes, lambda t1, t2: t1 * t1 * t2 + t2)
+    for t1, t2 in ((Fraction(1, 2), 1), (1, 1), (0, 0)):
+        along1, along2 = surface.section(0, (t1, t2)), surface.section(1, (t1, t2))
+        assert delta_deriv(axes[0], along1, t1).value == surface.d1(t1, t2)
+        assert delta_deriv(axes[1], along2, t2).value == surface.d2(t1, t2)
+    scale, along = axes[0], surface.section(0, (0, 1))
+    a, b = scale.min, scale.max
+    assert delta_integral(scale, along, a, b) == delta_integral(scale, lambda x: x * x + 1, a, b)
+    assert ibp_residual(scale, along, along, a, b) == 0
+    assert simple_useful_check(scale, along, a) == 0
+    assert junction_audit(scale, along) == junction_audit(scale, lambda x: x * x + 1)
 
 
 THIRDS_HYBRID = TimeScale(((Fraction(1, 3), Fraction(2, 3)), 1))
