@@ -39,7 +39,9 @@ up, and refused off the data's scale.  A ``section`` is not bound: it
 reads its parent as the parent is bound.  An integral locates its two
 ends once, walks the pieces between by index, and hands each dense
 piece's index to the integrand, so that a slope at a node (``_delta_at``)
-is never located again.
+is never located again.  An iterated integral (``_iterated``) locates and
+decomposes the range of each axis once per call, so that every point of
+the outer axis walks the same list of inner parts.
 
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
@@ -481,13 +483,16 @@ def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
 
 
 def _decompose(scale: TimeScale, start, end):
-    """Split [a, b] into ('gap', (t, sigma, mu)) and ('dense', (k, c, d)) parts, in order.
+    """Split [a, b] into ('gap', (None, t, sigma, mu)) and ('dense', (k, c, d))
+    parts, in order.
 
-    Gap entries are the right-scattered t in [a, b) with their forward
-    jump sigma(t) and graininess mu(t), contributing mu(t) f(t) exactly;
-    dense entries carry their piece index k and the clipped bounds.  ``start`` and ``end`` are
-    ``(i, a)`` and ``(j, b)`` as ``TimeScale._find`` located them; every
-    other bound, jump and gap is read off the scale's indexed view."""
+    Gap entries are the places of the right-scattered t in [a, b), as
+    ``_iterated`` hands them to its integrand: t with its forward jump
+    sigma(t) and graininess mu(t), contributing mu(t) f(t) exactly; dense
+    entries carry their piece index k and the clipped bounds.  ``start``
+    and ``end`` are ``(i, a)`` and ``(j, b)`` as ``TimeScale._find`` located
+    them; every other bound, jump and gap is read off the scale's indexed
+    view."""
     pieces, gaps = scale.pieces, scale._gaps
     (i, a), (j, b) = start, end
     c = max(pieces[i][0], a)
@@ -499,7 +504,7 @@ def _decompose(scale: TimeScale, start, end):
         nxt = pieces[k + 1][0]
         if c is not hi and c < hi:
             yield ("dense", (k, c, hi))
-        yield ("gap", (hi, nxt, gaps[k]))
+        yield ("gap", (None, hi, nxt, gaps[k]))
         c = nxt
     d = min(pieces[j][1], b)
     if c < d:
@@ -570,34 +575,39 @@ def _simpson(dense, c, d, tol: float) -> float:
     return adaptive_simpson(lambda x: float(dense(x)), float(c), float(d), tol)[0]
 
 
-def _integrate(scale: TimeScale, a, b, point_value, dense_on, tol: float,
-               node=None, exact_only: bool = False):
-    """Delta integral driver shared by every integral in the package.
-
-    ``point_value(t, st, mu)`` is the exact integrand at a right-scattered
-    t, handed the forward jump st = sigma(t) and the graininess mu = st - t
-    that ``_decompose`` read off the piece tuple, and weighted by mu.
-    ``dense_on(i)`` is the continuous restriction of the integrand on the
-    dense piece i, a callable of a float quadrature node or of the
-    symbolic ``node``.  Its antiderivative is built at the first dense piece;
-    without one, each dense piece goes to ``_simpson``, or, with
-    ``exact_only``, ``_NotPolynomial`` is raised."""
+def _parts(scale: TimeScale, a, b):
+    """The parts of [a, b] on ``scale``, in order, as ``_decompose`` yields
+    them: the two ends located once, and a reversed range refused."""
     start, end = scale._find(a), scale._find(b)
-    a, b = start[1], end[1]
-    if a > b:
+    if start[1] > end[1]:
         raise DomainError("integration range is reversed; integrate forward and negate")
-    if a == b:
-        return zero_of(scale)
+    return _decompose(scale, start, end)
+
+
+def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
+               node=None, exact_only: bool = False):
+    """Delta integral driver shared by every integral in the package, over
+    the ``parts`` of a range of ``scale`` in order: as ``_parts`` yields them
+    for an integral of one variable, or as ``_iterated`` keeps them.
+
+    ``point_value(gap)`` is the exact integrand at a gap part, weighted by
+    its graininess mu: ``gap`` is the place ``(None, t, st, mu)`` of a
+    right-scattered t, with the forward jump st = sigma(t) and mu that
+    ``_decompose`` read off the piece tuple.  ``dense_on(i)`` is the
+    continuous restriction of the integrand on the dense piece i, a callable
+    of a float quadrature node or of the symbolic ``node``.  Its
+    antiderivative is built at the first dense piece; without one, each dense
+    piece goes to ``_simpson``, or, with ``exact_only``, ``_NotPolynomial``
+    is raised."""
     cache = {}
     simpson = []
 
     def terms():
         # Gap terms and exact dense pieces, as (weight, value); Simpson
         # pieces are kept apart and added in floats.
-        for kind, payload in _decompose(scale, start, end):
+        for kind, payload in parts:
             if kind == "gap":
-                t, st, mu = payload
-                yield mu, point_value(t, st, mu)
+                yield payload[3], point_value(payload)
                 continue
             i, c, d = payload
             if "primitive" not in cache:
@@ -630,8 +640,8 @@ def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     """Delta integral of ``fn`` over [a, b]; exact on a rational scale
     when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
     fn, read = _data(scale, fn)
-    return _integrate(scale, a, b, lambda t, st, mu: read(t), lambda i: read, tol,
-                      _symbolic(fn))
+    return _integrate(scale, _parts(scale, a, b), lambda gap: read(gap[1]), lambda i: read,
+                      tol, _symbolic(fn))
 
 
 def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
@@ -659,15 +669,21 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     mu)``: a right-scattered t with its forward jump s = sigma(t) and
     graininess mu = s - t (i is None), or a node t of the dense piece i, with
     s and mu None.  A node is a float, or the symbolic node of that axis
-    when both axes are rational."""
+    when both axes are rational.
+
+    Each axis's range is located and decomposed once per call, and every
+    row walks the same list of inner parts and gap places.  Only a dense
+    inner piece depends on the row: its antiderivative is built, or Simpson
+    run, per row."""
+    parts1, parts2 = _parts(ax1, a1, b1), list(_parts(ax2, a2, b2))
 
     def inner(p1):
         # At a float node of the outer Simpson the inner integral stays
         # numeric; at the outer symbolic node it is exact or refused.
         t1 = p1[1]
         return _integrate(
-            ax2, a2, b2,
-            point_value=lambda t2, s2, mu2: G(p1, (None, t2, s2, mu2)),
+            ax2, parts2,
+            point_value=lambda p2: G(p1, p2),
             dense_on=lambda j: lambda x: G(p1, (j, x, None, None)),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
@@ -675,8 +691,8 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
         )
 
     return _integrate(
-        ax1, a1, b1,
-        point_value=lambda t1, s1, mu1: inner((None, t1, s1, mu1)),
+        ax1, parts1,
+        point_value=inner,
         dense_on=lambda i: lambda x: inner((i, x, None, None)),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
@@ -699,21 +715,25 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     b = scale.require(b)
     boundary = f_at(b) * g_at(b) - f_at(a) * g_at(a)
 
-    # The forms differ only in which factor takes sigma at gap points;
-    # on dense pieces sigma(t) = t and both read the same.
+    # The forms differ only in which factor takes sigma at gap points: of a
+    # gap place (None, t, sigma(t), mu(t)) the lhs reads f, and the rest g, at
+    # entry 2, sigma(t), or entry 1, t.  On dense pieces sigma(t) = t and
+    # both read the same.
+    f_entry, g_entry = (2, 1) if form == 1 else (1, 2)
+
     node = _symbolic(f, g)
     lhs = _integrate(
-        scale, a, b,
-        point_value=lambda t, st, mu: (f_at(st if form == 1 else t)
-                                       * _quotient(g_at(st), g_at(t), mu)),
+        scale, _parts(scale, a, b),
+        point_value=lambda gap: (f_at(gap[f_entry])
+                                 * _quotient(g_at(gap[2]), g_at(gap[1]), gap[3])),
         dense_on=lambda i: lambda x: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
-        scale, a, b,
-        point_value=lambda t, st, mu: (_quotient(f_at(st), f_at(t), mu)
-                                       * g_at(t if form == 1 else st)),
+        scale, _parts(scale, a, b),
+        point_value=lambda gap: (_quotient(f_at(gap[2]), f_at(gap[1]), gap[3])
+                                 * g_at(gap[g_entry])),
         dense_on=lambda i: lambda x: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
         tol=tol,
         node=node,

@@ -10,7 +10,9 @@ Calling a ``Poly`` takes one of three branches, chosen by argument type:
 
 - exact scalars (``int``, ``Fraction``): integer arithmetic over one
   common denominator, from a plan of scaled integer coefficients built
-  once per ``Poly``, and a single ``Fraction`` at the end;
+  once per ``Poly``, and a single ``Fraction`` at the end.  A term
+  multiplies the power-table entries of only the variables it contains,
+  and a cofactor built once per call stands for the others' denominators;
 - any ``Poly`` argument (a symbolic node): each power computed once and
   every term accumulated into one exponent dict;
 - anything else (floats): term by term, so that float sums keep one
@@ -77,35 +79,64 @@ def _power_table(x, top: int):
 def _plan(polys) -> tuple:
     """``(active, tops, outputs)`` for Polys over the same variables: the variables
     that occur in any of them, the top exponent of each, and per Poly the lcm ``D``
-    of its denominators with, per term, ``(D * c, exponents of active)``; no Poly."""
+    of its denominators with, per term, ``(D * c, pairs)``, where ``pairs`` holds
+    ``(k, e)`` for each variable the term contains, its position k in ``active``
+    and its exponent e; no Poly."""
     tops = [max(col) for col in zip(*[expo for p in polys for expo in p.terms])]
     active = tuple(j for j, top in enumerate(tops) if top)
     outputs = []
     for p in polys:
         den = lcm(*(c.denominator for c in p.terms.values()))
         outputs.append((den, tuple((c.numerator * (den // c.denominator),
-                                    tuple(expo[j] for j in active))
+                                    tuple((k, expo[j]) for k, j in enumerate(active) if expo[j]))
                                    for expo, c in p.terms.items())))
     return active, tuple(tops[j] for j in active), tuple(outputs)
 
 
 def _values(plan: tuple, args) -> list:
-    """The values of a ``_plan``'s Polys at the exact scalars ``args``: each
-    power table is built once and shared, and each value is one Fraction."""
+    """The values of a ``_plan``'s Polys at the exact scalars ``args``, each
+    one Fraction.  Each power table is built once and shared.  Over the common
+    denominator ``scale``, the product of the active variables' ``q^top``, a
+    term is its scaled coefficient times the table entries of the variables it
+    contains times their cofactor, the product of the other variables'
+    ``q^top``.  A variable's cofactor, ``scale // q^top``, is built once per
+    call: a constant term costs one product (``n * scale``), a one-variable
+    term two, and a term in more variables divides ``scale`` by the product
+    of its own variables' ``q^top``.  With one active variable the cofactor
+    is 1, and none is built."""
     active, tops, outputs = plan
-    tables = []
-    scale = 1  # the product of the tables' q^top, shared by every value
+    if len(active) == 1:
+        table, scale = _power_table(args[active[0]], tops[0])
+        values = []
+        for den, terms in outputs:
+            num = 0
+            for n, pairs in terms:
+                num += n * table[pairs[0][1]] if pairs else n * scale
+            values.append(Fraction(num, den * scale))
+        return values
+    tables, q_tops = [], []
+    scale = 1
     for j, top in zip(active, tops):
         table, q_top = _power_table(args[j], top)
         tables.append(table)
+        q_tops.append(q_top)
         scale *= q_top
+    cofactors = [scale // q_top for q_top in q_tops]
     values = []
     for den, terms in outputs:
         num = 0
-        for n, expo in terms:
-            for table, e in zip(tables, expo):
-                n *= table[e]
-            num += n
+        for n, pairs in terms:
+            if len(pairs) == 1:
+                (k, e), = pairs
+                num += n * tables[k][e] * cofactors[k]
+            elif not pairs:
+                num += n * scale
+            else:
+                own = 1  # the q^top of the term's own variables
+                for k, e in pairs:
+                    n *= tables[k][e]
+                    own *= q_tops[k]
+                num += n * (scale // own)
         values.append(Fraction(num, den * scale))
     return values
 

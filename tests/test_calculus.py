@@ -441,7 +441,7 @@ def _clip_walk(scale, a, b):
         if c < d:
             yield ("dense", (i, c, d))
         if d < b and d == hi:
-            yield ("gap", (d, scale.sigma(d), scale.mu(d)))
+            yield ("gap", (None, d, scale.sigma(d), scale.mu(d)))
 
 
 def _assert_walks_agree(scale, a, b):

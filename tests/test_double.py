@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -28,6 +29,8 @@ from tsvar import (
     sigma_diff_audit,
     surface_from_json,
 )
+import tsvar.calculus
+import tsvar.double
 from tsvar.double import ChainStep, _chain_discrete, _el_kernel_at, _jump, _wsum
 from tsvar.scales import zero_of
 from tsvar.polyfn import PolyTuple
@@ -171,6 +174,41 @@ class TestDoubleIntegral:
         one = SurfaceFn.from_callable(AX4, AX4, lambda a, b: Fraction(1))
         with pytest.raises(PreconditionError):
             double_integral(ps, one, (3, 0, 0, 3))
+
+    @pytest.mark.parametrize("integral", [double_integral, fubini_residual])
+    def test_each_axis_is_located_and_decomposed_once(self, integral, monkeypatch):
+        # An iterated integral locates and decomposes each axis's range once,
+        # not the inner range again at every outer point: the counts are the
+        # same on a 5 x 5 and a 12 x 12 grid.
+        counts = Counter()
+        find, decompose = TimeScale._find, tsvar.calculus._decompose
+
+        def counted_find(self, t):
+            counts["find"] += 1
+            return find(self, t)
+
+        def counted_decompose(*args):
+            counts["decompose"] += 1
+            return decompose(*args)
+
+        monkeypatch.setattr(TimeScale, "_find", counted_find)
+        monkeypatch.setattr(tsvar.calculus, "_decompose", counted_decompose)
+        seen = []
+        for n in (5, 12):
+            ax1 = TimeScale.discrete([Fraction(k * k, 3) for k in range(n)])
+            ax2 = TimeScale.discrete([Fraction(2 * k, 5) for k in range(n)])
+            rect = (ax1.min, ax1.max, ax2.min, ax2.max)
+            table = SurfaceFn.from_table(ax1, ax2, [[Fraction(i - 2 * j, i + j + 1)
+                                                     for j in range(n)] for i in range(n)])
+            poly = SurfaceFn.from_callable(ax1, ax2, Poly.parse("t1^2*t2 - 3*t2", ("t1", "t2")))
+            for f in (table, poly):
+                integral(ProductScale(ax1, ax2), f, rect)  # warm: the axes build their views
+                counts.clear()
+                integral(ProductScale(ax1, ax2), f, rect)
+                seen.append(dict(counts))
+        per_call = 1 if integral is double_integral else 2
+        # The rectangle's four corners, then the two ends of each axis.
+        assert seen == [{"find": 4 + 4 * per_call, "decompose": 2 * per_call}] * 4
 
 
 class TestProblemAndAudit:
@@ -348,6 +386,41 @@ class TestDerivationChain:
         steps = derivation_chain_check(dp, u, eta, tol=1e-10)
         assert [s.label for s in steps] == ["first-variation-vs-kernel-form"]
         assert abs(steps[0].residual) <= 4e-10
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_the_boundary_is_checked_once_per_chain(self, hybrid, monkeypatch):
+        if hybrid:
+            ax1 = TimeScale(((0.0, 0.0), (1.0, 2.0)), mode=FLOAT)
+            ax2 = TimeScale.discrete([0.0, 1.0, 2.0], mode=FLOAT)
+            dp = DoubleProblem(ProductScale(ax1, ax2), 0, 2, 0, 2,
+                               Poly.parse("y1^2 + y2^2 + y0^2", VARS2))
+            u = SurfaceFn.from_callable(ax1, ax2, lambda a, b: a * a + a * b,
+                                        d1=lambda a, b: 2 * a + b, d2=lambda a, b: a)
+            leaky = SurfaceFn.from_callable(ax1, ax2, lambda a, b: 1.0,
+                                            d1=lambda a, b: 0.0, d2=lambda a, b: 0.0)
+        else:
+            dp = grad2_problem()
+            ax1, ax2 = AX5, AX5
+            u = SurfaceFn.from_callable(AX5, AX5, lambda a, b: a * a + b)
+            leaky = SurfaceFn.from_callable(AX5, AX5, lambda a, b: Fraction(1))
+        eta = boundary_bump(ax1, ax2)
+        checks = []
+        original = tsvar.double._require_vanishes_on_boundary
+
+        def counted(dp, eta):
+            checks.append(eta)
+            return original(dp, eta)
+
+        monkeypatch.setattr(tsvar.double, "_require_vanishes_on_boundary", counted)
+        derivation_chain_check(dp, u, eta)
+        assert len(checks) == 1
+        first_variation(dp, u, eta)  # the public entry point keeps its own check
+        assert len(checks) == 2
+        for call in (derivation_chain_check, first_variation):
+            checks.clear()
+            with pytest.raises(PreconditionError, match="must vanish on the rectangle boundary"):
+                call(dp, u, leaky)
+            assert len(checks) == 1
 
     def test_refuses_sigma_discontinuous_axes(self):
         bad = TimeScale(((0.0, 1.0), (1.5, 1.5)), mode=FLOAT)

@@ -296,6 +296,30 @@ class TestJointEvaluation:
             own = p(*args)
             assert type(value) is type(own) and value == own
 
+    def test_each_term_shape_gives_the_reference_fraction(self):
+        # A constant term, a one-variable term on each of the five variables
+        # and a three-variable term with a top of 3; ``lone`` has one active
+        # variable among the five, so its own plan builds no cofactor.
+        mixed = Poly.parse("7/3 - 2*t1 + 5/2*t2^2 + y0 - 4/9*y1^3 + 3*y2 - 6/5*t1^3*y0*y2^2",
+                           NAMES)
+        lone = Poly.parse("1/2*y1^3 - y1 + 5", NAMES)
+        constant = Poly.constant(NAMES, Fraction(-3, 4))
+        wide = Fraction(2**61 - 1, 3**38 * 7**5)
+        for args in ((0, -3, wide, Fraction(-5, 7), 2),
+                     (wide, 0, -1, -wide, Fraction(1, 9)),
+                     (-7, wide, 0, 0, -wide)):
+            for ps in ([mixed, lone, constant], [mixed], [lone], [constant]):
+                for value, p in zip(PolyTuple(ps)(*args), ps):
+                    want = naive_call(p, args)
+                    assert type(value) is type(p(*args)) is Fraction
+                    assert value == p(*args) == want
+                    # subs reads the same plan's scaled coefficients.
+                    sub = p
+                    for i, a in enumerate(args):
+                        if isinstance(sub, Poly):
+                            sub = sub.subs(i, a)
+                    assert sub == want
+
     def test_no_polys_give_no_values(self):
         assert PolyTuple([])(Fraction(1, 3), 2) == [] and PolyTuple([])(0.5) == []
 

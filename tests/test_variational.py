@@ -27,7 +27,7 @@ from tsvar import (
     lagrangian_from_spec,
     nabla_integral_discrete,
 )
-from tsvar.calculus import _delta_at, _exact_sum, _integrate, _symbolic
+from tsvar.calculus import _delta_at, _exact_sum, _integrate, _parts, _symbolic
 from tsvar.scales import check_grid_size, zero_of
 from tsvar.polyfn import PolyTuple
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
@@ -432,8 +432,8 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
     raw, acc, prev = [], zero_of(world), pts[0]
     for t in pts:
         if t != prev:
-            acc = acc + _integrate(world, prev, t, lambda tau, st, mu: p.partial_y(*args),
-                                   ly_on, tol, node)
+            acc = acc + _integrate(world, _parts(world, prev, t),
+                                   lambda gap: p.partial_y(*args), ly_on, tol, node)
             prev = t
         at = world._find(t)
         args = (t, y_hat(world._sigma_at(*at)), _delta_at(world, sloped, at)[0])
