@@ -67,10 +67,9 @@ normalized once, and any other operands get the written expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional
 
 from .errors import DomainError, UnsupportedScaleError
 from .polyfn import Poly, PolySizeError
@@ -79,6 +78,7 @@ from .scales import (
     RATIONAL,
     Num,
     TimeScale,
+    _Record,
     _ZEROS,
     _magnitude,
     as_scalar,
@@ -120,13 +120,13 @@ def _node_var(node) -> int:
     return next(iter(node.terms)).index(1)
 
 
-@dataclass(frozen=True)
-class DerivResult:
+class DerivResult(_Record):
     """A delta derivative value plus how it was obtained."""
 
-    value: Num
-    method: str
-    est_error: Num
+    _shown = _compared = ("value", "method", "est_error")
+
+    def __init__(self, value: Num, method: str, est_error: Num):
+        vars(self).update(value=value, method=method, est_error=est_error)
 
 
 def _point_text(points) -> str:
@@ -297,7 +297,7 @@ class ScaleFn(AxesFn):
 
     @classmethod
     def from_callable(cls, scale: TimeScale, func: Callable,
-                      deriv: Optional[Callable] = None) -> "ScaleFn":
+                      deriv: Callable | None = None) -> "ScaleFn":
         """Wrap ``func``; a one-variable ``Poly`` supplies its own
         derivative unless ``deriv`` is given."""
         return cls(scale, func, deriv)

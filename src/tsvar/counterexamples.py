@@ -10,27 +10,25 @@ back unconfirmed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import ScaleFn, delta_deriv, nabla_integral_discrete
 from .errors import PreconditionError
 from .quadrature import LIMIT_TOL, richardson_limit
-from .scales import FLOAT, RATIONAL, TimeScale, fmt_scalar
+from .scales import FLOAT, RATIONAL, TimeScale, _Record, fmt_scalar
 from .variational import fl_kernel
 
 _SEED = 12345
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of re-checking one counterexample from scratch."""
 
-    id: str
-    claim: str
-    witness: dict
-    confirmed: bool
-    details: tuple
+    _shown = _compared = ("id", "claim", "witness", "confirmed", "details")
+
+    def __init__(self, id: str, claim: str, witness: dict, confirmed: bool, details: tuple):
+        vars(self).update(id=id, claim=claim, witness=witness, confirmed=confirmed,
+                          details=details)
 
     def to_json(self) -> dict:
         return {

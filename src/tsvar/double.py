@@ -15,16 +15,15 @@ only make sense with scattered right endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .calculus import AxesFn, _delta_at, _exact_sum, _iterated, _quotient
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
 from .quadrature import QUAD_TOL
-from .scales import (RATIONAL, Num, TimeScale, check_grid_size, fmt_scalar, json_object,
-                     scalar_from_json, zero_of)
+from .scales import (RATIONAL, Num, TimeScale, _Record, check_grid_size, fmt_scalar,
+                     json_object, scalar_from_json, zero_of)
 from .variational import (_check_unknowns, _lagrangian_partials, _newton_minimize,
                           _parse_lagrangian)
 
@@ -37,12 +36,13 @@ BUILTIN_LAGRANGIANS_2D = {
 }
 
 
-@dataclass(frozen=True)
-class ProductScale:
+class ProductScale(_Record):
     """Two independent axes; the rectangle lives in their product."""
 
-    scale1: TimeScale
-    scale2: TimeScale
+    _shown = _compared = ("scale1", "scale2")
+
+    def __init__(self, scale1: TimeScale, scale2: TimeScale):
+        vars(self).update(scale1=scale1, scale2=scale2)
 
     def rect(self, a1, b1, a2, b2) -> tuple:
         a1 = self.scale1.require(a1)
@@ -73,8 +73,8 @@ class SurfaceFn(AxesFn):
 
     @classmethod
     def from_callable(cls, scale1: TimeScale, scale2: TimeScale, func: Callable,
-                      d1: Optional[Callable] = None,
-                      d2: Optional[Callable] = None) -> "SurfaceFn":
+                      d1: Callable | None = None,
+                      d2: Callable | None = None) -> "SurfaceFn":
         """Wrap ``func``; a two-variable ``Poly`` supplies the partial
         derivative on each axis that is not given."""
         return cls(scale1, scale2, func, d1, d2)
@@ -120,40 +120,26 @@ def sigma_diff_audit(ax1: TimeScale, ax2: TimeScale) -> list:
     return findings
 
 
-@dataclass(frozen=True)
-class DoubleProblem:
+class DoubleProblem(_Record):
     """Minimize the double delta integral of
     L(t1, t2, u(sigma1, sigma2), u_delta1(t1, sigma2), u_delta2(sigma1, t2))
     over a rectangle with boundary data fixed."""
 
-    ps: ProductScale
-    a1: Num
-    b1: Num
-    a2: Num
-    b2: Num
-    lagrangian: Poly
-    boundary: Optional[Callable] = None
-    ax1: TimeScale = field(init=False, repr=False)
-    ax2: TimeScale = field(init=False, repr=False)
-    audit_findings: tuple = field(init=False, repr=False)
-    # (L_y0, L_y1, L_y2), worked out once, and their joint evaluator.
-    partials: tuple = field(init=False, repr=False, compare=False)
-    joint: PolyTuple = field(init=False, repr=False, compare=False)
+    _shown = ("ps", "a1", "b1", "a2", "b2", "lagrangian", "boundary")
+    # Compared but not shown: the axes restricted to the rectangle and their
+    # audit.  Neither: ``partials``, (L_y0, L_y1, L_y2), worked out once, and
+    # ``joint``, their joint evaluator.
+    _compared = _shown + ("ax1", "ax2", "audit_findings")
 
-    def __post_init__(self):
-        object.__setattr__(self, "partials", _lagrangian_partials(
-            self.lagrangian, _POLY2_VARS, ("y0", "y1", "y2")))
-        object.__setattr__(self, "joint", PolyTuple(self.partials))
-        a1, b1, a2, b2 = self.ps.rect(self.a1, self.b1, self.a2, self.b2)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "ax1", self.ps.scale1.restrict(a1, b1))
-        object.__setattr__(self, "ax2", self.ps.scale2.restrict(a2, b2))
-        object.__setattr__(
-            self, "audit_findings", tuple(sigma_diff_audit(self.ax1, self.ax2))
-        )
+    def __init__(self, ps: ProductScale, a1: Num, b1: Num, a2: Num, b2: Num, lagrangian: Poly,
+                 boundary: Callable | None = None):
+        partials = _lagrangian_partials(lagrangian, _POLY2_VARS, ("y0", "y1", "y2"))
+        a1, b1, a2, b2 = ps.rect(a1, b1, a2, b2)
+        ax1, ax2 = ps.scale1.restrict(a1, b1), ps.scale2.restrict(a2, b2)
+        vars(self).update(ps=ps, a1=a1, b1=b1, a2=a2, b2=b2, lagrangian=lagrangian,
+                          boundary=boundary, ax1=ax1, ax2=ax2,
+                          audit_findings=tuple(sigma_diff_audit(ax1, ax2)),
+                          partials=partials, joint=PolyTuple(partials))
 
     @classmethod
     def from_json(cls, obj) -> "DoubleProblem":
@@ -302,13 +288,13 @@ def _first_variation(dp: DoubleProblem, u_tilde: SurfaceFn, eta: SurfaceFn,
 # -- stationarity kernel ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleELReport:
+class DoubleELReport(_Record):
     """Kernel values on the truncated rectangle, with definedness gaps."""
 
-    residuals: tuple
-    gaps: tuple
-    max_abs_residual: Num
+    _shown = _compared = ("residuals", "gaps", "max_abs_residual")
+
+    def __init__(self, residuals: tuple, gaps: tuple, max_abs_residual: Num):
+        vars(self).update(residuals=residuals, gaps=gaps, max_abs_residual=max_abs_residual)
 
 
 def _jump(ax: TimeScale, t) -> tuple:
@@ -393,10 +379,13 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
 # -- derivation chain -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    label: str
-    residual: Num
+class ChainStep(_Record):
+    """One rewriting step of the derivation chain and its residual."""
+
+    _shown = _compared = ("label", "residual")
+
+    def __init__(self, label: str, residual: Num):
+        vars(self).update(label=label, residual=residual)
 
 
 def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float) -> Num:

@@ -36,14 +36,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Union
 
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 
-Num = Union[Fraction, float]
+Num = Fraction | float
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -169,14 +168,51 @@ def fmt_scalar(x) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
-class PointClass:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record keeps its fields in its ``__dict__``, written once by its own
+    ``__init__`` through ``vars(self).update``, and names them in two class
+    tuples: ``_shown``, the fields its repr lists, in order, and
+    ``_compared``, the fields ``==`` and ``hash`` read.  A field cannot be
+    assigned or deleted afterwards; a ``cached_property`` still stores its
+    value, since it writes to ``__dict__`` directly.  Pickling and copying
+    restore ``__dict__`` as it is."""
+
+    _shown = _compared = ()
+
+    def _values(self, names: tuple) -> tuple:
+        fields = vars(self)
+        return tuple([fields[name] for name in names])
+
+    def __repr__(self):
+        fields = vars(self)
+        text = ", ".join(f"{name}={fields[name]!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({text})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._compared) == other._values(self._compared)
+
+    def __hash__(self):
+        return hash(self._values(self._compared))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PointClass(_Record):
     """Density classification of one point of a scale."""
 
-    left_dense: bool
-    right_dense: bool
-    is_min: bool
-    is_max: bool
+    _shown = _compared = ("left_dense", "right_dense", "is_min", "is_max")
+
+    def __init__(self, left_dense: bool, right_dense: bool, is_min: bool, is_max: bool):
+        vars(self).update(left_dense=left_dense, right_dense=right_dense, is_min=is_min,
+                          is_max=is_max)
 
     @property
     def left_scattered(self) -> bool:
@@ -239,8 +275,7 @@ def _canonical_pieces(pieces, mode: str):
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class TimeScale:
+class TimeScale(_Record):
     """Immutable finite-piece time scale.
 
     ``pieces`` is canonical after construction: sorted, pairwise
@@ -248,15 +283,18 @@ class TimeScale:
     with ``lo == hi`` marking an isolated point.
     """
 
-    pieces: tuple
-    mode: str = RATIONAL
-    eps: float = 0.0
-    # The indexed view (see the module docstring), built by ``_index``; the
-    # gaps and the isolated-point hash are cached properties.
-    _lows: tuple = field(init=False, repr=False, compare=False)
-    _ids: dict = field(init=False, repr=False, compare=False)
-    _discrete: bool = field(init=False, repr=False, compare=False)
-    _parent: Optional["TimeScale"] = field(init=False, repr=False, compare=False)
+    # The indexed view (see the module docstring), built by ``_index``, is
+    # neither shown nor compared: ``_lows``, ``_ids``, ``_discrete`` and
+    # ``_parent``; the gaps and the isolated-point hash are cached properties.
+    _shown = _compared = ("pieces", "mode", "eps")
+    # The last scale ``_cut_from`` found equal to this one.
+    _equal = None
+
+    def __init__(self, pieces: tuple, mode: str = RATIONAL, eps: float = 0.0):
+        vars(self).update(pieces=pieces, mode=mode, eps=eps)
+        # Called through the instance: bench/spans.py counts built scales
+        # by wrapping this method.
+        self.__post_init__()
 
     def __post_init__(self):
         if self.mode not in (RATIONAL, FLOAT):
@@ -267,12 +305,12 @@ class TimeScale:
             raise ValueError("eps-based membership applies to float mode only")
         self._index(_canonical_pieces(self.pieces, self.mode))
 
-    def _index(self, pieces: tuple, parent: Optional["TimeScale"] = None) -> None:
+    def _index(self, pieces: tuple, parent: "TimeScale | None" = None) -> None:
         """Store the canonical ``pieces``, cut from ``parent`` if given, and
         build the indexed view."""
         lows = tuple(lo for lo, _ in pieces)
         discrete = all(lo == hi for lo, hi in pieces)
-        # Frozen: the index fields are written past the dataclass __setattr__.
+        # Frozen: the index fields are written past the record's __setattr__.
         vars(self).update(pieces=pieces, _lows=lows, _discrete=discrete,
                           _ids={id(x): i for i, piece in enumerate(pieces) for x in piece},
                           _parent=parent)
@@ -386,10 +424,17 @@ class TimeScale:
         and ``truncate_k``, so that each of its pieces lies in one of
         ``other``'s.  Where ``other`` has a dense piece, an equal scale
         counts as ``other``, sparing its float nodes a lookup each; a discrete
-        one has no nodes to spare, and is not worth a pass over its pieces."""
+        one has no nodes to spare, and is not worth a pass over its pieces.
+        The last ``other`` found equal is remembered (``_equal``), so that
+        binding data on it again is an identity test."""
+        if self._equal is other:
+            return True
         dense = not other._discrete
         scale = self
-        while not (scale is other or dense and scale == other):
+        while scale is not other:
+            if dense and scale == other:
+                vars(self)["_equal"] = other
+                return True
             scale = scale._parent
             if scale is None:
                 return False

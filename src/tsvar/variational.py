@@ -12,17 +12,16 @@ instead of eliminating (see ``fl_kernel``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _exact_sum, _node_var,
                        _primitive, _quotient, _simpson, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
 from .quadrature import LIMIT_TOL, QUAD_TOL
-from .scales import (RATIONAL, Num, TimeScale, check_grid_size, fmt_scalar, json_object,
-                     scalar_from_json, zero_of)
+from .scales import (RATIONAL, Num, TimeScale, _Record, check_grid_size, fmt_scalar,
+                     json_object, scalar_from_json, zero_of)
 
 # The minimizers' float Newton loop stops at max |gradient| <= NEWTON_GRAD_TOL,
 # or fails after NEWTON_MAX_STEPS steps.  They refuse more interior unknowns
@@ -74,30 +73,22 @@ def lagrangian_from_spec(spec) -> Poly:
     return _parse_lagrangian(spec, BUILTIN_LAGRANGIANS, _POLY_VARS)
 
 
-@dataclass(frozen=True)
-class VariationalProblem:
+class VariationalProblem(_Record):
     """Fixed-endpoint problem: minimize the delta integral of
     L(t, y(sigma(t)), y_delta(t)) over [a, b] with y(a), y(b) given."""
 
-    scale: TimeScale
-    a: Num
-    b: Num
-    lagrangian: Poly
-    ya: Optional[Num] = None
-    yb: Optional[Num] = None
-    # The scale restricted to [a, b], built once.
-    world: TimeScale = field(init=False, repr=False, compare=False)
-    # (L_y, L_v), worked out once.
-    partials: tuple = field(init=False, repr=False, compare=False)
+    # Neither shown nor compared: ``world``, the scale restricted to [a, b],
+    # built once, and ``partials``, (L_y, L_v), worked out once.
+    _shown = _compared = ("scale", "a", "b", "lagrangian", "ya", "yb")
 
-    def __post_init__(self):
-        object.__setattr__(self, "partials",
-                           _lagrangian_partials(self.lagrangian, _POLY_VARS, ("y", "v")))
-        object.__setattr__(self, "a", self.scale.require(self.a))
-        object.__setattr__(self, "b", self.scale.require(self.b))
-        if not self.a < self.b:
+    def __init__(self, scale: TimeScale, a: Num, b: Num, lagrangian: Poly,
+                 ya: Num | None = None, yb: Num | None = None):
+        partials = _lagrangian_partials(lagrangian, _POLY_VARS, ("y", "v"))
+        a, b = scale.require(a), scale.require(b)
+        if not a < b:
             raise PreconditionError("need a < b")
-        object.__setattr__(self, "world", self.scale.restrict(self.a, self.b))
+        vars(self).update(scale=scale, a=a, b=b, lagrangian=lagrangian, ya=ya, yb=yb,
+                          world=scale.restrict(a, b), partials=partials)
 
     @classmethod
     def from_poly(cls, scale: TimeScale, a, b, poly: Poly,
@@ -124,14 +115,15 @@ class VariationalProblem:
         return self.partials[1](t, y, v)
 
 
-@dataclass(frozen=True)
-class ELReport:
+class ELReport(_Record):
     """Residuals of the integral-form stationarity condition."""
 
-    residuals: tuple
-    c_hat: Num
-    max_abs_residual: Num
-    definedness_findings: tuple
+    _shown = _compared = ("residuals", "c_hat", "max_abs_residual", "definedness_findings")
+
+    def __init__(self, residuals: tuple, c_hat: Num, max_abs_residual: Num,
+                 definedness_findings: tuple):
+        vars(self).update(residuals=residuals, c_hat=c_hat, max_abs_residual=max_abs_residual,
+                          definedness_findings=definedness_findings)
 
 
 def definedness_audit(p: VariationalProblem) -> list:
@@ -222,18 +214,17 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     )
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(_Record):
     """Which points the all-variations orthogonality argument pins to zero."""
 
-    variant: str
-    a: Num
-    b: Num
-    constrained: tuple
-    unconstrained: tuple
-    claimed_domain: tuple
-    claim_holds: bool
-    rank: int
+    _shown = _compared = ("variant", "a", "b", "constrained", "unconstrained", "claimed_domain",
+                          "claim_holds", "rank")
+
+    def __init__(self, variant: str, a: Num, b: Num, constrained: tuple, unconstrained: tuple,
+                 claimed_domain: tuple, claim_holds: bool, rank: int):
+        vars(self).update(variant=variant, a=a, b=b, constrained=constrained,
+                          unconstrained=unconstrained, claimed_domain=claimed_domain,
+                          claim_holds=claim_holds, rank=rank)
 
 
 def fl_kernel(scale: TimeScale, variant: str, a=None, b=None) -> KernelReport:

@@ -8,7 +8,9 @@ anywhere (annotations included, quoted ones too) or lists it in
 skipped.
 
 The import boundary: ``import tsvar`` loads no submodule, and a CLI
-command loads only the layers it runs.
+command loads only the layers it runs.  No module imports ``dataclasses``
+or ``typing``, and no command loads ``dataclasses`` or ``inspect`` beyond
+what the bare interpreter loads: the two cost a CLI call about 5 ms.
 """
 
 import ast
@@ -80,15 +82,20 @@ TWO_VARIABLE = {"tsvar.double", "tsvar.counterexamples"}
 FIX = "tests/fixtures/"
 
 
-def _loaded_submodules(*args):
-    """tsvar submodules a fresh interpreter imports for ``python -X importtime *args``."""
+def _loaded_modules(*args):
+    """Modules a fresh interpreter imports for ``python -X importtime *args``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=SRC.parent.parent,
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-500:]
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _loaded_submodules(*args):
+    """tsvar submodules a fresh interpreter imports for ``python -X importtime *args``."""
+    names = _loaded_modules(*args)
     assert "tsvar" in names, "no import trace"
     return {name for name in names if name.startswith("tsvar.")}
 
@@ -109,6 +116,29 @@ def test_el_residual_loads_no_two_variable_layer():
                                 "--problem", FIX + "prob_v2.json", "--y", "t")
     assert "tsvar.variational" in loaded
     assert not loaded & TWO_VARIABLE, sorted(loaded)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_or_typing_at_runtime(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    heavy = [f"{module} (line {line})" for _, module, line in _imported(tree)
+             if module in ("dataclasses", "typing")]
+    assert not heavy, f"{path.name} imports {heavy}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--scale", FIX + "z6.json", "--fn", "1", "--a", "0", "--b", "3"],
+    ["el-residual", "--problem", FIX + "prob_v2.json", "--y", "t"],
+    ["double-el", "--problem", FIX + "dprob_grad2.json", "--u", "t1+t2"],
+    ["counterexample", "nabla-endpoints"],
+], ids=lambda argv: argv[0])
+def test_commands_load_no_dataclasses_or_inspect(argv):
+    # Measured against the bare interpreter, so that a module a site hook
+    # preloads counts for neither side.
+    loaded = _loaded_modules("-m", "tsvar.cli", *argv)
+    assert "tsvar.scales" in loaded, "no import trace"
+    extra = (loaded - _loaded_modules("-c", "pass")) & {"dataclasses", "inspect"}
+    assert not extra, f"{argv[0]} loads {sorted(extra)}"
 
 
 def test_import_tsvar_loads_no_submodule():

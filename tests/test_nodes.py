@@ -373,6 +373,31 @@ def test_data_on_a_smaller_scale_still_refuse_nodes_off_it():
     assert not TimeScale.discrete([0, Fraction(1, 2), 1])._cut_from(dots)
 
 
+def test_repeated_bindings_on_an_equal_copy_compare_the_scales_once(monkeypatch):
+    pieces = tuple((float(k), k + 0.5) for k in range(200))
+    scale, twin = TimeScale(pieces, FLOAT), TimeScale(pieces, FLOAT)
+    f = ScaleFn.from_callable(twin, lambda t: t * t)
+    fresh = [delta_deriv(scale, f, 3.5), delta_integral(scale, f, 0.0, 10.0)]
+    compared = []
+    original = TimeScale.__eq__
+
+    def counted(self, other):
+        compared.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TimeScale, "__eq__", counted)
+    scale, twin = TimeScale(pieces, FLOAT), TimeScale(pieces, FLOAT)
+    f = ScaleFn.from_callable(twin, lambda t: t * t)
+    for _ in range(5):
+        assert [delta_deriv(scale, f, 3.5), delta_integral(scale, f, 0.0, 10.0)] == fresh
+    assert compared == [twin]
+    # A third equal scale is compared once too, and then remembered instead.
+    other = ScaleFn.from_callable(TimeScale(pieces, FLOAT), lambda t: t * t)
+    for _ in range(3):
+        assert delta_integral(scale, other, 0.0, 10.0) == fresh[1]
+    assert len(compared) == 2
+
+
 @pytest.mark.parametrize("axes", [
     (TimeScale.discrete([0, Fraction(1, 2), 1, 2]), TimeScale.discrete([0, 1, 3])),
     (TimeScale(((0, 1), 2)), TimeScale(((0, 1), Fraction(3, 2)))),
