@@ -17,65 +17,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_COUNTEREXAMPLES",
-    "ANALYTIC",
-    "BUILTIN_LAGRANGIANS",
-    "BUILTIN_LAGRANGIANS_2D",
-    "ChainStep",
-    "ConvergenceError",
-    "DerivResult",
-    "DomainError",
-    "DoubleELReport",
-    "DoubleProblem",
-    "ELReport",
-    "EXACT_QUOTIENT",
-    "FLOAT",
-    "KernelReport",
-    "NUMERIC_LIMIT",
-    "PointClass",
-    "Poly",
-    "PreconditionError",
-    "ProductScale",
-    "RATIONAL",
-    "ScaleFn",
-    "SurfaceFn",
-    "TimeScale",
-    "UnsupportedScaleError",
-    "VariationalProblem",
-    "Verdict",
-    "action",
-    "adaptive_simpson",
-    "brute_force_minimizer",
-    "brute_force_minimizer_2d",
-    "cx_eta_not_c1",
-    "cx_nabla_endpoints",
-    "cx_omega_degenerate",
-    "cx_sigma_discontinuity",
-    "definedness_audit",
-    "delta_deriv",
-    "delta_integral",
-    "derivation_chain_check",
-    "double_el_residual",
-    "double_integral",
-    "el_residual",
-    "first_variation",
-    "fl_kernel",
-    "fmt_scalar",
-    "fubini_residual",
-    "ibp_residual",
-    "junction_audit",
-    "lagrangian_from_spec",
-    "nabla_integral_discrete",
-    "product_rule_residual",
-    "richardson_limit",
-    "sigma_diff_audit",
-    "simple_useful_check",
-    "surface_from_json",
-    "tabulated_from_json",
-    "__version__",
-]
-
 # The submodule that defines each public name, listed by submodule.
 _SUBMODULE = {
     name: module
@@ -99,6 +40,8 @@ _SUBMODULE = {
     }.items()
     for name in names.split()
 }
+
+__all__ = [*sorted(_SUBMODULE), "__version__"]
 
 
 def __getattr__(name):

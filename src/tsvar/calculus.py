@@ -248,16 +248,19 @@ class AxesFn:
         return cls(*axes, table=table)
 
     @classmethod
-    def _from_json(cls, obj, what: str, names: tuple) -> "AxesFn":
-        """Load ``{<name>: scale, …, "values": …}``: values keyed by point text
-        on one axis, rows over the first of two, in the first axis's mode."""
+    def _from_json(cls, obj) -> "AxesFn":
+        """Load ``{<name>: scale, …, "values": …}``, ``cls._json`` naming the
+        datum for errors and giving the scale keys: values keyed by point text
+        on one axis, list rows over the first of two, in the first axis's mode."""
+        what, names = cls._json
         json_object(obj, what, names + ("values",))
         axes = [TimeScale.from_json(obj[name]) for name in names]
         raw, mode = obj["values"], axes[0].mode
         if len(axes) == 1 and not isinstance(raw, dict):
             raise DomainError("'values' must be an object keyed by scale points")
-        if len(axes) > 1 and not isinstance(raw, list):
-            raise DomainError("'values' must be a list of rows")
+        if len(axes) > 1 and not (isinstance(raw, list)
+                                  and all(isinstance(row, list) for row in raw)):
+            raise DomainError("'values' must be a list of rows, each a list")
         # from_table reads each key as a point of the scale.
         values = ({k: scalar_from_json(v, mode) for k, v in raw.items()} if len(axes) == 1
                   else [[scalar_from_json(v, mode) for v in row] for row in raw])
@@ -289,6 +292,7 @@ class ScaleFn(AxesFn):
     derivative, or a table on a purely discrete scale."""
 
     __slots__ = ()
+    _json = ("tabulated function", ("scale",))
 
     def __init__(self, scale, func=None, deriv=None, table=None):
         super().__init__((scale,), func, (deriv,), table)
@@ -313,7 +317,7 @@ class ScaleFn(AxesFn):
 def tabulated_from_json(obj) -> ScaleFn:
     """Load {"scale": …, "values": {"t": v, …}} into a tabulated function;
     keys name scale points, values follow the scale's numeric mode."""
-    return ScaleFn._from_json(obj, "tabulated function", ("scale",))
+    return ScaleFn._from_json(obj)
 
 
 def _data(scale: TimeScale, fn) -> tuple:

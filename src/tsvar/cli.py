@@ -15,13 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .calculus import (
-    ScaleFn,
-    delta_deriv,
-    delta_integral,
-    ibp_residual,
-    tabulated_from_json,
-)
+from .calculus import ScaleFn, delta_deriv, delta_integral, ibp_residual
 from .errors import ConvergenceError, DomainError, UnsupportedScaleError
 from .polyfn import Poly
 from .quadrature import QUAD_TOL
@@ -64,25 +58,16 @@ def _parse_point(scale: TimeScale, text, default=None):
     return default if text is None else scale.require(text)
 
 
-def _fn_from_arg(scale: TimeScale, text: str) -> ScaleFn:
-    if text.endswith(".json"):
-        fn = tabulated_from_json(_read_json(text))
-        if fn.scale != scale:
-            raise CLIError("tabulated function scale does not match the problem scale")
-        return fn
-    return ScaleFn.from_callable(scale, Poly.parse(text, ("t",)))
-
-
-def _surface_from_arg(ps, text: str):
-    """The surface on the product scale ``ps`` named by ``text``."""
-    from .double import SurfaceFn, surface_from_json
-
-    if text.endswith(".json"):
-        sf = surface_from_json(_read_json(text))
-        if (sf.scale1, sf.scale2) != (ps.scale1, ps.scale2):
-            raise CLIError("2-D table scales do not match the problem scales")
-        return sf
-    return SurfaceFn.from_callable(ps.scale1, ps.scale2, Poly.parse(text, ("t1", "t2")))
+def _data_from_arg(cls, axes: tuple, variables: tuple, text: str):
+    """The ``cls`` datum on ``axes`` named by ``text``: a table JSON path,
+    whose axes must equal ``axes``, or a polynomial in ``variables``."""
+    if not text.endswith(".json"):
+        return cls(*axes, Poly.parse(text, variables))
+    data = cls._from_json(_read_json(text))
+    if data.axes != axes:
+        raise CLIError("tabulated function scale does not match the problem scale"
+                       if len(axes) == 1 else "2-D table scales do not match the problem scales")
+    return data
 
 
 def _gate(r, ns, allowed=None) -> tuple:
@@ -155,7 +140,7 @@ def _cmd_classify(ns):
 def _cmd_deriv(ns):
     scale = _load_scale(ns.scale)
     t = _parse_point(scale, ns.t)
-    fn = _fn_from_arg(scale, ns.fn)
+    fn = _data_from_arg(ScaleFn, (scale,), ("t",), ns.fn)
     res = delta_deriv(scale, fn, t, tol=ns.tol)
     results = {
         "value": fmt_scalar(res.value),
@@ -170,7 +155,7 @@ def _cmd_integrate(ns):
     scale = _load_scale(ns.scale)
     a = _parse_point(scale, ns.a)
     b = _parse_point(scale, ns.b)
-    fn = _fn_from_arg(scale, ns.fn)
+    fn = _data_from_arg(ScaleFn, (scale,), ("t",), ns.fn)
     value = delta_integral(scale, fn, a, b, tol=ns.tol)
     results = {
         "value": fmt_scalar(value),
@@ -189,8 +174,7 @@ def _cmd_ibp_check(ns):
     scale = _load_scale(ns.scale)
     a = _parse_point(scale, ns.a)
     b = _parse_point(scale, ns.b)
-    f = _fn_from_arg(scale, ns.f)
-    g = _fn_from_arg(scale, ns.g)
+    f, g = (_data_from_arg(ScaleFn, (scale,), ("t",), text) for text in (ns.f, ns.g))
     forms = (1, 2) if ns.form == "both" else (int(ns.form),)
     rs = [ibp_residual(scale, f, g, a, b, form=form, tol=ns.tol) for form in forms]
     residuals = {f"form{form}": fmt_scalar(r) for form, r in zip(forms, rs)}
@@ -216,7 +200,7 @@ def _cmd_el_residual(ns):
 
     problem = _read_json(ns.problem)
     p = VariationalProblem.from_json(problem)
-    y = _fn_from_arg(p.scale, ns.y)
+    y = _data_from_arg(ScaleFn, (p.scale,), ("t",), ns.y)
     rep = el_residual(p, y, dense_refinement=ns.refine, tol=ns.tol)
     ok, gated = _gate(rep.max_abs_residual, ns)
     findings = [*rep.definedness_findings, *gated]
@@ -262,11 +246,11 @@ def _cmd_flcv_kernel(ns):
 
 
 def _cmd_double_el(ns):
-    from .double import DoubleProblem, double_el_residual
+    from .double import DoubleProblem, SurfaceFn, double_el_residual
 
     problem = _read_json(ns.problem)
     dp = DoubleProblem.from_json(problem)
-    u = _surface_from_arg(dp.ps, ns.u)
+    u = _data_from_arg(SurfaceFn, (dp.ps.scale1, dp.ps.scale2), ("t1", "t2"), ns.u)
     rep = double_el_residual(dp, u, dense_refinement=ns.refine)
     ok, gated = _gate(rep.max_abs_residual, ns)
     results = {
@@ -290,12 +274,12 @@ def _cmd_double_el(ns):
 
 
 def _cmd_fubini_check(ns):
-    from .double import ProductScale, fubini_residual
+    from .double import ProductScale, SurfaceFn, fubini_residual
 
     scale1 = _load_scale(ns.scale1)
     scale2 = _load_scale(ns.scale2)
     ps = ProductScale(scale1, scale2)
-    f = _surface_from_arg(ps, ns.fn)
+    f = _data_from_arg(SurfaceFn, (scale1, scale2), ("t1", "t2"), ns.fn)
     a1 = _parse_point(scale1, ns.a1, scale1.min)
     b1 = _parse_point(scale1, ns.b1, scale1.max)
     a2 = _parse_point(scale2, ns.a2, scale2.min)
@@ -314,12 +298,12 @@ def _cmd_fubini_check(ns):
 
 
 def _cmd_derivation_check(ns):
-    from .double import DoubleProblem, derivation_chain_check
+    from .double import DoubleProblem, SurfaceFn, derivation_chain_check
 
     problem = _read_json(ns.problem)
     dp = DoubleProblem.from_json(problem)
-    u = _surface_from_arg(dp.ps, ns.u)
-    eta = _surface_from_arg(dp.ps, ns.eta)
+    axes = (dp.ps.scale1, dp.ps.scale2)
+    u, eta = (_data_from_arg(SurfaceFn, axes, ("t1", "t2"), text) for text in (ns.u, ns.eta))
     steps = derivation_chain_check(dp, u, eta, tol=ns.tol)
     # Hybrid scales compare only the chain endpoints through quadrature,
     # so their pass threshold scales with the quadrature tolerance.
@@ -475,6 +459,8 @@ def run(argv, out=None) -> int:
                 raise CLIError(f"TSVAR_TOL is not a number: {raw!r}") from None
         if not ns.tol > 0:
             raise CLIError("tolerance must be positive")
+        if ns.pass_tol is not None and not ns.pass_tol >= 0:
+            raise CLIError("--pass-tol must be a number >= 0")
         return _emit(ns, out, *_DISPATCH[ns.command](ns))
     except ConvergenceError as exc:
         print(f"tsvar: did not converge: {exc}", file=sys.stderr)

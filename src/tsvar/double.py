@@ -61,6 +61,7 @@ class SurfaceFn(AxesFn):
     second's."""
 
     __slots__ = ()
+    _json = ("2-D table", ("scale1", "scale2"))
 
     def __init__(self, scale1, scale2, func=None, d1fn=None, d2fn=None, table=None):
         super().__init__((scale1, scale2), func, (d1fn, d2fn), table)
@@ -100,7 +101,7 @@ class SurfaceFn(AxesFn):
 
 def surface_from_json(obj) -> SurfaceFn:
     """Load a 2-D table: {"scale1":…, "scale2":…, "values":[[…],…]} row-major by t1."""
-    return SurfaceFn._from_json(obj, "2-D table", ("scale1", "scale2"))
+    return SurfaceFn._from_json(obj)
 
 
 def sigma_diff_audit(ax1: TimeScale, ax2: TimeScale) -> list:
@@ -352,10 +353,7 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
     same definedness gap the single-variable audit reports) are listed
     in ``gaps`` instead of carrying a value.  A map above
     ``GRID_MAX_POINTS`` points raises ``PreconditionError``."""
-    rb1 = dp.ax1.rho(dp.b1)
-    rb2 = dp.ax2.rho(dp.b2)
-    span1 = dp.ax1.restrict(dp.a1, rb1)
-    span2 = dp.ax2.restrict(dp.a2, rb2)
+    span1, span2 = dp.ax1.truncate_k(), dp.ax2.truncate_k()  # ax is [a, b]: [a, rho(b)]
     check_grid_size(dense_refinement, span1, span2)
     pts1 = span1.grid(dense_refinement)
     pts2 = span2.grid(dense_refinement)
@@ -539,7 +537,7 @@ def _chain_discrete(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn) -> list:
         return L1[i][r2] * d1(E, i, r2 + 1) + L2[i][r2] * d2(E, i + 1, r2)
 
     C1 = _wsum(zero, full1, mu1, lambda i: mu2_rb2, strip2_cell)
-    C2 = _wsum(zero, [*core1, r1], mu1, lambda i: mu2_rb2, strip2_cell)
+    C2 = _wsum(zero, full1, mu1, lambda i: mu2_rb2, lambda i: L2[i][r2] * d2(E, i + 1, r2))
     C3 = _wsum(zero, core1, mu1, lambda i: -L2[i][r2] * E[i + 1][r2])
     reduce_resid = max(abs(C - C1), abs(C1 - C2), abs(C2 - C3))
     steps.append(ChainStep("t2-strip-reduce", reduce_resid))

@@ -91,8 +91,6 @@ def richardson_limit(sample, h0: float, order: int, tol: float = LIMIT_TOL):
             if err <= tol:
                 return row[i], err
         h *= 0.5
-    if best_err <= tol:
-        return best_val, best_err
     raise ConvergenceError(
         f"difference quotients did not settle within {LIMIT_MAX_STEPS} halvings "
         f"(best estimate {best_val!r}, spread {best_err:.3e})",

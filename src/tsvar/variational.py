@@ -103,7 +103,8 @@ class VariationalProblem(_Record):
         a = scalar_from_json(obj["a"], scale.mode)
         b = scalar_from_json(obj["b"], scale.mode)
         poly = lagrangian_from_spec(obj["lagrangian"])
-        boundary = obj.get("boundary") or {}
+        boundary = obj.get("boundary")
+        boundary = {} if boundary is None else json_object(boundary, "problem 'boundary'")
         ya = scalar_from_json(boundary["ya"], scale.mode) if "ya" in boundary else None
         yb = scalar_from_json(boundary["yb"], scale.mode) if "yb" in boundary else None
         return cls(scale, a, b, poly, ya, yb)
@@ -197,13 +198,9 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 args = (t, y_st, _quotient(y_st, y_t, world._gaps[i]))
             raw.append((t, p.partial_v(*args) - acc))
 
-    # Exact residuals are summed in integers; anything else keeps the
-    # builtin sum and its float rounding.
-    rs = [r for _, r in raw]
-    if all(type(r) is Fraction for r in rs):
-        c_hat = _exact_sum(0, ((1, r) for r in rs)) / len(rs)
-    else:
-        c_hat = sum(rs) / len(rs)
+    # Exact residuals are summed in integers, floats left to right: the
+    # builtin sum compensates float sums from Python 3.12 on.
+    c_hat = _exact_sum(0, ((1, r) for _, r in raw)) / len(raw)
     residuals = tuple((t, r - c_hat) for t, r in raw)
     max_abs = max(abs(r) for _, r in residuals)
     return ELReport(

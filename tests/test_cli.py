@@ -272,6 +272,42 @@ class TestExitCodes:
         # an explicit flag wins over the broken environment
         assert invoke(*args, "--tol", "1e-10") == (0, "3\n")
 
+    @pytest.mark.parametrize("pass_tol", ["nan", "-1", "-0.5"])
+    def test_pass_tol_below_zero_or_nan_exits_2(self, pass_tol, capsys):
+        args = ("el-residual", "--problem", PROB_V2, "--y", "t")
+        assert invoke(*args, "--pass-tol", pass_tol) == (2, "")
+        assert capsys.readouterr().err == "tsvar: --pass-tol must be a number >= 0\n"
+        assert invoke(*args, "--pass-tol", "0")[0] == 0
+
+    @pytest.mark.parametrize("boundary", ["ya", ["ya"], 3, 0, []], ids=repr)
+    def test_boundary_that_is_no_object_exits_2(self, boundary, tmp_path, capsys):
+        problem = json.loads((FIX / "prob_v2_bc.json").read_text())
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(problem, boundary=None)))
+        assert invoke("el-residual", "--problem", str(path), "--y", "t")[0] == 0
+        path.write_text(json.dumps(dict(problem, boundary=boundary)))
+        assert invoke("el-residual", "--problem", str(path), "--y", "t") == (2, "")
+        assert capsys.readouterr().err == "tsvar: problem 'boundary' JSON must be an object\n"
+
+    @pytest.mark.parametrize("rows", [
+        [1, 2, 3, 4, 5],
+        [{str(k): "0" for k in range(5)}] * 5,
+        ["01234", "12345", "23456", "34567", "45678"],  # t1 + t2, one character a value
+    ], ids=["numbers", "objects", "strings"])
+    def test_table_rows_that_are_no_lists_exit_2(self, rows, tmp_path, capsys):
+        table = json.loads((FIX / "table2_sum.json").read_text())
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(dict(table, values=rows)))
+        assert invoke("double-el", "--problem", DPROB, "--u", str(path)) == (2, "")
+        assert capsys.readouterr().err == "tsvar: 'values' must be a list of rows, each a list\n"
+
+    def test_corner_off_its_axis_exits_2(self, tmp_path, capsys):
+        problem = json.loads((FIX / "dprob_grad2.json").read_text())
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(problem, a2="1/2")))
+        assert invoke("double-el", "--problem", str(path), "--u", "t1+t2") == (2, "")
+        assert capsys.readouterr().err == "tsvar: 1/2 is not a point of the scale\n"
+
 
 class TestVerdictCommands:
     def test_el_residual_flags_nonstationary_trajectory(self):

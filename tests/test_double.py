@@ -216,6 +216,20 @@ class TestProblemAndAudit:
         dp = grad2_problem()
         assert (dp.a1, dp.b1, dp.a2, dp.b2) == (0, 4, 0, 4)
 
+    def test_corners_are_read_in_their_own_axis_mode(self):
+        # Axis 1 is rational and axis 2 float: each corner takes its axis's mode.
+        base = {"scale1": TimeScale.discrete([Fraction(k, 2) for k in range(5)]).to_json(),
+                "scale2": TimeScale.discrete([k / 2 for k in range(5)], FLOAT).to_json(),
+                "lagrangian": "builtin:grad2"}
+        dp = DoubleProblem.from_json({**base, "a1": "1/2", "b1": 2, "a2": 0.5, "b2": 1.5})
+        assert (dp.a1, dp.b1, dp.a2, dp.b2) == (Fraction(1, 2), 2, 0.5, 1.5)
+        assert [type(c) for c in (dp.a1, dp.b1, dp.a2, dp.b2)] == [Fraction] * 2 + [float] * 2
+        assert (dp.ax1.points(), dp.ax2.points()) == ([Fraction(k, 2) for k in range(1, 5)],
+                                                      [0.5, 1.0, 1.5])
+        for corner in ({"a1": 0.5}, {"a2": "1/2"}):
+            with pytest.raises(DomainError, match="scalars must be"):
+                DoubleProblem.from_json({**base, **corner})
+
     def test_poly_spec(self):
         dp = DoubleProblem.from_json(
             {
@@ -525,7 +539,8 @@ def _reference_chain(dp, u, eta):
         return Ly1(t1, rb2) * d1(e, t1, sg2(rb2)) + Ly2(t1, rb2) * d2(e, sg1(t1), rb2)
 
     C1 = _wsum(zero, P1_full, mu1, lambda t1: mu2_rb2, strip2_cell)
-    C2 = _wsum(zero, P1_core + [rb1], mu1, lambda t1: mu2_rb2, strip2_cell)
+    C2 = _wsum(zero, P1_full, mu1, lambda t1: mu2_rb2,
+               lambda t1: Ly2(t1, rb2) * d2(e, sg1(t1), rb2))
     C3 = _wsum(zero, P1_core, mu1, lambda t1: -Ly2(t1, rb2) * e(sg1(t1), rb2))
     steps.append(ChainStep("t2-strip-reduce", max(abs(C - C1), abs(C1 - C2), abs(C2 - C3))))
     fv = first_variation(dp, u, eta)

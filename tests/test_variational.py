@@ -151,6 +151,19 @@ class TestELResidual:
         rep = el_residual(p, y)
         assert rep.max_abs_residual <= 1e-9
 
+    def test_float_c_hat_is_a_left_to_right_sum(self):
+        # L = t*v: each raw residual is its grid point.  The 22 points of
+        # [0, 1] sum to 11.000000000000002 left to right, and to 11.0 in the
+        # compensated builtin sum of Python 3.12 and later.
+        s = TimeScale(((0.0, 1.0), (2.0, 2.0)), mode=FLOAT)
+        p = VariationalProblem(s, 0.0, 2.0, lagrangian_from_spec("poly:t*v"))
+        rep = el_residual(p, Poly.parse("t^2", ("t",)), dense_refinement=20)
+        total = 0.0
+        for t, _ in rep.residuals:
+            total = total + t
+        assert rep.c_hat == total / 22 == 11.000000000000002 / 22
+        assert all(r == t - rep.c_hat for t, r in rep.residuals)
+
     def test_dense_nodes_read_the_continuous_restriction(self):
         # At t = 1, the right end of the interval, quadrature must see
         # y(1) and the classical slope, not y(sigma(1)) and a jump quotient.
