@@ -23,7 +23,7 @@ _SUBMODULE = {
     for module, names in {
         "calculus": "ANALYTIC DerivResult EXACT_QUOTIENT NUMERIC_LIMIT ScaleFn delta_deriv "
                     "delta_integral ibp_residual junction_audit nabla_integral_discrete "
-                    "product_rule_residual simple_useful_check tabulated_from_json",
+                    "tabulated_from_json",
         "counterexamples": "ALL_COUNTEREXAMPLES Verdict cx_eta_not_c1 cx_nabla_endpoints "
                            "cx_omega_degenerate cx_sigma_discontinuity",
         "double": "BUILTIN_LAGRANGIANS_2D ChainStep DoubleELReport DoubleProblem ProductScale "

@@ -448,44 +448,6 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
     return DerivResult(value, method, est)
 
 
-def simple_useful_check(scale: TimeScale, fn, t) -> Num:
-    """Residual |f(sigma(t)) - f(t) - mu(t) f_delta(t)|.
-
-    Zero by construction at right-dense points, where both sides
-    collapse to f(t)."""
-    fn, read = _data(scale, fn)
-    i, t = scale._find(t)
-    st = scale._sigma_at(i, t)
-    if st is t:
-        return zero_of(scale)
-    d = _delta_at(scale, fn, (i, t), st)[0]
-    return abs(read(st) - read(t) - (st - t) * d)
-
-
-def product_rule_residual(scale: TimeScale, f, g, t, tol: float = LIMIT_TOL):
-    """Residuals of both product-rule forms for (fg) at ``t``.
-
-    Returns ``(r1, r2)`` with
-    r1 for (fg)' = f' g(sigma) + f g' and
-    r2 for (fg)' = f' g + f(sigma) g'.
-    """
-    at = i, t = scale._find(t)
-    st = scale._sigma_at(i, t)
-    f = (f if isinstance(f, ScaleFn) else ScaleFn(scale, f)).on(scale)
-    g = (g if isinstance(g, ScaleFn) else ScaleFn(scale, g)).on(scale)
-    # fg is handed located points and quadrature nodes of ``scale`` only,
-    # so it reads f and g as their readers do.
-    f_at, g_at = _reader(f), _reader(g)
-    slope = None
-    if f.partials[0] is not None and g.partials[0] is not None:
-        slope = lambda x: f(x, d=0) * g_at(x) + f_at(x) * g(x, d=0)
-    fg = ScaleFn(scale, lambda x: f_at(x) * g_at(x), slope).on(scale)
-    dfg, df, dg = (_delta_at(scale, h, at, tol=tol)[0] for h in (fg, f, g))
-    r1 = abs(dfg - (df * g_at(st) + f_at(t) * dg))
-    r2 = abs(dfg - (df * g_at(t) + f_at(st) * dg))
-    return r1, r2
-
-
 def _decompose(scale: TimeScale, start, end):
     """Split [a, b] into ('gap', (None, t, sigma, mu)) and ('dense', (k, c, d))
     parts, in order.

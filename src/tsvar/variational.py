@@ -291,7 +291,8 @@ def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
     gradient and Hessian follow by the chain rule from L's partials
     ``first``.  Each Newton step is solved by elimination in the order of
     ``unknowns``, without pivoting, so fill stays inside the band; a pivot
-    <= 0 shows that the action is not strictly convex.  On a rational
+    <= 0 shows that the action is not strictly convex, and the Hessian at
+    the returned point is always factored.  On a rational
     problem with L of degree <= 2 in ``wrt`` the arithmetic is exact and one
     step lands on the minimizer; otherwise floats run to ``NEWTON_GRAD_TOL``."""
     second = [(a, b, h) for a, d in enumerate(first)
@@ -317,9 +318,10 @@ def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
                 for c, r in form:
                     grad[r] += c * g
         gmax = max(map(abs, grad), default=0)
-        # With no second partial (L affine in the states) the Hessian is
-        # empty, and any unknown is refused at its first pivot, even at grad 0.
-        if (gmax <= tol and (second or not x)) or step == NEWTON_MAX_STEPS:
+        # The Hessian is factored at every point that may be returned, a
+        # stationary start included.  An exact problem's is constant, so the
+        # one factored at step 0 also certifies the point that step lands on.
+        if exact and step:
             break
         # upper[r]: row r of the Hessian from the diagonal on, {column: entry}.
         upper = [{} for _ in x]
@@ -344,6 +346,8 @@ def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
                         if c >= s:
                             upper[s][c] = upper[s].get(c, 0) - ratio * hc
                     grad[s] -= ratio * grad[r]
+        if gmax <= tol or step == NEWTON_MAX_STEPS:
+            break
         # Back substitution turns grad into the Newton step, last unknown first.
         for r in reversed(range(len(x))):
             row = upper[r]

@@ -33,8 +33,6 @@ from tsvar import (
     ibp_residual,
     junction_audit,
     nabla_integral_discrete,
-    product_rule_residual,
-    simple_useful_check,
     tabulated_from_json,
 )
 from tsvar.double import _el_kernel_at, _jump, _kernel_pairing, _traj_args
@@ -211,11 +209,13 @@ class TestPolyData:
             raise AssertionError("richardson_limit called on polynomial data")
 
         monkeypatch.setattr(tsvar.calculus, "richardson_limit", refuse)
-        f = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("t^2 - 1/3", ("t",)))
-        g = ScaleFn.from_callable(RAT_HYBRID, Poly.parse("2*t^3 + t", ("t",)))
+        fp, gp = Poly.parse("t^2 - 1/3", ("t",)), Poly.parse("2*t^3 + t", ("t",))
+        f, g, fg = (ScaleFn.from_callable(RAT_HYBRID, h) for h in (fp, gp, fp * gp))
         for form in (1, 2):
             assert ibp_residual(RAT_HYBRID, f, g, RAT_HYBRID.min, RAT_HYBRID.max, form) <= 1e-9
-        assert max(product_rule_residual(RAT_HYBRID, f, g, Fraction(1, 3))) <= 1e-9
+        t = Fraction(1, 3)
+        dfg, df, dg = (delta_deriv(RAT_HYBRID, h, t).value for h in (fg, f, g))
+        assert dfg == df * g(t) + f(t) * dg
         p = VariationalProblem.from_json({
             "scale": RAT_HYBRID.to_json(), "a": "1/10", "b": "5/2", "lagrangian": "builtin:v2",
         })
@@ -696,7 +696,7 @@ class TestIdentities:
         s = rand_discrete_scale(rng, rng.randint(3, 8))
         fn = rand_tabulation(rng, s)
         for t in s.truncate_k().points():
-            assert simple_useful_check(s, fn, t) == 0
+            assert fn(s.sigma(t)) == fn(t) + s.mu(t) * delta_deriv(s, fn, t).value
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -711,13 +711,18 @@ class TestIdentities:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_product_rule_both_forms_exact(self, seed):
+        # (fg)_delta = f_delta g(sigma) + f g_delta = f_delta g + f(sigma) g_delta,
+        # with fg tabulated as the products
         rng = random.Random(seed)
         s = rand_discrete_scale(rng, rng.randint(3, 8))
         f = rand_tabulation(rng, s)
         g = rand_tabulation(rng, s)
+        fg = ScaleFn.from_table(s, {t: f(t) * g(t) for t in s.points()})
         for t in s.truncate_k().points():
-            r1, r2 = product_rule_residual(s, f, g, t)
-            assert r1 == 0 and r2 == 0
+            dfg, df, dg = (delta_deriv(s, h, t).value for h in (fg, f, g))
+            sig = s.sigma(t)
+            assert dfg == df * g(sig) + f(t) * dg
+            assert dfg == df * g(t) + f(sig) * dg
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -737,10 +742,13 @@ class TestIdentities:
         assert abs(ibp_residual(HYBRID, f, g, 0.0, 3.0, form=2)) <= 1e-9
 
     def test_product_rule_numeric_on_dense_point(self):
-        f = ScaleFn.from_callable(HYBRID, math.sin, deriv=math.cos)
-        g = ScaleFn.from_callable(HYBRID, lambda t: t * t, deriv=lambda t: 2 * t)
-        r1, r2 = product_rule_residual(HYBRID, f, g, 0.5)
-        assert abs(r1) <= 1e-9 and abs(r2) <= 1e-9
+        # Closures with no derivatives: all three slopes are Richardson limits.
+        f = ScaleFn.from_callable(HYBRID, math.sin)
+        g = ScaleFn.from_callable(HYBRID, lambda t: t * t)
+        fg = ScaleFn.from_callable(HYBRID, lambda t: math.sin(t) * t * t)
+        dfg, df, dg = (delta_deriv(HYBRID, h, 0.5) for h in (fg, f, g))
+        assert dfg.method == df.method == dg.method == NUMERIC_LIMIT
+        assert abs(dfg.value - (df.value * g(0.5) + f(0.5) * dg.value)) <= 1e-8
 
 
 class TestJunctionAudit:

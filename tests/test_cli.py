@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvar import TimeScale
+import tsvar.calculus
+from tsvar import ConvergenceError, TimeScale
 from tsvar.cli import _gate, run
 
 FIX = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -156,6 +157,17 @@ class TestExitCodes:
         code, text = invoke("deriv", "--scale", Z6, "--fn", "t", "--t", "3", "--out", str(target))
         assert (code, text) == (2, "")
         assert capsys.readouterr().err.startswith(f"tsvar: cannot write {target}: ")
+
+    def test_a_quadrature_miss_exits_1_with_one_line(self, monkeypatch, capsys):
+        def miss(*args, **kwargs):
+            raise ConvergenceError("depth limit reached", estimate=0.0, error=1.0)
+
+        monkeypatch.setattr(tsvar.calculus, "adaptive_simpson", miss)
+        assert invoke("integrate", "--scale", HYBRID, "--fn", "t^2 + 1",
+                      "--a", "0", "--b", "2") == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("tsvar: did not converge: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_nonpositive_tolerance(self):
         code, _ = invoke(

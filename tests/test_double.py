@@ -643,6 +643,18 @@ class TestMinimizer2D:
         rep = double_el_residual(dp, brute_force_minimizer_2d(dp))
         assert type(rep.max_abs_residual) is Fraction and rep.max_abs_residual == 0
 
+    def test_a_stationary_start_that_is_no_minimizer_is_refused(self):
+        # u = 0 is the boundary closure and is stationary, but a bump that
+        # vanishes on the boundary has a lower action.
+        six = TimeScale.discrete(range(6))
+        dp = DoubleProblem.from_json({"scale1": six.to_json(), "scale2": six.to_json(),
+                                      "lagrangian": "poly:y1^2 + y2^2 - 10*y0^2",
+                                      "boundary": "0"})
+        bump = SurfaceFn.from_callable(six, six, lambda t1, t2: t1 * (5 - t1) * t2 * (5 - t2))
+        assert action(dp, bump) < 0
+        with pytest.raises(PreconditionError, match="pivot -12 at the unknown value at"):
+            brute_force_minimizer_2d(dp)
+
     @pytest.mark.parametrize("spec", ["poly:y1", "poly:y0 + t1*y2"])
     def test_no_second_partial_is_refused_before_a_newton_step(self, spec, monkeypatch):
         calls = []

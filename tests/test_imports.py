@@ -168,3 +168,28 @@ def test_counterexample_flags_name_every_counterexample():
     from tsvar.counterexamples import ALL_COUNTEREXAMPLES
 
     assert set(_CX_FLAGS) == set(ALL_COUNTEREXAMPLES)
+
+
+def test_bench_tracer_hooks_name_defined_functions():
+    # The benchmark's tracer counts calls through ``_HOOKS`` in bench/spans.py,
+    # keyed by the names it wraps: a function, or a ``Class.method`` defined on
+    # the class itself.  A key that names nothing leaves its counter at 0
+    # without an error, so deleting or moving a hooked function fails here.
+    tree = ast.parse((SRC.parent.parent / "bench" / "spans.py").read_text())
+    hooks = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "_HOOKS" for t in node.targets))
+    defined = set()
+    for path in SRC.glob("[!_]*.py"):
+        module = importlib.import_module(f"tsvar.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                # A classmethod, staticmethod or property as the tracer unwraps it.
+                defined.update(f"{name}.{attr}" for attr, value in vars(obj).items()
+                               if callable(getattr(value, "__func__",
+                                                   getattr(value, "fget", value))))
+            elif callable(obj):
+                defined.add(name)
+    keys = [ast.literal_eval(key) for key in hooks.keys]
+    assert keys and set(keys) <= defined, sorted(set(keys) - defined)

@@ -35,8 +35,6 @@ from tsvar import (
     ibp_residual,
     junction_audit,
     lagrangian_from_spec,
-    product_rule_residual,
-    simple_useful_check,
 )
 from tsvar import calculus, variational
 from tsvar.quadrature import QUAD_TOL
@@ -219,33 +217,6 @@ def test_a_jump_quotient_locates_its_point_once(lookups):
         assert len(lookups) == (1 if fn.table is None else 2)
 
 
-def _looked_up_product_rule(scale, f, g, t):
-    """Both product-rule residuals, with f g read through lookups."""
-    fg = ScaleFn.from_callable(scale, lambda x: f(x) * g(x))
-    dfg, df, dg = (delta_deriv(scale, h, t).value for h in (fg, f, g))
-    s = scale.sigma(t)
-    return abs(dfg - (df * g(s) + f(t) * dg)), abs(dfg - (df * g(t) + f(s) * dg))
-
-
-def test_a_product_rule_slope_reads_its_factors_at_the_nodes(lookups):
-    scale = TimeScale(((0.0, 0.75), 1.0, (1.25, 2.0)), FLOAT)
-    f, g = ScaleFn.from_callable(scale, math.sin), ScaleFn.from_callable(scale, math.exp)
-    for t in (0.5, 0.75, 1.0):
-        lookups.clear()
-        got = product_rule_residual(scale, f, g, t)
-        # The call's own lookup only: the three slopes are taken at the
-        # located t, and no Richardson sample is looked up.
-        assert lookups == [t]
-        _same(got, _looked_up_product_rule(scale, f, g, t))
-    # On a rational scale the nodes are read as Fractions, and located points
-    # as the lookup path reads them.
-    rat = TimeScale(((Fraction(1, 3), Fraction(2, 3)), 1))
-    f = ScaleFn.from_callable(rat, lambda x: x * x + 1)
-    g = ScaleFn.from_callable(rat, lambda x: 3 * x - Fraction(1, 5))
-    for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
-        _same(product_rule_residual(rat, f, g, t), _looked_up_product_rule(rat, f, g, t))
-
-
 def _el_problem(scale, spec="builtin:v2+y2"):
     return VariationalProblem(scale, scale.min, scale.max, lagrangian_from_spec(spec))
 
@@ -412,7 +383,6 @@ def test_a_section_is_data_for_the_one_axis_entry_points(axes):
     a, b = scale.min, scale.max
     assert delta_integral(scale, along, a, b) == delta_integral(scale, lambda x: x * x + 1, a, b)
     assert ibp_residual(scale, along, along, a, b) == 0
-    assert simple_useful_check(scale, along, a) == 0
     assert junction_audit(scale, along) == junction_audit(scale, lambda x: x * x + 1)
 
 

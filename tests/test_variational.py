@@ -10,6 +10,7 @@ from conftest import rand_discrete_scale, rand_fraction
 from tsvar import (
     FLOAT,
     RATIONAL,
+    ConvergenceError,
     DomainError,
     DoubleProblem,
     Poly,
@@ -26,6 +27,7 @@ from tsvar import (
     fl_kernel,
     lagrangian_from_spec,
     nabla_integral_discrete,
+    variational,
 )
 from tsvar.calculus import _delta_at, _exact_sum, _integrate, _parts, _symbolic
 from tsvar.scales import check_grid_size, zero_of
@@ -399,6 +401,27 @@ class TestMinimizer:
         )
         with pytest.raises(PreconditionError, match="not strictly convex"):
             brute_force_minimizer(p)
+
+    @pytest.mark.parametrize("scale", [TimeScale.discrete(range(11)),
+                                       TimeScale.discrete([float(k) for k in range(11)], FLOAT)])
+    def test_a_stationary_start_that_is_no_minimizer_is_refused(self, scale):
+        # y = 0 is the starting guess and is stationary, but the bump
+        # t(10 - t) has a lower action: the Hessian there has a zero pivot.
+        p = VariationalProblem(scale, 0, 10, Poly.parse("v^2 - y^2", ("t", "y", "v")),
+                               ya=0, yb=0)
+        assert discrete_action(p, lambda t: t * (10 - t)) == -3003
+        with pytest.raises(PreconditionError, match=r"pivot 0(\.0)? at the unknown value at \(2"):
+            brute_force_minimizer(p)
+
+    def test_newton_step_cap_raises_with_the_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(variational, "NEWTON_MAX_STEPS", 1)
+        s = TimeScale.discrete(range(7))
+        p = VariationalProblem(s, s.min, s.max, Poly.parse("v^4 + v^2 + y^2", ("t", "y", "v")),
+                               ya=1, yb=5)
+        with pytest.raises(ConvergenceError) as exc_info:
+            brute_force_minimizer(p)
+        assert isinstance(exc_info.value.estimate, ScaleFn)
+        assert exc_info.value.error > variational.NEWTON_GRAD_TOL
 
     @pytest.mark.parametrize("spec", ["poly:v", "poly:y", "poly:t*v - 2*y"])
     def test_no_second_partial_is_refused_before_a_newton_step(self, spec, monkeypatch):
