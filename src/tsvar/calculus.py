@@ -537,8 +537,15 @@ def _primitive(scale: TimeScale, dense, node):
 
 def _simpson(dense, c, d, tol: float) -> float:
     """Adaptive Simpson's value of the dense integrand ``dense`` over [c, d],
-    in floats: every numeric dense integral goes through here."""
-    return adaptive_simpson(lambda x: float(dense(x)), float(c), float(d), tol)[0]
+    in floats: every numeric dense integral goes through here.  An exact
+    value that no float holds raises ``DomainError``."""
+    try:
+        return adaptive_simpson(lambda x: float(dense(x)), float(c), float(d), tol)[0]
+    except OverflowError:
+        raise DomainError(
+            f"a value of the dense integrand on [{fmt_scalar(c)}, {fmt_scalar(d)}] "
+            f"is past the float range"
+        ) from None
 
 
 def _parts(scale: TimeScale, a, b):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .calculus import ScaleFn, delta_deriv, delta_integral, ibp_residual
 from .errors import ConvergenceError, DomainError, UnsupportedScaleError
 from .polyfn import Poly
-from .quadrature import QUAD_TOL
+from .quadrature import _BUDGET, QUAD_TOL, _Budget
 from .scales import FLOAT, TimeScale, as_scalar, fmt_scalar, json_loads_strict
 
 PASS_TOL_DEFAULT = 1e-9
@@ -461,7 +461,12 @@ def run(argv, out=None) -> int:
             raise CLIError("tolerance must be positive")
         if ns.pass_tol is not None and not ns.pass_tol >= 0:
             raise CLIError("--pass-tol must be a number >= 0")
-        return _emit(ns, out, *_DISPATCH[ns.command](ns))
+        # One evaluation budget for all of the command's quadrature.
+        token = _BUDGET.set(_Budget())
+        try:
+            return _emit(ns, out, *_DISPATCH[ns.command](ns))
+        finally:
+            _BUDGET.reset(token)
     except ConvergenceError as exc:
         print(f"tsvar: did not converge: {exc}", file=sys.stderr)
         return 1

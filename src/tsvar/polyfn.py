@@ -6,7 +6,7 @@ definitions: they evaluate exactly on Fractions and provide analytic
 partial derivatives, which keeps every identity check on discrete
 rational scales exact.
 
-Calling a ``Poly`` takes one of three branches, chosen by argument type:
+Calling a ``Poly`` takes one of four branches, chosen by argument type:
 
 - exact scalars (``int``, ``Fraction``): integer arithmetic over one
   common denominator, from a plan of scaled integer coefficients built
@@ -15,8 +15,13 @@ Calling a ``Poly`` takes one of three branches, chosen by argument type:
   and a cofactor built once per call stands for the others' denominators;
 - any ``Poly`` argument (a symbolic node): each power computed once and
   every term accumulated into one exponent dict;
-- anything else (floats): term by term, so that float sums keep one
-  fixed order and their exact bits.
+- all floats: from a second plan built once per ``Poly``, each
+  coefficient converted to float once, evaluated term by term in the
+  order of the term loop below, so each result has the loop's exact bits;
+- anything else (say, Fractions mixed with floats): term by term, so
+  that float sums keep one fixed order and their exact bits.
+
+A float value past the float range raises ``DomainError``.
 
 ``subs`` shares the exact branch's plan and power table.  A ``PolyTuple``
 calls several Polys at once, at exact scalars from one plan that builds each
@@ -29,6 +34,8 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import add
+
+from .errors import DomainError
 
 # Size limits on expanded polynomials.  They bound the time and memory a
 # short expression such as "(t+1)^2000" or "((2^200)^200)^200" can cost;
@@ -166,7 +173,7 @@ class Poly:
     are immutable by convention.
     """
 
-    __slots__ = ("variables", "terms", "_plan")
+    __slots__ = ("variables", "terms", "_plan", "_float_plan")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
@@ -178,7 +185,7 @@ class Poly:
                 expo = tuple(int(e) for e in expo)
                 clean[expo] = clean.get(expo, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}
-        self._plan = None
+        self._plan = self._float_plan = None
 
     @classmethod
     def _make(cls, variables, terms) -> "Poly":
@@ -190,7 +197,7 @@ class Poly:
         self.terms = {e: c for e, c in terms.items() if c}
         for c in self.terms.values():
             _check_bits(c)
-        self._plan = None
+        self._plan = self._float_plan = None
         return self
 
     @classmethod
@@ -303,7 +310,7 @@ class Poly:
             out[raised] = c / raised[i]
         return Poly._make(self.variables, out)
 
-    # Evaluation: the three branches of the module docstring.
+    # Evaluation: the four branches of the module docstring.
 
     def _scalar_plan(self) -> tuple:
         """The ``_plan`` of this Poly alone, built once: its exact branch."""
@@ -388,16 +395,44 @@ class Poly:
             return self._exact_call(args)
         if Poly in map(type, args):
             return self._symbolic_call(args)
-        total = None
-        for expo, c in self.terms.items():
-            term = c
-            for v, e in zip(args, expo):
-                if e:
-                    term = term * v ** e
-            total = term if total is None else total + term
+        try:
+            for a in args:
+                if type(a) is not float:
+                    break
+            else:
+                return self._float_call(args)
+            total = None
+            for expo, c in self.terms.items():
+                term = c
+                for v, e in zip(args, expo):
+                    if e:
+                        term = term * v ** e
+                total = term if total is None else total + term
+        except OverflowError:
+            raise DomainError("a float value of the polynomial is past the float range") from None
         if total is None:
             return Fraction(0) if not any(isinstance(a, float) for a in args) else 0.0
         return total
+
+    def _float_call(self, args):
+        """The term loop of ``__call__`` at all-float ``args``, from a plan of
+        ``(float(c), ((j, e), ...))`` per term: ``Fraction * float`` and
+        ``Fraction + float`` convert the Fraction first, so the bits are the
+        loop's.  A constant Poly keeps its Fraction, as the loop does."""
+        plan = self._float_plan
+        if plan is None:
+            if any(map(any, self.terms)):
+                plan = tuple((float(c), tuple((j, e) for j, e in enumerate(expo) if e))
+                             for expo, c in self.terms.items())
+            else:
+                plan = tuple((c, ()) for c in self.terms.values())
+            self._float_plan = plan
+        total = None
+        for term, pairs in plan:
+            for j, e in pairs:
+                term = term * args[j] ** e
+            total = term if total is None else total + term
+        return 0.0 if total is None else total
 
     def __repr__(self):
         return f"Poly({self.variables!r}, {self.terms!r})"

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsvar.calculus
-from tsvar import ConvergenceError, TimeScale
+from tsvar import ConvergenceError, TimeScale, quadrature
 from tsvar.cli import _gate, run
+from tsvar.scales import GRID_MAX_POINTS
 
 FIX = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -319,6 +320,84 @@ class TestExitCodes:
         path.write_text(json.dumps(dict(problem, a2="1/2")))
         assert invoke("double-el", "--problem", str(path), "--u", "t1+t2") == (2, "")
         assert capsys.readouterr().err == "tsvar: 1/2 is not a point of the scale\n"
+
+
+class TestBoundedTime:
+    """Inputs whose float rounding no tolerance can beat, or past the float
+    range: each ends in a typed error within one evaluation budget."""
+
+    # Float rounding in (t+1)^30 on [0, 1] is above every leaf's share of
+    # 1e-10; (t+1/3)^40 composed into L_y passes POLY_MAX_DEGREE, so each
+    # dense piece goes to Simpson.
+    HOSTILE = (
+        ("integrate", "--scale", HYBRID, "--fn", "(t+1)^30", "--a", "0", "--b", "2"),
+        ("el-residual", "--problem", str(FIX / "prob_hostile_el.json"),
+         "--y", "(t+1/3)^40", "--refine", "0"),
+    )
+
+    @pytest.mark.parametrize("argv", HOSTILE, ids=["integrate", "el-residual"])
+    def test_a_command_spends_one_budget_and_exits_1(self, argv, monkeypatch, capsys):
+        # The spy counts each Simpson call's evaluations past its five root
+        # ones: those are what the budget holds.
+        real = tsvar.calculus.adaptive_simpson
+        refined = [0]
+
+        def spy(f, *args):
+            calls = [0]
+
+            def counted(x):
+                calls[0] += 1
+                return f(x)
+            try:
+                return real(counted, *args)
+            finally:
+                refined[0] += max(calls[0] - 5, 0)
+
+        monkeypatch.setattr(tsvar.calculus, "adaptive_simpson", spy)
+        assert invoke(*argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("tsvar: did not converge: ") and err.count("\n") == 1
+        assert "evaluation budget" in err
+        assert quadrature.QUAD_MAX_EVALS - 2 < refined[0] <= quadrature.QUAD_MAX_EVALS
+
+    def test_a_grid_of_simpson_calls_that_converge_at_once_is_not_charged(self, tmp_path, capsys):
+        # Each grid step of a float scale's dense piece is its own Simpson
+        # call of L_y = 2t, exact at its root.  At the largest --refine the
+        # grid cap allows, [0, 1] has GRID_MAX_POINTS points, and the calls'
+        # root evaluations alone are ten times the budget.
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"scale": json.loads(pathlib.Path(HYBRID).read_text()),
+                                       "a": 0, "b": 2, "lagrangian": "poly:v^2+y^2"}))
+        refine = str(GRID_MAX_POINTS - 2)
+        code, text = invoke("el-residual", "--problem", str(problem), "--y", "t", "--refine", refine)
+        assert capsys.readouterr().err == ""
+        assert f"evaluated at {GRID_MAX_POINTS} points" in text
+
+    @pytest.mark.parametrize("argv", [
+        # The Simpson sums of 1e308*t overflow: an error that is nan passes
+        # no comparison with the tolerance, so it must be refused, not refined.
+        ("integrate", "--scale", HYBRID, "--fn", "10^200*10^108*t", "--a", "0", "--b", "2"),
+        # The coefficient fits POLY_MAX_COEFF_BITS but not a float.
+        ("integrate", "--scale", HYBRID, "--fn", "10^200*10^108*(t+1)^10",
+         "--a", "0", "--b", "2"),
+        ("integrate", "--scale", "HUGE", "--fn", "t^2", "--a", "1e200", "--b", "2e200"),
+        ("deriv", "--scale", "HUGE", "--fn", "t^2", "--t", "1e200"),
+        # L_y = 7y^6 passes POLY_MAX_DEGREE, so Simpson reads its exact
+        # values at the nodes, and these pass the float range.
+        ("el-residual", "--problem", "Y7", "--y", "10^60*(t+1/3)^40", "--refine", "0"),
+    ], ids=["simpson-sum", "coefficient", "integrate-power", "deriv-power", "exact-integrand"])
+    def test_float_overflow_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"mode": "float", "pieces": [{"point": 1e200}, {"point": 2e200}]}')
+        problem = json.loads((FIX / "prob_hostile_el.json").read_text())
+        problem["lagrangian"] = "poly:y^7+v^2"
+        y7 = tmp_path / "y7.json"
+        y7.write_text(json.dumps(problem))
+        argv = [{"HUGE": str(huge), "Y7": str(y7)}.get(a, a) for a in argv]
+        assert invoke(*argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("tsvar: ") and err.count("\n") == 1
+        assert "past the float range" in err
 
 
 class TestVerdictCommands:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvar import Poly
+from tsvar import DomainError, Poly
 from tsvar.polyfn import POLY_MAX_COEFF_BITS, PolySizeError, PolyTuple
 
 
@@ -225,6 +225,45 @@ class TestEvaluationKernel:
         got = p(*args)
         want = naive_call(p, args)
         assert got == want and repr(got) == repr(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_plan_keeps_the_term_loops_bits_near_overflow(self, data):
+        # Coefficients up to past the float range, arguments up to 1e300 of
+        # either sign: each result has the term loop's bits (inf and nan
+        # included), and where the loop overflows a power or a coefficient,
+        # the call raises DomainError.
+        variables = NAMES[:data.draw(st.integers(1, 3))]
+        terms = {}
+        for _ in range(data.draw(st.integers(0, 5))):
+            expo = tuple(data.draw(st.integers(0, 4)) for _ in variables)
+            num = data.draw(st.integers(-2**1030, 2**1030))
+            terms[expo] = Fraction(num, data.draw(st.integers(1, 2**60)))
+        p = Poly(variables, terms)
+        args = [data.draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300),
+                                    st.sampled_from([0.0, -0.0, 5e-324, 1e154, -1e77])))
+                for _ in variables]
+        try:
+            want = naive_call(p, args)
+        except OverflowError:
+            with pytest.raises(DomainError, match="past the float range"):
+                p(*args)
+            return
+        got = p(*args)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+    def test_float_plan_keeps_the_fraction_of_a_constant(self):
+        third = Poly.constant(XY, Fraction(1, 3))(0.5, 2.0)
+        assert third == Fraction(1, 3) and type(third) is Fraction
+        zero = Poly(XY, {})(0.5, 2.0)
+        assert zero == 0.0 and type(zero) is float
+
+    def test_overflow_past_the_float_range_is_a_domain_error(self):
+        huge = Poly.parse("10^200*10^108*(t+1)^10", ("t",))
+        for call in (lambda: huge(0.0), lambda: Poly.parse("t^2", ("t",))(1e200),
+                     lambda: Poly.parse("t^2*x", ("t", "x"))(1e200, Fraction(1))):
+            with pytest.raises(DomainError, match="past the float range"):
+                call()
 
     def test_symbolic_result_is_a_scalar_when_no_poly_argument_occurs(self):
         x = Poly.var(XY, "x1")
