@@ -3,8 +3,9 @@
 Derivatives are exact difference quotients across gaps and Richardson
 extrapolated limits along dense pieces.  Integrals decompose a range
 into scattered points, contributing graininess-weighted values exactly,
-and interval pieces.  On purely discrete rational scales every operation
-here is exact.
+and interval pieces.  The nabla integral is the same walk reading each
+gap's datum at its far end, sigma(t), where the delta integral reads t.
+On purely discrete rational scales every operation here is exact.
 
 Data are ``AxesFn``: one class over a tuple of axes, a table or a
 callable with one partial per axis, of which ``ScaleFn`` and the double
@@ -50,9 +51,9 @@ therefore never sees jump compositions: on a dense piece the delta
 integral equals the classical integral of the continuous restriction,
 so dense evaluation substitutes sigma(t) = t and the classical slope.
 
-Exact sums (gap terms mu(t) f(t), nabla terms, the means and double sums
-of the other layers, and the short sums of products that make up an
-integrand) go through ``_exact_sum``.  While every weight and value is an
+Exact sums (gap terms mu(t) f(t) or mu(t) f(sigma(t)), the means and
+double sums of the other layers, and the short sums of products that make
+up an integrand) go through ``_exact_sum``.  While every weight and value is an
 int or a Fraction it adds the products in integers over one running
 common denominator, the lcm of the term denominators, and normalizes
 once, building a single Fraction at the end; each term costs a
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from .errors import DomainError, UnsupportedScaleError
 from .polyfn import Poly, PolySizeError
@@ -559,7 +560,7 @@ def _parts(scale: TimeScale, a, b):
 
 def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
                node=None, exact_only: bool = False):
-    """Delta integral driver shared by every integral in the package, over
+    """Integral driver shared by every integral in the package, over
     the ``parts`` of a range of ``scale`` in order: as ``_parts`` yields them
     for an integral of one variable, or as ``_iterated`` keeps them.
 
@@ -595,44 +596,42 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
                 simpson.append(_simpson(dense_on(i), c, d, tol))
 
     exact = _exact_sum(zero_of(scale), terms())
-    if not simpson:
-        return exact
-    dense_total = 0.0
-    for value in simpson:
-        dense_total += value
-    try:
-        return float(exact) + dense_total
-    except OverflowError:
-        raise DomainError(
-            f"the exact gap sum, {_magnitude(exact)}, is past the float range "
-            f"of the Simpson part of the integral"
-        ) from None
+    if simpson:
+        dense_total = 0.0
+        for value in simpson:
+            dense_total += value
+        try:
+            exact = float(exact) + dense_total
+        except OverflowError:
+            raise DomainError(
+                f"the exact gap sum, {_magnitude(exact)}, is past the float range "
+                f"of the Simpson part of the integral"
+            ) from None
+    if type(exact) is float and not isfinite(exact):
+        raise DomainError(f"the integral, {exact}, is past the float range")
+    return exact
+
+
+def _integral(scale: TimeScale, fn, a, b, entry: int, tol: float) -> Num:
+    """The delta (``entry`` 1, t) or nabla (``entry`` 2, sigma(t)) integral of
+    ``fn`` over [a, b], reading ``fn`` at that entry of each gap place: nu of
+    sigma(t) is mu(t), and on dense pieces both are the classical integral."""
+    fn, read = _data(scale, fn)
+    return _integrate(scale, _parts(scale, a, b), lambda gap: read(gap[entry]),
+                      lambda i: read, tol, _symbolic(fn))
 
 
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
     """Delta integral of ``fn`` over [a, b]; exact on a rational scale
     when ``fn`` is polynomial (a ``Poly``, or a ``ScaleFn`` of one)."""
-    fn, read = _data(scale, fn)
-    return _integrate(scale, _parts(scale, a, b), lambda gap: read(gap[1]), lambda i: read,
-                      tol, _symbolic(fn))
+    return _integral(scale, fn, a, b, 1, tol)
 
 
 def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
-    """Nabla integral over [a, b], supported on purely discrete ranges only.
-
-    Sums nu(t) f(t) over the points of (a, b]."""
-    fn = _data(scale, fn)[1]
-    a = scale.require(a)
-    b = scale.require(b)
-    if a > b:
-        raise DomainError("integration range is reversed; integrate forward and negate")
-    sub = scale.restrict(a, b)
-    if not sub.is_discrete:
-        raise UnsupportedScaleError(
-            "nabla integrals are implemented for purely discrete ranges only"
-        )
-    # nu(t) is the gap back to the point before t.
-    return _exact_sum(zero_of(scale), zip(sub._gaps, map(fn, sub._lows[1:])))
+    """Nabla integral of ``fn`` over [a, b], on any range of the scale; exact
+    where ``delta_integral`` is, at its default tolerance.  The name, from when
+    it took discrete ranges only, stays for existing callers."""
+    return _integral(scale, fn, a, b, 2, QUAD_TOL)
 
 
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):

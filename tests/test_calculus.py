@@ -383,6 +383,19 @@ class TestBeyondFloatRange:
             delta_integral(self.BIG, fn, 0, self.BIG.max)
 
 
+class TestFloatOverflow:
+    """A float scale whose gap sums are past the largest float."""
+
+    HUGE = TimeScale.discrete([1e200, 2e200], FLOAT)
+
+    @pytest.mark.parametrize("integral", [delta_integral, nabla_integral_discrete])
+    def test_a_gap_sum_past_the_float_range_raises(self, integral):
+        # mu * f = 1e200 * 1e200 (delta) or 1e200 * 2e200 (nabla) is inf.
+        with pytest.raises(DomainError, match="past the float range"):
+            integral(self.HUGE, lambda t: t, 1e200, 2e200)
+        assert integral(self.HUGE, lambda t: 1.0, 1e200, 2e200) == 1e200
+
+
 class TestDeltaIntegral:
     def test_discrete_oracle_values(self):
         s = TimeScale.discrete(range(6))
@@ -504,24 +517,40 @@ def test_decompose_matches_clip_walk(raw, den, mode, ij):
 
 
 class TestNablaIntegral:
+    T2 = Poly.parse("t^2", ("t",))
+
     def test_oracle_value(self):
         s = TimeScale.discrete([1, 2, 3])
         fn = ScaleFn.from_callable(s, lambda t: t)
         # backward-weighted sum over (1, 3]: 1*2 + 1*3
         assert nabla_integral_discrete(s, fn, 1, 3) == Fraction(5)
 
-    def test_requires_discrete_range(self):
+    def test_a_hybrid_range_integrates_its_dense_piece(self):
         fn = ScaleFn.from_callable(HYBRID, lambda t: t)
-        with pytest.raises(UnsupportedScaleError):
-            nabla_integral_discrete(HYBRID, fn, 0.0, 3.0)
+        # Simpson's 2 on [0, 2], plus nu(3) f(3) = 1 * 3.
+        value = nabla_integral_discrete(HYBRID, fn, 0.0, 3.0)
+        assert type(value) is float and abs(value - 5.0) <= 1e-12
 
-    def test_range_ends_at_dense_pieces(self):
+    def test_the_hand_value_on_a_rational_hybrid_scale(self):
+        s = TimeScale(((0, 1), Fraction(3, 2), (2, 3)))
+        # 1/3 on [0, 1], nu(3/2) f(3/2) = 9/8, nu(2) f(2) = 2, 19/3 on [2, 3].
+        value = nabla_integral_discrete(s, self.T2, 0, 3)
+        assert type(value) is Fraction and value == Fraction(235, 24)
+        assert value == Fraction(1, 3) + Fraction(9, 8) + 2 + Fraction(19, 3)
+
+    def test_ranges_that_start_end_or_pass_in_dense_pieces(self):
         s = TimeScale((0, (1, 2), 3, (4, 5)))
         fn = ScaleFn.from_callable(s, lambda t: t * t)
-        # Starting inside, ending inside, or spanning a dense piece is refused.
-        for a, b in ((Fraction(3, 2), 3), (0, Fraction(9, 2)), (0, 2)):
-            with pytest.raises(UnsupportedScaleError):
-                nabla_integral_discrete(s, fn, a, b)
+        # Starting inside, ending inside, or spanning a dense piece: the
+        # classical integral there, exact for Poly data and Simpson's for a
+        # plain callable.  [3/2, 3]: 37/24 on [3/2, 2] + nu(3) f(3) = 9.
+        # [0, 9/2]: nu(1) f(1) = 1, 7/3 on [1, 2], 9 + 16 at 3 and 4, 217/24
+        # on [4, 9/2].  [0, 2]: 1 + 7/3.
+        for (a, b), want in (((Fraction(3, 2), 3), Fraction(253, 24)),
+                             ((0, Fraction(9, 2)), Fraction(299, 8)),
+                             ((0, 2), Fraction(10, 3))):
+            assert nabla_integral_discrete(s, self.T2, a, b) == want
+            assert abs(nabla_integral_discrete(s, fn, a, b) - want) <= 1e-9
         # From a dense piece's right end the range is discrete:
         # nu(3) f(3) + nu(4) f(4) = 1 * 9 + 1 * 16.
         assert nabla_integral_discrete(s, fn, 2, 4) == 25
@@ -529,6 +558,93 @@ class TestNablaIntegral:
         assert nabla_integral_discrete(s, fn, 0, 1) == 1
         for a in (0, 2, Fraction(3, 2), 5):
             assert nabla_integral_discrete(s, fn, a, a) == 0
+        with pytest.raises(DomainError):
+            nabla_integral_discrete(s, fn, 3, 1)
+
+
+def _nabla_by_hand(scale, f, a, b):
+    """sum nu(t) f(t) over the points t of (a, b] of a discrete scale, read
+    off its points one by one and added left to right."""
+    pts = scale.points()
+    total = Fraction(0) if scale.mode == "rational" else 0.0
+    for back, t in zip(pts, pts[1:]):
+        if a <= back and t <= b:
+            total = total + (t - back) * f(t)
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), mode=st.sampled_from(["rational", FLOAT]),
+       values=st.sampled_from(["exact", "float", "mixed"]), table=st.booleans())
+def test_nabla_integral_equals_the_backward_sum_by_hand(seed, mode, values, table):
+    rng = random.Random(seed)
+    pts = rand_discrete_scale(rng, rng.randint(1, 12)).points()
+    if mode == FLOAT:
+        pts = [float(t) for t in pts]
+    scale = TimeScale.discrete(pts, mode)
+
+    def draw():
+        exact = values == "exact" or (values == "mixed" and rng.random() < 0.5)
+        return rand_fraction(rng) if exact else rng.uniform(-9, 9)
+
+    tabled = {t: draw() for t in pts}
+    fn = ScaleFn.from_table(scale, tabled) if table else tabled.__getitem__
+    i, j = sorted(rng.randint(0, len(pts) - 1) for _ in range(2))
+    got = nabla_integral_discrete(scale, fn, pts[i], pts[j])
+    want = _nabla_by_hand(scale, fn, pts[i], pts[j])
+    assert type(got) is type(want)
+    assert got.hex() == want.hex() if type(want) is float else got == want
+
+
+def _rand_hybrid(rng) -> TimeScale:
+    """A rational scale of 1 to 6 pieces, each an isolated point or an
+    interval, with uneven widths and gaps."""
+    t, pieces = rand_fraction(rng, -3, 3, 3), []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            pieces.append(t)
+        else:
+            pieces.append((t, t + Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+            t = pieces[-1][1]
+        t = t + Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return TimeScale(tuple(pieces))
+
+
+def _range_points(scale: TimeScale, rng, k: int) -> list:
+    """``k`` ascending points of ``scale``, each a piece end or the midpoint
+    of an interval."""
+    pts = sorted({x for lo, hi in scale.pieces for x in (lo, hi, (lo + hi) / 2)})
+    return sorted(rng.choice(pts) for _ in range(k))
+
+
+class TestExactMetamorphic:
+    """Relations that hold exactly for ``Poly`` data on rational hybrid scales."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_nabla_is_the_delta_integral_of_the_reflection(self, seed):
+        # int_a^b f(t) nabla t on T = int_{-b}^{-a} f(-s) delta s on -T.
+        rng = random.Random(seed)
+        s, f = _rand_hybrid(rng), rand_poly1(rng)
+        a, b = _range_points(s, rng, 2)
+        mirror = TimeScale(tuple((-hi, -lo) for lo, hi in reversed(s.pieces)))
+        f_minus = f(-Poly.var(("t",), "t"))
+        if not isinstance(f_minus, Poly):  # a constant composes to its value
+            f_minus = Poly.constant(("t",), f_minus)
+        nabla = nabla_integral_discrete(s, f, a, b)
+        assert type(nabla) is Fraction
+        assert nabla == delta_integral(mirror, f_minus, -b, -a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_both_integrals_add_over_a_split_range(self, seed):
+        rng = random.Random(seed)
+        s, f = _rand_hybrid(rng), rand_poly1(rng)
+        a, c, b = _range_points(s, rng, 3)
+        for integral in (delta_integral, nabla_integral_discrete):
+            whole = integral(s, f, a, b)
+            assert type(whole) is Fraction
+            assert whole == integral(s, f, a, c) + integral(s, f, c, b)
 
 
 # Denominators from 1 up to large primes, so the running common

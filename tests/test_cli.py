@@ -25,6 +25,7 @@ PROB_V2 = str(FIX / "prob_v2.json")
 DPROB = str(FIX / "dprob_grad2.json")
 DPROB_BAD = str(FIX / "dprob_bad_axis.json")
 TABLE_TSQ = str(FIX / "table_tsq.json")
+OVERFLOW = str(FIX / "float_overflow.json")  # {1e200, 2e200}, float
 
 
 def invoke(*argv):
@@ -380,20 +381,21 @@ class TestBoundedTime:
         # The coefficient fits POLY_MAX_COEFF_BITS but not a float.
         ("integrate", "--scale", HYBRID, "--fn", "10^200*10^108*(t+1)^10",
          "--a", "0", "--b", "2"),
-        ("integrate", "--scale", "HUGE", "--fn", "t^2", "--a", "1e200", "--b", "2e200"),
-        ("deriv", "--scale", "HUGE", "--fn", "t^2", "--t", "1e200"),
+        ("integrate", "--scale", OVERFLOW, "--fn", "t^2", "--a", "1e200", "--b", "2e200"),
+        ("deriv", "--scale", OVERFLOW, "--fn", "t^2", "--t", "1e200"),
+        # mu(1e200) * 1e200 is inf in the float gap sum.
+        ("integrate", "--scale", OVERFLOW, "--fn", "t", "--a", "1e200", "--b", "2e200"),
         # L_y = 7y^6 passes POLY_MAX_DEGREE, so Simpson reads its exact
         # values at the nodes, and these pass the float range.
         ("el-residual", "--problem", "Y7", "--y", "10^60*(t+1/3)^40", "--refine", "0"),
-    ], ids=["simpson-sum", "coefficient", "integrate-power", "deriv-power", "exact-integrand"])
+    ], ids=["simpson-sum", "coefficient", "integrate-power", "deriv-power", "gap-sum",
+            "exact-integrand"])
     def test_float_overflow_exits_2_with_one_line(self, argv, tmp_path, capsys):
-        huge = tmp_path / "huge.json"
-        huge.write_text('{"mode": "float", "pieces": [{"point": 1e200}, {"point": 2e200}]}')
         problem = json.loads((FIX / "prob_hostile_el.json").read_text())
         problem["lagrangian"] = "poly:y^7+v^2"
         y7 = tmp_path / "y7.json"
         y7.write_text(json.dumps(problem))
-        argv = [{"HUGE": str(huge), "Y7": str(y7)}.get(a, a) for a in argv]
+        argv = [str(y7) if a == "Y7" else a for a in argv]
         assert invoke(*argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("tsvar: ") and err.count("\n") == 1

@@ -60,7 +60,7 @@ def _run_readme():
 
 def test_readme_examples():
     ns, values, checks = _run_readme()
-    assert len(checks) == 9
+    assert len(checks) == 10
     for text, value, expected in checks:
         assert value == expected, text
 
