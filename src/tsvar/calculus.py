@@ -72,7 +72,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import gcd, isfinite
 
-from .errors import DomainError, UnsupportedScaleError
+from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolySizeError
 from .quadrature import LIMIT_TOL, QUAD_TOL, adaptive_simpson, richardson_limit
 from .scales import (
@@ -326,10 +326,13 @@ def _data(scale: TimeScale, fn) -> tuple:
     callable that reads its values at the points and nodes of ``scale``.
     Data are bound to ``scale`` (``AxesFn.on``); a bare ``Poly`` is wrapped
     once, so that its slope is its own derivative, and reads itself, as does
-    any other callable."""
+    any other callable.  Anything else is refused: a constant ``Poly`` called
+    on a ``Poly``, say, is a bare scalar."""
     if isinstance(fn, AxesFn):
         fn = fn.on(scale)
         return fn, _reader(fn)
+    if not callable(fn):
+        raise PreconditionError(f"data must be callable or an AxesFn, not {type(fn).__name__}")
     return (ScaleFn(scale, fn).on(scale) if type(fn) is Poly else fn), fn
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -379,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, *required):
         """Add the options every command takes, then ``required`` flags."""
         sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="numeric tolerance (default: TSVAR_TOL or 1e-10)")
+        sp.add_argument("--tol", type=float, default=QUAD_TOL,
+                        help="tolerance of quadrature (default: 1e-10)")
         sp.add_argument("--pass-tol", dest="pass_tol", type=float, default=None,
                         help="threshold separating exit 0 from exit 1 (default: 1e-9 for "
                              "a float residual; an exact one must be 0)")
@@ -451,12 +450,6 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if ns.tol is None:
-            raw = os.environ.get("TSVAR_TOL", repr(QUAD_TOL))
-            try:
-                ns.tol = float(raw)
-            except ValueError:
-                raise CLIError(f"TSVAR_TOL is not a number: {raw!r}") from None
         if not ns.tol > 0:
             raise CLIError("tolerance must be positive")
         if ns.pass_tol is not None and not ns.pass_tol >= 0:

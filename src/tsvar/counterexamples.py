@@ -1,10 +1,12 @@
 """Machine-checked counterexamples.
 
 Each builder constructs a concrete scale, functions, and pairings, then
-re-verifies every claimed property numerically or exactly and returns a
+re-verifies every claimed property in exact arithmetic and returns a
 Verdict.  Nothing is asserted by fiat: if a caller perturbs the data
 (say, moves the nonzero of f to an interior point) the verdict comes
-back unconfirmed.
+back unconfirmed.  A float witness scale is read exactly, each point as
+the dyadic rational it holds; a detail shown as a float is the float
+nearest its exact value.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import random
 from fractions import Fraction
 
 from .calculus import ScaleFn, delta_deriv, nabla_integral_discrete
-from .errors import PreconditionError
-from .quadrature import LIMIT_TOL, richardson_limit
-from .scales import FLOAT, RATIONAL, TimeScale, _Record, fmt_scalar
+from .errors import DomainError, PreconditionError
+from .polyfn import Poly
+from .scales import FLOAT, RATIONAL, TimeScale, _magnitude, _Record, fmt_scalar
 from .variational import fl_kernel
 
 _SEED = 12345
@@ -45,9 +47,10 @@ def _default_hybrid_scale() -> TimeScale:
 
 
 def _sigma_jump_point(scale, t, name: str):
-    """``(scale, t, float distance from t down to its piece's low end,
-    scale witness)`` for a point ``t`` that must be left-dense and
-    right-scattered; ``scale`` defaults to [0, 1] union {1.5}."""
+    """``(scale, t, low end of t's piece, exact twin of scale, scale witness)``
+    for a point ``t`` that must be left-dense and right-scattered; ``scale``
+    defaults to [0, 1] union {1.5}.  The exact twin is ``scale`` itself when
+    rational, else the rational scale on the dyadic values of its points."""
     default = _default_hybrid_scale()
     if scale is None:
         scale = default
@@ -57,8 +60,19 @@ def _sigma_jump_point(scale, t, name: str):
         raise PreconditionError(
             f"{name} = {fmt_scalar(t)} must be left-dense and right-scattered; it is {cls.label()}"
         )
+    exact = scale if scale.mode == RATIONAL else TimeScale(
+        tuple((Fraction(lo), Fraction(hi)) for lo, hi in scale.pieces))
     witness = "[0, 1] union {1.5}" if scale.pieces == default.pieces else "custom"
-    return scale, t, float(t - scale.pieces[i][0]), witness
+    return scale, t, scale.pieces[i][0], exact, witness
+
+
+def _detail(name: str, x) -> tuple:
+    """The detail ``(name, repr of the float nearest the exact x)``;
+    ``DomainError`` when no float holds ``x``."""
+    try:
+        return name, repr(float(x))
+    except OverflowError:
+        raise DomainError(f"{name}: {_magnitude(x)} is past the float range") from None
 
 
 def cx_nabla_endpoints(origin: int = 1, f_override: dict = None) -> Verdict:
@@ -128,51 +142,36 @@ def cx_nabla_endpoints(origin: int = 1, f_override: dict = None) -> Verdict:
 def cx_eta_not_c1(scale: TimeScale = None, u1=0.25, t0=1.0) -> Verdict:
     """An admissible variation need not be classically C1.
 
-    A polynomial bump supported on [sigma(u1), sigma(t0)] is delta
-    differentiable everywhere, yet at a left-dense right-scattered t0
-    its delta derivative (the forward jump quotient) differs from the
-    left limit of its classical slope, so the derivative is
-    discontinuous there."""
-    scale, t0, room, scale_witness = _sigma_jump_point(scale, t0, "t0")
+    The polynomial bump (t - lo)^2 (hi - t)^2 on [lo, hi] = [sigma(u1),
+    sigma(t0)], zero outside, is delta differentiable everywhere, yet at a
+    left-dense right-scattered t0 its delta derivative (the forward jump
+    quotient) differs from the left limit of its classical slope, the
+    bump's derivative at t0, so the derivative is discontinuous there."""
+    scale, t0, _, exact, scale_witness = _sigma_jump_point(scale, t0, "t0")
     u1 = scale.require(u1)
     lo_edge = scale.sigma(u1)
     hi_edge = scale.sigma(t0)
     if not lo_edge < t0:
         raise PreconditionError("need sigma(u1) < t0 to fit the bump")
+    t, lo, hi = Fraction(t0), Fraction(lo_edge), Fraction(hi_edge)
+    x = Poly.var(("t",), "t")
+    bump = (x - lo) ** 2 * (hi - x) ** 2
 
-    def eta(t):
-        if lo_edge <= t <= hi_edge:
-            return (t - lo_edge) ** 2 * (hi_edge - t) ** 2
-        return 0.0
-
-    fn = ScaleFn.from_callable(scale, eta)
-    dres = delta_deriv(scale, fn, t0)
-
+    # The bump is the Poly at t0 and at sigma(t0) = hi, both in its support.
+    quotient = delta_deriv(exact, bump, t).value
     # Square rule per factor, then the product rule, evaluated at t0.
-    formula = (t0 + hi_edge - 2 * lo_edge) * (hi_edge - t0) ** 2 + (
-        hi_edge - lo_edge
-    ) ** 2 * (t0 + hi_edge - 2 * hi_edge)
+    formula = (t + hi - 2 * lo) * (hi - t) ** 2 + (hi - lo) ** 2 * (t + hi - 2 * hi)
+    left_limit = bump.diff("t")(t)
 
-    # Left limit of the classical slope, from eta values only.
-    def back_slope(h):
-        return (eta(t0) - eta(t0 - h)) / h
-
-    left_limit, limit_err = richardson_limit(back_slope, room / 4.0, order=1)
-
-    jump = abs(dres.value - left_limit)
-    quotient_matches = abs(dres.value - formula) <= 1e-12
-    edges_vanish = eta(lo_edge) == 0 and eta(hi_edge) == 0
-    confirmed = (
-        quotient_matches
-        and edges_vanish
-        and jump > max(10 * LIMIT_TOL, 10 * limit_err)
-    )
+    jump = abs(quotient - left_limit)
+    edges_vanish = bump(lo) == 0 and bump(hi) == 0
+    confirmed = quotient == formula and edges_vanish and jump != 0
     details = (
-        ("delta derivative at t0 (jump quotient)", repr(float(dres.value))),
-        ("same value from the closed-form product rule", repr(float(formula))),
-        ("left limit of the classical slope", repr(float(left_limit))),
-        ("left-limit error estimate", repr(float(limit_err))),
-        ("discontinuity of the derivative at t0", repr(float(jump))),
+        _detail("delta derivative at t0 (jump quotient)", quotient),
+        _detail("same value from the closed-form product rule", formula),
+        _detail("left limit of the classical slope", left_limit),
+        _detail("left-limit error estimate", 0),
+        _detail("discontinuity of the derivative at t0", jump),
         ("bump vanishes at support edges", str(edges_vanish)),
     )
     return Verdict(
@@ -264,23 +263,21 @@ def cx_omega_degenerate() -> Verdict:
 def cx_sigma_discontinuity(scale: TimeScale = None, t=1.0) -> Verdict:
     """The forward jump is discontinuous at a left-dense right-scattered point.
 
-    Approaching t through the dense part gives sigma -> t, while
-    sigma(t) sits a positive gap above t."""
-    scale, t, d, scale_witness = _sigma_jump_point(scale, t, "t")
+    Sigma is the identity on the dense piece below t, so its left limit at
+    t is t, while sigma(t) sits a positive gap above t.  Shown at the
+    point s of that piece 2^-40 of the way from t down to the piece's low
+    end: sigma(s) = s."""
+    scale, t, low, exact, scale_witness = _sigma_jump_point(scale, t, "t")
+    t_exact = Fraction(t)
+    s = t_exact - (t_exact - Fraction(low)) / 2**40
+    sigma_s = exact.sigma(s)
 
-    approach = []
-    for n in range(1, 41):
-        s = float(t) - d * 2.0 ** (-n)
-        approach.append(float(scale.sigma(s)))
-    left_limit = approach[-1]
-    gap = scale.mu(t)
-
-    confirmed = abs(left_limit - float(t)) <= LIMIT_TOL and float(gap) > 0
+    confirmed = sigma_s == s and exact.mu(t_exact) > 0
     details = (
-        ("limit of sigma from the left", repr(left_limit)),
+        _detail("limit of sigma from the left", sigma_s),
         ("sigma at t", fmt_scalar(scale.sigma(t))),
-        ("jump size mu(t)", fmt_scalar(gap)),
-        ("last approach distance", repr(abs(left_limit - float(t)))),
+        ("jump size mu(t)", fmt_scalar(scale.mu(t))),
+        _detail("last approach distance", t_exact - sigma_s),
     )
     return Verdict(
         id="sigma-discontinuity",

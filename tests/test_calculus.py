@@ -18,6 +18,7 @@ from tsvar import (
     FLOAT,
     NUMERIC_LIMIT,
     Poly,
+    PreconditionError,
     ProductScale,
     ScaleFn,
     SurfaceFn,
@@ -221,6 +222,24 @@ class TestPolyData:
         })
         line = ScaleFn.from_callable(p.scale, Poly.parse("3*t - 1/7", ("t",)))
         assert el_residual(p, line, dense_refinement=8).max_abs_residual <= 1e-9
+
+
+    @pytest.mark.parametrize("entry", ["delta_integral", "nabla_integral_discrete",
+                                       "delta_deriv", "ibp_residual"])
+    def test_a_scalar_in_place_of_data_is_refused_by_its_type(self, entry):
+        # A constant Poly called on a Poly argument is a bare Fraction.
+        t = Poly.var(("t",), "t")
+        scalar = Poly.constant(("t",), Fraction(3, 2))(-t)
+        assert type(scalar) is Fraction
+        scale = TimeScale.discrete(range(4))
+        call = {
+            "delta_integral": lambda: delta_integral(scale, scalar, 0, 3),
+            "nabla_integral_discrete": lambda: nabla_integral_discrete(scale, scalar, 0, 3),
+            "delta_deriv": lambda: delta_deriv(scale, scalar, 1),
+            "ibp_residual": lambda: ibp_residual(scale, scalar, t, 0, 3),
+        }[entry]
+        with pytest.raises(PreconditionError, match="not Fraction"):
+            call()
 
 
 class TestExactDenseIntegrals:

@@ -277,15 +277,6 @@ class TestExitCodes:
         code, text = invoke("ibp-check", *args, "--f", "t", "--g", "t^2")
         assert code == 0 and "form 1: residual = 0\nform 2: residual = 0\n" in text
 
-    def test_env_tolerance(self, monkeypatch):
-        args = ("integrate", "--scale", Z6, "--fn", "1", "--a", "0", "--b", "3")
-        monkeypatch.setenv("TSVAR_TOL", "1e-8")
-        assert invoke(*args) == (0, "3\n")
-        monkeypatch.setenv("TSVAR_TOL", "not-a-number")
-        assert invoke(*args)[0] == 2
-        # an explicit flag wins over the broken environment
-        assert invoke(*args, "--tol", "1e-10") == (0, "3\n")
-
     @pytest.mark.parametrize("pass_tol", ["nan", "-1", "-0.5"])
     def test_pass_tol_below_zero_or_nan_exits_2(self, pass_tol, capsys):
         args = ("el-residual", "--problem", PROB_V2, "--y", "t")

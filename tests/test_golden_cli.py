@@ -97,7 +97,6 @@ BRANCHES = {
     " --fn t1*t2 + t2^2": (14, 0),
     "double-el --problem tests/fixtures/dprob_bad_axis.json --u t1*t2": (0, 171),
     "double-el --problem tests/fixtures/dprob_bad_axis.json --u t1^2*t2 + t2^3 --refine 2": (0, 21),
-    "counterexample eta-not-c1": (0, 1),
 }
 
 
@@ -126,7 +125,6 @@ def golden():
 @pytest.fixture
 def at_root(monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("TSVAR_TOL", raising=False)
 
 
 def test_golden_covers_every_command(golden):
@@ -141,7 +139,6 @@ def test_cli_output_matches_golden(golden, at_root, argv, fmt):
 
 def test_each_command_reaches_its_numeric_branches(at_root, monkeypatch):
     import tsvar.calculus
-    import tsvar.counterexamples
     import tsvar.quadrature
 
     counts = Counter()
@@ -152,7 +149,7 @@ def test_each_command_reaches_its_numeric_branches(at_root, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (tsvar.quadrature, tsvar.calculus, tsvar.counterexamples):
+    for module in (tsvar.quadrature, tsvar.calculus):
         for name in ("adaptive_simpson", "richardson_limit"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -162,12 +159,11 @@ def test_each_command_reaches_its_numeric_branches(at_root, monkeypatch):
         _run(argv, "text")
         reached[" ".join(argv)] = (counts["adaptive_simpson"], counts["richardson_limit"])
     assert {cmd: n for cmd, n in reached.items() if n != (0, 0)} == BRANCHES
-    assert len(reached) - len(BRANCHES) == 36
+    assert len(reached) - len(BRANCHES) == 37
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     os.chdir(ROOT)
-    os.environ.pop("TSVAR_TOL", None)
     GOLDEN.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

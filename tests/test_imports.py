@@ -163,6 +163,19 @@ def test_public_names_resolve():
         tsvar.no_such_name
 
 
+def test_counterexamples_import_nothing_from_quadrature():
+    # Every verdict is decided in exact arithmetic: no limit or quadrature,
+    # and so no tolerance, stands behind a counterexample.
+    tree = ast.parse((SRC / "counterexamples.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert not [name for name in names if "quadrature" in name.split(".")], names
+
+
 def test_counterexample_flags_name_every_counterexample():
     from tsvar.cli import _CX_FLAGS
     from tsvar.counterexamples import ALL_COUNTEREXAMPLES

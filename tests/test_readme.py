@@ -60,7 +60,7 @@ def _run_readme():
 
 def test_readme_examples():
     ns, values, checks = _run_readme()
-    assert len(checks) == 10
+    assert len(checks) == 12
     for text, value, expected in checks:
         assert value == expected, text
 
