@@ -63,7 +63,10 @@ exact partial sum is handed to the plain left-to-right loop, so float
 results keep the rounding of the written grouping.  Exact jump quotients
 (f(sigma) - f(t)) / mu go through ``_quotient`` the same way: on int and
 Fraction values over a Fraction gap they are formed in integers and
-normalized once, and any other operands get the written expression.
+normalized once, and any other operands get the written expression.  A
+factor times a jump quotient, such as the gap term f(sigma) g^Delta of a
+by-parts integral, is the same one Fraction, and the gaps mu of a rational
+scale are themselves built from integers once (``TimeScale._gaps``).
 """
 
 from __future__ import annotations
@@ -397,20 +400,28 @@ def _classical_slope(scale: TimeScale, fn, t, piece, tol: float):
     return slope, est, NUMERIC_LIMIT
 
 
-def _quotient(hi, lo, gap) -> Num:
-    """``(hi - lo) / gap``.
+def _quotient(hi, lo, gap, c=None) -> Num:
+    """``(hi - lo) / gap``, or with a factor ``c``, ``c * ((hi - lo) / gap)``.
 
-    When ``hi`` and ``lo`` are ints or Fractions and ``gap`` is a Fraction,
-    the difference and the quotient are formed in integers and one Fraction
-    is built, reduced once; any other operands (a float, a ``Poly`` at a
-    symbolic node, an int gap) get the written expression."""
-    th, tl = type(hi), type(lo)
-    if type(gap) is Fraction and (th is Fraction or th is int) and (tl is Fraction or tl is int):
+    When ``hi``, ``lo`` and ``c`` are ints or Fractions and ``gap`` is a
+    Fraction, the difference, the quotient and the product are formed in
+    integers and one Fraction is built, reduced once; any other operands (a
+    float, a ``Poly`` at a symbolic node, an int gap) get the written
+    expression."""
+    th, tl, tc = type(hi), type(lo), type(c)
+    if (type(gap) is Fraction and (th is Fraction or th is int) and (tl is Fraction or tl is int)
+            and (c is None or tc is Fraction or tc is int)):
         hn, hd = hi.as_integer_ratio()
         ln, ld = lo.as_integer_ratio()
         gn, gd = gap.as_integer_ratio()
-        return Fraction((hn * ld - ln * hd) * gd, hd * ld * gn)
-    return (hi - lo) / gap
+        num, den = (hn * ld - ln * hd) * gd, hd * ld * gn
+        if c is not None:
+            cn, cd = c.as_integer_ratio()
+            num, den = cn * num, cd * den
+        return Fraction(num, den)
+    if c is None:
+        return (hi - lo) / gap
+    return c * ((hi - lo) / gap)
 
 
 def _delta_at(scale: TimeScale, fn, at, jump=None, tol: float = LIMIT_TOL):
@@ -697,18 +708,20 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     f_entry, g_entry = (2, 1) if form == 1 else (1, 2)
 
     node = _symbolic(f, g)
+    # Each gap term is one ``_quotient`` with its factor.  Arguments, keywords
+    # too, are evaluated in the order written, so both terms read f before g.
     lhs = _integrate(
         scale, _parts(scale, a, b),
-        point_value=lambda gap: (f_at(gap[f_entry])
-                                 * _quotient(g_at(gap[2]), g_at(gap[1]), gap[3])),
+        point_value=lambda gap: _quotient(c=f_at(gap[f_entry]), hi=g_at(gap[2]),
+                                          lo=g_at(gap[1]), gap=gap[3]),
         dense_on=lambda i: lambda x: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, _parts(scale, a, b),
-        point_value=lambda gap: (_quotient(f_at(gap[2]), f_at(gap[1]), gap[3])
-                                 * g_at(gap[g_entry])),
+        point_value=lambda gap: _quotient(f_at(gap[2]), f_at(gap[1]), gap[3],
+                                          g_at(gap[g_entry])),
         dense_on=lambda i: lambda x: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
         tol=tol,
         node=node,

@@ -68,11 +68,15 @@ def _sigma_jump_point(scale, t, name: str):
 
 def _detail(name: str, x) -> tuple:
     """The detail ``(name, repr of the float nearest the exact x)``;
-    ``DomainError`` when no float holds ``x``."""
+    ``DomainError`` when no float holds ``x``: it is past the float range,
+    or nonzero and rounds to zero."""
     try:
-        return name, repr(float(x))
+        value = float(x)
     except OverflowError:
         raise DomainError(f"{name}: {_magnitude(x)} is past the float range") from None
+    if value == 0 and x != 0:
+        raise DomainError(f"{name}: {_magnitude(x)} is below the float range")
+    return name, repr(value)
 
 
 def cx_nabla_endpoints(origin: int = 1, f_override: dict = None) -> Verdict:
@@ -146,7 +150,13 @@ def cx_eta_not_c1(scale: TimeScale = None, u1=0.25, t0=1.0) -> Verdict:
     sigma(t0)], zero outside, is delta differentiable everywhere, yet at a
     left-dense right-scattered t0 its delta derivative (the forward jump
     quotient) differs from the left limit of its classical slope, the
-    bump's derivative at t0, so the derivative is discontinuous there."""
+    bump's derivative at t0, so the derivative is discontinuous there.
+
+    The bump is the ``Poly`` s^2 (w - s)^2 in the shifted variable s = t - lo,
+    with w = hi - lo, read at t - lo: its coefficients are powers of w, near
+    the size of the points, where the expanded (t - lo)^2 (hi - t)^2 has
+    lo^2 hi^2, whose denominator outgrows the ``Poly`` size limit on a
+    witness near the bottom of the float range."""
     scale, t0, _, exact, scale_witness = _sigma_jump_point(scale, t0, "t0")
     u1 = scale.require(u1)
     lo_edge = scale.sigma(u1)
@@ -154,17 +164,17 @@ def cx_eta_not_c1(scale: TimeScale = None, u1=0.25, t0=1.0) -> Verdict:
     if not lo_edge < t0:
         raise PreconditionError("need sigma(u1) < t0 to fit the bump")
     t, lo, hi = Fraction(t0), Fraction(lo_edge), Fraction(hi_edge)
-    x = Poly.var(("t",), "t")
-    bump = (x - lo) ** 2 * (hi - x) ** 2
+    s = Poly.var(("s",), "s")
+    bump = s ** 2 * (hi - lo - s) ** 2
 
-    # The bump is the Poly at t0 and at sigma(t0) = hi, both in its support.
-    quotient = delta_deriv(exact, bump, t).value
+    # The bump is read at t0 and at sigma(t0) = hi, both in its support.
+    quotient = delta_deriv(exact, lambda u: bump(u - lo), t).value
     # Square rule per factor, then the product rule, evaluated at t0.
     formula = (t + hi - 2 * lo) * (hi - t) ** 2 + (hi - lo) ** 2 * (t + hi - 2 * hi)
-    left_limit = bump.diff("t")(t)
+    left_limit = bump.diff("s")(t - lo)
 
     jump = abs(quotient - left_limit)
-    edges_vanish = bump(lo) == 0 and bump(hi) == 0
+    edges_vanish = bump(0) == 0 and bump(hi - lo) == 0
     confirmed = quotient == formula and edges_vanish and jump != 0
     details = (
         _detail("delta derivative at t0 (jump quotient)", quotient),

@@ -328,9 +328,21 @@ class TimeScale(_Record):
 
     @cached_property
     def _gaps(self) -> tuple:
-        """The gap from each piece to the next, computed at the first read."""
+        """The gap from each piece to the next, computed at the first read.
+
+        On a rational scale each gap is one Fraction built from the integer
+        ratios of its two ends, which skips the operator dispatch of a
+        Fraction subtraction; a float scale subtracts."""
         pieces = self.pieces
-        return tuple(nxt - hi for (_, hi), (nxt, _) in zip(pieces, pieces[1:]))
+        ends = zip(pieces, pieces[1:])
+        if self.mode != RATIONAL:
+            return tuple(nxt - hi for (_, hi), (nxt, _) in ends)
+        gaps = []
+        for (_, hi), (nxt, _) in ends:
+            hn, hd = hi.as_integer_ratio()
+            nn, nd = nxt.as_integer_ratio()
+            gaps.append(Fraction(nn * hd - hn * nd, nd * hd))
+        return tuple(gaps)
 
     @cached_property
     def _isolated(self) -> dict:

@@ -761,6 +761,23 @@ class TestQuotient:
         want = (hi - lo) / gap
         assert type(got) is type(want) and repr(got) == repr(want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(hi=_EXACT_SCALARS, lo=_EXACT_SCALARS, gap=_NONZERO_FRACTIONS, c=_EXACT_SCALARS)
+    @example(hi=0, lo=0, gap=Fraction(1, 2**61 - 1), c=Fraction(-3, 2**61 - 1))
+    def test_a_factor_on_exact_operands_equals_the_written_product(self, hi, lo, gap, c):
+        got = tsvar.calculus._quotient(hi, lo, gap, c)
+        assert type(got) is Fraction and got == c * (hi - lo) / gap
+
+    @settings(max_examples=300, deadline=None)
+    @given(hi=st.one_of(_FLOATS, _EXACT_SCALARS), lo=st.one_of(_FLOATS, _EXACT_SCALARS),
+           gap=st.one_of(_FLOATS.filter(bool), _NONZERO_FRACTIONS),
+           c=st.one_of(_FLOATS, _EXACT_SCALARS), which=st.integers(0, 3))
+    def test_a_factor_with_a_float_operand_gives_the_written_bits(self, hi, lo, gap, c, which):
+        hi, lo, gap, c = [float(x) if k == which else x for k, x in enumerate((hi, lo, gap, c))]
+        got = tsvar.calculus._quotient(hi, lo, gap, c)
+        want = c * ((hi - lo) / gap)
+        assert type(got) is float and repr(got) == repr(want)
+
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))

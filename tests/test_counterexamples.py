@@ -21,10 +21,13 @@ from tsvar import (
     cx_sigma_discontinuity,
 )
 from tsvar.cli import run
+from tsvar.counterexamples import _detail
 
 FIX = pathlib.Path(__file__).resolve().parent / "fixtures"
 MILLI = FIX / "witness_milli.json"  # [0, 0.001] union {0.0015}, float
 HUGE = FIX / "witness_huge.json"  # [0, 1e200] union {1.5e200}, float
+TINY = FIX / "witness_tiny.json"  # [0, 1e-110] union {1.5e-110}, float
+BOTTOM = FIX / "witness_bottom.json"  # [0, 1e-300] union {1.5e-300}, float
 
 
 def details_dict(verdict):
@@ -134,6 +137,13 @@ class TestEtaNotC1:
             cx_eta_not_c1(TimeScale.from_json(json.loads(HUGE.read_text())),
                           u1=2.5e199, t0=1e200)
 
+    def test_a_subnormal_detail_prints_as_it_is(self):
+        assert _detail("x", Fraction(1, 10**320)) == ("x", repr(1e-320))
+        assert _detail("x", Fraction(-1, 10**320)) == ("x", repr(-1e-320))
+        assert _detail("x", Fraction(0)) == ("x", "0.0")
+        with pytest.raises(DomainError, match="x: a rational near 10\\^-330 is below"):
+            _detail("x", Fraction(1, 10**330))
+
     def test_dense_t0_rejected(self):
         with pytest.raises(PreconditionError):
             cx_eta_not_c1(t0=0.5)
@@ -205,6 +215,29 @@ class TestCommandLine:
         assert err.startswith("tsvar: ") and err.count("\n") == 1
         assert "past the float range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("path, t0, u1", [(TINY, "1e-110", "2.5e-111"),
+                                              (BOTTOM, "1e-300", "2.5e-301")])
+    def test_a_bump_below_the_float_range_exits_2_with_one_line(self, path, t0, u1):
+        # The jump is near 1e-330 on the tiny witness and 1e-900 on the
+        # bottom one: both round to 0.0, which would print as no jump.
+        code, out, err = cli("counterexample", "eta-not-c1", "--scale", str(path),
+                             "--t0", t0, "--u1", u1)
+        assert (code, out) == (2, "")
+        assert err.startswith("tsvar: ") and err.count("\n") == 1
+        assert "below the float range" in err and "Traceback" not in err
+
+    def test_the_1e_100_witness_is_confirmed(self, tmp_path):
+        # Its values are near 1e-301: small, but floats hold them.
+        scale = tmp_path / "scale.json"
+        scale.write_text(json.dumps({"mode": "float", "pieces": [
+            {"interval": [0.0, 1e-100]}, {"point": 1.5e-100}]}))
+        code, out, err = cli("counterexample", "eta-not-c1", "--scale", str(scale),
+                             "--t0", "1e-100", "--u1", "2.5e-101", "--format", "json")
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["confirmed"]
+        assert dict(results["details"])["discontinuity of the derivative at t0"] == "9.375e-302"
+
 
 @st.composite
 def witnesses(draw):
@@ -232,6 +265,7 @@ def witnesses(draw):
 @given(witnesses())
 @example((RATIONAL, Fraction(1), Fraction(3, 2), Fraction(0)))
 @example((FLOAT, 1.0, 1.5, 0.25))
+@example((FLOAT, 1e-06, 2e-06, 1.1125369294e-314))  # the left limit is near 1e-326
 def test_witnesses_on_every_scale_decide_as_the_exact_oracle(tmp_path_factory, witness):
     mode, length, point, u1 = witness
     # A float scale's JSON holds numbers, a rational one's "p/q" strings.
@@ -240,9 +274,12 @@ def test_witnesses_on_every_scale_decide_as_the_exact_oracle(tmp_path_factory, w
     scale.write_text(json.dumps({"mode": mode, "pieces": [
         {"interval": [value(0), value(length)]}, {"point": value(point)}]}))
 
-    def report(*argv):
+    def report(*argv, refused=False):
         code, out, err = cli("counterexample", *argv, "--scale", str(scale), "--format", "json")
         assert code in (0, 1, 2) and "Traceback" not in err and err.count("\n") <= 1, err
+        if refused:
+            assert (code, out) == (2, "") and "below the float range" in err, err
+            return None
         assert code != 2, err
         results = json.loads(out)["results"]
         assert code == (0 if results["confirmed"] else 1)
@@ -250,10 +287,16 @@ def test_witnesses_on_every_scale_decide_as_the_exact_oracle(tmp_path_factory, w
 
     assert report("sigma-discontinuity", "--t", text(length))["confirmed"]
 
-    results = report("eta-not-c1", "--t0", text(length), "--u1", text(u1))
-    L, g, u = Fraction(length), Fraction(point) - Fraction(length), Fraction(u1)
-    assert results["confirmed"] == (L - u != 2 * g)
     # The bump (t - u)^2 (L + g - t)^2: its jump quotient at L and its slope there.
+    L, g, u = Fraction(length), Fraction(point) - Fraction(length), Fraction(u1)
+    quotient, left = -(L - u) ** 2 * g, 2 * (L - u) * g * (g - (L - u))
+    # A nonzero detail that rounds to 0.0 (a subnormal u1 can make g - (L - u)
+    # tiny) is refused, not printed as no jump.
+    refused = any(x != 0 and float(x) == 0 for x in (quotient, left, quotient - left))
+    results = report("eta-not-c1", "--t0", text(length), "--u1", text(u1), refused=refused)
+    if refused:
+        return
+    assert results["confirmed"] == (L - u != 2 * g)
     d = dict(results["details"])
-    assert d["delta derivative at t0 (jump quotient)"] == repr(float(-(L - u) ** 2 * g))
-    assert d["left limit of the classical slope"] == repr(float(2 * (L - u) * g * (g - (L - u))))
+    assert d["delta derivative at t0 (jump quotient)"] == repr(float(quotient))
+    assert d["left limit of the classical slope"] == repr(float(left))

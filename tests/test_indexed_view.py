@@ -48,9 +48,11 @@ def _fresh(x):
 
 @pytest.fixture
 def fraction_ops(monkeypatch):
-    """Counts of Fraction hashes, subtractions and divisions made from now on."""
+    """Counts of Fraction hashes, subtractions, products and divisions made
+    from now on."""
     counts = Counter()
     for name, key in (("__hash__", "hash"), ("__sub__", "sub"), ("__rsub__", "sub"),
+                      ("__mul__", "mul"), ("__rmul__", "mul"),
                       ("__truediv__", "div"), ("__rtruediv__", "div")):
         original = getattr(Fraction, name)
 
@@ -84,6 +86,22 @@ def test_exact_walks_read_the_view_without_hashing_or_subtracting(fraction_ops):
         # boundary term [fg] and the residual |lhs - ([fg] - rest)|.
         assert fraction_ops["hash"] == fraction_ops["div"] == 0
         assert fraction_ops["sub"] <= 3
+
+
+@pytest.mark.parametrize("form", [1, 2])
+def test_by_parts_on_a_cold_table_makes_as_many_products_at_any_length(fraction_ops, form):
+    # Each gap is built from integers at the first walk, and each gap term,
+    # a factor times a jump quotient, is one Fraction built from integers:
+    # only the boundary term [fg] and the residual take Fraction operators.
+    counts = []
+    for n in (50, 400):
+        rng = random.Random(n)
+        scale = rand_discrete_scale(rng, n)
+        f, g = rand_tabulation(rng, scale), rand_tabulation(rng, scale)
+        fraction_ops.clear()
+        assert ibp_residual(scale, f, g, scale.min, scale.max, form) == 0
+        counts.append((fraction_ops["mul"], fraction_ops["sub"]))
+    assert counts[0] == counts[1]
 
 
 def test_a_warm_el_residual_on_a_table_makes_no_hash(fraction_ops):

@@ -443,3 +443,49 @@ def test_slices_of_a_scale_past_float_range():
     # Truncation drops the big point.
     _assert_same_scale(s.truncate_k(), TimeScale(s.pieces[:-1]))
     _check_slices(s, [0, Fraction(1, 2), 1, Fraction(3, 2), big])
+
+
+_GAP_DENOMINATORS = st.sampled_from((1, 2, 3, 7, 1_000_000_007, 2**61 - 1))
+
+
+@st.composite
+def _gap_scales(draw):
+    """A rational scale whose ends have mixed denominators up to 2^61 - 1 and
+    either sign, or a float scale on the same ends, with two of its ends."""
+    ends = draw(st.lists(st.builds(Fraction, st.integers(-10**15, 10**15), _GAP_DENOMINATORS),
+                         min_size=1, max_size=12, unique=True))
+    ends.sort()
+    isolated = draw(st.lists(st.booleans(), min_size=len(ends), max_size=len(ends)))
+    pieces, k = [], 0
+    while k < len(ends):
+        if isolated[k] or k + 1 == len(ends):
+            pieces.append(ends[k])
+            k += 1
+        else:
+            pieces.append((ends[k], ends[k + 1]))
+            k += 2
+    if draw(st.booleans()):
+        pieces = [tuple(map(float, p)) if isinstance(p, tuple) else float(p) for p in pieces]
+        scale = TimeScale(tuple(pieces), mode=FLOAT)
+    else:
+        scale = TimeScale(tuple(pieces))
+    points = [x for piece in scale.pieces for x in piece]
+    a, b = sorted(draw(st.sampled_from(points)) for _ in range(2))
+    return scale, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_gap_scales(), warm=st.booleans())
+def test_gaps_equal_the_written_differences(drawn, warm):
+    scale, a, b = drawn
+    if warm:  # the slices below take their gaps from the parent's
+        assert len(scale._gaps) == len(scale.pieces) - 1
+    for s in (scale, scale.restrict(a, b), scale.truncate_k(), scale.truncate_k2()):
+        pieces = s.pieces
+        want = [nxt - hi for (_, hi), (nxt, _) in zip(pieces, pieces[1:])]
+        assert len(s._gaps) == len(want)
+        for got, w in zip(s._gaps, want):
+            if s.mode == RATIONAL:
+                assert type(got) is Fraction and got == w
+            else:
+                assert type(got) is float and got.hex() == w.hex()
