@@ -492,34 +492,47 @@ def _decompose(scale: TimeScale, start, end):
         yield ("dense", (j, c, d))
 
 
+def _ratio_sum(num: int, den: int, terms) -> tuple:
+    """``num / den`` plus the sum of ``w * v`` over the pairs ``(w, v)`` of
+    ``terms``, in integers: the products are added over a running
+    denominator kept as the lcm of ``den`` and the term denominators, and
+    nothing is normalized.  Returns ``(num, den, None)`` once every pair is
+    added, or ``(num, den, (w, v))`` at the first pair that is not two ints
+    or Fractions; that pair is not added, and the rest of ``terms`` is left
+    unread."""
+    for w, v in terms:
+        tw, tv = type(w), type(v)
+        if not ((tw is Fraction or tw is int) and (tv is Fraction or tv is int)):
+            return num, den, (w, v)
+        wn, wd = w.as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        q = wd * vd
+        if den % q:
+            m = q // gcd(den, q)
+            num *= m
+            den *= m
+        num += wn * vn * (den // q)
+    return num, den, None
+
+
 def _exact_sum(zero, terms) -> Num:
     """``zero`` plus the sum of ``w * v`` over the pairs ``(w, v)`` of ``terms``.
 
     While ``zero`` and every w and v are ints or Fractions, the products
-    are added as integers over a running denominator kept as the lcm of
-    the term denominators, and one Fraction is built at the end, so the
-    result is a Fraction even when every term is an int.  At the first
-    other term the exact partial sum is handed to ``total = total + w * v``
-    and the rest is added left to right, as written."""
+    are added in integers (``_ratio_sum``) and one Fraction is built at the
+    end, so the result is a Fraction even when every term is an int.  At
+    the first other term the exact partial sum is handed to
+    ``total = total + w * v`` and the rest is added left to right, as
+    written."""
     total = zero
     terms = iter(terms)
     if type(zero) is int or type(zero) is Fraction:
         num, den = zero.as_integer_ratio()
-        for w, v in terms:
-            tw, tv = type(w), type(v)
-            if not ((tw is Fraction or tw is int) and (tv is Fraction or tv is int)):
-                total = Fraction(num, den) + w * v
-                break
-            wn, wd = w.as_integer_ratio()
-            vn, vd = v.as_integer_ratio()
-            q = wd * vd
-            if den % q:
-                m = q // gcd(den, q)
-                num *= m
-                den *= m
-            num += wn * vn * (den // q)
-        else:
+        num, den, rest = _ratio_sum(num, den, terms)
+        if rest is None:
             return Fraction(num, den)
+        w, v = rest
+        total = Fraction(num, den) + w * v
     for w, v in terms:
         total = total + w * v
     return total

@@ -309,7 +309,7 @@ class TimeScale(_Record):
         """Store the canonical ``pieces``, cut from ``parent`` if given, and
         build the indexed view."""
         lows = tuple(lo for lo, _ in pieces)
-        discrete = all(lo == hi for lo, hi in pieces)
+        discrete = all(lo is hi or lo == hi for lo, hi in pieces)
         # Frozen: the index fields are written past the record's __setattr__.
         vars(self).update(pieces=pieces, _lows=lows, _discrete=discrete,
                           _ids={id(x): i for i, piece in enumerate(pieces) for x in piece},
@@ -477,7 +477,10 @@ class TimeScale(_Record):
     # -- jump operators ---------------------------------------------------
 
     def _sigma_at(self, i, t) -> Num:
-        if t < self.pieces[i][1]:
+        # At an isolated point t is usually hi itself: the identity test
+        # spares a Fraction compare, as in _piece_grid.
+        hi = self.pieces[i][1]
+        if t is not hi and t < hi:
             return t
         if i + 1 < len(self.pieces):
             return self.pieces[i + 1][0]
@@ -553,8 +556,11 @@ class TimeScale(_Record):
 
     def _piece_grid(self, lo, hi, refinement: int) -> list:
         """The grid points of the piece (lo, hi): lo alone for an isolated
-        point, else lo, ``refinement`` equally spaced samples and hi."""
-        if lo == hi:
+        point, else lo, ``refinement`` equally spaced samples and hi.  The
+        pieces of ``discrete`` scales and their slices hold one object as lo
+        and hi, so the identity test spares most isolated points a Fraction
+        compare."""
+        if lo is hi or lo == hi:
             return [lo]
         width, n = hi - lo, refinement + 1
         if self.mode == RATIONAL:
@@ -626,7 +632,7 @@ def check_grid_size(refinement: int, *scales: TimeScale) -> None:
     A negative refinement is then refused as ``grid`` refuses it."""
     points = 1
     for scale in scales:
-        dense = sum(1 for lo, hi in scale.pieces if lo != hi)
+        dense = sum(1 for lo, hi in scale.pieces if lo is not hi and lo != hi)
         points *= len(scale.pieces) + dense * (max(refinement, 0) + 1)
     if points > GRID_MAX_POINTS:
         raise PreconditionError(

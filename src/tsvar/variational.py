@@ -8,6 +8,13 @@ discrete scales, and a Newton action minimizer on the exact Hessian
 used as the oracle in tests.  The kernel analyzer reads its answer off the
 pairing, whose matrix has at most one nonzero per row and per column,
 instead of eliminating (see ``fl_kernel``).
+
+Exact sums are carried in integers, as ``calculus._exact_sum`` carries them:
+``el_residual``'s running integral and raw residuals over one running
+denominator, and each entry of the minimizer's gradient and Hessian as one
+sum over the cells that touch it.  Dense steps of ``el_residual`` keep their
+written arithmetic, and float and ``Poly`` operands get the written
+expressions, so float results keep their bits.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _exact_sum, _node_var,
-                       _primitive, _quotient, _simpson, _symbolic)
+                       _primitive, _quotient, _ratio_sum, _simpson, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
 from .quadrature import LIMIT_TOL, QUAD_TOL
@@ -142,6 +149,12 @@ def definedness_audit(p: VariationalProblem) -> list:
     return ["no gap"]
 
 
+def _settled(num: int, den: int, raw: list) -> tuple:
+    """``el_residual``'s running integral ``num / den`` and raw residuals
+    ``(t, n, d)``, each n / d, as the Fractions the written walk holds."""
+    return Fraction(num, den), [(t, Fraction(n, d)) for t, n, d in raw]
+
+
 def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 tol: float = QUAD_TOL) -> ELReport:
     """Residual r(t) = L_v(t) - integral of L_y from a to t - c_hat.
@@ -153,7 +166,15 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
     adds F(t) - F(prev) of the exact antiderivative F of L_y or, without
     one, ``_simpson`` on [prev, t], as ``_integrate`` would.  Each point is
     read once, by piece index.  A grid above ``GRID_MAX_POINTS`` points
-    raises ``PreconditionError``."""
+    raises ``PreconditionError``.
+
+    On a rational scale the exact sums are carried in integers: the running
+    sum and each raw residual over one running denominator (``_ratio_sum``),
+    and c_hat, each centred residual and the largest |residual| are each one
+    Fraction.  At the first dense step, or the first operand that is not an
+    int or a Fraction (a float, or a ``Poly`` at a symbolic node), the sums
+    become the Fractions they equal and the walk goes on with the written
+    expressions, so dense steps keep their arithmetic and floats their bits."""
     world = p.world
     span = world.truncate_k()  # [a, rho(b)]
     check_grid_size(dense_refinement, span)
@@ -166,16 +187,27 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
 
     node = _symbolic(y_hat)
     primitive = False  # built at the first dense step, as _integrate builds it
+    # While acc is None the integral is num / den, and raw holds (t, n, d):
+    # the raw residual at t is n / d, and d divides den.
+    num, den = 0, 1
+    acc = None if world.mode == RATIONAL else zero_of(world)
     raw = []
-    acc = zero_of(world)
     for i, (lo, hi) in enumerate(span.pieces):
         if i:
             # The gap after the last point, whose y(sigma) is y at lo.
-            acc = acc + world._gaps[i - 1] * p.partial_y(*args)
+            gap, ly = world._gaps[i - 1], p.partial_y(*args)
+            if acc is None:
+                num, den, rest = _ratio_sum(num, den, ((gap, ly),))
+                if rest is not None:
+                    acc, raw = _settled(num, den, raw)
+            if acc is not None:
+                acc = acc + gap * ly
             y_lo = y_st
         f_prev = None
         for t in world._piece_grid(lo, hi, dense_refinement):
             if t is not lo and t != prev:
+                if acc is None:
+                    acc, raw = _settled(num, den, raw)
                 if primitive is False:
                     primitive = _primitive(world, ly_on(i), node)
                 if primitive is None:
@@ -196,13 +228,35 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 y_st = y(st)
                 y_t = y_lo if i and t is lo else y(t)
                 args = (t, y_st, _quotient(y_st, y_t, world._gaps[i]))
-            raw.append((t, p.partial_v(*args) - acc))
+            lv = p.partial_v(*args)
+            if acc is None:
+                # L_v - acc, over a denominator that den then takes on.
+                n, d, rest = _ratio_sum(-num, den, ((1, lv),))
+                if rest is None:
+                    raw.append((t, n, d))
+                    num, den = num * (d // den), d
+                else:
+                    acc, raw = _settled(num, den, raw)
+            if acc is not None:
+                raw.append((t, lv - acc))
 
-    # Exact residuals are summed in integers, floats left to right: the
-    # builtin sum compensates float sums from Python 3.12 on.
-    c_hat = _exact_sum(0, ((1, r) for _, r in raw)) / len(raw)
-    residuals = tuple((t, r - c_hat) for t, r in raw)
-    max_abs = max(abs(r) for _, r in residuals)
+    if acc is None:
+        # Over den, a multiple of every d, the raw residuals sum to one integer.
+        c_hat = Fraction(sum(n * (den // d) for _, n, d in raw), den * len(raw))
+        cn, cd = c_hat.as_integer_ratio()
+        residuals, top = [], (0, 1)
+        for t, n, d in raw:
+            n, d = n * cd - cn * d, d * cd
+            residuals.append((t, Fraction(n, d)))
+            if abs(n) * top[1] > top[0] * d:
+                top = abs(n), d
+        residuals, max_abs = tuple(residuals), Fraction(*top)
+    else:
+        # Exact residuals are summed in integers, floats left to right: the
+        # builtin sum compensates float sums from Python 3.12 on.
+        c_hat = _exact_sum(0, ((1, r) for _, r in raw)) / len(raw)
+        residuals = tuple((t, r - c_hat) for t, r in raw)
+        max_abs = max(abs(r) for _, r in residuals)
     return ELReport(
         residuals=residuals,
         c_hat=c_hat,
@@ -289,12 +343,14 @@ def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
     A cell is ``(w, targs, forms)``: state ``wrt[a]`` is the sum of
     ``c * values[key]`` over the ``(c, key)`` pairs of ``forms[a]``.  The
     gradient and Hessian follow by the chain rule from L's partials
-    ``first``.  Each Newton step is solved by elimination in the order of
-    ``unknowns``, without pivoting, so fill stays inside the band; a pivot
-    <= 0 shows that the action is not strictly convex, and the Hessian at
-    the returned point is always factored.  On a rational
-    problem with L of degree <= 2 in ``wrt`` the arithmetic is exact and one
-    step lands on the minimizer; otherwise floats run to ``NEWTON_GRAD_TOL``."""
+    ``first``: each entry is one ``_exact_sum`` over the cells that touch it,
+    in integers on an exact problem and in cell order on floats.  Each
+    Newton step is solved by elimination in the order of ``unknowns``,
+    without pivoting, so fill stays inside the band; a pivot <= 0 shows that
+    the action is not strictly convex, and the Hessian at the returned point
+    is always factored.  On a rational problem with L of degree <= 2 in
+    ``wrt`` the arithmetic is exact and one step lands on the minimizer;
+    otherwise floats run to ``NEWTON_GRAD_TOL``."""
     second = [(a, b, h) for a, d in enumerate(first)
               for b, h in enumerate(d.diff(x) for x in wrt) if h.terms]
     exact = rational and not any(h.diff(x).terms for _, _, h in second for x in wrt)
@@ -307,31 +363,42 @@ def _newton_minimize(first: tuple, wrt: tuple, cells: list, values: dict,
               tuple((sum(num(c) * values[k] for c, k in f if k not in pos),
                      [(num(c), pos[k]) for c, k in f if k in pos]) for f in forms))
              for w, targs, forms in cells]
+    # Each gradient entry is a sum of c * (w * L_a) terms and each upper
+    # Hessian entry a sum of (c1 * c2) * (w * h) terms: listed once, in the
+    # order the cells are walked, as (coefficient, cell, partial).
+    grad_terms = [[] for _ in unknowns]
+    hess_terms = {}
+    for k, (_, _, forms) in enumerate(cells):
+        for a, (_, form) in enumerate(forms):
+            for c, r in form:
+                grad_terms[r].append((c, k, a))
+        for j, (a, b, _) in enumerate(second):
+            for c1, r in forms[a][1]:
+                for c2, s in forms[b][1]:
+                    if r <= s:
+                        hess_terms.setdefault((r, s), []).append((c1 * c2, k, j))
+
+    def state(c0, form):
+        if exact:
+            return _exact_sum(c0, ((c, x[r]) for c, r in form))
+        return c0 + sum(c * x[r] for c, r in form)
+
     x = [values[k] for k in unknowns]
     for step in range(NEWTON_MAX_STEPS + 1):
-        at = [(w, targs + tuple(c0 + sum(c * x[r] for c, r in f) for c0, f in forms), forms)
-              for w, targs, forms in cells]
-        grad = [0] * len(x)
-        for w, args, forms in at:
-            for d, (_, form) in zip(first_at(*args), forms):
-                g = w * d
-                for c, r in form:
-                    grad[r] += c * g
+        at = [(w, targs + tuple(state(c0, f) for c0, f in forms)) for w, targs, forms in cells]
+        wd = [[w * d for d in first_at(*args)] for w, args in at]
+        grad = [_exact_sum(0, ((c, wd[k][a]) for c, k, a in terms)) for terms in grad_terms]
         gmax = max(map(abs, grad), default=0)
         # The Hessian is factored at every point that may be returned, a
         # stationary start included.  An exact problem's is constant, so the
         # one factored at step 0 also certifies the point that step lands on.
         if exact and step:
             break
+        wh = [[w * h for h in second_at(*args)] for w, args in at]
         # upper[r]: row r of the Hessian from the diagonal on, {column: entry}.
         upper = [{} for _ in x]
-        for w, args, forms in at:
-            for (a, b, _), h in zip(second, second_at(*args)):
-                wh = w * h
-                for c1, r in forms[a][1]:
-                    for c2, s in forms[b][1]:
-                        if r <= s:
-                            upper[r][s] = upper[r].get(s, 0) + c1 * c2 * wh
+        for (r, s), terms in hess_terms.items():
+            upper[r][s] = _exact_sum(0, ((c, wh[k][j]) for c, k, j in terms))
         for r, row in enumerate(upper):
             pivot = row.get(r, 0)
             if not pivot > 0:

@@ -48,10 +48,11 @@ def _fresh(x):
 
 @pytest.fixture
 def fraction_ops(monkeypatch):
-    """Counts of Fraction hashes, subtractions, products and divisions made
-    from now on."""
+    """Counts of Fraction hashes, sums, subtractions, products and divisions
+    made from now on."""
     counts = Counter()
-    for name, key in (("__hash__", "hash"), ("__sub__", "sub"), ("__rsub__", "sub"),
+    for name, key in (("__hash__", "hash"), ("__add__", "add"), ("__radd__", "add"),
+                      ("__sub__", "sub"), ("__rsub__", "sub"),
                       ("__mul__", "mul"), ("__rmul__", "mul"),
                       ("__truediv__", "div"), ("__rtruediv__", "div")):
         original = getattr(Fraction, name)
@@ -115,6 +116,24 @@ def test_a_warm_el_residual_on_a_table_makes_no_hash(fraction_ops):
     fraction_ops.clear()
     el_residual(p, y)
     assert fraction_ops["hash"] == 0
+
+
+def test_a_warm_el_residual_on_a_table_makes_as_many_operators_at_any_length(fraction_ops):
+    # The running integral and the raw residuals are carried in integers, and
+    # c_hat and each centred residual are built from integers: no sum,
+    # difference or product is a Fraction operator, however long the scale.
+    counts = []
+    for n in (50, 400):
+        rng = random.Random(n)
+        scale = rand_discrete_scale(rng, n)
+        y = rand_tabulation(rng, scale)
+        p = VariationalProblem(scale, scale.min, scale.max,
+                               Poly.parse("v^2 + y^2", ("t", "y", "v")))
+        el_residual(p, y)
+        fraction_ops.clear()
+        el_residual(p, y)
+        counts.append((fraction_ops["add"], fraction_ops["sub"], fraction_ops["mul"]))
+    assert counts[0] == counts[1]
 
 
 def _table_problem():

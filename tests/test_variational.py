@@ -18,9 +18,11 @@ from tsvar import (
     ProductScale,
     ScaleFn,
     TimeScale,
+    SurfaceFn,
     UnsupportedScaleError,
     VariationalProblem,
     brute_force_minimizer,
+    brute_force_minimizer_2d,
     definedness_audit,
     delta_integral,
     el_residual,
@@ -29,10 +31,11 @@ from tsvar import (
     nabla_integral_discrete,
     variational,
 )
+import tsvar.double
 from tsvar.calculus import _delta_at, _exact_sum, _integrate, _parts, _symbolic
-from tsvar.scales import check_grid_size, zero_of
+from tsvar.scales import check_grid_size, fmt_scalar, zero_of
 from tsvar.polyfn import PolyTuple
-from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
+from tsvar.variational import MINIMIZER_MAX_UNKNOWNS, NEWTON_GRAD_TOL, NEWTON_MAX_STEPS
 
 Z6 = TimeScale.discrete(range(6))
 
@@ -531,6 +534,10 @@ def _trajectory(kind, scale, c):
         return ScaleFn.from_table(scale, {t: c * t * t - t for t in scale.points()})
     if kind == "plain":
         return lambda t: 3 * t - c * t * t
+    if kind == "late-float":
+        # Exact values below c and floats from c on: the first float
+        # operand comes mid-walk.
+        return lambda t: 3 * t - c * t * t if t < c else float(3 * t - c * t * t)
 
     def refuses(t):
         if t >= c:
@@ -542,7 +549,7 @@ def _trajectory(kind, scale, c):
 @settings(max_examples=150, deadline=None)
 @given(scale=el_scales(), data=st.data(),
        kind=st.sampled_from(["poly", "scalefn-poly", "closure", "closure-deriv", "table",
-                             "plain", "raise"]),
+                             "plain", "late-float", "raise"]),
        spec=st.sampled_from(["builtin:v2", "builtin:v2+y2", "builtin:harmonic",
                              "poly:t*y + v^2 + y*v", "poly:y^3 + v^2"]),
        refinement=st.sampled_from([0, 1, 2, 3, 4] * 3 + [-1, 10 ** 5]),
@@ -555,7 +562,8 @@ def test_el_residual_is_one_integral_per_step(scale, data, kind, spec, refinemen
     p = VariationalProblem(scale, pts[i], pts[j], lagrangian_from_spec(spec))
     if kind == "table" and not scale.is_discrete:
         kind = "plain"
-    c = data.draw(st.sampled_from(pts)) if kind == "raise" else Fraction(data.draw(st.integers(-3, 3)), 2)
+    c = (data.draw(st.sampled_from(pts)) if kind in ("raise", "late-float")
+         else Fraction(data.draw(st.integers(-3, 3)), 2))
     y = _trajectory(kind, scale, c)
 
     def walked():
@@ -573,3 +581,127 @@ def test_el_residual_refusals_match_the_stepwise_reference():
         got = _outcome(lambda: (el_residual(p, y, refinement).residuals, 0, 0))
         assert got == _outcome(lambda: _stepwise_el_residual(p, y, refinement, 1e-8))
         assert got[0] in (ValueError, PreconditionError)
+
+
+# -- the minimizers give what the written Newton loop gives ----------------------
+
+
+def _written_newton_minimize(first, wrt, cells, values, unknowns, rational, finish):
+    """``_newton_minimize`` with every sum and product written as a Fraction or
+    float operator, the gradient and Hessian accumulated cell by cell: the
+    reference for the sums carried in integers."""
+    second = [(a, b, h) for a, d in enumerate(first)
+              for b, h in enumerate(d.diff(x) for x in wrt) if h.terms]
+    exact = rational and not any(h.diff(x).terms for _, _, h in second for x in wrt)
+    first_at, second_at = PolyTuple(first), PolyTuple(h for _, _, h in second)
+    num, tol = (Fraction, 0) if exact else (float, NEWTON_GRAD_TOL)
+    values = {k: num(v) for k, v in values.items()}
+    pos = {k: r for r, k in enumerate(unknowns)}
+    cells = [(num(w), tuple(map(num, targs)),
+              tuple((sum(num(c) * values[k] for c, k in f if k not in pos),
+                     [(num(c), pos[k]) for c, k in f if k in pos]) for f in forms))
+             for w, targs, forms in cells]
+    x = [values[k] for k in unknowns]
+    for step in range(NEWTON_MAX_STEPS + 1):
+        at = [(w, targs + tuple(c0 + sum(c * x[r] for c, r in f) for c0, f in forms), forms)
+              for w, targs, forms in cells]
+        grad = [0] * len(x)
+        for w, args, forms in at:
+            for d, (_, form) in zip(first_at(*args), forms):
+                g = w * d
+                for c, r in form:
+                    grad[r] += c * g
+        gmax = max(map(abs, grad), default=0)
+        if exact and step:
+            break
+        upper = [{} for _ in x]
+        for w, args, forms in at:
+            for (a, b, _), h in zip(second, second_at(*args)):
+                wh = w * h
+                for c1, r in forms[a][1]:
+                    for c2, s in forms[b][1]:
+                        if r <= s:
+                            upper[r][s] = upper[r].get(s, 0) + c1 * c2 * wh
+        for r, row in enumerate(upper):
+            pivot = row.get(r, 0)
+            if not pivot > 0:
+                raise PreconditionError(f"pivot {fmt_scalar(pivot)} at {unknowns[r]}")
+            for s, h in row.items():
+                if s > r:
+                    ratio = h / pivot
+                    for c, hc in row.items():
+                        if c >= s:
+                            upper[s][c] = upper[s].get(c, 0) - ratio * hc
+                    grad[s] -= ratio * grad[r]
+        if gmax <= tol or step == NEWTON_MAX_STEPS:
+            break
+        for r in reversed(range(len(x))):
+            row = upper[r]
+            grad[r] = (grad[r] - sum(h * grad[c] for c, h in row.items() if c > r)) / row[r]
+            x[r] -= grad[r]
+    values.update(zip(unknowns, x))
+    if gmax > tol:
+        raise ConvergenceError(f"stopped at {gmax!r}", estimate=None, error=gmax)
+    return finish(values)
+
+
+def _minimized(call, points):
+    """The values ``call`` returns at ``points``, by type and repr, or the type
+    of what it raises (the reference words its messages more briefly)."""
+    try:
+        y = call()
+    except (PreconditionError, ConvergenceError) as exc:
+        return type(exc)
+    return [(type(v), repr(v)) for v in map(y, points)]
+
+
+@st.composite
+def minimizer_axes(draw, mode):
+    """Two to six ascending points on a grid of halves, thirds or sevenths, as
+    a rational or a float scale."""
+    unit = Fraction(1, draw(st.sampled_from([2, 3, 7])))
+    steps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    pts = [unit * draw(st.integers(-4, 4))]
+    for k in steps:
+        pts.append(pts[-1] + unit * k)
+    if mode == FLOAT:
+        return TimeScale.discrete(map(float, pts), mode=FLOAT)
+    return TimeScale.discrete(pts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from([RATIONAL, FLOAT]), data=st.data(),
+       spec=st.sampled_from(["builtin:v2", "builtin:v2+y2", "builtin:harmonic",
+                             "poly:2*v^2 + y^2 + t*y - y + (1/3)*y*v", "poly:v^2 + y^4",
+                             "poly:v^4 + v^2 - t*y"]),
+       ends=st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 2))
+def test_brute_force_minimizer_matches_the_written_newton_loop(mode, data, spec, ends):
+    scale = data.draw(minimizer_axes(mode))
+    ya, yb = (float(e) for e in ends) if mode == FLOAT else ends
+    p = VariationalProblem(scale, scale.min, scale.max, lagrangian_from_spec(spec), ya, yb)
+    got = _minimized(lambda: brute_force_minimizer(p), scale.points())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variational, "_newton_minimize", _written_newton_minimize)
+        assert got == _minimized(lambda: brute_force_minimizer(p), scale.points())
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from([RATIONAL, FLOAT]), data=st.data(),
+       spec=st.sampled_from(["y1^2 + y2^2", "y1^2 + y2^2 + y0^2 + (1/2)*y1*y2 + t1*y0 - y2",
+                             "y1^2 + y2^2 + y0^4", "y1^2 + y2^2 - 10*y0^2"]))
+def test_brute_force_minimizer_2d_matches_the_written_newton_loop(mode, data, spec):
+    ax1, ax2 = data.draw(minimizer_axes(mode)), data.draw(minimizer_axes(mode))
+    boundary = Poly.parse("t1*t2 - 2*t1 + 1/3", ("t1", "t2"))
+    dp = DoubleProblem(ProductScale(ax1, ax2), ax1.min, ax1.max, ax2.min, ax2.max,
+                       Poly.parse(spec, ("t1", "t2", "y0", "y1", "y2")),
+                       SurfaceFn.from_callable(ax1, ax2, boundary))
+    grid = [(t1, t2) for t1 in ax1.points() for t2 in ax2.points()]
+
+    def minimize():
+        u = brute_force_minimizer_2d(dp)
+        return lambda point: u.val(*point)
+
+    got = _minimized(minimize, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tsvar.double, "_newton_minimize", _written_newton_minimize)
+        assert got == _minimized(minimize, grid)
