@@ -21,9 +21,9 @@ data are polynomial: the integrand is evaluated once at a symbolic
 node, a ``Poly`` variable, and the piece [c, d] contributes F(d) - F(c)
 of its antiderivative F.  Only ``Poly`` data ever sees the node; anything
 else (a plain callable, a polynomial past the size limits, a float scale)
-sends the piece to adaptive Simpson in floats, through the ``_simpson``
-wrapper that ``_integrate`` shares with the running integral of
-``el_residual``, and the integral is a float.
+sends the piece to adaptive Simpson in floats, and the integral is a float.
+One function, ``_dense_steps``, takes every dense step this way, for
+``_integrate`` and for the grid steps of ``el_residual``.
 
 Every point or node an entry point reads lies in a piece of its own
 axes: a grid or gap point, or a float quadrature node (of adaptive
@@ -545,35 +545,47 @@ def _symbolic(*fns):
     return _X1 if all(isinstance(f, AxesFn) for f in fns) else None
 
 
-def _primitive(scale: TimeScale, dense, node):
-    """The exact antiderivative, in ``node``'s variable, of the dense
-    integrand ``dense``, or None when Simpson must run: no node, a float
-    scale, data that is not polynomial, or a polynomial past the size
-    limits."""
-    if node is None or scale.mode != RATIONAL:
-        return None
-    try:
-        value = dense(node)
-        if isinstance(value, Poly):
-            return value.integrate(_NODE_VARS[_node_var(node)])
-        if isinstance(value, (int, Fraction)):
-            return node * value
-    except (_NotPolynomial, PolySizeError):
-        pass
-    return None
+def _dense_steps(scale: TimeScale, dense_on, i: int, node, tol: float, exact_only: bool):
+    """The dense steps of one integral, built at its first dense part, in
+    piece i: ``(step, exact)``, where ``step(i, c, d)`` integrates
+    ``dense_on(i)`` over [c, d] inside the dense piece i.  A step is F(d) -
+    F(c) of the exact antiderivative F of the integrand at the symbolic
+    ``node`` on a rational scale, when that is a polynomial within the size
+    limits; F at the end of the previous step is kept.  Otherwise it is
+    adaptive Simpson's float, where a value no float holds raises
+    ``DomainError``, or, with ``exact_only``, ``_NotPolynomial`` is raised."""
+    primitive = None
+    if node is not None and scale.mode == RATIONAL:
+        try:
+            value = dense_on(i)(node)
+            if isinstance(value, Poly):
+                primitive = value.integrate(_NODE_VARS[_node_var(node)])
+            elif isinstance(value, (int, Fraction)):
+                primitive = node * value
+        except (_NotPolynomial, PolySizeError):
+            pass
+    if primitive is not None:
+        k, last_d, last_f = _node_var(node), None, None  # the last step's d and F(d)
 
+        def exact(i, c, d):
+            nonlocal last_d, last_f
+            f_c = last_f if c is last_d else primitive.subs(k, c)
+            last_d, last_f = d, primitive.subs(k, d)
+            return last_f - f_c
+        return exact, True
+    if exact_only:
+        raise _NotPolynomial
 
-def _simpson(dense, c, d, tol: float) -> float:
-    """Adaptive Simpson's value of the dense integrand ``dense`` over [c, d],
-    in floats: every numeric dense integral goes through here.  An exact
-    value that no float holds raises ``DomainError``."""
-    try:
-        return adaptive_simpson(lambda x: float(dense(x)), float(c), float(d), tol)[0]
-    except OverflowError:
-        raise DomainError(
-            f"a value of the dense integrand on [{fmt_scalar(c)}, {fmt_scalar(d)}] "
-            f"is past the float range"
-        ) from None
+    def simpson(i, c, d):
+        dense = dense_on(i)
+        try:
+            return adaptive_simpson(lambda x: float(dense(x)), float(c), float(d), tol)[0]
+        except OverflowError:
+            raise DomainError(
+                f"a value of the dense integrand on [{fmt_scalar(c)}, {fmt_scalar(d)}] "
+                f"is past the float range"
+            ) from None
+    return simpson, False
 
 
 def _parts(scale: TimeScale, a, b):
@@ -596,31 +608,25 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
     right-scattered t, with the forward jump st = sigma(t) and mu that
     ``_decompose`` read off the piece tuple.  ``dense_on(i)`` is the
     continuous restriction of the integrand on the dense piece i, a callable
-    of a float quadrature node or of the symbolic ``node``.  Its
-    antiderivative is built at the first dense piece; without one, each dense
-    piece goes to ``_simpson``, or, with ``exact_only``, ``_NotPolynomial``
-    is raised."""
-    cache = {}
+    of a float quadrature node or of the symbolic ``node``; each dense part
+    is one step of ``_dense_steps``, built at the first, and its Simpson
+    values are added apart, in floats."""
     simpson = []
 
     def terms():
-        # Gap terms and exact dense pieces, as (weight, value); Simpson
-        # pieces are kept apart and added in floats.
+        # Gap terms and exact dense parts, as (weight, value).
+        step = None
         for kind, payload in parts:
             if kind == "gap":
                 yield payload[3], point_value(payload)
                 continue
-            i, c, d = payload
-            if "primitive" not in cache:
-                cache["primitive"] = _primitive(scale, dense_on(i), node)
-            primitive = cache["primitive"]
-            if primitive is not None:
-                k = _node_var(node)
-                yield 1, primitive.subs(k, d) - primitive.subs(k, c)
-            elif exact_only:
-                raise _NotPolynomial
+            if step is None:
+                step, exact_steps = _dense_steps(scale, dense_on, payload[0], node, tol,
+                                                 exact_only)
+            if exact_steps:
+                yield 1, step(*payload)
             else:
-                simpson.append(_simpson(dense_on(i), c, d, tol))
+                simpson.append(step(*payload))
 
     exact = _exact_sum(zero_of(scale), terms())
     if simpson:
@@ -748,7 +754,8 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
     A junction is the right endpoint of an interval piece that is also
     right-scattered.  A continuously differentiable function would make
     both numbers agree; a mismatch is reported, not rejected, since
-    rd-continuous calculus remains valid either way.
+    rd-continuous calculus remains valid either way.  Two exact numbers
+    mismatch when they differ; ``tol`` bounds the difference of floats.
     """
     fn = _data(scale, fn)[0]
     a = scale.require(a) if a is not None else scale.min
@@ -761,7 +768,8 @@ def junction_audit(scale: TimeScale, fn, a=None, b=None, tol: float = 1e-6) -> l
             continue
         slope = _classical_slope(scale, fn, hi, (max(lo, a), hi), LIMIT_TOL)[0]
         quot = _delta_at(scale, fn, (k, hi), sigma)[0]
-        if abs(slope - float(quot)) > tol:
+        exact = isinstance(slope, (int, Fraction)) and isinstance(quot, (int, Fraction))
+        if slope != quot if exact else abs(slope - float(quot)) > tol:
             findings.append(
                 f"derivative jump at t={fmt_scalar(hi)}: dense-side slope "
                 f"{fmt_scalar(slope)} vs gap quotient {fmt_scalar(quot)}"

@@ -285,7 +285,8 @@ class TimeScale(_Record):
 
     # The indexed view (see the module docstring), built by ``_index``, is
     # neither shown nor compared: ``_lows``, ``_ids``, ``_discrete`` and
-    # ``_parent``; the gaps and the isolated-point hash are cached properties.
+    # ``_parent``; the gaps, the isolated-point hash and the truncation
+    # (``truncate_k``) are cached properties.
     _shown = _compared = ("pieces", "mode", "eps")
     # The last scale ``_cut_from`` found equal to this one.
     _equal = None
@@ -523,7 +524,12 @@ class TimeScale(_Record):
     # -- derived scales ---------------------------------------------------
 
     def truncate_k(self) -> "TimeScale":
-        """Drop the maximum when it is left-scattered, else return self."""
+        """Drop the maximum when it is left-scattered, else return self.  The
+        cut scale is built at the first call and kept."""
+        return self._truncated
+
+    @cached_property
+    def _truncated(self) -> "TimeScale":
         pieces = self.pieces
         # A left-scattered maximum is an isolated point with a piece below.
         if len(pieces) > 1 and pieces[-1][0] == pieces[-1][1]:

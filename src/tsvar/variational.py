@@ -12,9 +12,8 @@ instead of eliminating (see ``fl_kernel``).
 Exact sums are carried in integers, as ``calculus._exact_sum`` carries them:
 ``el_residual``'s running integral and raw residuals over one running
 denominator, and each entry of the minimizer's gradient and Hessian as one
-sum over the cells that touch it.  Dense steps of ``el_residual`` keep their
-written arithmetic, and float and ``Poly`` operands get the written
-expressions, so float results keep their bits.
+sum over the cells that touch it.  Float and ``Poly`` operands get the
+written expressions, so float results keep their bits.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _exact_sum, _node_var,
-                       _primitive, _quotient, _ratio_sum, _simpson, _symbolic)
+from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _dense_steps, _exact_sum,
+                       _quotient, _ratio_sum, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolyTuple
 from .quadrature import LIMIT_TOL, QUAD_TOL
@@ -149,32 +148,24 @@ def definedness_audit(p: VariationalProblem) -> list:
     return ["no gap"]
 
 
-def _settled(num: int, den: int, raw: list) -> tuple:
-    """``el_residual``'s running integral ``num / den`` and raw residuals
-    ``(t, n, d)``, each n / d, as the Fractions the written walk holds."""
-    return Fraction(num, den), [(t, Fraction(n, d)) for t, n, d in raw]
-
-
 def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 tol: float = QUAD_TOL) -> ELReport:
     """Residual r(t) = L_v(t) - integral of L_y from a to t - c_hat.
 
     Evaluated on the grid of [a, rho(b)]; c_hat is the least-squares
-    constant (the mean of the raw residuals).  The integral is one running
-    sum, carried forward along the grid piece by piece: the gap after a
-    right-scattered t adds mu(t) L_y(t), and a step inside a dense piece
-    adds F(t) - F(prev) of the exact antiderivative F of L_y or, without
-    one, ``_simpson`` on [prev, t], as ``_integrate`` would.  Each point is
-    read once, by piece index.  A grid above ``GRID_MAX_POINTS`` points
-    raises ``PreconditionError``.
+    constant (the mean of the raw residuals).  A walk reads each grid point
+    once, by piece index, and lists L_v(t) with the step of the integral
+    that ends at t: mu L_y across a gap, or a dense step over [prev, t] of
+    ``calculus._dense_steps``, as ``_integrate`` takes it.  One pass then
+    adds the steps.  A grid above ``GRID_MAX_POINTS`` points raises
+    ``PreconditionError``.
 
-    On a rational scale the exact sums are carried in integers: the running
-    sum and each raw residual over one running denominator (``_ratio_sum``),
-    and c_hat, each centred residual and the largest |residual| are each one
-    Fraction.  At the first dense step, or the first operand that is not an
-    int or a Fraction (a float, or a ``Poly`` at a symbolic node), the sums
-    become the Fractions they equal and the walk goes on with the written
-    expressions, so dense steps keep their arithmetic and floats their bits."""
+    While every step and L_v is an int or a Fraction, the pass adds in
+    integers: the integral and each raw residual over one running
+    denominator (``_ratio_sum``), and c_hat, each centred residual and the
+    largest |residual| as one Fraction each.  Otherwise it adds the list
+    from the top with the written expressions, which give the same
+    Fractions on an exact prefix, so floats keep their bits."""
     world = p.world
     span = world.truncate_k()  # [a, rho(b)]
     check_grid_size(dense_refinement, span)
@@ -185,38 +176,17 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
         # (x, y(x), y_delta(x)) at a node x of the dense piece i: sigma(x) = x there.
         return lambda x: p.partial_y(x, y(x), _delta_at(world, y_hat, (i, x), x)[0])
 
-    node = _symbolic(y_hat)
-    primitive = False  # built at the first dense step, as _integrate builds it
-    # While acc is None the integral is num / den, and raw holds (t, n, d):
-    # the raw residual at t is n / d, and d divides den.
-    num, den = 0, 1
-    acc = None if world.mode == RATIONAL else zero_of(world)
-    raw = []
+    # The walk: (t, L_v(t), step), the step a (weight, value) pair or None.
+    walk, dense, step = [], None, None
     for i, (lo, hi) in enumerate(span.pieces):
         if i:
             # The gap after the last point, whose y(sigma) is y at lo.
-            gap, ly = world._gaps[i - 1], p.partial_y(*args)
-            if acc is None:
-                num, den, rest = _ratio_sum(num, den, ((gap, ly),))
-                if rest is not None:
-                    acc, raw = _settled(num, den, raw)
-            if acc is not None:
-                acc = acc + gap * ly
-            y_lo = y_st
-        f_prev = None
+            step, y_lo = (world._gaps[i - 1], p.partial_y(*args)), y_st
         for t in world._piece_grid(lo, hi, dense_refinement):
             if t is not lo and t != prev:
-                if acc is None:
-                    acc, raw = _settled(num, den, raw)
-                if primitive is False:
-                    primitive = _primitive(world, ly_on(i), node)
-                if primitive is None:
-                    acc = acc + _simpson(ly_on(i), prev, t, tol)
-                else:
-                    k = _node_var(node)
-                    f_prev = primitive.subs(k, prev) if f_prev is None else f_prev
-                    f_t = primitive.subs(k, t)
-                    acc, f_prev = acc + (f_t - f_prev), f_t
+                if dense is None:
+                    dense = _dense_steps(world, ly_on, i, _symbolic(y_hat), tol, False)[0]
+                step = (1, dense(i, prev, t))
             prev = t
             # (t, y(sigma(t)), y_delta(t)), for L_v here and L_y at the gap
             # after a right-scattered t, where y(sigma(t)) is read first.
@@ -228,19 +198,26 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 y_st = y(st)
                 y_t = y_lo if i and t is lo else y(t)
                 args = (t, y_st, _quotient(y_st, y_t, world._gaps[i]))
-            lv = p.partial_v(*args)
-            if acc is None:
-                # L_v - acc, over a denominator that den then takes on.
-                n, d, rest = _ratio_sum(-num, den, ((1, lv),))
-                if rest is None:
-                    raw.append((t, n, d))
-                    num, den = num * (d // den), d
-                else:
-                    acc, raw = _settled(num, den, raw)
-            if acc is not None:
-                raw.append((t, lv - acc))
+            walk.append((t, p.partial_v(*args), step))
+            step = None
 
-    if acc is None:
+    # The pass, in integers: the integral is num / den, and raw holds
+    # (t, n, d), the raw residual at t as n / d, where d divides den.
+    num, den, raw = 0, 1, []
+    if world.mode == RATIONAL:
+        for t, lv, step in walk:
+            if step is not None:
+                num, den, rest = _ratio_sum(num, den, (step,))
+                if rest is not None:
+                    break
+            # L_v - num / den, over a denominator that den then takes on.
+            n, d, rest = _ratio_sum(-num, den, ((1, lv),))
+            if rest is not None:
+                break
+            raw.append((t, n, d))
+            num, den = num * (d // den), d
+
+    if len(raw) == len(walk):
         # Over den, a multiple of every d, the raw residuals sum to one integer.
         c_hat = Fraction(sum(n * (den // d) for _, n, d in raw), den * len(raw))
         cn, cd = c_hat.as_integer_ratio()
@@ -252,8 +229,14 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
                 top = abs(n), d
         residuals, max_abs = tuple(residuals), Fraction(*top)
     else:
-        # Exact residuals are summed in integers, floats left to right: the
-        # builtin sum compensates float sums from Python 3.12 on.
+        # The written fold.  Exact residuals are summed in integers, floats
+        # left to right: the builtin sum compensates float sums from Python
+        # 3.12 on.
+        acc, raw = zero_of(world), []
+        for t, lv, step in walk:
+            if step is not None:
+                acc = acc + step[0] * step[1]
+            raw.append((t, lv - acc))
         c_hat = _exact_sum(0, ((1, r) for _, r in raw)) / len(raw)
         residuals = tuple((t, r - c_hat) for t, r in raw)
         max_abs = max(abs(r) for _, r in residuals)

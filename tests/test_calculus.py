@@ -930,6 +930,16 @@ class TestJunctionAudit:
         fn = ScaleFn.from_callable(HYBRID, lambda t: 2.0 * t, deriv=lambda t: 2.0)
         assert junction_audit(HYBRID, fn) == []
 
+    def test_an_exact_jump_below_tol_is_reported(self):
+        # Slope 2 against the quotient 2 + 1e-7: tol bounds floats only.
+        for gap in (Fraction(1, 10 ** 5), Fraction(1, 10 ** 7)):
+            s = TimeScale(((0, 1), 1 + gap))
+            findings = junction_audit(s, Poly.parse("t^2", ("t",)))
+            assert findings == [f"derivative jump at t=1: dense-side slope 2 vs gap quotient "
+                                f"{2 + gap}"]
+        s = TimeScale(((0, 1), Fraction(3, 2)))
+        assert junction_audit(s, Poly.parse("2*t", ("t",))) == []
+
     def test_skips_junction_without_dense_side_in_range(self):
         # a = 1 leaves [1, 1] of the interval: nothing dense to take a slope on.
         s = TimeScale(((0, 1), 2))

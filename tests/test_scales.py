@@ -108,6 +108,8 @@ class TestDerivedScales:
         s = TimeScale.discrete(range(4))
         assert s.truncate_k().points() == [Fraction(k) for k in range(3)]
         assert s.truncate_k2().points() == [Fraction(k) for k in range(2)]
+        # The cut is built once: el_residual truncates its world at every call.
+        assert s.truncate_k() is s.truncate_k() and s.truncate_k2() is s.truncate_k2()
 
     def test_truncate_k_keeps_left_dense_max(self):
         s = TimeScale.interval(0, 1)

@@ -551,7 +551,7 @@ def _trajectory(kind, scale, c):
        kind=st.sampled_from(["poly", "scalefn-poly", "closure", "closure-deriv", "table",
                              "plain", "late-float", "raise"]),
        spec=st.sampled_from(["builtin:v2", "builtin:v2+y2", "builtin:harmonic",
-                             "poly:t*y + v^2 + y*v", "poly:y^3 + v^2"]),
+                             "poly:t*y + v^2 + y*v", "poly:y^3 + v^2", "poly:t*v + y^2"]),
        refinement=st.sampled_from([0, 1, 2, 3, 4] * 3 + [-1, 10 ** 5]),
        tol=st.sampled_from([1e-6, 1e-9]))
 def test_el_residual_is_one_integral_per_step(scale, data, kind, spec, refinement, tol):
