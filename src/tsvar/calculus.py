@@ -66,7 +66,10 @@ Fraction values over a Fraction gap they are formed in integers and
 normalized once, and any other operands get the written expression.  A
 factor times a jump quotient, such as the gap term f(sigma) g^Delta of a
 by-parts integral, is the same one Fraction, and the gaps mu of a rational
-scale are themselves built from integers once (``TimeScale._gaps``).
+scale are themselves built from integers once (``TimeScale._gaps``).  Each
+such exact value is built once from its integer numerator and denominator
+by ``polyfn._fraction``: one gcd, and none of ``Fraction.__new__``'s type
+dispatch.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from fractions import Fraction
 from math import gcd, isfinite
 
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
-from .polyfn import Poly, PolySizeError
+from .polyfn import Poly, PolySizeError, _fraction
 from .quadrature import LIMIT_TOL, QUAD_TOL, adaptive_simpson, richardson_limit
 from .scales import (
     RATIONAL,
@@ -418,7 +421,7 @@ def _quotient(hi, lo, gap, c=None) -> Num:
         if c is not None:
             cn, cd = c.as_integer_ratio()
             num, den = cn * num, cd * den
-        return Fraction(num, den)
+        return _fraction(num, den)
     if c is None:
         return (hi - lo) / gap
     return c * ((hi - lo) / gap)
@@ -530,9 +533,9 @@ def _exact_sum(zero, terms) -> Num:
         num, den = zero.as_integer_ratio()
         num, den, rest = _ratio_sum(num, den, terms)
         if rest is None:
-            return Fraction(num, den)
+            return _fraction(num, den)
         w, v = rest
-        total = Fraction(num, den) + w * v
+        total = _fraction(num, den) + w * v
     for w, v in terms:
         total = total + w * v
     return total

@@ -235,7 +235,7 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
 
     def check(t1, t2):
         v = eta.val(t1, t2)
-        nonzero = (v != 0) if isinstance(v, Fraction) else abs(float(v)) > 1e-12
+        nonzero = (v != 0) if isinstance(v, (int, Fraction)) else abs(float(v)) > 1e-12
         if nonzero:
             bad.append((t1, t2))
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import DomainError
@@ -57,6 +57,21 @@ _TOKEN = re.compile(
 
 
 _EXACT = (int, Fraction)
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for the ints ``n`` and ``d``, without the type
+    dispatch of ``Fraction.__new__``: one gcd, and the two slots set as
+    ``Fraction.__new__`` sets them on Python 3.10-3.13.  ``d == 0`` raises
+    ``ZeroDivisionError``, as ``Fraction(n, 0)`` does."""
+    g = gcd(n, d)
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        g = -g
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n // g, d // g
+    return f
 
 
 def _check_bits(c: Fraction) -> None:
@@ -119,7 +134,7 @@ def _values(plan: tuple, args) -> list:
             num = 0
             for n, pairs in terms:
                 num += n * table[pairs[0][1]] if pairs else n * scale
-            values.append(Fraction(num, den * scale))
+            values.append(_fraction(num, den * scale))
         return values
     tables, q_tops = [], []
     scale = 1
@@ -144,7 +159,7 @@ def _values(plan: tuple, args) -> list:
                     n *= tables[k][e]
                     own *= q_tops[k]
                 num += n * (scale // own)
-        values.append(Fraction(num, den * scale))
+        values.append(_fraction(num, den * scale))
     return values
 
 
@@ -377,7 +392,7 @@ class Poly:
             rest = expo[:i] + (0,) + expo[i + 1:]
             n *= table[expo[i]]
             out[rest] = out[rest] + n if rest in out else n
-        out = {e: Fraction(n, den) for e, n in out.items() if n}
+        out = {e: _fraction(n, den) for e, n in out.items() if n}
         if not any(any(expo) for expo in out):
             return sum(out.values(), Fraction(0))
         return Poly._make(self.variables, out)

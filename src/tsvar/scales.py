@@ -41,6 +41,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
+from .polyfn import _fraction
 
 Num = Fraction | float
 
@@ -331,9 +332,10 @@ class TimeScale(_Record):
     def _gaps(self) -> tuple:
         """The gap from each piece to the next, computed at the first read.
 
-        On a rational scale each gap is one Fraction built from the integer
-        ratios of its two ends, which skips the operator dispatch of a
-        Fraction subtraction; a float scale subtracts."""
+        On a rational scale each gap is built once from the integer ratios
+        of its two ends by ``_fraction``, which skips the operator dispatch of
+        a Fraction subtraction and the type dispatch of ``Fraction.__new__``;
+        a float scale subtracts."""
         pieces = self.pieces
         ends = zip(pieces, pieces[1:])
         if self.mode != RATIONAL:
@@ -342,7 +344,7 @@ class TimeScale(_Record):
         for (_, hi), (nxt, _) in ends:
             hn, hd = hi.as_integer_ratio()
             nn, nd = nxt.as_integer_ratio()
-            gaps.append(Fraction(nn * hd - hn * nd, nd * hd))
+            gaps.append(_fraction(nn * hd - hn * nd, nd * hd))
         return tuple(gaps)
 
     @cached_property
@@ -565,13 +567,18 @@ class TimeScale(_Record):
         point, else lo, ``refinement`` equally spaced samples and hi.  The
         pieces of ``discrete`` scales and their slices hold one object as lo
         and hi, so the identity test spares most isolated points a Fraction
-        compare."""
+        compare.  On a rational scale sample k is lo + (hi - lo) * k / n,
+        built from integers over one denominator per piece."""
         if lo is hi or lo == hi:
             return [lo]
-        width, n = hi - lo, refinement + 1
-        if self.mode == RATIONAL:
-            return [lo, *(lo + width * Fraction(k, n) for k in range(1, n)), hi]
-        return [lo, *(lo + width * k / n for k in range(1, n)), hi]
+        n = refinement + 1
+        if self.mode != RATIONAL:
+            width = hi - lo
+            return [lo, *(lo + width * k / n for k in range(1, n)), hi]
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        base, step, den = ln * hd * n, hn * ld - ln * hd, ld * hd * n
+        return [lo, *(_fraction(base + step * k, den) for k in range(1, n)), hi]
 
     # -- serialization ----------------------------------------------------
 

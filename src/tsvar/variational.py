@@ -24,7 +24,7 @@ from fractions import Fraction
 from .calculus import (ScaleFn, _classical_slope, _data, _delta_at, _dense_steps, _exact_sum,
                        _quotient, _ratio_sum, _symbolic)
 from .errors import ConvergenceError, PreconditionError, UnsupportedScaleError
-from .polyfn import Poly, PolyTuple
+from .polyfn import Poly, PolyTuple, _fraction
 from .quadrature import LIMIT_TOL, QUAD_TOL
 from .scales import (RATIONAL, Num, TimeScale, _Record, check_grid_size, fmt_scalar,
                      json_object, scalar_from_json, zero_of)
@@ -219,15 +219,15 @@ def el_residual(p: VariationalProblem, y_hat, dense_refinement: int = 32,
 
     if len(raw) == len(walk):
         # Over den, a multiple of every d, the raw residuals sum to one integer.
-        c_hat = Fraction(sum(n * (den // d) for _, n, d in raw), den * len(raw))
+        c_hat = _fraction(sum(n * (den // d) for _, n, d in raw), den * len(raw))
         cn, cd = c_hat.as_integer_ratio()
         residuals, top = [], (0, 1)
         for t, n, d in raw:
             n, d = n * cd - cn * d, d * cd
-            residuals.append((t, Fraction(n, d)))
+            residuals.append((t, _fraction(n, d)))
             if abs(n) * top[1] > top[0] * d:
                 top = abs(n), d
-        residuals, max_abs = tuple(residuals), Fraction(*top)
+        residuals, max_abs = tuple(residuals), _fraction(*top)
     else:
         # The written fold.  Exact residuals are summed in integers, floats
         # left to right: the builtin sum compensates float sums from Python

@@ -263,6 +263,16 @@ class TestFirstVariation:
         with pytest.raises(PreconditionError):
             first_variation(dp, u, leaky)
 
+    def test_an_int_past_the_float_range_is_refused(self):
+        # An int value is compared exactly, as a Fraction is: 10^400 at
+        # (0, 1) is a nonzero boundary value, not a float overflow.
+        dp = grad2_problem(AX4, AX4)
+        u = SurfaceFn.from_callable(AX4, AX4, lambda a, b: a + b)
+        eta = SurfaceFn.from_callable(AX4, AX4, lambda a, b: 10**400 if (a, b) == (0, 1) else 0)
+        for call in (first_variation, derivation_chain_check):
+            with pytest.raises(PreconditionError, match=r"nonzero at \(0, 1\) and 0 more"):
+                call(dp, u, eta)
+
     def test_matches_symmetric_difference_of_action(self):
         poly = Poly.parse("y1^2 + y2^2 + y0^2 + t2*y0", VARS2)
         ps = ProductScale(AX5, AX5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvar import DomainError, Poly
-from tsvar.polyfn import POLY_MAX_COEFF_BITS, PolySizeError, PolyTuple
+from tsvar.polyfn import POLY_MAX_COEFF_BITS, PolySizeError, PolyTuple, _fraction
 
 
 class TestParse:
@@ -428,3 +428,24 @@ class TestSizeLimitsThroughTheKernel:
         assert p.subs(0, 2 ** 40).terms == {(0, 1): Fraction(2) ** 4000}
         # With no variable left the result is a scalar, which no limit bounds.
         assert Poly.parse("x1^100", XY).subs(0, 2 ** 50) == 2 ** 5000
+
+
+_WIDE = st.integers(-2**200, 2**200)
+
+
+class TestFractionConstructor:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.just(0), _WIDE), d=_WIDE.filter(bool), g=st.integers(1, 2**64))
+    def test_matches_the_fraction_constructor(self, n, d, g):
+        # The common factor g makes the gcd do work on most draws.
+        for n, d in ((n, d), (n * g, d * g)):
+            got, want = _fraction(n, d), Fraction(n, d)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert hash(got) == hash(want)
+            assert repr(got) == repr(want)
+
+    @given(n=st.one_of(st.just(0), _WIDE))
+    def test_a_zero_denominator_raises(self, n):
+        with pytest.raises(ZeroDivisionError):
+            _fraction(n, 0)

@@ -491,3 +491,26 @@ def test_gaps_equal_the_written_differences(drawn, warm):
                 assert type(got) is Fraction and got == w
             else:
                 assert type(got) is float and got.hex() == w.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_gap_scales(), refinement=st.integers(0, 12))
+def test_grid_points_are_the_written_samples(drawn, refinement):
+    scale, n = drawn[0], refinement + 1
+    want = []
+    for lo, hi in scale.pieces:
+        if lo == hi:
+            want.append(lo)
+            continue
+        width = hi - lo
+        if scale.mode == RATIONAL:
+            want += [lo, *(lo + width * Fraction(k, n) for k in range(1, n)), hi]
+        else:
+            want += [lo, *(lo + width * k / n for k in range(1, n)), hi]
+    got = scale.grid(refinement)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if scale.mode == RATIONAL:
+            assert type(g) is Fraction and g == w
+        else:
+            assert type(g) is float and g.hex() == w.hex()
