@@ -40,7 +40,11 @@ up, and refused off the data's scale.  A ``section`` is not bound: it
 reads its parent as the parent is bound.  An integral locates its two
 ends once, walks the pieces between by index, and hands each dense
 piece's index to the integrand, so that a slope at a node (``_delta_at``)
-is never located again.  An iterated integral (``_iterated``) locates and
+is never located again.  Each gap is named by the index of the piece it
+follows, and the integrand reads its data there by that index: a one-axis
+table with a value at every point, on its own axis or an equal one, is
+read straight from its list (``_gap_reader``), any other datum at the
+gap's point.  An iterated integral (``_iterated``) locates and
 decomposes the range of each axis once per call, so that every point of
 the outer axis walks the same list of inner parts.
 
@@ -76,7 +80,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isfinite
+from operator import is_not
 
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolySizeError, _fraction
@@ -155,9 +161,10 @@ class AxesFn:
     ``partials`` (None where it has none), which a ``Poly`` supplies itself.
     ``ScaleFn`` and ``SurfaceFn`` are its one- and two-axis constructors.
     ``cut`` marks, per axis, whether the datum was bound (``on``) to a scale
-    cut from that axis."""
+    cut from that axis.  ``full`` tells whether the datum is a one-axis
+    table with a value at every point, decided once, at construction."""
 
-    __slots__ = ("axes", "func", "partials", "table", "cut")
+    __slots__ = ("axes", "func", "partials", "table", "cut", "full")
 
     def __init__(self, axes, func, partials, table, cut=None):
         if None in partials and isinstance(func, Poly) and len(func.variables) == len(axes):
@@ -165,6 +172,10 @@ class AxesFn:
                              for x, d in zip(func.variables, partials))
         self.axes, self.func, self.partials, self.table = axes, func, partials, table
         self.cut = (False,) * len(axes) if cut is None else cut
+        # An identity test per value: ``None in table`` would call each
+        # Fraction's ``__eq__``.
+        self.full = (table is not None and len(axes) == 1
+                     and all(map(is_not, table, repeat(None))))
 
     def __call__(self, t, *more, d=None):
         """The one reader: the value at ``(t, *more)``, one coordinate per
@@ -467,32 +478,58 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
 
 
 def _decompose(scale: TimeScale, start, end):
-    """Split [a, b] into ('gap', (None, t, sigma, mu)) and ('dense', (k, c, d))
-    parts, in order.
+    """Split [a, b] into ('gap', k) and ('dense', (k, c, d)) parts, in order.
 
-    Gap entries are the places of the right-scattered t in [a, b), as
-    ``_iterated`` hands them to its integrand: t with its forward jump
-    sigma(t) and graininess mu(t), contributing mu(t) f(t) exactly; dense
-    entries carry their piece index k and the clipped bounds.  ``start``
-    and ``end`` are ``(i, a)`` and ``(j, b)`` as ``TimeScale._find`` located
-    them; every other bound, jump and gap is read off the scale's indexed
-    view."""
-    pieces, gaps = scale.pieces, scale._gaps
+    A gap part is named by the index k of the piece it follows: its
+    right-scattered t in [a, b) is the piece's high, ``scale._highs[k]``,
+    its forward jump sigma(t) the next piece's low, ``scale._lows[k + 1]``,
+    and its graininess mu(t) is ``scale._gaps[k]``; it contributes
+    mu(t) f(t) exactly.  A dense part carries its piece index k and the
+    clipped bounds.  ``start`` and ``end`` are ``(i, a)`` and ``(j, b)`` as
+    ``TimeScale._find`` located them; every other bound is read off the
+    scale's indexed view."""
+    lows, highs = scale._lows, scale._highs
     (i, a), (j, b) = start, end
-    c = max(pieces[i][0], a)
+    c = max(lows[i], a)
     # Each piece k < j ends below b, at a right-scattered point whose
     # forward jump is the low of piece k + 1.  At an isolated point c is
     # usually hi itself, and the identity test spares a Fraction compare.
     for k in range(i, j):
-        hi = pieces[k][1]
-        nxt = pieces[k + 1][0]
+        hi = highs[k]
         if c is not hi and c < hi:
             yield ("dense", (k, c, hi))
-        yield ("gap", (None, hi, nxt, gaps[k]))
-        c = nxt
-    d = min(pieces[j][1], b)
+        yield ("gap", k)
+        c = lows[k + 1]
+    d = min(highs[j], b)
     if c < d:
         yield ("dense", (j, c, d))
+
+
+def _by_index(scale: TimeScale, fn):
+    """The table of ``fn`` when it is read by piece index on ``scale``: a
+    one-axis table with a value at every point (``AxesFn.full``) on
+    ``scale`` or on an axis equal to it, whose point k is then the piece k
+    of ``scale``.  Else None."""
+    if type(fn) is ScaleFn and fn.full:
+        axis = fn.axes[0]
+        if axis is scale or axis == scale:
+            return fn.table
+    return None
+
+
+def _gap_reader(scale: TimeScale, table, read, entry: int):
+    """The reader of a datum at entry 1, t, or entry 2, sigma(t), of each
+    gap part of ``scale``, called with the part's index k.  With the
+    ``table`` of ``_by_index`` it is that list's own ``__getitem__``,
+    shifted by one for sigma(t), and no Python frame runs per read; else
+    it calls ``read`` at the point."""
+    if table is not None:
+        return (table if entry == 1 else table[1:]).__getitem__
+    if entry == 1:
+        highs = scale._highs
+        return lambda k: read(highs[k])
+    lows = scale._lows
+    return lambda k: read(lows[k + 1])
 
 
 def _ratio_sum(num: int, den: int, terms) -> tuple:
@@ -606,22 +643,21 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
     the ``parts`` of a range of ``scale`` in order: as ``_parts`` yields them
     for an integral of one variable, or as ``_iterated`` keeps them.
 
-    ``point_value(gap)`` is the exact integrand at a gap part, weighted by
-    its graininess mu: ``gap`` is the place ``(None, t, st, mu)`` of a
-    right-scattered t, with the forward jump st = sigma(t) and mu that
-    ``_decompose`` read off the piece tuple.  ``dense_on(i)`` is the
-    continuous restriction of the integrand on the dense piece i, a callable
-    of a float quadrature node or of the symbolic ``node``; each dense part
-    is one step of ``_dense_steps``, built at the first, and its Simpson
-    values are added apart, in floats."""
-    simpson = []
+    ``point_value(k)`` is the exact integrand at the gap part k, the gap
+    after piece k (see ``_decompose``), weighted by its graininess
+    ``scale._gaps[k]``.  ``dense_on(i)`` is the continuous restriction of
+    the integrand on the dense piece i, a callable of a float quadrature
+    node or of the symbolic ``node``; each dense part is one step of
+    ``_dense_steps``, built at the first, and its Simpson values are added
+    apart, in floats."""
+    simpson, gaps = [], scale._gaps
 
     def terms():
         # Gap terms and exact dense parts, as (weight, value).
         step = None
         for kind, payload in parts:
             if kind == "gap":
-                yield payload[3], point_value(payload)
+                yield gaps[payload], point_value(payload)
                 continue
             if step is None:
                 step, exact_steps = _dense_steps(scale, dense_on, payload[0], node, tol,
@@ -650,10 +686,12 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
 
 def _integral(scale: TimeScale, fn, a, b, entry: int, tol: float) -> Num:
     """The delta (``entry`` 1, t) or nabla (``entry`` 2, sigma(t)) integral of
-    ``fn`` over [a, b], reading ``fn`` at that entry of each gap place: nu of
-    sigma(t) is mu(t), and on dense pieces both are the classical integral."""
+    ``fn`` over [a, b], reading ``fn`` at that entry of each gap (see
+    ``_gap_reader``): nu of sigma(t) is mu(t), and on dense pieces both are
+    the classical integral."""
     fn, read = _data(scale, fn)
-    return _integrate(scale, _parts(scale, a, b), lambda gap: read(gap[entry]),
+    return _integrate(scale, _parts(scale, a, b),
+                      _gap_reader(scale, _by_index(scale, fn), read, entry),
                       lambda i: read, tol, _symbolic(fn))
 
 
@@ -680,10 +718,13 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     when both axes are rational.
 
     Each axis's range is located and decomposed once per call, and every
-    row walks the same list of inner parts and gap places.  Only a dense
-    inner piece depends on the row: its antiderivative is built, or Simpson
-    run, per row."""
+    row walks the same list of inner parts.  A gap part is named by its
+    piece index (``_decompose``), and each axis keeps the places of its gaps
+    as it keeps the gaps (``TimeScale._places``): every row reads the same
+    inner places by that index.  Only a dense inner piece depends on the
+    row: its antiderivative is built, or Simpson run, per row."""
     parts1, parts2 = _parts(ax1, a1, b1), list(_parts(ax2, a2, b2))
+    places1, places2 = ax1._places, ax2._places
 
     def inner(p1):
         # At a float node of the outer Simpson the inner integral stays
@@ -691,7 +732,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
         t1 = p1[1]
         return _integrate(
             ax2, parts2,
-            point_value=lambda p2: G(p1, p2),
+            point_value=lambda k: G(p1, places2[k]),
             dense_on=lambda j: lambda x: G(p1, (j, x, None, None)),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
@@ -700,7 +741,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
 
     return _integrate(
         ax1, parts1,
-        point_value=inner,
+        point_value=lambda k: inner(places1[k]),
         dense_on=lambda i: lambda x: inner((i, x, None, None)),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
@@ -719,31 +760,39 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
     (f, f_at), (g, g_at) = _data(scale, f), _data(scale, g)
-    a = scale.require(a)
-    b = scale.require(b)
-    boundary = f_at(b) * g_at(b) - f_at(a) * g_at(a)
+    i, a = scale._find(a)
+    j, b = scale._find(b)
+    f_table, g_table = _by_index(scale, f), _by_index(scale, g)
 
-    # The forms differ only in which factor takes sigma at gap points: of a
-    # gap place (None, t, sigma(t), mu(t)) the lhs reads f, and the rest g, at
-    # entry 2, sigma(t), or entry 1, t.  On dense pieces sigma(t) = t and
+    def end(table, read, k, t):
+        # A table read by index reads the point t of piece k at k.
+        return read(t) if table is None else table[k]
+
+    boundary = (end(f_table, f_at, j, b) * end(g_table, g_at, j, b)
+                - end(f_table, f_at, i, a) * end(g_table, g_at, i, a))
+
+    # Each datum is read at t and at sigma(t) of each gap part k.  The forms
+    # differ only in which factor takes sigma at gap points: the lhs reads f,
+    # and the rest g, at sigma(t) or at t.  On dense pieces sigma(t) = t and
     # both read the same.
-    f_entry, g_entry = (2, 1) if form == 1 else (1, 2)
+    f_t, f_s = _gap_reader(scale, f_table, f_at, 1), _gap_reader(scale, f_table, f_at, 2)
+    g_t, g_s = _gap_reader(scale, g_table, g_at, 1), _gap_reader(scale, g_table, g_at, 2)
+    f_lhs, g_rest = (f_s, g_t) if form == 1 else (f_t, g_s)
+    gaps = scale._gaps
 
     node = _symbolic(f, g)
     # Each gap term is one ``_quotient`` with its factor.  Arguments, keywords
     # too, are evaluated in the order written, so both terms read f before g.
     lhs = _integrate(
         scale, _parts(scale, a, b),
-        point_value=lambda gap: _quotient(c=f_at(gap[f_entry]), hi=g_at(gap[2]),
-                                          lo=g_at(gap[1]), gap=gap[3]),
+        point_value=lambda k: _quotient(c=f_lhs(k), hi=g_s(k), lo=g_t(k), gap=gaps[k]),
         dense_on=lambda i: lambda x: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
         tol=tol,
         node=node,
     )
     rest = _integrate(
         scale, _parts(scale, a, b),
-        point_value=lambda gap: _quotient(f_at(gap[2]), f_at(gap[1]), gap[3],
-                                          g_at(gap[g_entry])),
+        point_value=lambda k: _quotient(f_s(k), f_t(k), gaps[k], g_rest(k)),
         dense_on=lambda i: lambda x: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
         tol=tol,
         node=node,

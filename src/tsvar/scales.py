@@ -13,15 +13,15 @@ mode stores binary floats and matches membership with an optional
 absolute tolerance ``eps`` (default 0, exact comparison).
 
 Each scale keeps one private indexed view of its pieces, read by every
-exact walk: the piece lows, the gaps between consecutive pieces (computed
-once; ``restrict`` and ``truncate_k`` slice their parent's), and a map
-from the ``id`` of each of its own endpoint objects to its piece index.
-A point is looked up by identity first, so a walk that hands a scale its
-own points never hashes or compares them.  This is sound because the
-scale keeps those objects alive, so no other live object has the same
-``id`` (``copy.deepcopy``'s memo relies on the same fact).  Other objects
-take the value path: a hash of the isolated points, built at the first
-such probe, then bisection and eps snapping.
+exact walk: the piece lows and highs, the gaps between consecutive pieces
+(computed once; ``restrict`` and ``truncate_k`` slice their parent's) and
+their places as iterated integrals read them, and a map from the ``id`` of
+each of its own endpoint objects to its piece index.  A point is looked up by identity first, so a walk that hands a
+scale its own points never hashes or compares them.  This is sound
+because the scale keeps those objects alive, so no other live object has
+the same ``id`` (``copy.deepcopy``'s memo relies on the same fact).  Other
+objects take the value path: a hash of the isolated points, built at the
+first such probe, then bisection and eps snapping.
 
 A float quadrature node of one of a scale's dense pieces is not looked up
 at all: it lies in its piece by construction, and ``_node`` reads it as the
@@ -38,6 +38,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import repeat
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
@@ -285,9 +286,10 @@ class TimeScale(_Record):
     """
 
     # The indexed view (see the module docstring), built by ``_index``, is
-    # neither shown nor compared: ``_lows``, ``_ids``, ``_discrete`` and
-    # ``_parent``; the gaps, the isolated-point hash and the truncation
-    # (``truncate_k``) are cached properties.
+    # neither shown nor compared: ``_lows``, ``_highs``, ``_ids``,
+    # ``_discrete`` and ``_parent``; the gaps, their places, the
+    # isolated-point hash and the truncation (``truncate_k``) are cached
+    # properties.
     _shown = _compared = ("pieces", "mode", "eps")
     # The last scale ``_cut_from`` found equal to this one.
     _equal = None
@@ -311,9 +313,13 @@ class TimeScale(_Record):
         """Store the canonical ``pieces``, cut from ``parent`` if given, and
         build the indexed view."""
         lows = tuple(lo for lo, _ in pieces)
-        discrete = all(lo is hi or lo == hi for lo, hi in pieces)
+        # The pieces of ``discrete`` scales and their slices hold one object
+        # as lo and hi: one tuple serves as the lows and the highs.
+        shared = all(lo is hi for lo, hi in pieces)
+        highs = lows if shared else tuple(hi for _, hi in pieces)
+        discrete = shared or all(lo == hi for lo, hi in pieces)
         # Frozen: the index fields are written past the record's __setattr__.
-        vars(self).update(pieces=pieces, _lows=lows, _discrete=discrete,
+        vars(self).update(pieces=pieces, _lows=lows, _highs=highs, _discrete=discrete,
                           _ids={id(x): i for i, piece in enumerate(pieces) for x in piece},
                           _parent=parent)
 
@@ -346,6 +352,14 @@ class TimeScale(_Record):
             nn, nd = nxt.as_integer_ratio()
             gaps.append(_fraction(nn * hd - hn * nd, nd * hd))
         return tuple(gaps)
+
+    @cached_property
+    def _places(self) -> tuple:
+        """The place ``(None, t, sigma(t), mu(t))`` of the right-scattered
+        high t of each piece but the last, by piece index, as an iterated
+        integral hands a gap to its integrand (``calculus._iterated``);
+        built at the first read."""
+        return tuple(zip(repeat(None), self._highs, self._lows[1:], self._gaps))
 
     @cached_property
     def _isolated(self) -> dict:

@@ -38,6 +38,7 @@ from tsvar import (
 )
 from tsvar.double import _el_kernel_at, _jump, _kernel_pairing, _traj_args
 from tsvar.quadrature import QUAD_TOL
+from tsvar.scales import fmt_scalar
 
 HYBRID = TimeScale(((0.0, 2.0), (3.0, 3.0)), mode=FLOAT)
 # Rational, with interval ends that are not binary floats.  Each end
@@ -479,7 +480,12 @@ def _clip_walk(scale, a, b):
 def _assert_walks_agree(scale, a, b):
     start, end = scale._find(a), scale._find(b)
     a, b = start[1], end[1]
-    got = list(tsvar.calculus._decompose(scale, start, end))
+    pieces, gaps = scale.pieces, scale._gaps
+    # A gap part is named by the index k of the piece it follows; its place
+    # is that piece's high, the next piece's low and the gap between.
+    got = [("gap", (None, pieces[k][1], pieces[k + 1][0], gaps[k])) if kind == "gap"
+           else (kind, k)
+           for kind, k in tsvar.calculus._decompose(scale, start, end)]
     want = list(_clip_walk(scale, a, b))
     # repr tells types and float signs apart.
     assert repr(got) == repr(want)
@@ -613,6 +619,114 @@ def test_nabla_integral_equals_the_backward_sum_by_hand(seed, mode, values, tabl
     want = _nabla_by_hand(scale, fn, pts[i], pts[j])
     assert type(got) is type(want)
     assert got.hex() == want.hex() if type(want) is float else got == want
+
+
+def _walk_outcome(walk):
+    """``repr`` of what ``walk()`` returns, type and bits, or the text of
+    the ``DomainError`` it raises."""
+    try:
+        return repr(walk())
+    except DomainError as exc:
+        return f"refused: {exc}"
+
+
+def _written_walks(pts, f, g, zero):
+    """The delta and nabla integrals of ``f`` and both by-parts residuals of
+    ``f`` and ``g`` over the consecutive points ``pts``, written per point
+    and read in the order the entry points read their data, each as
+    ``_walk_outcome`` tells it."""
+    pairs = list(zip(pts, pts[1:]))
+
+    def delta():
+        total = zero
+        for t, s in pairs:
+            total = total + (s - t) * f(t)
+        return total
+
+    def nabla():
+        total = zero
+        for t, s in pairs:
+            total = total + (s - t) * f(s)
+        return total
+
+    def by_parts(form):
+        a, b = pts[0], pts[-1]
+        boundary = f(b) * g(b) - f(a) * g(a)
+        lhs = rest = zero
+        for t, s in pairs:
+            mu = s - t
+            lhs = lhs + mu * ((f(s) if form == 1 else f(t)) * ((g(s) - g(t)) / mu))
+        for t, s in pairs:
+            mu = s - t
+            f_s, f_t = f(s), f(t)
+            rest = rest + mu * ((g(t) if form == 1 else g(s)) * ((f_s - f_t) / mu))
+        return abs(lhs - (boundary - rest))
+
+    return [_walk_outcome(walk)
+            for walk in (delta, nabla, lambda: by_parts(1), lambda: by_parts(2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), mode=st.sampled_from(["rational", FLOAT]),
+       on=st.sampled_from(["own", "equal", "restricted"]),
+       kinds=st.tuples(st.sampled_from(["table", "section"]), st.sampled_from(["table", "section"])),
+       holes=st.booleans())
+def test_table_walks_equal_the_written_sums(seed, mode, on, kinds, holes):
+    # Tables read by index on their own axis or an equal one, and by point
+    # anywhere else, give the written sums to the bit, and a hole in the
+    # range refuses with the text of the point's own read.
+    rng = random.Random(seed)
+    pts = rand_discrete_scale(rng, rng.randint(1, 10)).points()
+    if mode == FLOAT:
+        pts = [float(t) / 3 for t in pts]
+    axis = TimeScale.discrete(pts, mode)
+    pts = axis.points()
+    zero = Fraction(0) if mode == "rational" else 0.0
+
+    def draw():
+        if holes and rng.random() < 0.2:
+            return None
+        return rand_fraction(rng) if mode == "rational" else rng.uniform(-9, 9)
+
+    datum, reference = [], []
+    for kind in kinds:
+        values = [draw() for _ in pts]
+        if kind == "table":
+            fn = ScaleFn.from_table(axis, {t: v for t, v in zip(pts, values) if v is not None})
+            named = fmt_scalar
+        else:
+            # A surface table with a hole is built directly: from_table refuses one.
+            u = zero + 2
+            fn = SurfaceFn(axis, TimeScale.discrete([u], mode), table=[[v] for v in values])
+            fn = fn.section(0, (None, u))
+            named = lambda t, u=u: f"({fmt_scalar(t)}, {fmt_scalar(u)})"
+
+        def read(t, values=dict(zip(pts, values)), named=named):
+            if values[t] is None:
+                raise DomainError(f"{named(t)} is not tabulated")
+            return values[t]
+
+        datum.append(fn)
+        reference.append(read)
+    if on == "own":
+        scale = axis
+    elif on == "equal":
+        copy = (lambda t: Fraction(t.numerator, t.denominator)) if mode == "rational" \
+            else (lambda t: float.fromhex(t.hex()))
+        scale = TimeScale.discrete(map(copy, pts), mode)
+        assert scale == axis and scale is not axis
+    else:
+        i, j = sorted(rng.randint(0, len(pts) - 1) for _ in range(2))
+        scale = axis.restrict(pts[i], pts[j])
+    spts = scale.points()
+    i, j = sorted(rng.randint(0, len(spts) - 1) for _ in range(2))
+    a, b = spts[i], spts[j]
+    (f, g), (f_ref, g_ref) = datum, reference
+    got = [_walk_outcome(lambda: delta_integral(scale, f, a, b)),
+           _walk_outcome(lambda: nabla_integral_discrete(scale, f, a, b)),
+           _walk_outcome(lambda: ibp_residual(scale, f, g, a, b, 1)),
+           _walk_outcome(lambda: ibp_residual(scale, f, g, a, b, 2))]
+    assert got == _written_walks(spts[i:j + 1], f_ref, g_ref, zero)
 
 
 def _rand_hybrid(rng) -> TimeScale:

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_discrete_scale, rand_tabulation
+from tsvar.calculus import AxesFn, _iterated
+from tsvar.quadrature import QUAD_TOL
 from tsvar import (
     FLOAT,
     DomainError,
@@ -134,6 +136,63 @@ def test_a_warm_el_residual_on_a_table_makes_as_many_operators_at_any_length(fra
         el_residual(p, y)
         counts.append((fraction_ops["add"], fraction_ops["sub"], fraction_ops["mul"]))
     assert counts[0] == counts[1]
+
+
+@pytest.fixture
+def datum_calls(monkeypatch):
+    """The number of ``AxesFn.__call__`` calls made from now on."""
+    counts = Counter()
+    original = AxesFn.__call__
+
+    def counted(*args, **kwargs):
+        counts["call"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(AxesFn, "__call__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_aligned_tables_are_read_by_index(datum_calls, n):
+    # A table with a value at every point, on the scale walked or on an
+    # equal one, is read by piece index: gap points and the by-parts
+    # boundary alike, with no call of the datum.  On a sub-scale it is read
+    # at each point.
+    rng = random.Random(n)
+    scale = rand_discrete_scale(rng, n)
+    f, g = rand_tabulation(rng, scale), rand_tabulation(rng, scale)
+    twin = TimeScale.discrete(map(_fresh, scale.points()))
+    for s in (scale, twin):
+        walks = (lambda: delta_integral(s, f, s.min, s.max),
+                 lambda: nabla_integral_discrete(s, f, s.min, s.max),
+                 lambda: ibp_residual(s, f, g, s.min, s.max, 1),
+                 lambda: ibp_residual(s, f, g, s.min, s.max, 2))
+        for walk in walks:
+            walk()  # warm: the first walk computes the gaps
+            datum_calls.clear()
+            walk()
+            assert datum_calls["call"] == 0
+    sub = scale.restrict(scale.points()[1], scale.max)
+    delta_integral(sub, f, sub.min, sub.max)
+    assert datum_calls["call"] == n - 2
+
+
+def test_an_iterated_integral_reads_one_place_per_gap_not_per_cell():
+    # Every row of the inner walk reads the same place of each inner gap,
+    # and each outer gap has one place: no place is built per cell.
+    rng = random.Random(11)
+    for n in (5, 12):
+        ax1, ax2 = rand_discrete_scale(rng, n), rand_discrete_scale(rng, n + 1)
+        seen = []
+
+        def G(p1, p2):
+            seen.append((p1, p2))  # kept alive, so that no two share an id
+            return p1[3] * p2[3]
+
+        _iterated(ax1, ax2, ax1.min, ax1.max, ax2.min, ax2.max, G, QUAD_TOL)
+        assert len(seen) == (n - 1) * n
+        assert len({id(p1) for p1, _ in seen}) == n - 1
+        assert len({id(p2) for _, p2 in seen}) == n
 
 
 def _table_problem():
