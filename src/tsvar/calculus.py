@@ -447,20 +447,21 @@ def _delta_at(scale: TimeScale, fn, at, jump=None, tol: float = LIMIT_TOL):
     dense piece it is t itself, and ``fn`` is read as its continuous
     restriction.  A right-scattered t gives the exact jump quotient
     (``_quotient``); a right-dense one the classical slope
-    (``_classical_slope``).  ``method`` names the branch taken:
-    ``EXACT_QUOTIENT``, ``ANALYTIC`` or ``NUMERIC_LIMIT``.
+    (``_classical_slope``); an isolated t that is its own jump is refused,
+    given or not.  ``method`` names the branch taken: ``EXACT_QUOTIENT``,
+    ``ANALYTIC`` or ``NUMERIC_LIMIT``.
     """
     i, t = at
     if jump is None:
         jump = scale._sigma_at(i, t)
-        if jump is t and t == scale.max and scale._rho_at(i, t) < t:
-            raise DomainError(
-                f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
-            )
     if jump is not t:
         return _quotient(fn(jump), fn(t), jump - t), _ZEROS[scale.mode], EXACT_QUOTIENT
     piece = scale.pieces[i]
     if piece[0] == piece[1]:
+        if t == scale.max and scale._rho_at(i, t) < t:
+            raise DomainError(
+                f"delta derivative undefined at the left-scattered maximum {fmt_scalar(t)}"
+            )
         raise DomainError(f"no dense neighborhood at {fmt_scalar(t)} for a classical slope")
     return _classical_slope(scale, fn, t, piece, tol)
 
@@ -508,12 +509,10 @@ def _decompose(scale: TimeScale, start, end):
 def _by_index(scale: TimeScale, fn):
     """The table of ``fn`` when it is read by piece index on ``scale``: a
     one-axis table with a value at every point (``AxesFn.full``) on
-    ``scale`` or on an axis equal to it, whose point k is then the piece k
-    of ``scale``.  Else None."""
-    if type(fn) is ScaleFn and fn.full:
-        axis = fn.axes[0]
-        if axis is scale or axis == scale:
-            return fn.table
+    ``scale`` or on an axis equal to it (``TimeScale._same_as``), whose
+    point k is then the piece k of ``scale``.  Else None."""
+    if type(fn) is ScaleFn and fn.full and scale._same_as(fn.axes[0]):
+        return fn.table
     return None
 
 
@@ -711,11 +710,11 @@ def nabla_integral_discrete(scale: TimeScale, fn, a, b) -> Num:
 def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     """Iterated delta integral over [a1, b1] x [a2, b2], second axis innermost.
 
-    ``G(p1, p2)`` is the integrand at a place on each axis, ``(i, t, s,
-    mu)``: a right-scattered t with its forward jump s = sigma(t) and
-    graininess mu = s - t (i is None), or a node t of the dense piece i, with
-    s and mu None.  A node is a float, or the symbolic node of that axis
-    when both axes are rational.
+    ``G(p1, p2)`` is the integrand at a place on each axis, ``(i, t, x,
+    mu)``, t a point of piece i: a right-scattered t, the high of piece i,
+    with its forward jump x = sigma(t) and graininess mu = x - t, or a node t
+    of the dense piece i, with x = t and mu None.  A node is a float, or the
+    symbolic node of that axis when both axes are rational.
 
     Each axis's range is located and decomposed once per call, and every
     row walks the same list of inner parts.  A gap part is named by its
@@ -733,7 +732,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
         return _integrate(
             ax2, parts2,
             point_value=lambda k: G(p1, places2[k]),
-            dense_on=lambda j: lambda x: G(p1, (j, x, None, None)),
+            dense_on=lambda j: lambda x: G(p1, (j, x, x, None)),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
             exact_only=isinstance(t1, Poly),
@@ -742,7 +741,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     return _integrate(
         ax1, parts1,
         point_value=lambda k: inner(places1[k]),
-        dense_on=lambda i: lambda x: inner((i, x, None, None)),
+        dense_on=lambda i: lambda x: inner((i, x, x, None)),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
     )

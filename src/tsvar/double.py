@@ -209,24 +209,17 @@ def _traj_args(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> tuple:
     at the places ``p1`` on ``dp.ax1`` and ``p2`` on ``dp.ax2``, of ``u``
     bound to those axes.
 
-    A place is ``(i, t, s, mu)``, as ``_iterated`` hands it: per axis x = s,
-    the forward jump of t that a gap term is handed with its graininess mu,
-    or the point s that a sample t of piece i stands for (mu None: its jump
-    is read off the piece), or x = t at a node of the dense piece i, where s
-    is None.  Each distinct value of u is read once: an axis handed its mu
-    takes the jump quotient from u(x1, x2) and u at t on that axis."""
-    (i1, t1, s1, mu1), (i2, t2, s2, mu2) = p1, p2
-    x1 = t1 if s1 is None else s1
-    x2 = t2 if s2 is None else s2
+    A place is ``(i, t, x, mu)``, t a point or node of piece i (``_iterated``,
+    ``_place``, ``_past``), and u is read at x: sigma(t) at a gap, with its
+    graininess mu, else t or the exact point a float sample stands for (mu
+    None).  The slope is the jump quotient across mu, else ``_delta_at`` at
+    x, its own jump.  Each distinct value of u is read once."""
+    (i1, t1, x1, mu1), (i2, t2, x2, mu2) = p1, p2
     u_ss = u.val(x1, x2)
-    # Without a graininess, the slope at x: a node is its own jump, and a
-    # sampled point's jump is read off its piece.
     u_d1 = (_quotient(u_ss, u.val(t1, x2), mu1) if mu1 is not None
-            else _delta_at(dp.ax1, u.section(0, (x1, x2)), (i1, x1),
-                           x1 if s1 is None else None)[0])
+            else _delta_at(dp.ax1, u.section(0, (x1, x2)), (i1, x1), x1)[0])
     u_d2 = (_quotient(u_ss, u.val(x1, t2), mu2) if mu2 is not None
-            else _delta_at(dp.ax2, u.section(1, (x1, x2)), (i2, x2),
-                           x2 if s2 is None else None)[0])
+            else _delta_at(dp.ax2, u.section(1, (x1, x2)), (i2, x2), x2)[0])
     return (t1, t2, u_ss, u_d1, u_d2)
 
 
@@ -251,6 +244,15 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
             f"variation must vanish on the rectangle boundary; nonzero at "
             f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) and {len(bad) - 1} more point(s)"
         )
+    # Samples cannot clear a polynomial along a dense edge: its restriction
+    # to the edge's line must be the zero polynomial.
+    if isinstance(eta.func, Poly):
+        for k, ends, along in ((0, (dp.a1, dp.b1), dp.ax2), (1, (dp.a2, dp.b2), dp.ax1)):
+            for end in ends:
+                if not along.is_discrete and eta.func.subs(k, Fraction(end)) != 0:
+                    raise PreconditionError(
+                        f"variation must vanish on the rectangle boundary; nonzero "
+                        f"along the edge t{k + 1} = {fmt_scalar(end)}")
 
 
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:
@@ -298,37 +300,33 @@ class DoubleELReport(_Record):
         vars(self).update(residuals=residuals, gaps=gaps, max_abs_residual=max_abs_residual)
 
 
-def _jump(ax: TimeScale, t) -> tuple:
-    """The place ``(i, t, sigma(t), mu(t))`` of a sampled ``t`` on ``ax``, as
-    ``_traj_args`` takes it: the graininess read off the axis's gaps at the
-    index i that ``t`` was found at, and ``(sigma(t), None)`` where ``t`` is
-    right-dense or the maximum, and ``sigma(t)`` is ``t`` itself."""
-    i, x = ax._find(t)
-    sigma = ax._sigma_at(i, x)
-    return i, t, sigma, (None if sigma is x else ax._gaps[i])
+def _place(ax: TimeScale, i: int, t) -> tuple:
+    """The place of ``t``, a point of piece i of ``ax``, as ``_traj_args``
+    takes it: the gap's place ``ax._places[i]`` where t is right-scattered,
+    and ``(i, t, t, None)`` where it is right-dense or the maximum."""
+    return (i, t, t, None) if ax._sigma_at(i, t) is t else ax._places[i]
 
 
 def _past(ax: TimeScale, p, s) -> tuple:
     """The place of ``s`` past the place ``p`` = (i, t, x, mu) on ``ax``:
-    sigma(t) of a right-scattered t, whose own place is looked up
-    (``_jump``), or else a Richardson sample in piece i, placed with no
-    lookup.  Past a node the sample is a node too; past a sampled point it
-    is one, standing for ``TimeScale._node(s)``, so that an analytic slope
-    there is read at that point, as exactly as at t."""
-    i, _, x, mu = p
+    sigma(t) of a right-scattered t, the low of piece i + 1, or else a
+    Richardson sample in piece i.  Past a node the sample is a node too;
+    past an exact point it stands for ``TimeScale._node(s)``, so that an
+    analytic slope there is read at that point, as exactly as at t."""
+    i, t, _, mu = p
     if mu is not None:
-        return _jump(ax, s)
-    return i, s, None if x is None else ax._node(s), None
+        return _place(ax, i + 1, s)
+    return i, s, (s if type(t) is float else ax._node(s)), None
 
 
 def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> Num:
     """r(t1,t2) = L_y0 - (L_y1 along trajectory)^delta1 - (L_y2 ...)^delta2
     at the places ``p1``, ``p2`` of ``_traj_args``, of ``u`` bound to
     ``dp``'s axes.  Past (t1, t2) the partials are read at the places
-    ``_past`` gives."""
+    ``_past`` gives, and each slope is taken as in ``_traj_args``."""
     args = _traj_args(dp, u, p1, p2)
     term0, l1, l2 = dp.joint(*args)
-    (i1, t1, s1, mu1), (i2, t2, s2, mu2) = p1, p2
+    (i1, t1, x1, mu1), (i2, t2, x2, mu2) = p1, p2
 
     def F1(s):
         return l1 if s is t1 else dp.partial_y1(*_traj_args(dp, u, _past(dp.ax1, p1, s), p2))
@@ -336,12 +334,10 @@ def _el_kernel_at(dp: DoubleProblem, u: SurfaceFn, p1, p2) -> Num:
     def F2(s):
         return l2 if s is t2 else dp.partial_y2(*_traj_args(dp, u, p1, _past(dp.ax2, p2, s)))
 
-    # As in _traj_args: a node is its own jump, a sampled point's is read off its piece.
-    x1, x2 = (t1 if s1 is None else s1), (t2 if s2 is None else s2)
-    d1 = (_quotient(F1(s1), l1, mu1) if mu1 is not None
-          else _delta_at(dp.ax1, F1, (i1, x1), x1 if s1 is None else None)[0])
-    d2 = (_quotient(F2(s2), l2, mu2) if mu2 is not None
-          else _delta_at(dp.ax2, F2, (i2, x2), x2 if s2 is None else None)[0])
+    d1 = (_quotient(F1(x1), l1, mu1) if mu1 is not None
+          else _delta_at(dp.ax1, F1, (i1, x1), x1)[0])
+    d2 = (_quotient(F2(x2), l2, mu2) if mu2 is not None
+          else _delta_at(dp.ax2, F2, (i2, x2), x2)[0])
     return term0 - d1 - d2
 
 
@@ -355,21 +351,22 @@ def double_el_residual(dp: DoubleProblem, u_tilde: SurfaceFn,
     ``GRID_MAX_POINTS`` points raises ``PreconditionError``."""
     span1, span2 = dp.ax1.truncate_k(), dp.ax2.truncate_k()  # ax is [a, b]: [a, rho(b)]
     check_grid_size(dense_refinement, span1, span2)
-    pts1 = span1.grid(dense_refinement)
-    pts2 = span2.grid(dense_refinement)
+    # The place of each grid point, built piece by piece: piece i of a span
+    # is piece i of its axis.
+    places1, places2 = ([_place(ax, i, t) for i, (lo, hi) in enumerate(span.pieces)
+                         for t in span._piece_grid(lo, hi, dense_refinement)]
+                        for ax, span in ((dp.ax1, span1), (dp.ax2, span2)))
     residuals = []
     gaps = []
-    places2 = [_jump(dp.ax2, t2) for t2 in pts2]  # sampled: each looked up once
     u_tilde = u_tilde.on(dp.ax1, dp.ax2)
-    for t1 in pts1:
-        p1 = _jump(dp.ax1, t1)
+    for p1 in places1:
         for p2 in places2:
             try:
                 r = _el_kernel_at(dp, u_tilde, p1, p2)
             except DomainError as exc:
-                gaps.append(((t1, p2[1]), str(exc)))
+                gaps.append(((p1[1], p2[1]), str(exc)))
             else:
-                residuals.append(((t1, p2[1]), r))
+                residuals.append(((p1[1], p2[1]), r))
     max_abs = max((abs(r) for _, r in residuals), default=zero_of(dp.ax1))
     return DoubleELReport(tuple(residuals), tuple(gaps), max_abs)
 
@@ -394,9 +391,7 @@ def _kernel_pairing(dp: DoubleProblem, u: SurfaceFn, eta: SurfaceFn, tol: float)
     u, eta = u.on(dp.ax1, dp.ax2), eta.on(dp.ax1, dp.ax2)
 
     def G(p1, p2):
-        (_, t1, s1, _), (_, t2, s2, _) = p1, p2
-        return _el_kernel_at(dp, u, p1, p2) * eta.val(t1 if s1 is None else s1,
-                                                      t2 if s2 is None else s2)
+        return _el_kernel_at(dp, u, p1, p2) * eta.val(p1[2], p2[2])
 
     return _iterated(dp.ax1, dp.ax2, dp.a1, rb1, dp.a2, rb2, G, tol)
 

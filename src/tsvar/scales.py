@@ -15,20 +15,24 @@ absolute tolerance ``eps`` (default 0, exact comparison).
 Each scale keeps one private indexed view of its pieces, read by every
 exact walk: the piece lows and highs, the gaps between consecutive pieces
 (computed once; ``restrict`` and ``truncate_k`` slice their parent's) and
-their places as iterated integrals read them, and a map from the ``id`` of
-each of its own endpoint objects to its piece index.  A point is looked up by identity first, so a walk that hands a
-scale its own points never hashes or compares them.  This is sound
-because the scale keeps those objects alive, so no other live object has
-the same ``id`` (``copy.deepcopy``'s memo relies on the same fact).  Other
-objects take the value path: a hash of the isolated points, built at the
-first such probe, then bisection and eps snapping.
+their places ``(k, t, sigma(t), mu(t))`` by piece index k, as iterated
+integrals and the two-variable kernel read them, and a map from the ``id``
+of each of its own endpoint objects to its piece index.  A point is looked
+up by identity first, so a walk that hands a scale its own points never
+hashes or compares them.  This is sound because the scale keeps those
+objects alive, so no other live object has the same ``id``
+(``copy.deepcopy``'s memo relies on the same fact).  Other objects take the
+value path: a hash of the isolated points, built at the first such probe,
+then bisection and eps snapping.
 
 A float quadrature node of one of a scale's dense pieces is not looked up
 at all: it lies in its piece by construction, and ``_node`` reads it as the
 point it stands for.  A sub-scale made by ``restrict`` or ``truncate_k``
 keeps the scale it was cut from.  Data bound to a scale that is or was cut
 from their own, or equals it and has a dense piece (``_cut_from``), know
-that its points and nodes lie in their own pieces: no lookup.
+that its points and nodes lie in their own pieces: no lookup.  A scale
+remembers the last scale it was found equal to (``_same_as``), so that
+binding data or reading a table on an equal copy compares the two once.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import repeat
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
@@ -291,7 +294,7 @@ class TimeScale(_Record):
     # isolated-point hash and the truncation (``truncate_k``) are cached
     # properties.
     _shown = _compared = ("pieces", "mode", "eps")
-    # The last scale ``_cut_from`` found equal to this one.
+    # The last scale ``_same_as`` found equal to this one.
     _equal = None
 
     def __init__(self, pieces: tuple, mode: str = RATIONAL, eps: float = 0.0):
@@ -355,11 +358,11 @@ class TimeScale(_Record):
 
     @cached_property
     def _places(self) -> tuple:
-        """The place ``(None, t, sigma(t), mu(t))`` of the right-scattered
-        high t of each piece but the last, by piece index, as an iterated
-        integral hands a gap to its integrand (``calculus._iterated``);
-        built at the first read."""
-        return tuple(zip(repeat(None), self._highs, self._lows[1:], self._gaps))
+        """The place ``(k, t, sigma(t), mu(t))`` of the right-scattered high t
+        of each piece k but the last, by piece index, as an iterated integral
+        hands a gap to its integrand (``calculus._iterated``); built at the
+        first read."""
+        return tuple(zip(range(len(self._gaps)), self._highs, self._lows[1:], self._gaps))
 
     @cached_property
     def _isolated(self) -> dict:
@@ -448,21 +451,28 @@ class TimeScale(_Record):
             raise DomainError(f"{_echo_scalar(t)} is not a point of the scale")
         return hit
 
+    def _same_as(self, other: "TimeScale") -> bool:
+        """Whether ``other`` is this scale or equal to it.  The last scale
+        found equal is remembered (``_equal``), so that asking again is an
+        identity test."""
+        if self is other or self._equal is other:
+            return True
+        if self == other:
+            vars(self)["_equal"] = other
+            return True
+        return False
+
     def _cut_from(self, other: "TimeScale") -> bool:
         """Whether this scale is ``other``, or was cut from it by ``restrict``
         and ``truncate_k``, so that each of its pieces lies in one of
-        ``other``'s.  Where ``other`` has a dense piece, an equal scale
-        counts as ``other``, sparing its float nodes a lookup each; a discrete
-        one has no nodes to spare, and is not worth a pass over its pieces.
-        The last ``other`` found equal is remembered (``_equal``), so that
-        binding data on it again is an identity test."""
-        if self._equal is other:
-            return True
+        ``other``'s.  Where ``other`` has a dense piece, a scale equal to it
+        (``_same_as``) counts as ``other``, sparing its float nodes a lookup
+        each; a discrete one has no nodes to spare, and is not worth a pass
+        over its pieces."""
         dense = not other._discrete
         scale = self
         while scale is not other:
-            if dense and scale == other:
-                vars(self)["_equal"] = other
+            if dense and scale._same_as(other):
                 return True
             scale = scale._parent
             if scale is None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (rand_discrete_scale, rand_fraction, rand_poly1, rand_quadratic2,
                       rand_tabulation)
 import tsvar.calculus
+from tsvar.calculus import _delta_at
 from tsvar import (
     ANALYTIC,
     ConvergenceError,
@@ -36,7 +37,7 @@ from tsvar import (
     nabla_integral_discrete,
     tabulated_from_json,
 )
-from tsvar.double import _el_kernel_at, _jump, _kernel_pairing, _traj_args
+from tsvar.double import _el_kernel_at, _kernel_pairing, _place, _traj_args
 from tsvar.quadrature import QUAD_TOL
 from tsvar.scales import fmt_scalar
 
@@ -79,6 +80,25 @@ class TestDeltaDerivative:
         fn = ScaleFn.from_callable(s, lambda t: t)
         with pytest.raises(DomainError):
             delta_deriv(s, fn, 3)
+
+    @pytest.mark.parametrize("scale", [TimeScale.discrete(range(4)), HYBRID])
+    def test_left_scattered_max_is_refused_with_or_without_its_jump(self, scale):
+        # A caller that hands the maximum as its own jump gets the refusal a
+        # lookup of the jump gives.
+        fn = ScaleFn.from_callable(scale, lambda t: t)
+        at = scale._find(scale.max)
+        for jump in (None, at[1]):
+            with pytest.raises(DomainError) as exc_info:
+                _delta_at(scale, fn, at, jump)
+            assert str(exc_info.value) == ("delta derivative undefined at the "
+                                           f"left-scattered maximum {fmt_scalar(scale.max)}")
+
+    @pytest.mark.parametrize("points, t", [(range(4), 2), ([Fraction(1, 3)], Fraction(1, 3))])
+    def test_an_isolated_point_as_its_own_jump_has_no_classical_slope(self, points, t):
+        scale = TimeScale.discrete(points)
+        at = scale._find(t)
+        with pytest.raises(DomainError, match="no dense neighborhood"):
+            _delta_at(scale, ScaleFn.from_callable(scale, lambda t: t), at, at[1])
 
     def test_defined_at_left_dense_max(self):
         s = TimeScale.interval(0.0, 1.0, mode=FLOAT)
@@ -316,7 +336,7 @@ class TestExactDenseIntegrals:
         # grad2 with u = t1^2 t2 at (1/2, 1/2): L_y1 = 2 u_delta1(., sigma2) is
         # 3 at t1 = 1/2 and 2 * 2 t1 t2 = 4 at (1, 1), so its quotient is 2;
         # L_y2 = 2 u_delta2(sigma1, .) is 2 at both ends; L_y0 = 0.
-        place = _jump(self.AXIS, half)
+        place = _place(self.AXIS, *self.AXIS._find(half))
         assert place[2:] == (one, half)
         assert _el_kernel_at(dp, u, place, place) == -2
         pairing = _kernel_pairing(dp, u, eta, QUAD_TOL)

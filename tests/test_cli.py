@@ -522,6 +522,21 @@ class TestVerdictCommands:
         assert code == 2
         assert "unsupported" in capsys.readouterr().err
 
+    def test_derivation_check_refuses_eta_nonzero_on_a_dense_edge(self, tmp_path, capsys):
+        # eta is 0 at the 12 grid(8) samples of the edge t1 = 0, not along
+        # its dense piece [1, 2]: bad input (exit 2), not a failed rewriting.
+        axis = {"mode": "rational", "pieces": [{"point": 0}, {"point": "1/2"},
+                                               {"interval": [1, 2]}]}
+        path = tmp_path / "dprob_hybrid.json"
+        path.write_text(json.dumps({"scale1": axis, "scale2": axis,
+                                    "lagrangian": "builtin:grad2"}))
+        samples = TimeScale.from_json(axis).grid(8)
+        eta = "(2 - t1)*" + "*".join(f"(t2 - {x})" for x in samples)
+        code, _ = invoke("derivation-check", "--problem", str(path), "--u", "t1*t2",
+                         "--eta", eta)
+        assert code == 2
+        assert "nonzero along the edge t1 = 0" in capsys.readouterr().err
+
     def test_counterexample_confirmed(self):
         code, text = invoke("counterexample", "nabla-endpoints", "--format", "json")
         assert code == 0

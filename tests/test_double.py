@@ -31,7 +31,9 @@ from tsvar import (
 )
 import tsvar.calculus
 import tsvar.double
-from tsvar.double import ChainStep, _chain_discrete, _el_kernel_at, _jump, _wsum
+from tsvar.double import (ChainStep, _chain_discrete, _el_kernel_at, _kernel_pairing, _past,
+                          _place, _wsum)
+from tsvar.quadrature import QUAD_TOL
 from tsvar.scales import zero_of
 from tsvar.polyfn import PolyTuple
 from tsvar.variational import MINIMIZER_MAX_UNKNOWNS
@@ -273,6 +275,29 @@ class TestFirstVariation:
             with pytest.raises(PreconditionError, match=r"nonzero at \(0, 1\) and 0 more"):
                 call(dp, u, eta)
 
+    def test_a_polynomial_nonzero_along_a_dense_edge_is_refused(self):
+        # eta vanishes at every grid(8) sample of the edge t1 = 0, whose axis
+        # 2 has the dense piece [1, 2], but not along that piece: a nonzero
+        # restriction is refused, not blamed on the rewriting.  A callable
+        # with the same values keeps the sampled check.
+        axis = TimeScale((0, Fraction(1, 2), (1, 2)))
+        dp = grad2_problem(axis, axis)
+        t1, t2 = (Poly.var(("t1", "t2"), v) for v in ("t1", "t2"))
+        poly = 2 - t1
+        for x in axis.grid(8):
+            poly = poly * (t2 - x)
+        u = SurfaceFn.from_callable(axis, axis, t1 * t2)
+        eta = SurfaceFn.from_callable(axis, axis, poly)
+        for call in (first_variation, derivation_chain_check):
+            with pytest.raises(PreconditionError, match="nonzero along the edge t1 = 0$"):
+                call(dp, u, eta)
+        first_variation(dp, u, SurfaceFn.from_callable(axis, axis, lambda a, b: poly(a, b)))
+        # On a discrete axis the samples are every point of the edge.
+        points = TimeScale.discrete(axis.grid(8))
+        dp = grad2_problem(points, points)
+        u, eta = (SurfaceFn.from_callable(points, points, f) for f in (t1 * t2, poly))
+        assert [s.residual for s in derivation_chain_check(dp, u, eta)] == [0] * 8
+
     def test_matches_symmetric_difference_of_action(self):
         poly = Poly.parse("y1^2 + y2^2 + y0^2 + t2*y0", VARS2)
         ps = ProductScale(AX5, AX5)
@@ -344,7 +369,8 @@ class TestDoubleELResidual:
         # Handed the maximum as its own jump, the kernel raises the same
         # DomainError, not a zero division.
         with pytest.raises(DomainError) as exc_info:
-            _el_kernel_at(dp, u, _jump(dp.ax1, Fraction(3)), _jump(dp.ax2, Fraction(0)))
+            _el_kernel_at(dp, u, _place(dp.ax1, *dp.ax1._find(Fraction(3))),
+                          _place(dp.ax2, *dp.ax2._find(Fraction(0))))
         assert str(exc_info.value) == at_max + "3"
 
     def test_nonstationary_surface_detected(self):
@@ -352,6 +378,39 @@ class TestDoubleELResidual:
         u = SurfaceFn.from_callable(AX5, AX5, lambda a, b: a * a)
         rep = double_el_residual(dp, u)
         assert rep.max_abs_residual > 0
+
+    def test_a_sample_past_a_place_is_placed_from_its_piece(self):
+        # Past a gap: sigma's own place, at the next piece.  Past an exact
+        # point a float sample stands for the exact point TimeScale._node
+        # reads; past a float node it is a node itself.
+        axis = TimeScale((0, Fraction(1, 2), (1, 2)))
+        half, one = Fraction(1, 2), Fraction(1)
+        assert _past(axis, _place(axis, 0, axis.min), half) is axis._places[1]
+        assert _past(axis, _place(axis, 1, half), one) == (2, one, one, None)
+        exact = _past(axis, _place(axis, 2, Fraction(3, 2)), 1.25)
+        assert exact == (2, 1.25, Fraction(5, 4), None) and type(exact[2]) is Fraction
+        node = _past(axis, (2, 1.5, 1.5, None), 1.25)
+        assert node == (2, 1.25, 1.25, None) and type(node[2]) is float
+
+    @pytest.mark.parametrize("axis", [TimeScale((0, Fraction(1, 2), (1, 2))),
+                                      TimeScale.discrete(range(9))])
+    def test_a_warm_kernel_map_locates_no_point(self, axis, monkeypatch):
+        # Each sample's place is built from its piece index, and a sample
+        # past it from the next piece's: no point is looked up.
+        dp = grad2_problem(axis, axis)
+        u = SurfaceFn.from_callable(dp.ps.scale1, dp.ps.scale2,
+                                    Poly.parse("t1^2*t2 - 3*t2", ("t1", "t2")))
+        warm = double_el_residual(dp, u, 4)
+        finds = []
+        original = TimeScale._find
+
+        def counted(self, t):
+            finds.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(TimeScale, "_find", counted)
+        assert double_el_residual(dp, u, 4) == warm
+        assert finds == []
 
 
 class TestDerivationChain:
@@ -596,6 +655,47 @@ def test_chain_by_index_matches_the_labelled_walk(problem):
             assert repr(g.residual) == repr(w.residual), g.label
         else:
             assert g.residual == w.residual, g.label
+
+
+@st.composite
+def hybrid_problems(draw):
+    """A rational product problem whose axes are each isolated points
+    followed by one closing interval (no left-dense right-scattered point,
+    so the chain runs), with a polynomial u and an eta that is the product
+    of the four edge factors and a random linear one."""
+    def axis():
+        den = draw(st.integers(1, 4))
+        start = draw(st.integers(-4, 4))
+        gaps = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+        *points, lo, hi = (Fraction(k, den) for k in accumulate(gaps, initial=start))
+        return TimeScale((*points, (lo, hi)))
+
+    s1, s2 = axis(), axis()
+    lagrangian = draw(st.sampled_from(["builtin:grad2", "builtin:grad2+mass",
+                                       "poly:t1*y0^2 + y1^2 + 3*y2^2 + y0*y1*t2"]))
+    dp = DoubleProblem.from_json({"scale1": s1.to_json(), "scale2": s2.to_json(),
+                                  "lagrangian": lagrangian})
+    t1, t2 = (Poly.var(("t1", "t2"), v) for v in ("t1", "t2"))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    u, extra = draw(coeff) * t1 * t2, draw(coeff) + draw(coeff) * t1 + draw(coeff) * t2
+    for a in range(3):
+        for b in range(3 - a):
+            u = u + draw(coeff) * t1 ** a * t2 ** b
+    eta = (t1 - s1.min) * (t1 - s1.max) * (t2 - s2.min) * (t2 - s2.max) * extra
+    axes = (dp.ps.scale1, dp.ps.scale2)
+    return dp, SurfaceFn.from_callable(*axes, u), SurfaceFn.from_callable(*axes, eta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=hybrid_problems())
+def test_first_variation_equals_the_kernel_pairing_on_hybrid_products(problem):
+    dp, u, eta = problem
+    fv = first_variation(dp, u, eta)
+    pairing = _kernel_pairing(dp, u, eta, QUAD_TOL)
+    assert type(fv) is type(pairing) is Fraction and fv == pairing
+    (step,) = derivation_chain_check(dp, u, eta)
+    assert step.label == "first-variation-vs-kernel-form"
+    assert type(step.residual) is Fraction and step.residual == 0
 
 
 def ps_axes(ps):

@@ -177,6 +177,26 @@ def test_aligned_tables_are_read_by_index(datum_calls, n):
     assert datum_calls["call"] == n - 2
 
 
+def test_an_equal_axis_is_compared_once(monkeypatch):
+    # A table on an equal copy of the scale walked is read by index; the two
+    # scales are compared at the first integral only.
+    rng = random.Random(20)
+    scale = rand_discrete_scale(rng, 200)
+    f = rand_tabulation(rng, scale)
+    twin = TimeScale.discrete(map(_fresh, scale.points()))
+    want = delta_integral(scale, f, scale.min, scale.max)
+    compared = []
+    original = TimeScale.__eq__
+
+    def counted(self, other):
+        compared.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TimeScale, "__eq__", counted)
+    assert [delta_integral(twin, f, twin.min, twin.max) for _ in range(20)] == [want] * 20
+    assert len(compared) == 1
+
+
 def test_an_iterated_integral_reads_one_place_per_gap_not_per_cell():
     # Every row of the inner walk reads the same place of each inner gap,
     # and each outer gap has one place: no place is built per cell.
