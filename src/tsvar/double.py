@@ -245,14 +245,30 @@ def _require_vanishes_on_boundary(dp: DoubleProblem, eta: SurfaceFn):
             f"({fmt_scalar(t1)}, {fmt_scalar(t2)}) and {len(bad) - 1} more point(s)"
         )
     # Samples cannot clear a polynomial along a dense edge: its restriction
-    # to the edge's line must be the zero polynomial.
+    # to the edge's line must vanish.
     if isinstance(eta.func, Poly):
-        for k, ends, along in ((0, (dp.a1, dp.b1), dp.ax2), (1, (dp.a2, dp.b2), dp.ax1)):
+        for k, ends, axis, along in ((0, (dp.a1, dp.b1), dp.ax1, dp.ax2),
+                                     (1, (dp.a2, dp.b2), dp.ax2, dp.ax1)):
             for end in ends:
-                if not along.is_discrete and eta.func.subs(k, Fraction(end)) != 0:
+                if not along.is_discrete and _nonzero_along(eta.func, k, end, axis.mode):
                     raise PreconditionError(
                         f"variation must vanish on the rectangle boundary; nonzero "
                         f"along the edge t{k + 1} = {fmt_scalar(end)}")
+
+
+def _nonzero_along(poly: Poly, k: int, end, mode: str) -> bool:
+    """Whether ``poly`` with variable k set to ``end`` is not zero.  An exact
+    ``end`` must give the zero polynomial.  A float one is the rounding of
+    the end as written, which ``poly``'s exact coefficients need not
+    share (0.1 is not 1/10), so each coefficient of the restriction, taken at
+    the float's exact value, is held to the samples' tolerance 1e-12."""
+    if mode == RATIONAL:
+        return poly.subs(k, end) != 0
+    x, rest = Fraction(end), {}
+    for expo, c in poly.terms.items():
+        key = expo[:k] + expo[k + 1:]
+        rest[key] = rest.get(key, 0) + c * x ** expo[k]
+    return any(abs(c) > 1e-12 for c in rest.values())
 
 
 def action(dp: DoubleProblem, u: SurfaceFn, tol: float = QUAD_TOL) -> Num:

@@ -468,16 +468,26 @@ class TimeScale(_Record):
         ``other``'s.  Where ``other`` has a dense piece, a scale equal to it
         (``_same_as``) counts as ``other``, sparing its float nodes a lookup
         each; a discrete one has no nodes to spare, and is not worth a pass
-        over its pieces."""
+        over its pieces.  The line of scales, this one and those it was cut
+        from, is first walked by identity tests, the memo ``_equal``
+        included, and compared only when they find nothing, so that binding
+        again on a sub-scale of an equal copy compares no pieces."""
         dense = not other._discrete
         scale = self
         while scale is not other:
-            if dense and scale._same_as(other):
+            if dense and scale._equal is other:
                 return True
             scale = scale._parent
             if scale is None:
-                return False
-        return True
+                break
+        else:
+            return True
+        scale = self
+        while dense and scale is not None:
+            if scale._same_as(other):
+                return True
+            scale = scale._parent
+        return False
 
     def _node(self, x) -> Num:
         """The point that ``x``, a float quadrature node of one of this scale's

@@ -537,6 +537,19 @@ class TestVerdictCommands:
         assert code == 2
         assert "nonzero along the edge t1 = 0" in capsys.readouterr().err
 
+    def test_derivation_check_takes_eta_zero_at_a_float_end(self, tmp_path):
+        # On a float axis the end 0.1 is a binary float; eta written with
+        # "0.1" vanishes there within rounding, as the samples read it.
+        axis = {"mode": "float", "pieces": [{"point": 0.1}, {"point": 0.5},
+                                            {"interval": [0.75, 1]}]}
+        path = tmp_path / "dprob_float.json"
+        path.write_text(json.dumps({"scale1": axis, "scale2": axis,
+                                    "lagrangian": "builtin:grad2"}))
+        code, text = invoke("derivation-check", "--problem", str(path), "--u", "t1*t2",
+                            "--eta", "(t1 - 0.1)*(1 - t1)*(t2 - 0.1)*(1 - t2)")
+        assert code == 0
+        assert "first-variation-vs-kernel-form" in text
+
     def test_counterexample_confirmed(self):
         code, text = invoke("counterexample", "nabla-endpoints", "--format", "json")
         assert code == 0

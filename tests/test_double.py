@@ -298,6 +298,34 @@ class TestFirstVariation:
         u, eta = (SurfaceFn.from_callable(points, points, f) for f in (t1 * t2, poly))
         assert [s.residual for s in derivation_chain_check(dp, u, eta)] == [0] * 8
 
+    def test_a_float_end_is_read_within_the_sample_tolerance(self):
+        # On a float axis the end 0.1 is a binary float, not the 1/10 that
+        # Poly reads from "0.1": eta vanishes along each edge within rounding,
+        # and is not refused.
+        axis = TimeScale((0.1, 0.5, (0.75, 1.0)), mode=FLOAT)
+        dp = grad2_problem(axis, axis)
+        names = ("t1", "t2")
+        u = SurfaceFn.from_callable(axis, axis, Poly.parse("t1*t2", names))
+        eta = SurfaceFn.from_callable(axis, axis, Poly.parse(
+            "(t1 - 0.1)*(1 - t1)*(t2 - 0.1)*(1 - t2)", names))
+        first_variation(dp, u, eta)
+        assert len(derivation_chain_check(dp, u, eta)) == 1
+
+    def test_a_polynomial_nonzero_along_a_dense_float_edge_is_refused(self):
+        # As on a rational axis: eta is 0 at the grid(8) samples of the edge
+        # t1 = 0.1, and 0.9 times a nonzero polynomial in t2 along it.
+        axis = TimeScale((0.1, 0.5, (0.75, 1.0)), mode=FLOAT)
+        dp = grad2_problem(axis, axis)
+        names = ("t1", "t2")
+        u = SurfaceFn.from_callable(axis, axis, Poly.parse("t1*t2", names))
+        t1, t2 = (Poly.var(names, v) for v in names)
+        poly = 1 - t1
+        for x in axis.grid(8):
+            poly = poly * (t2 - Fraction(x))
+        leaky = SurfaceFn.from_callable(axis, axis, poly)
+        with pytest.raises(PreconditionError, match="nonzero along the edge t1 = 0.1$"):
+            first_variation(dp, u, leaky)
+
     def test_matches_symmetric_difference_of_action(self):
         poly = Poly.parse("y1^2 + y2^2 + y0^2 + t2*y0", VARS2)
         ps = ProductScale(AX5, AX5)

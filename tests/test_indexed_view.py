@@ -197,6 +197,33 @@ def test_an_equal_axis_is_compared_once(monkeypatch):
     assert len(compared) == 1
 
 
+def test_a_sub_scale_of_an_equal_copy_is_compared_once(monkeypatch):
+    # Data bound on a sub-scale cut from an equal copy of their dense axis
+    # compare the sub-scale and the copy at the first bind only: later binds,
+    # on that sub-scale or another cut from the copy, find the copy's memo
+    # by identity.
+    pieces = tuple(Fraction(k, 7) for k in range(300)) + ((100, 101),)
+    axis, copy = TimeScale(pieces), TimeScale(pieces)
+    subs = (copy.restrict(Fraction(3, 7), Fraction(201, 2)),
+            copy.restrict(0, Fraction(201, 2)))
+    u = SurfaceFn.from_callable(axis, axis, lambda a, b: a + b)
+    compared = []
+    original = TimeScale.__eq__
+
+    def counted(self, other):
+        compared.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TimeScale, "__eq__", counted)
+    counts = []
+    for sub in subs:
+        compared.clear()
+        assert all(u.on(sub, sub).cut == (True, True) for _ in range(20))
+        counts.append(len(compared))
+    assert counts == [2, 0]
+    assert not TimeScale(pieces[1:])._cut_from(axis)
+
+
 def test_an_iterated_integral_reads_one_place_per_gap_not_per_cell():
     # Every row of the inner walk reads the same place of each inner gap,
     # and each outer gap has one place: no place is built per cell.
