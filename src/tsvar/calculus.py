@@ -46,7 +46,11 @@ table with a value at every point, on its own axis or an equal one, is
 read straight from its list (``_gap_reader``), any other datum at the
 gap's point.  An iterated integral (``_iterated``) locates and
 decomposes the range of each axis once per call, so that every point of
-the outer axis walks the same list of inner parts.
+the outer axis walks the same list of inner parts.  A range of a discrete
+scale is one run of gaps, summed in one pass: its gap terms are the
+aligned slices of the gaps and of a table, or the reader or integrand
+mapped over the slice of points or places, zipped, with no tuple,
+generator resume or index per term.
 
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
@@ -73,7 +77,10 @@ by-parts integral, is the same one Fraction, and the gaps mu of a rational
 scale are themselves built from integers once (``TimeScale._gaps``).  Each
 such exact value is built once from its integer numerator and denominator
 by ``polyfn._fraction``: one gcd, and none of ``Fraction.__new__``'s type
-dispatch.
+dispatch.  The exact operands are read the same way back, from the slots
+``_numerator`` and ``_denominator`` that ``_fraction`` writes, under a test
+of their exact type: an int is its own numerator over 1, and a bool or a
+subclass of Fraction gets the written expression.
 """
 
 from __future__ import annotations
@@ -419,19 +426,26 @@ def _quotient(hi, lo, gap, c=None) -> Num:
 
     When ``hi``, ``lo`` and ``c`` are ints or Fractions and ``gap`` is a
     Fraction, the difference, the quotient and the product are formed in
-    integers and one Fraction is built, reduced once; any other operands (a
-    float, a ``Poly`` at a symbolic node, an int gap) get the written
-    expression."""
+    integers, each Fraction's read from its two slots as ``_fraction`` writes
+    them, and one Fraction is built, reduced once; any other operands (a
+    float, a ``Poly`` at a symbolic node, an int gap, a bool or a subclass of
+    Fraction) get the written expression."""
     th, tl, tc = type(hi), type(lo), type(c)
     if (type(gap) is Fraction and (th is Fraction or th is int) and (tl is Fraction or tl is int)
             and (c is None or tc is Fraction or tc is int)):
-        hn, hd = hi.as_integer_ratio()
-        ln, ld = lo.as_integer_ratio()
-        gn, gd = gap.as_integer_ratio()
-        num, den = (hn * ld - ln * hd) * gd, hd * ld * gn
-        if c is not None:
-            cn, cd = c.as_integer_ratio()
-            num, den = cn * num, cd * den
+        if th is int:
+            hn, hd = hi, 1
+        else:
+            hn, hd = hi._numerator, hi._denominator
+        if tl is int:
+            ln, ld = lo, 1
+        else:
+            ln, ld = lo._numerator, lo._denominator
+        num, den = (hn * ld - ln * hd) * gap._denominator, hd * ld * gap._numerator
+        if tc is int:
+            num *= c
+        elif c is not None:
+            num, den = c._numerator * num, c._denominator * den
         return _fraction(num, den)
     if c is None:
         return (hi - lo) / gap
@@ -479,7 +493,10 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
 
 
 def _decompose(scale: TimeScale, start, end):
-    """Split [a, b] into ('gap', k) and ('dense', (k, c, d)) parts, in order.
+    """Split [a, b] into parts, in order: on a discrete scale the one part
+    ('run', (i, j)), the gaps after pieces i through j - 1, which an integral
+    sums in one pass (``_integrate``); else ('gap', k) and ('dense', (k, c,
+    d)) parts.
 
     A gap part is named by the index k of the piece it follows: its
     right-scattered t in [a, b) is the piece's high, ``scale._highs[k]``,
@@ -489,8 +506,11 @@ def _decompose(scale: TimeScale, start, end):
     clipped bounds.  ``start`` and ``end`` are ``(i, a)`` and ``(j, b)`` as
     ``TimeScale._find`` located them; every other bound is read off the
     scale's indexed view."""
-    lows, highs = scale._lows, scale._highs
     (i, a), (j, b) = start, end
+    if scale._discrete:
+        yield "run", (i, j)
+        return
+    lows, highs = scale._lows, scale._highs
     c = max(lows[i], a)
     # Each piece k < j ends below b, at a right-scattered point whose
     # forward jump is the low of piece k + 1.  At an isolated point c is
@@ -531,20 +551,41 @@ def _gap_reader(scale: TimeScale, table, read, entry: int):
     return lambda k: read(lows[k + 1])
 
 
+def _run_reader(scale: TimeScale, table, read, entry: int):
+    """``_gap_reader`` for the run part (i, j) of a discrete ``scale``, called
+    with i and j: the datum at that entry of the gaps after pieces i through
+    j - 1, in order, as one iterable.  It is the ``table``'s aligned slice,
+    or ``read`` mapped over the slice of points."""
+    shift = entry - 1
+    if table is not None:
+        return lambda i, j: table[i + shift:j + shift]
+    ends = scale._highs if entry == 1 else scale._lows
+    return lambda i, j: map(read, ends[i + shift:j + shift])
+
+
 def _ratio_sum(num: int, den: int, terms) -> tuple:
     """``num / den`` plus the sum of ``w * v`` over the pairs ``(w, v)`` of
-    ``terms``, in integers: the products are added over a running
+    ``terms``, in integers, each Fraction's read from its two slots as
+    ``_fraction`` writes them: the products are added over a running
     denominator kept as the lcm of ``den`` and the term denominators, and
     nothing is normalized.  Returns ``(num, den, None)`` once every pair is
     added, or ``(num, den, (w, v))`` at the first pair that is not two ints
-    or Fractions; that pair is not added, and the rest of ``terms`` is left
-    unread."""
+    or Fractions by exact type (a bool or a subclass of Fraction is not);
+    that pair is not added, and the rest of ``terms`` is left unread."""
     for w, v in terms:
         tw, tv = type(w), type(v)
-        if not ((tw is Fraction or tw is int) and (tv is Fraction or tv is int)):
+        if tw is Fraction:
+            wn, wd = w._numerator, w._denominator
+        elif tw is int:
+            wn, wd = w, 1
+        else:
             return num, den, (w, v)
-        wn, wd = w.as_integer_ratio()
-        vn, vd = v.as_integer_ratio()
+        if tv is Fraction:
+            vn, vd = v._numerator, v._denominator
+        elif tv is int:
+            vn, vd = v, 1
+        else:
+            return num, den, (w, v)
         q = wd * vd
         if den % q:
             m = q // gcd(den, q)
@@ -566,7 +607,7 @@ def _exact_sum(zero, terms) -> Num:
     total = zero
     terms = iter(terms)
     if type(zero) is int or type(zero) is Fraction:
-        num, den = zero.as_integer_ratio()
+        num, den = (zero, 1) if type(zero) is int else (zero._numerator, zero._denominator)
         num, den, rest = _ratio_sum(num, den, terms)
         if rest is None:
             return _fraction(num, den)
@@ -637,7 +678,7 @@ def _parts(scale: TimeScale, a, b):
 
 
 def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
-               node=None, exact_only: bool = False):
+               node=None, exact_only: bool = False, run=None):
     """Integral driver shared by every integral in the package, over
     the ``parts`` of a range of ``scale`` in order: as ``_parts`` yields them
     for an integral of one variable, or as ``_iterated`` keeps them.
@@ -648,7 +689,13 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
     the integrand on the dense piece i, a callable of a float quadrature
     node or of the symbolic ``node``; each dense part is one step of
     ``_dense_steps``, built at the first, and its Simpson values are added
-    apart, in floats."""
+    apart, in floats.
+
+    A discrete range is one run part (i, j), summed in one pass: ``run(i,
+    j)``, or ``map(point_value, range(i, j))`` without it, gives the
+    integrand at the gaps after pieces i through j - 1 in order, and
+    ``_exact_sum`` reads it zipped with their graininess, with no tuple,
+    generator or index per term."""
     simpson, gaps = [], scale._gaps
 
     def terms():
@@ -666,7 +713,12 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
             else:
                 simpson.append(step(*payload))
 
-    exact = _exact_sum(zero_of(scale), terms())
+    if scale._discrete:
+        (_, (i, j)), = parts
+        values = map(point_value, range(i, j)) if run is None else run(i, j)
+        exact = _exact_sum(zero_of(scale), zip(gaps[i:j], values))
+    else:
+        exact = _exact_sum(zero_of(scale), terms())
     if simpson:
         dense_total = 0.0
         for value in simpson:
@@ -686,11 +738,14 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
 def _integral(scale: TimeScale, fn, a, b, entry: int, tol: float) -> Num:
     """The delta (``entry`` 1, t) or nabla (``entry`` 2, sigma(t)) integral of
     ``fn`` over [a, b], reading ``fn`` at that entry of each gap (see
-    ``_gap_reader``): nu of sigma(t) is mu(t), and on dense pieces both are
-    the classical integral."""
+    ``_gap_reader``, and ``_run_reader`` on a discrete scale): nu of sigma(t)
+    is mu(t), and on dense pieces both are the classical integral."""
     fn, read = _data(scale, fn)
-    return _integrate(scale, _parts(scale, a, b),
-                      _gap_reader(scale, _by_index(scale, fn), read, entry),
+    table = _by_index(scale, fn)
+    if scale._discrete:
+        return _integrate(scale, _parts(scale, a, b), None, None, tol,
+                          run=_run_reader(scale, table, read, entry))
+    return _integrate(scale, _parts(scale, a, b), _gap_reader(scale, table, read, entry),
                       lambda i: read, tol, _symbolic(fn))
 
 
@@ -720,8 +775,10 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     row walks the same list of inner parts.  A gap part is named by its
     piece index (``_decompose``), and each axis keeps the places of its gaps
     as it keeps the gaps (``TimeScale._places``): every row reads the same
-    inner places by that index.  Only a dense inner piece depends on the
-    row: its antiderivative is built, or Simpson run, per row."""
+    inner places by that index.  On a discrete axis the range is one run
+    part, and the integrand is mapped over the slice of its places, with the
+    row's place repeated on an inner one.  Only a dense inner piece depends
+    on the row: its antiderivative is built, or Simpson run, per row."""
     parts1, parts2 = _parts(ax1, a1, b1), list(_parts(ax2, a2, b2))
     places1, places2 = ax1._places, ax2._places
 
@@ -736,6 +793,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
             exact_only=isinstance(t1, Poly),
+            run=lambda i, j: map(G, repeat(p1), places2[i:j]),
         )
 
     return _integrate(
@@ -744,6 +802,7 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
         dense_on=lambda i: lambda x: inner((i, x, x, None)),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
+        run=lambda i, j: map(inner, places1[i:j]),
     )
 
 
@@ -773,28 +832,43 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     # Each datum is read at t and at sigma(t) of each gap part k.  The forms
     # differ only in which factor takes sigma at gap points: the lhs reads f,
     # and the rest g, at sigma(t) or at t.  On dense pieces sigma(t) = t and
-    # both read the same.
-    f_t, f_s = _gap_reader(scale, f_table, f_at, 1), _gap_reader(scale, f_table, f_at, 2)
-    g_t, g_s = _gap_reader(scale, g_table, g_at, 1), _gap_reader(scale, g_table, g_at, 2)
-    f_lhs, g_rest = (f_s, g_t) if form == 1 else (f_t, g_s)
+    # both read the same.  Each gap term is one ``_quotient`` with its factor.
     gaps = scale._gaps
+    if f_table is not None and g_table is not None:
+        # Two tables read by index: the terms of a run map ``_quotient`` over
+        # their aligned slices, which call no datum, so no read order holds.
+        f_t, f_s = _run_reader(scale, f_table, f_at, 1), _run_reader(scale, f_table, f_at, 2)
+        g_t, g_s = _run_reader(scale, g_table, g_at, 1), _run_reader(scale, g_table, g_at, 2)
+        f_lhs, g_rest = (f_s, g_t) if form == 1 else (f_t, g_s)
+        lhs_run = lambda i, j: map(_quotient, g_s(i, j), g_t(i, j), gaps[i:j], f_lhs(i, j))
+        rest_run = lambda i, j: map(_quotient, f_s(i, j), f_t(i, j), gaps[i:j], g_rest(i, j))
+        lhs_value = rest_value = None
+    else:
+        f_t, f_s = _gap_reader(scale, f_table, f_at, 1), _gap_reader(scale, f_table, f_at, 2)
+        g_t, g_s = _gap_reader(scale, g_table, g_at, 1), _gap_reader(scale, g_table, g_at, 2)
+        f_lhs, g_rest = (f_s, g_t) if form == 1 else (f_t, g_s)
+        # Arguments, keywords too, are evaluated in the order written, so both
+        # terms read f before g.
+        lhs_value = lambda k: _quotient(c=f_lhs(k), hi=g_s(k), lo=g_t(k), gap=gaps[k])
+        rest_value = lambda k: _quotient(f_s(k), f_t(k), gaps[k], g_rest(k))
+        lhs_run = rest_run = None
 
     node = _symbolic(f, g)
-    # Each gap term is one ``_quotient`` with its factor.  Arguments, keywords
-    # too, are evaluated in the order written, so both terms read f before g.
     lhs = _integrate(
         scale, _parts(scale, a, b),
-        point_value=lambda k: _quotient(c=f_lhs(k), hi=g_s(k), lo=g_t(k), gap=gaps[k]),
+        point_value=lhs_value,
         dense_on=lambda i: lambda x: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
         tol=tol,
         node=node,
+        run=lhs_run,
     )
     rest = _integrate(
         scale, _parts(scale, a, b),
-        point_value=lambda k: _quotient(f_s(k), f_t(k), gaps[k], g_rest(k)),
+        point_value=rest_value,
         dense_on=lambda i: lambda x: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
         tol=tol,
         node=node,
+        run=rest_run,
     )
     return abs(lhs - (boundary - rest))
 

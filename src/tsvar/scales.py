@@ -341,19 +341,18 @@ class TimeScale(_Record):
     def _gaps(self) -> tuple:
         """The gap from each piece to the next, computed at the first read.
 
-        On a rational scale each gap is built once from the integer ratios
-        of its two ends by ``_fraction``, which skips the operator dispatch of
-        a Fraction subtraction and the type dispatch of ``Fraction.__new__``;
-        a float scale subtracts."""
+        On a rational scale each gap is built once by ``_fraction`` from the
+        integers in the slots of its two ends, each a Fraction (``as_scalar``),
+        which skips the operator dispatch of a Fraction subtraction and the
+        type dispatch of ``Fraction.__new__``; a float scale subtracts."""
         pieces = self.pieces
         ends = zip(pieces, pieces[1:])
         if self.mode != RATIONAL:
             return tuple(nxt - hi for (_, hi), (nxt, _) in ends)
         gaps = []
         for (_, hi), (nxt, _) in ends:
-            hn, hd = hi.as_integer_ratio()
-            nn, nd = nxt.as_integer_ratio()
-            gaps.append(_fraction(nn * hd - hn * nd, nd * hd))
+            hd, nd = hi._denominator, nxt._denominator
+            gaps.append(_fraction(nxt._numerator * hd - hi._numerator * nd, nd * hd))
         return tuple(gaps)
 
     @cached_property

@@ -29,6 +29,7 @@ from tsvar import (
     delta_deriv,
     delta_integral,
     derivation_chain_check,
+    double_integral,
     el_residual,
     first_variation,
     fubini_residual,
@@ -37,7 +38,7 @@ from tsvar import (
     nabla_integral_discrete,
     tabulated_from_json,
 )
-from tsvar.double import _el_kernel_at, _kernel_pairing, _place, _traj_args
+from tsvar.double import _el_kernel_at, _first_variation, _kernel_pairing, _place, _traj_args
 from tsvar.quadrature import QUAD_TOL
 from tsvar.scales import fmt_scalar
 
@@ -502,10 +503,15 @@ def _assert_walks_agree(scale, a, b):
     a, b = start[1], end[1]
     pieces, gaps = scale.pieces, scale._gaps
     # A gap part is named by the index k of the piece it follows; its place
-    # is that piece's high, the next piece's low and the gap between.
-    got = [("gap", (None, pieces[k][1], pieces[k + 1][0], gaps[k])) if kind == "gap"
-           else (kind, k)
-           for kind, k in tsvar.calculus._decompose(scale, start, end)]
+    # is that piece's high, the next piece's low and the gap between.  A run
+    # part (i, j) of a discrete scale is the gap parts i through j - 1.
+    got = []
+    for kind, k in tsvar.calculus._decompose(scale, start, end):
+        if kind == "dense":
+            got.append((kind, k))
+            continue
+        for k in range(*k) if kind == "run" else (k,):
+            got.append(("gap", (None, pieces[k][1], pieces[k + 1][0], gaps[k])))
     want = list(_clip_walk(scale, a, b))
     # repr tells types and float signs apart.
     assert repr(got) == repr(want)
@@ -535,6 +541,11 @@ def test_decompose_matches_clip_walk_on_every_range(mode):
     if s.mode == FLOAT:
         # -0.0 is the point 0.0; the dense bounds keep the piece's own zero.
         _assert_walks_agree(TimeScale(((0.0, 1.0), 2.0), FLOAT, s.eps), -0.0, 2.0)
+    # A discrete scale is one run part: over the whole scale, a strict
+    # sub-range and a single point.
+    d = TimeScale.discrete([scalar(x) for x in (0, 1, 3, 4, 6, 8)], s.mode, s.eps)
+    for a, b in ((0, 8), (1, 6), (3, 3)):
+        _assert_walks_agree(d, scalar(a), scalar(b))
 
 
 @settings(max_examples=80, deadline=None)
@@ -655,6 +666,11 @@ def _written_walks(pts, f, g, zero):
     ``f`` and ``g`` over the consecutive points ``pts``, written per point
     and read in the order the entry points read their data, each as
     ``_walk_outcome`` tells it."""
+    return [_walk_outcome(walk) for walk in _written_sums(pts, f, g, zero)]
+
+
+def _written_sums(pts, f, g, zero):
+    """The four walks of ``_written_walks``, as callables."""
     pairs = list(zip(pts, pts[1:]))
 
     def delta():
@@ -682,8 +698,7 @@ def _written_walks(pts, f, g, zero):
             rest = rest + mu * ((g(t) if form == 1 else g(s)) * ((f_s - f_t) / mu))
         return abs(lhs - (boundary - rest))
 
-    return [_walk_outcome(walk)
-            for walk in (delta, nabla, lambda: by_parts(1), lambda: by_parts(2))]
+    return delta, nabla, lambda: by_parts(1), lambda: by_parts(2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -747,6 +762,125 @@ def test_table_walks_equal_the_written_sums(seed, mode, on, kinds, holes):
            _walk_outcome(lambda: ibp_residual(scale, f, g, a, b, 1)),
            _walk_outcome(lambda: ibp_residual(scale, f, g, a, b, 2))]
     assert got == _written_walks(spts[i:j + 1], f_ref, g_ref, zero)
+
+
+def _same(got, want):
+    """Exact results are equal and of one type; float results have one bit
+    pattern."""
+    assert type(got) is type(want)
+    assert got.hex() == want.hex() if type(want) is float else got == want
+
+
+def _written_iterated(pts1, pts2, start1, start2, G, zero):
+    """The iterated delta integral of ``G`` over the consecutive points
+    ``pts1`` and ``pts2``, which start at the piece indices ``start1`` and
+    ``start2`` of their axes, second axis innermost: written per gap, each
+    place ``(k, t, sigma(t), mu(t))`` built from the points, and added left to
+    right."""
+    def places(pts, start):
+        return [(start + k, t, s, s - t) for k, (t, s) in enumerate(zip(pts, pts[1:]))]
+
+    total = zero
+    for p1 in places(pts1, start1):
+        row = zero
+        for p2 in places(pts2, start2):
+            row = row + p2[3] * G(p1, p2)
+        total = total + p1[3] * row
+    return total
+
+
+def _one_pass_datum(rng, axes, kind, values):
+    """Data on the discrete ``axes`` (one or two) and the plain callable that
+    reads the same values at a point: a table, a callable or a ``Poly``.
+    ``values`` draws one value: an int, a Fraction or a float."""
+    pts = [axis.points() for axis in axes]
+    if kind == "poly":
+        if len(axes) == 1:
+            poly = rand_poly1(rng)
+            return (poly if rng.random() < 0.5 else ScaleFn.from_callable(axes[0], poly)), poly
+        poly = Poly.parse("t1^2*t2 - 3*t2 + 1/2", ("t1", "t2"))
+        return SurfaceFn.from_callable(*axes, poly), poly
+    if len(axes) == 1:
+        drawn = {t: values() for t in pts[0]}
+        if kind == "table":
+            fn = ScaleFn.from_table(axes[0], drawn)
+            return fn, dict(zip(pts[0], fn.table)).__getitem__
+        return drawn.__getitem__, drawn.__getitem__
+    rows = [[values() for _ in pts[1]] for _ in pts[0]]
+    if kind == "table":
+        fn = SurfaceFn.from_table(*axes, rows)
+        rows = fn.table
+    drawn = {(t1, t2): v for t1, row in zip(pts[0], rows) for t2, v in zip(pts[1], row)}
+    read = lambda t1, t2: drawn[t1, t2]
+    return (fn if kind == "table" else SurfaceFn.from_callable(*axes, read)), read
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), mode=st.sampled_from(["rational", FLOAT]),
+       kinds=st.tuples(st.sampled_from(["table", "callable", "poly"]),
+                       st.sampled_from(["table", "callable", "poly"])),
+       values=st.sampled_from(["int", "fraction", "mixed"]))
+def test_one_pass_sums_equal_the_written_per_gap_sums(seed, mode, kinds, values):
+    # On a discrete scale each range is summed in one pass.  Its results are
+    # those of the written per-gap sum, added left to right: the same exact
+    # value and type, or the same float bits.  Points are drawn as ints and
+    # Fractions, or as floats; values as ints, Fractions or (mixed, on a
+    # rational scale) floats among them.
+    rng = random.Random(seed)
+
+    def axis():
+        pts = [rng.choice((int, Fraction))(rng.randint(-3, 3))]
+        for _ in range(rng.randint(0, 7)):
+            pts.append(pts[-1] + rng.choice((1, 2, Fraction(rng.randint(1, 4), rng.randint(2, 3)))))
+        if mode == FLOAT:
+            pts = [float(t) / 3 for t in pts]
+        return TimeScale.discrete(pts, mode)
+
+    def draw():
+        if mode == FLOAT or (values == "mixed" and rng.random() < 0.3):
+            return rng.uniform(-9, 9)
+        return rng.randint(-9, 9) if values == "int" else rand_fraction(rng)
+
+    zero = Fraction(0) if mode == "rational" else 0.0
+    scale = axis()
+    pts = scale.points()
+    (f, f_ref), (g, g_ref) = (_one_pass_datum(rng, (scale,), kind, draw) for kind in kinds)
+    i, j = sorted(rng.randint(0, len(pts) - 1) for _ in range(2))
+    if rng.random() < 0.2:
+        j = i  # a == b
+    a, b = pts[i], pts[j]
+    got = (delta_integral(scale, f, a, b), nabla_integral_discrete(scale, f, a, b),
+           ibp_residual(scale, f, g, a, b, 1), ibp_residual(scale, f, g, a, b, 2))
+    for value, written in zip(got, _written_sums(pts[i:j + 1], f_ref, g_ref, zero)):
+        _same(value, written())
+
+    ax1, ax2 = axis(), axis()
+    if len(ax1.points()) < 2 or len(ax2.points()) < 2:
+        return
+    p1, p2 = ax1.points(), ax2.points()
+    i1, j1 = sorted(rng.sample(range(len(p1)), 2))
+    i2, j2 = sorted(rng.sample(range(len(p2)), 2))
+    ps = ProductScale(ax1, ax2)
+    rect = (p1[i1], p1[j1], p2[i2], p2[j2])
+    (u, u_ref), (eta, _) = (_one_pass_datum(rng, (ax1, ax2), kind, draw) for kind in kinds)
+    G = lambda q1, q2: u_ref(q1[1], q2[1])
+    one = _written_iterated(p1[i1:j1 + 1], p2[i2:j2 + 1], i1, i2, G, zero)
+    two = _written_iterated(p2[i2:j2 + 1], p1[i1:j1 + 1], i2, i1,
+                            lambda q2, q1: G(q1, q2), zero)
+    _same(double_integral(ps, u, rect), one)
+    _same(fubini_residual(ps, u, rect), abs(one - two))
+
+    dp = DoubleProblem(ps, *rect, rand_quadratic2(rng))
+    u, eta = u.on(ax1, ax2), eta.on(ax1, ax2)
+
+    def first(q1, q2):
+        args = _traj_args(dp, u, q1, q2)
+        _, _, e_ss, e_d1, e_d2 = _traj_args(dp, eta, q1, q2)
+        l0, l1, l2 = dp.joint(*args)
+        return zero + l0 * e_ss + l1 * e_d1 + l2 * e_d2
+
+    _same(_first_variation(dp, u, eta),
+          _written_iterated(p1[i1:j1 + 1], p2[i2:j2 + 1], i1, i2, first, zero))
 
 
 def _rand_hybrid(rng) -> TimeScale:
@@ -911,6 +1045,52 @@ class TestQuotient:
         got = tsvar.calculus._quotient(hi, lo, gap, c)
         want = c * ((hi - lo) / gap)
         assert type(got) is float and repr(got) == repr(want)
+
+
+class _FractionKind(Fraction):
+    """A subclass of Fraction: the exact paths leave it to the written
+    expression."""
+
+
+class TestFractionSlots:
+    """``_ratio_sum``, ``_quotient`` and ``TimeScale._gaps`` read a Fraction's
+    value from the two slots that ``Fraction.__new__`` and ``_fraction``
+    write, under a test of its exact type.  On a Python that renamed the
+    slots the first test fails by name."""
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(-3, 4), Fraction(10**30, 7),
+                                   Fraction("1.25"), Fraction(5), Fraction(-2.5)])
+    def test_the_slots_hold_numerator_and_denominator(self, x):
+        assert (x._numerator, x._denominator) == (x.numerator, x.denominator)
+        built = tsvar.calculus._fraction(x.numerator, x.denominator)
+        assert (built._numerator, built._denominator) == (x.numerator, x.denominator)
+
+    @pytest.mark.parametrize("odd", [True, False, _FractionKind(3, 4)], ids=repr)
+    def test_bool_and_a_subclass_take_the_written_branch(self, odd, monkeypatch):
+        # The integer branch builds its one Fraction with _fraction; the
+        # written branch does not.
+        built = []
+        fraction = tsvar.calculus._fraction
+        monkeypatch.setattr(tsvar.calculus, "_fraction",
+                            lambda n, d: built.append((n, d)) or fraction(n, d))
+        x, gap = Fraction(-5, 3), Fraction(2, 7)
+        for hi, lo, c in ((odd, x, None), (x, odd, None), (x, 2, odd), (odd, odd, x)):
+            got = tsvar.calculus._quotient(hi, lo, gap, c)
+            want = (hi - lo) / gap if c is None else c * ((hi - lo) / gap)
+            assert type(got) is type(want) and got == want
+        assert built == []
+        # _ratio_sum stops at the first pair that holds one, unread, and
+        # _exact_sum adds it and the rest as written.
+        terms = [(Fraction(1, 5), 3), (odd, x), (2, Fraction(1, 9))]
+        for pair in terms[1], terms[1][::-1]:
+            terms[1] = pair
+            assert tsvar.calculus._ratio_sum(1, 2, iter(terms)) == (1 * 5 + 2 * 3, 10, pair)
+            got = tsvar.calculus._exact_sum(Fraction(1, 2), terms)
+            want = Fraction(1, 2) + terms[0][0] * terms[0][1] + pair[0] * pair[1] + 2 * Fraction(1, 9)
+            assert type(got) is type(want) and got == want
+        # A Fraction and an int take the integer branch.
+        built.clear()
+        assert tsvar.calculus._quotient(x, 2, gap) == (x - 2) / gap and len(built) == 1
 
 
 @settings(max_examples=30, deadline=None)
