@@ -38,19 +38,20 @@ scale beside a piece end, such as ``float(1/3)`` at the low end of
 [1/3, 2/3], is read as that end.  On any other axis a coordinate is looked
 up, and refused off the data's scale.  A ``section`` is not bound: it
 reads its parent as the parent is bound.  An integral locates its two
-ends once, walks the pieces between by index, and hands each dense
-piece's index to the integrand, so that a slope at a node (``_delta_at``)
-is never located again.  Each gap is named by the index of the piece it
-follows, and the integrand reads its data there by that index: a one-axis
-table with a value at every point, on its own axis or an equal one, is
-read straight from its list (``_gap_reader``), any other datum at the
-gap's point.  An iterated integral (``_iterated``) locates and
-decomposes the range of each axis once per call, so that every point of
-the outer axis walks the same list of inner parts.  A range of a discrete
-scale is one run of gaps, summed in one pass: its gap terms are the
-aligned slices of the gaps and of a table, or the reader or integrand
-mapped over the slice of points or places, zipped, with no tuple,
-generator resume or index per term.
+ends once, a in piece i and b in piece j.  On every scale the gaps of
+the range are one slice of the scale's gaps, those after pieces i through
+j - 1, each named by the index of the piece it follows.  The range's
+dense parts are found by bisecting the indices of the scale's interval
+pieces (``TimeScale._dense``), and each dense piece's index is handed to
+the integrand, so that a slope at a node (``_delta_at``) is never located
+again.  The gap terms are summed in one pass (``_run_reader``): the slice
+of the gaps zipped with the aligned slice of a one-axis table with a
+value at every point, on its own axis or an equal one, or with the reader
+or integrand mapped over the slice of points or places, with no tuple,
+generator resume or index per term.  The dense steps follow.  An
+iterated integral (``_iterated``) locates and decomposes the range of
+each axis once per call, so that every point of the outer axis walks the
+same inner parts.
 
 Integrands built from jump compositions (for example f(sigma(t)) or a
 delta derivative) are discontinuous exactly at the right endpoint of a
@@ -85,11 +86,12 @@ subclass of Fraction gets the written expression.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, starmap
 from math import gcd, isfinite
-from operator import is_not
+from operator import is_not, itemgetter
 
 from .errors import DomainError, PreconditionError, UnsupportedScaleError
 from .polyfn import Poly, PolySizeError, _fraction
@@ -493,37 +495,27 @@ def delta_deriv(scale: TimeScale, fn, t, tol: float = LIMIT_TOL) -> DerivResult:
 
 
 def _decompose(scale: TimeScale, start, end):
-    """Split [a, b] into parts, in order: on a discrete scale the one part
-    ('run', (i, j)), the gaps after pieces i through j - 1, which an integral
-    sums in one pass (``_integrate``); else ('gap', k) and ('dense', (k, c,
-    d)) parts.
+    """Split [a, b] into ``(i, j, dense)``: the gaps after pieces i through
+    j - 1, and the list ``dense`` of its dense parts ``(k, c, d)``, in order.
 
-    A gap part is named by the index k of the piece it follows: its
-    right-scattered t in [a, b) is the piece's high, ``scale._highs[k]``,
-    its forward jump sigma(t) the next piece's low, ``scale._lows[k + 1]``,
-    and its graininess mu(t) is ``scale._gaps[k]``; it contributes
-    mu(t) f(t) exactly.  A dense part carries its piece index k and the
-    clipped bounds.  ``start`` and ``end`` are ``(i, a)`` and ``(j, b)`` as
-    ``TimeScale._find`` located them; every other bound is read off the
-    scale's indexed view."""
+    Each piece k < j ends below b, at a right-scattered point, so the gaps
+    of the range are one slice: the gap after piece k has the piece's high,
+    ``scale._highs[k]``, as its t in [a, b), the next piece's low,
+    ``scale._lows[k + 1]``, as its forward jump sigma(t), and
+    ``scale._gaps[k]`` as its graininess mu(t); it contributes mu(t) f(t)
+    exactly.  A dense part is an interval piece k from i through j
+    (``scale._dense``, bisected) clipped to [c, d], where c < d.  ``start``
+    and ``end`` are ``(i, a)`` and ``(j, b)`` as ``TimeScale._find`` located
+    them; every other bound is read off the scale's indexed view."""
     (i, a), (j, b) = start, end
-    if scale._discrete:
-        yield "run", (i, j)
-        return
-    lows, highs = scale._lows, scale._highs
-    c = max(lows[i], a)
-    # Each piece k < j ends below b, at a right-scattered point whose
-    # forward jump is the low of piece k + 1.  At an isolated point c is
-    # usually hi itself, and the identity test spares a Fraction compare.
-    for k in range(i, j):
-        hi = highs[k]
-        if c is not hi and c < hi:
-            yield ("dense", (k, c, hi))
-        yield ("gap", k)
-        c = lows[k + 1]
-    d = min(highs[j], b)
-    if c < d:
-        yield ("dense", (j, c, d))
+    lows, highs, intervals = scale._lows, scale._highs, scale._dense
+    dense = []
+    for k in intervals[bisect_left(intervals, i):bisect_right(intervals, j)]:
+        c = max(lows[k], a) if k == i else lows[k]
+        d = min(highs[k], b) if k == j else highs[k]
+        if c < d:
+            dense.append((k, c, d))
+    return i, j, dense
 
 
 def _by_index(scale: TimeScale, fn):
@@ -536,26 +528,13 @@ def _by_index(scale: TimeScale, fn):
     return None
 
 
-def _gap_reader(scale: TimeScale, table, read, entry: int):
-    """The reader of a datum at entry 1, t, or entry 2, sigma(t), of each
-    gap part of ``scale``, called with the part's index k.  With the
-    ``table`` of ``_by_index`` it is that list's own ``__getitem__``,
-    shifted by one for sigma(t), and no Python frame runs per read; else
-    it calls ``read`` at the point."""
-    if table is not None:
-        return (table if entry == 1 else table[1:]).__getitem__
-    if entry == 1:
-        highs = scale._highs
-        return lambda k: read(highs[k])
-    lows = scale._lows
-    return lambda k: read(lows[k + 1])
-
-
 def _run_reader(scale: TimeScale, table, read, entry: int):
-    """``_gap_reader`` for the run part (i, j) of a discrete ``scale``, called
-    with i and j: the datum at that entry of the gaps after pieces i through
-    j - 1, in order, as one iterable.  It is the ``table``'s aligned slice,
-    or ``read`` mapped over the slice of points."""
+    """The reader of a datum at entry 1, t, or entry 2, sigma(t), of the
+    gaps after pieces i through j - 1 of ``scale``, called with i and j:
+    the data there, in order, as one iterable.  With the ``table`` of
+    ``_by_index`` it is that list's aligned slice, shifted by one for
+    sigma(t), and no Python frame runs per read; else it is ``read`` mapped
+    over the slice of points."""
     shift = entry - 1
     if table is not None:
         return lambda i, j: table[i + shift:j + shift]
@@ -669,67 +648,46 @@ def _dense_steps(scale: TimeScale, dense_on, i: int, node, tol: float, exact_onl
 
 
 def _parts(scale: TimeScale, a, b):
-    """The parts of [a, b] on ``scale``, in order, as ``_decompose`` yields
-    them: the two ends located once, and a reversed range refused."""
+    """The parts of [a, b] on ``scale``, as ``_decompose`` returns them: the
+    two ends located once, and a reversed range refused."""
     start, end = scale._find(a), scale._find(b)
     if start[1] > end[1]:
         raise DomainError("integration range is reversed; integrate forward and negate")
     return _decompose(scale, start, end)
 
 
-def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
-               node=None, exact_only: bool = False, run=None):
-    """Integral driver shared by every integral in the package, over
-    the ``parts`` of a range of ``scale`` in order: as ``_parts`` yields them
-    for an integral of one variable, or as ``_iterated`` keeps them.
+def _integrate(scale: TimeScale, parts, run, dense_on, tol: float,
+               node=None, exact_only: bool = False):
+    """Integral driver shared by every integral in the package, over the
+    ``parts`` ``(i, j, dense)`` of a range of ``scale`` (``_decompose``): as
+    ``_parts`` returns them for an integral of one variable, or as
+    ``_iterated`` keeps them.
 
-    ``point_value(k)`` is the exact integrand at the gap part k, the gap
-    after piece k (see ``_decompose``), weighted by its graininess
-    ``scale._gaps[k]``.  ``dense_on(i)`` is the continuous restriction of
-    the integrand on the dense piece i, a callable of a float quadrature
-    node or of the symbolic ``node``; each dense part is one step of
-    ``_dense_steps``, built at the first, and its Simpson values are added
-    apart, in floats.
-
-    A discrete range is one run part (i, j), summed in one pass: ``run(i,
-    j)``, or ``map(point_value, range(i, j))`` without it, gives the
-    integrand at the gaps after pieces i through j - 1 in order, and
-    ``_exact_sum`` reads it zipped with their graininess, with no tuple,
-    generator or index per term."""
-    simpson, gaps = [], scale._gaps
-
-    def terms():
-        # Gap terms and exact dense parts, as (weight, value).
-        step = None
-        for kind, payload in parts:
-            if kind == "gap":
-                yield gaps[payload], point_value(payload)
-                continue
-            if step is None:
-                step, exact_steps = _dense_steps(scale, dense_on, payload[0], node, tol,
-                                                 exact_only)
-            if exact_steps:
-                yield 1, step(*payload)
-            else:
-                simpson.append(step(*payload))
-
-    if scale._discrete:
-        (_, (i, j)), = parts
-        values = map(point_value, range(i, j)) if run is None else run(i, j)
-        exact = _exact_sum(zero_of(scale), zip(gaps[i:j], values))
-    else:
-        exact = _exact_sum(zero_of(scale), terms())
-    if simpson:
-        dense_total = 0.0
-        for value in simpson:
-            dense_total += value
-        try:
-            exact = float(exact) + dense_total
-        except OverflowError:
-            raise DomainError(
-                f"the exact gap sum, {_magnitude(exact)}, is past the float range "
-                f"of the Simpson part of the integral"
-            ) from None
+    ``run(i, j)`` gives the exact integrand at the gaps after pieces i
+    through j - 1, in order, and ``_exact_sum`` reads it zipped with their
+    graininess, in one pass with no tuple, generator or index per term.
+    ``dense_on(k)`` is the continuous restriction of the integrand on the
+    dense piece k, a callable of a float quadrature node or of the symbolic
+    ``node``; each dense part is then one step of ``_dense_steps``, built at
+    the first.  Exact steps are added to the gap sum, and Simpson values
+    apart, in floats."""
+    i, j, dense = parts
+    exact = _exact_sum(zero_of(scale), zip(scale._gaps[i:j], run(i, j)))
+    if dense:
+        step, exact_steps = _dense_steps(scale, dense_on, dense[0][0], node, tol, exact_only)
+        if exact_steps:
+            exact = _exact_sum(exact, zip(repeat(1), starmap(step, dense)))
+        else:
+            dense_total = 0.0
+            for part in dense:
+                dense_total += step(*part)
+            try:
+                exact = float(exact) + dense_total
+            except OverflowError:
+                raise DomainError(
+                    f"the exact gap sum, {_magnitude(exact)}, is past the float range "
+                    f"of the Simpson part of the integral"
+                ) from None
     if type(exact) is float and not isfinite(exact):
         raise DomainError(f"the integral, {exact}, is past the float range")
     return exact
@@ -737,16 +695,12 @@ def _integrate(scale: TimeScale, parts, point_value, dense_on, tol: float,
 
 def _integral(scale: TimeScale, fn, a, b, entry: int, tol: float) -> Num:
     """The delta (``entry`` 1, t) or nabla (``entry`` 2, sigma(t)) integral of
-    ``fn`` over [a, b], reading ``fn`` at that entry of each gap (see
-    ``_gap_reader``, and ``_run_reader`` on a discrete scale): nu of sigma(t)
-    is mu(t), and on dense pieces both are the classical integral."""
+    ``fn`` over [a, b], reading ``fn`` at that entry of each gap
+    (``_run_reader``): nu of sigma(t) is mu(t), and on dense pieces both are
+    the classical integral."""
     fn, read = _data(scale, fn)
-    table = _by_index(scale, fn)
-    if scale._discrete:
-        return _integrate(scale, _parts(scale, a, b), None, None, tol,
-                          run=_run_reader(scale, table, read, entry))
-    return _integrate(scale, _parts(scale, a, b), _gap_reader(scale, table, read, entry),
-                      lambda i: read, tol, _symbolic(fn))
+    run = _run_reader(scale, _by_index(scale, fn), read, entry)
+    return _integrate(scale, _parts(scale, a, b), run, lambda k: read, tol, _symbolic(fn))
 
 
 def delta_integral(scale: TimeScale, fn, a, b, tol: float = QUAD_TOL) -> Num:
@@ -772,14 +726,13 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
     symbolic node of that axis when both axes are rational.
 
     Each axis's range is located and decomposed once per call, and every
-    row walks the same list of inner parts.  A gap part is named by its
-    piece index (``_decompose``), and each axis keeps the places of its gaps
-    as it keeps the gaps (``TimeScale._places``): every row reads the same
-    inner places by that index.  On a discrete axis the range is one run
-    part, and the integrand is mapped over the slice of its places, with the
-    row's place repeated on an inner one.  Only a dense inner piece depends
-    on the row: its antiderivative is built, or Simpson run, per row."""
-    parts1, parts2 = _parts(ax1, a1, b1), list(_parts(ax2, a2, b2))
+    row walks the same inner parts.  Each axis keeps the places of its gaps
+    by piece index, as it keeps the gaps (``TimeScale._places``), so the gap
+    terms of a range are the integrand mapped over one slice of its places,
+    with the row's place repeated on an inner one.  Only a dense inner piece
+    depends on the row: its antiderivative is built, or Simpson run, per
+    row."""
+    parts1, parts2 = _parts(ax1, a1, b1), _parts(ax2, a2, b2)
     places1, places2 = ax1._places, ax2._places
 
     def inner(p1):
@@ -788,22 +741,25 @@ def _iterated(ax1: TimeScale, ax2: TimeScale, a1, b1, a2, b2, G, tol: float):
         t1 = p1[1]
         return _integrate(
             ax2, parts2,
-            point_value=lambda k: G(p1, places2[k]),
-            dense_on=lambda j: lambda x: G(p1, (j, x, x, None)),
+            run=lambda i, j: map(G, repeat(p1), places2[i:j]),
+            dense_on=lambda k: lambda x: G(p1, (k, x, x, None)),
             tol=tol,
             node=None if isinstance(t1, float) else _X2,
             exact_only=isinstance(t1, Poly),
-            run=lambda i, j: map(G, repeat(p1), places2[i:j]),
         )
 
     return _integrate(
         ax1, parts1,
-        point_value=lambda k: inner(places1[k]),
-        dense_on=lambda i: lambda x: inner((i, x, x, None)),
+        run=lambda i, j: map(inner, places1[i:j]),
+        dense_on=lambda k: lambda x: inner((k, x, x, None)),
         tol=tol,
         node=_X1 if ax2.mode == RATIONAL else None,
-        run=lambda i, j: map(inner, places1[i:j]),
     )
+
+
+# The lhs gap term of a by-parts integral, read as (f, g(sigma), g(t), mu),
+# in the argument order of ``_quotient``.
+_LHS_ARGS = itemgetter(1, 2, 3, 0)
 
 
 def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_TOL) -> Num:
@@ -829,46 +785,31 @@ def ibp_residual(scale: TimeScale, f, g, a, b, form: int = 1, tol: float = QUAD_
     boundary = (end(f_table, f_at, j, b) * end(g_table, g_at, j, b)
                 - end(f_table, f_at, i, a) * end(g_table, g_at, i, a))
 
-    # Each datum is read at t and at sigma(t) of each gap part k.  The forms
-    # differ only in which factor takes sigma at gap points: the lhs reads f,
-    # and the rest g, at sigma(t) or at t.  On dense pieces sigma(t) = t and
-    # both read the same.  Each gap term is one ``_quotient`` with its factor.
+    # Each datum is read at t and at sigma(t) of each gap.  The forms differ
+    # only in which factor takes sigma at gap points: the lhs reads f, and
+    # the rest g, at sigma(t) or at t.  On dense pieces sigma(t) = t and both
+    # read the same.  Each gap term is one ``_quotient`` with its factor.
+    # ``zip`` and ``map`` draw from their iterables in the order written, so
+    # both terms read f before g at each gap.
     gaps = scale._gaps
-    if f_table is not None and g_table is not None:
-        # Two tables read by index: the terms of a run map ``_quotient`` over
-        # their aligned slices, which call no datum, so no read order holds.
-        f_t, f_s = _run_reader(scale, f_table, f_at, 1), _run_reader(scale, f_table, f_at, 2)
-        g_t, g_s = _run_reader(scale, g_table, g_at, 1), _run_reader(scale, g_table, g_at, 2)
-        f_lhs, g_rest = (f_s, g_t) if form == 1 else (f_t, g_s)
-        lhs_run = lambda i, j: map(_quotient, g_s(i, j), g_t(i, j), gaps[i:j], f_lhs(i, j))
-        rest_run = lambda i, j: map(_quotient, f_s(i, j), f_t(i, j), gaps[i:j], g_rest(i, j))
-        lhs_value = rest_value = None
-    else:
-        f_t, f_s = _gap_reader(scale, f_table, f_at, 1), _gap_reader(scale, f_table, f_at, 2)
-        g_t, g_s = _gap_reader(scale, g_table, g_at, 1), _gap_reader(scale, g_table, g_at, 2)
-        f_lhs, g_rest = (f_s, g_t) if form == 1 else (f_t, g_s)
-        # Arguments, keywords too, are evaluated in the order written, so both
-        # terms read f before g.
-        lhs_value = lambda k: _quotient(c=f_lhs(k), hi=g_s(k), lo=g_t(k), gap=gaps[k])
-        rest_value = lambda k: _quotient(f_s(k), f_t(k), gaps[k], g_rest(k))
-        lhs_run = rest_run = None
-
-    node = _symbolic(f, g)
+    f_t, f_s = _run_reader(scale, f_table, f_at, 1), _run_reader(scale, f_table, f_at, 2)
+    g_t, g_s = _run_reader(scale, g_table, g_at, 1), _run_reader(scale, g_table, g_at, 2)
+    f_lhs, g_rest = (f_s, g_t) if form == 1 else (f_t, g_s)
+    parts, node = _parts(scale, a, b), _symbolic(f, g)
     lhs = _integrate(
-        scale, _parts(scale, a, b),
-        point_value=lhs_value,
-        dense_on=lambda i: lambda x: f_at(x) * _delta_at(scale, g, (i, x), x, tol)[0],
+        scale, parts,
+        run=lambda i, j: starmap(_quotient, map(_LHS_ARGS, zip(f_lhs(i, j), g_s(i, j),
+                                                               g_t(i, j), gaps[i:j]))),
+        dense_on=lambda k: lambda x: f_at(x) * _delta_at(scale, g, (k, x), x, tol)[0],
         tol=tol,
         node=node,
-        run=lhs_run,
     )
     rest = _integrate(
-        scale, _parts(scale, a, b),
-        point_value=rest_value,
-        dense_on=lambda i: lambda x: _delta_at(scale, f, (i, x), x, tol)[0] * g_at(x),
+        scale, parts,
+        run=lambda i, j: map(_quotient, f_s(i, j), f_t(i, j), gaps[i:j], g_rest(i, j)),
+        dense_on=lambda k: lambda x: _delta_at(scale, f, (k, x), x, tol)[0] * g_at(x),
         tol=tol,
         node=node,
-        run=rest_run,
     )
     return abs(lhs - (boundary - rest))
 

@@ -13,7 +13,9 @@ mode stores binary floats and matches membership with an optional
 absolute tolerance ``eps`` (default 0, exact comparison).
 
 Each scale keeps one private indexed view of its pieces, read by every
-exact walk: the piece lows and highs, the gaps between consecutive pieces
+exact walk: the piece lows and highs, the indices of the interval pieces
+(``_dense``, which an integral bisects for the dense pieces of its
+range), the gaps between consecutive pieces
 (computed once; ``restrict`` and ``truncate_k`` slice their parent's) and
 their places ``(k, t, sigma(t), mu(t))`` by piece index k, as iterated
 integrals and the two-variable kernel read them, and a map from the ``id``
@@ -290,9 +292,10 @@ class TimeScale(_Record):
 
     # The indexed view (see the module docstring), built by ``_index``, is
     # neither shown nor compared: ``_lows``, ``_highs``, ``_ids``,
-    # ``_discrete`` and ``_parent``; the gaps, their places, the
-    # isolated-point hash and the truncation (``truncate_k``) are cached
-    # properties.
+    # ``_dense`` (the indices of the interval pieces, ascending),
+    # ``_discrete`` (no interval piece) and ``_parent``; the gaps, their
+    # places, the isolated-point hash and the truncation (``truncate_k``)
+    # are cached properties.
     _shown = _compared = ("pieces", "mode", "eps")
     # The last scale ``_same_as`` found equal to this one.
     _equal = None
@@ -317,12 +320,16 @@ class TimeScale(_Record):
         build the indexed view."""
         lows = tuple(lo for lo, _ in pieces)
         # The pieces of ``discrete`` scales and their slices hold one object
-        # as lo and hi: one tuple serves as the lows and the highs.
-        shared = all(lo is hi for lo, hi in pieces)
-        highs = lows if shared else tuple(hi for _, hi in pieces)
-        discrete = shared or all(lo == hi for lo, hi in pieces)
+        # as lo and hi: one tuple serves as the lows and the highs, and no
+        # piece is an interval.
+        if all(lo is hi for lo, hi in pieces):
+            highs, dense = lows, ()
+        else:
+            highs = tuple(hi for _, hi in pieces)
+            dense = tuple(k for k, (lo, hi) in enumerate(pieces) if lo != hi)
         # Frozen: the index fields are written past the record's __setattr__.
-        vars(self).update(pieces=pieces, _lows=lows, _highs=highs, _discrete=discrete,
+        vars(self).update(pieces=pieces, _lows=lows, _highs=highs, _dense=dense,
+                          _discrete=not dense,
                           _ids={id(x): i for i, piece in enumerate(pieces) for x in piece},
                           _parent=parent)
 

@@ -39,7 +39,7 @@ from tsvar import (
     tabulated_from_json,
 )
 from tsvar.double import _el_kernel_at, _first_variation, _kernel_pairing, _place, _traj_args
-from tsvar.quadrature import QUAD_TOL
+from tsvar.quadrature import QUAD_TOL, adaptive_simpson
 from tsvar.scales import fmt_scalar
 
 HYBRID = TimeScale(((0.0, 2.0), (3.0, 3.0)), mode=FLOAT)
@@ -502,16 +502,17 @@ def _assert_walks_agree(scale, a, b):
     start, end = scale._find(a), scale._find(b)
     a, b = start[1], end[1]
     pieces, gaps = scale.pieces, scale._gaps
-    # A gap part is named by the index k of the piece it follows; its place
-    # is that piece's high, the next piece's low and the gap between.  A run
-    # part (i, j) of a discrete scale is the gap parts i through j - 1.
-    got = []
-    for kind, k in tsvar.calculus._decompose(scale, start, end):
-        if kind == "dense":
-            got.append((kind, k))
-            continue
-        for k in range(*k) if kind == "run" else (k,):
-            got.append(("gap", (None, pieces[k][1], pieces[k + 1][0], gaps[k])))
+    i, j, dense = tsvar.calculus._decompose(scale, start, end)
+    indices = [k for k, _, _ in dense]
+    assert indices == sorted(set(indices))
+    # The gaps are those after pieces i through j - 1, each named by the
+    # index k of the piece it follows; its place is that piece's high, the
+    # next piece's low and the gap between.  The reference walk puts the
+    # dense part of piece k before the gap after it.
+    keyed = [((part[0], 0), ("dense", part)) for part in dense]
+    keyed += [((k, 1), ("gap", (None, pieces[k][1], pieces[k + 1][0], gaps[k])))
+              for k in range(i, j)]
+    got = [part for _, part in sorted(keyed, key=lambda kp: kp[0])]
     want = list(_clip_walk(scale, a, b))
     # repr tells types and float signs apart.
     assert repr(got) == repr(want)
@@ -541,7 +542,7 @@ def test_decompose_matches_clip_walk_on_every_range(mode):
     if s.mode == FLOAT:
         # -0.0 is the point 0.0; the dense bounds keep the piece's own zero.
         _assert_walks_agree(TimeScale(((0.0, 1.0), 2.0), FLOAT, s.eps), -0.0, 2.0)
-    # A discrete scale is one run part: over the whole scale, a strict
+    # A discrete scale has no dense part: over the whole scale, a strict
     # sub-range and a single point.
     d = TimeScale.discrete([scalar(x) for x in (0, 1, 3, 4, 6, 8)], s.mode, s.eps)
     for a, b in ((0, 8), (1, 6), (3, 3)):
@@ -902,6 +903,193 @@ def _range_points(scale: TimeScale, rng, k: int) -> list:
     of an interval."""
     pts = sorted({x for lo, hi in scale.pieces for x in (lo, hi, (lo + hi) / 2)})
     return sorted(rng.choice(pts) for _ in range(k))
+
+
+@pytest.mark.parametrize("scale, ranges", [
+    (TimeScale.discrete([0, Fraction(1, 2), 2, Fraction(7, 3), 4]),
+     ((0, 4), (Fraction(1, 2), Fraction(7, 3)))),
+    (TimeScale((0, (Fraction(1, 2), 1), Fraction(3, 2), (2, Fraction(5, 2)), 4)),
+     ((0, 4), (Fraction(3, 4), Fraction(9, 4)))),
+], ids=["discrete", "hybrid"])
+@pytest.mark.parametrize("form", [1, 2])
+def test_by_parts_reads_f_before_g_at_each_gap(scale, ranges, form):
+    # The exact reads of plain callables, in order: the boundary term, then
+    # each gap of the lhs, f first, then each gap of the rest.  Dense pieces
+    # read at float nodes only, which are not recorded.
+    log = []
+
+    def recording(name, value):
+        def read(t):
+            if type(t) is not float:
+                log.append((name, t))
+            return value(t)
+        return read
+
+    f = recording("f", lambda t: t * t + 1)
+    g = recording("g", lambda t: 2 * t - t * t * t)
+    pieces = scale.pieces
+    for a, b in ranges:
+        log.clear()
+        ibp_residual(scale, f, g, a, b, form)
+        gaps = [(hi, nxt) for (_, hi), (nxt, _) in zip(pieces, pieces[1:]) if a <= hi < b]
+        want = [("f", b), ("g", b), ("f", a), ("g", a)]
+        for t, s in gaps:
+            want += [("f", s if form == 1 else t), ("g", s), ("g", t)]
+        for t, s in gaps:
+            want += [("f", s), ("f", t), ("g", t if form == 1 else s)]
+        assert log == want
+
+
+def _written_hybrid(scale, a, b, zero, at_gap, exact_piece, float_piece, tol=QUAD_TOL):
+    """An integral over [a, b] of ``scale``, written from its pieces.  Each
+    gap from a right-scattered t in [a, b) to s = sigma(t) adds ``(s - t) *
+    at_gap(t, s)`` to ``zero``, left to right.  Each piece k clipped to [c,
+    d], where c < d, then adds ``exact_piece(c, d)``; or, when
+    ``exact_piece`` is None, adaptive Simpson of ``float_piece(k)`` over [c,
+    d] to ``tol``, the Simpson values summed apart in floats and added to the
+    gap sum as a float."""
+    pieces = scale.pieces
+    total, dense = zero, []
+    for k, (lo, hi) in enumerate(pieces):
+        c, d = max(lo, a), min(hi, b)
+        if c < d:
+            dense.append((k, c, d))
+        if a <= hi < b:
+            s = pieces[k + 1][0]
+            total = total + (s - hi) * at_gap(hi, s)
+    if exact_piece is not None:
+        for _, c, d in dense:
+            total = total + exact_piece(c, d)
+        return total
+    if not dense:
+        return total
+    simpson = 0.0
+    for k, c, d in dense:
+        piece = float_piece(k)
+        simpson += adaptive_simpson(lambda x: float(piece(x)), float(c), float(d), tol)[0]
+    return float(total) + simpson
+
+
+def _exact_piece(p, name):
+    """The exact integral over [c, d] in the variable ``name`` of ``p``, a
+    ``Poly`` or an exact scalar, as a callable of c and d."""
+    def piece(c, d):
+        if not isinstance(p, Poly):
+            return p * (d - c)
+        primitive, i = p.integrate(name), p.variables.index(name)
+        return primitive.subs(i, d) - primitive.subs(i, c)
+    return piece
+
+
+def _same_outcome(got, want):
+    """``_same`` on what the calls ``got`` and ``want`` return, or, when
+    ``want`` raises, the same exception type and text from ``got``."""
+    try:
+        expected = want()
+    except (ConvergenceError, DomainError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            got()
+        assert str(raised.value) == str(exc)
+        return
+    _same(got(), expected)
+
+
+def _hybrid_datum(scale, kind, poly):
+    """``poly`` as data of the given kind: itself, a ``ScaleFn`` of it on
+    ``scale``, or a plain callable."""
+    if kind == "poly":
+        return poly
+    if kind == "scalefn":
+        return ScaleFn.from_callable(scale, poly)
+    return lambda t: poly(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), mode=st.sampled_from(["rational", FLOAT]),
+       kinds=st.tuples(st.sampled_from(["poly", "scalefn", "callable"]),
+                       st.sampled_from(["poly", "scalefn", "callable"])))
+def test_hybrid_sums_equal_the_written_per_gap_and_per_piece_sums(seed, mode, kinds):
+    # On a hybrid scale the gap terms of a range and its dense pieces give
+    # what a sum written per gap and per dense piece gives: the same exact
+    # value and type, or the same float bits.  A dense piece is integrated
+    # exactly when the scale is rational and no datum is a plain callable,
+    # else by Simpson, reading the data as the entry point reads them.
+    rng = random.Random(seed)
+    scale = _rand_hybrid(rng)
+    if mode == FLOAT:
+        scale = TimeScale(tuple((float(lo), float(hi)) for lo, hi in scale.pieces), FLOAT)
+    zero = Fraction(0) if mode == "rational" else 0.0
+    fp, gp = rand_poly1(rng), rand_poly1(rng)
+    f, g = _hybrid_datum(scale, kinds[0], fp), _hybrid_datum(scale, kinds[1], gp)
+    (f_bound, f_at), (g_bound, g_at) = (tsvar.calculus._data(scale, fn) for fn in (f, g))
+    exact_f = mode == "rational" and kinds[0] != "callable"
+    exact_fg = exact_f and kinds[1] != "callable"
+    a, b = _range_points(scale, rng, 2)
+
+    piece_f = _exact_piece(fp, "t") if exact_f else None
+    _same(delta_integral(scale, f, a, b),
+          _written_hybrid(scale, a, b, zero, lambda t, s: fp(t), piece_f, lambda k: f_at))
+    _same(nabla_integral_discrete(scale, f, a, b),
+          _written_hybrid(scale, a, b, zero, lambda t, s: fp(s), piece_f, lambda k: f_at))
+
+    # A slope by a Richardson limit cannot meet the default tolerance at
+    # every node: the by-parts forms run at a looser one.
+    tol = 1e-7
+
+    def by_parts(form):
+        boundary = fp(b) * gp(b) - fp(a) * gp(a)
+        lhs = _written_hybrid(
+            scale, a, b, zero,
+            lambda t, s: (fp(s) if form == 1 else fp(t)) * ((gp(s) - gp(t)) / (s - t)),
+            _exact_piece(fp * gp.diff("t"), "t") if exact_fg else None,
+            lambda k: lambda x: f_at(x) * _delta_at(scale, g_bound, (k, x), x, tol)[0], tol)
+        rest = _written_hybrid(
+            scale, a, b, zero,
+            lambda t, s: (gp(t) if form == 1 else gp(s)) * ((fp(s) - fp(t)) / (s - t)),
+            _exact_piece(fp.diff("t") * gp, "t") if exact_fg else None,
+            lambda k: lambda x: _delta_at(scale, f_bound, (k, x), x, tol)[0] * g_at(x), tol)
+        return abs(lhs - (boundary - rest))
+
+    for form in (1, 2):
+        _same_outcome(lambda: ibp_residual(scale, f, g, a, b, form, tol), lambda: by_parts(form))
+
+    # A hybrid x discrete product, each axis's range at least two points.
+    ax1 = scale
+    a1, b1 = _range_points(ax1, rng, 2)
+    if a1 == b1:
+        a1, b1 = ax1.min, ax1.max
+    if a1 == b1:
+        return
+    pts2 = rand_discrete_scale(rng, rng.randint(2, 5)).points()
+    ax2 = TimeScale.discrete(pts2 if mode == "rational" else map(float, pts2), ax1.mode)
+    a2, b2 = sorted(rng.sample(ax2.points(), 2))
+    variables = ("t1", "t2")
+    v1, v2 = Poly.var(variables, "t1"), Poly.var(variables, "t2")
+    u_poly = Poly.constant(variables, rand_fraction(rng))
+    for _ in range(3):
+        u_poly = u_poly + rand_fraction(rng) * v1 ** rng.randint(0, 2) * v2 ** rng.randint(0, 2)
+    u = SurfaceFn.from_callable(ax1, ax2, u_poly if kinds[0] != "callable"
+                                else lambda t1, t2: u_poly(t1, t2))
+    u_bound = u.on(ax1, ax2)
+
+    def row(t1):
+        # The inner integral over the discrete axis at the point or node t1.
+        return _written_hybrid(ax2, a2, b2, zero, lambda t2, s2: u_bound(t1, t2), None, None)
+
+    def column(t2):
+        # The inner integral over the hybrid axis at the point t2.
+        return _written_hybrid(ax1, a1, b1, zero, lambda t1, s1: u_bound(t1, t2),
+                               _exact_piece(u_poly.subs(1, t2), "t1") if exact_f else None,
+                               lambda k: lambda x: u_bound(x, t2))
+
+    row_poly = _written_hybrid(ax2, a2, b2, Fraction(0), lambda t2, s2: u_poly.subs(1, t2),
+                               None, None) if exact_f else None
+    one = _written_hybrid(ax1, a1, b1, zero, lambda t1, s1: row(t1),
+                          _exact_piece(row_poly, "t1") if exact_f else None, lambda k: row)
+    two = _written_hybrid(ax2, a2, b2, zero, lambda t2, s2: column(t2), None, None)
+    ps, rect = ProductScale(ax1, ax2), (a1, b1, a2, b2)
+    _same(double_integral(ps, u, rect), one)
+    _same(fubini_residual(ps, u, rect), abs(one - two))
 
 
 class TestExactMetamorphic:

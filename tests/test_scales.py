@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -433,6 +434,46 @@ def test_rational_slices_match_public_constructor(raw, den):
 def test_float_slices_match_public_constructor(raw, den, eps):
     s = TimeScale(_build_pieces(raw, lambda k: k / den), mode=FLOAT, eps=eps)
     _check_slices(s, _near_pieces(s.pieces, (1e-12, 0.5)))
+
+
+def _assert_dense_index(s):
+    """``_dense`` holds the indices of the interval pieces, ascending, and a
+    scale is discrete when it holds none."""
+    assert s._dense == tuple(k for k, (lo, hi) in enumerate(s.pieces) if lo < hi)
+    assert type(s._dense) is tuple
+    assert s._discrete is (not s._dense) is s.is_discrete
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_raw_pieces, den=st.integers(1, 4), mode=st.sampled_from((RATIONAL, FLOAT)))
+def test_dense_indexes_the_interval_pieces(raw, den, mode):
+    # A width-0 pair in ``raw`` is a point whose lo and hi are two objects:
+    # the scale takes the path that compares each piece's ends.
+    scalar = (lambda k: Fraction(k, den)) if mode == RATIONAL else (lambda k: k / den)
+    s = TimeScale(_build_pieces(raw, scalar), mode)
+    ends = sorted({x for lo, hi in s.pieces for x in (lo, hi, (lo + hi) / 2)})
+    subs = [s, s.truncate_k(), s.truncate_k2()]
+    subs += [s.restrict(a, b) for i, a in enumerate(ends) for b in ends[i::3]]
+    for sub in subs:
+        _assert_dense_index(sub)
+        clone = pickle.loads(pickle.dumps(sub))
+        _assert_dense_index(clone)
+        assert clone._dense == sub._dense
+
+
+def test_dense_on_fixed_scales():
+    assert TimeScale.discrete([0, 1, 3])._dense == ()
+    assert TimeScale(((0, 0), (1, 1)))._dense == ()
+    s = TimeScale((0, (1, 2), 3, (4, 6), 7))
+    assert s._dense == (1, 3)
+    assert s.truncate_k()._dense == (1, 3)
+    # Cut at the low end of a dense piece, the piece is a point.
+    assert s.restrict(0, 4)._dense == (1,)
+    assert s.restrict(Fraction(3, 2), 5)._dense == (0, 2)
+    assert s.restrict(3, 3)._dense == ()
+    for sub in (s, s.restrict(0, 4), s.restrict(3, 3)):
+        _assert_dense_index(sub)
+        _assert_dense_index(pickle.loads(pickle.dumps(sub)))
 
 
 def test_slices_of_a_scale_past_float_range():

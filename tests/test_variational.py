@@ -472,7 +472,8 @@ def _stepwise_el_residual(p, y_hat, refinement, tol):
     for t in pts:
         if t != prev:
             acc = acc + _integrate(world, _parts(world, prev, t),
-                                   lambda gap: p.partial_y(*args), ly_on, tol, node)
+                                   lambda i, j: (p.partial_y(*args) for _ in range(i, j)),
+                                   ly_on, tol, node)
             prev = t
         at = world._find(t)
         args = (t, y_hat(world._sigma_at(*at)), _delta_at(world, sloped, at)[0])
